@@ -14,6 +14,7 @@ from .diagram import (
     Diagram,
     FaceMap,
     TwistRegion,
+    canonical_pd,
     compute_faces,
     detect_twist_regions,
     parse_diagram,
@@ -78,6 +79,7 @@ __all__ = [
     "assemble",
     "augment",
     "build_nerve",
+    "canonical_pd",
     "compute_faces",
     "cusp_shape",
     "detect_twist_regions",

@@ -21,8 +21,8 @@ from .diagram import (
     Edge,
     HalfEnd,
     TwistRegion,
+    _other_end,
     braid_crossing,
-    compute_faces,
     detect_twist_regions,
     full_ribbon_braid,
 )
@@ -77,14 +77,6 @@ class AugmentedLink:
     @property
     def knotting_components(self) -> list[str]:
         return sorted(self.passages)
-
-    def circle_of(self, label: str) -> CrossingCircle:
-        if label not in self.circles:
-            raise KeyError(f"no crossing circle {label!r}")
-        return self.circles[label]
-
-    def is_regular(self) -> bool:
-        return all(c.strand_count == 2 for c in self.circles.values())
 
     def to_json(self) -> str:
         doc = {
@@ -179,11 +171,6 @@ class SlopeLedger:
 # -- region analysis ----------------------------------------------------------
 
 
-def _other_occurrence(occ, e: Edge, here: HalfEnd) -> HalfEnd:
-    a, b = occ[e]
-    return b if a == here else a
-
-
 def _region_disk_edges(d: Diagram, r: TwistRegion) -> tuple[Edge, Edge]:
     """The two original edges the crossing disk cuts, as (slot 0, slot 1)."""
     if r.crossing_count == 1:
@@ -200,7 +187,7 @@ def _thread_to_external(d, occ, internal: set[Edge], c: int, s: int) -> HalfEnd:
         e = d.crossings[c][exit_slot]
         if e not in internal:
             return (c, exit_slot)
-        c, s = _other_occurrence(occ, e, (c, exit_slot))
+        c, s = _other_end(occ, e, (c, exit_slot))
 
 
 def _region_structure(d: Diagram, r: TwistRegion, fm, corner_face):
@@ -264,7 +251,7 @@ def _region_structure(d: Diagram, r: TwistRegion, fm, corner_face):
             t = (s + 1) % 4
             e = d.crossings[c][t]
             while e in internal:
-                c, t = _other_occurrence(occ, e, (c, t))
+                c, t = _other_end(occ, e, (c, t))
                 t = (t + 1) % 4
                 e = d.crossings[c][t]
             s = t
@@ -388,7 +375,7 @@ def augment(
         regions = detect_twist_regions(d)
     _check_regions(d, regions)
     occ = d.occurrences()
-    fm = compute_faces(d)
+    fm = d.face_map
     corner_face = fm.face_of_corner()
     colorings = {
         comp: _face_coloring(d, fm, comp) for comp in set(d.components.values())
@@ -453,7 +440,7 @@ def augment(
             visited.add((c, s))
             exit_slot = (s + 2) % 4
             e = d.crossings[c][exit_slot]
-            c, s = _other_occurrence(occ, e, (c, exit_slot))
+            c, s = _other_end(occ, e, (c, exit_slot))
         return (old_to_new_ci[c], s)
 
     # Disk events, attached to original edges with their E-side anchors.
@@ -472,7 +459,7 @@ def augment(
         e, end = cyc[0], 0
         for _ in range(len(cyc)):
             toward = occ[e][end]
-            start = _other_occurrence(occ, e, toward)
+            start = _other_end(occ, e, toward)
             evs = events_by_edge.get(e, [])
             evs_sorted = sorted(evs, key=lambda ev: 0 if ev[2] == start else 1)
             for label, slot, near in evs_sorted:

@@ -13,13 +13,18 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from types import MappingProxyType
 
 from .errors import DiagramInvariantError, PDSyntaxError, ReducibleDiagramWarning
 
 Edge = int
 Crossing = tuple[Edge, Edge, Edge, Edge]
 HalfEnd = tuple[int, int]  # (crossing index, slot)
+# (number of loops, sorted codes of the connected parts); see canonical_pd.
+CanonicalPD = tuple[int, tuple[tuple[int, ...], ...]]
 
 
 @dataclass(frozen=True)
@@ -41,6 +46,11 @@ class Diagram:
     def __post_init__(self):
         _validate(self)
 
+    def __getstate__(self):
+        # Pickle the fields only: the caches below are rebuilt on demand, and
+        # the read-only occurrence mapping cannot be pickled.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     @property
     def edges(self) -> list[Edge]:
         return sorted(self.components)
@@ -54,12 +64,29 @@ class Diagram:
             seen.setdefault(lab, None)
         return list(seen)
 
-    def occurrences(self) -> dict[Edge, list[HalfEnd]]:
+    def occurrences(self) -> Mapping[Edge, tuple[HalfEnd, ...]]:
+        """Edge id -> its (crossing, slot) ends, in crossing order.
+
+        Built once per diagram and shared by every caller, hence read-only.
+        """
+        return self._occurrences
+
+    @cached_property
+    def _occurrences(self) -> Mapping[Edge, tuple[HalfEnd, ...]]:
         occ: dict[Edge, list[HalfEnd]] = {}
         for ci, cr in enumerate(self.crossings):
             for slot, e in enumerate(cr):
                 occ.setdefault(e, []).append((ci, slot))
-        return occ
+        return MappingProxyType({e: tuple(ends) for e, ends in occ.items()})
+
+    @cached_property
+    def face_map(self) -> FaceMap:
+        """The complementary regions, traced once by `compute_faces`."""
+        return compute_faces(self)
+
+    @cached_property
+    def _canonical_pd(self) -> CanonicalPD:
+        return (len(self.loops), tuple(sorted(_part_codes(self))))
 
     def component_cycles(self) -> dict[str, list[Edge]]:
         """Each component's edges in traversal order (cyclic, fixed origin)."""
@@ -249,10 +276,9 @@ def _validate(d: Diagram) -> None:
         raise DiagramInvariantError("signs length differs from crossing count")
     if d.crossings:
         k = _connected_parts(d)
-        faces = compute_faces(d)
         v = len(d.crossings)
         e = 2 * v
-        f = len(faces.faces)
+        f = len(d.face_map.faces)
         # Each connected part of the projection contributes its own sphere.
         if v - e + f != 2 * k:
             raise DiagramInvariantError(
@@ -286,7 +312,8 @@ def _connected_parts(d: Diagram) -> int:
 
 
 def compute_faces(d: Diagram) -> FaceMap:
-    """All complementary regions by corner traversal.
+    """All complementary regions by corner traversal (uncached; the
+    diagram's `face_map` keeps the result).
 
     Corner (c, k) is the sector between slots k and k+1 at crossing c.  The
     walk keeps the region on the right of each traversed edge, which on a
@@ -346,7 +373,7 @@ def detect_twist_regions(d: Diagram) -> list[TwistRegion]:
     fails the alternation requirement is split at the junction and a
     ReducibleDiagramWarning is emitted.
     """
-    faces = compute_faces(d)
+    faces = d.face_map
     links: dict[int, list[tuple[Face, int]]] = {
         i: [] for i in range(len(d.crossings))
     }
@@ -494,10 +521,6 @@ def _subtangle_strands(d: Diagram, crossing_ids: list[int]):
             exit_slot = (s + 2) % 4
             e = d.crossings[c][exit_slot]
             if not inside(e):
-                other = _other_end(occ, e, (c, exit_slot))
-                if other[0] in S:
-                    # the edge leaves and re-enters: treat as boundary
-                    pass
                 seen.add((c, exit_slot))
                 break
             c, s = _other_end(occ, e, (c, exit_slot))
@@ -637,61 +660,82 @@ def validate_generalized_region(
 # -- PD isomorphism -----------------------------------------------------------
 
 
-def _tuple_variants(cr: Crossing):
-    # Rotating by two re-bases the understrand at its other end; this is the
-    # same unoriented crossing.  Odd rotations would exchange over and under.
-    yield cr
-    yield (cr[2], cr[3], cr[0], cr[1])
+def canonical_pd(d: Diagram) -> CanonicalPD:
+    """Hashable key that is equal for two diagrams exactly when `pd_isomorphic`
+    holds: the PD codes agree up to edge relabelling, crossing order and
+    rotating a crossing by two slots.
+
+    Each connected part of the projection is read as a BFS code (see
+    `_bfs_code`) from every crossing in both of its rotations, and the least
+    code is kept; the key is (number of loops, sorted part codes).  Rotating
+    by two re-bases the understrand at its other end, so it is the same
+    unoriented crossing; odd rotations would exchange over and under, so a
+    mirror image is a different diagram.  Component labels and signs are
+    ignored.  Costs O(n^2) for n crossings and is cached on the diagram.
+    """
+    return d._canonical_pd
+
+
+def _part_codes(d: Diagram) -> list[tuple[int, ...]]:
+    """The least BFS code of each connected part of the projection."""
+    twin = [0] * (4 * len(d.crossings))  # dart 4*crossing+slot -> other end
+    for (c1, s1), (c2, s2) in d.occurrences().values():
+        twin[4 * c1 + s1] = 4 * c2 + s2
+        twin[4 * c2 + s2] = 4 * c1 + s1
+    seen: set[int] = set()
+    codes = []
+    for c in range(len(d.crossings)):
+        if c in seen:
+            continue
+        best, part = _bfs_code(twin, c, 0, None)
+        seen.update(part)
+        for start in part:
+            for rot in (0, 2):
+                found = _bfs_code(twin, start, rot, best)
+                if found is not None:
+                    best = found[0]
+        codes.append(tuple(best))
+    return codes
+
+
+def _bfs_code(twin: list[int], start: int, rot: int, best: list[int] | None):
+    """Relabelled PD of one part, read from crossing `start` rotated by `rot`.
+
+    Crossings are read in the order they are reached and edges numbered from
+    1 in order of first appearance.  A newly reached crossing is rotated so
+    that the slot it was reached through reads as 0 or 1; an isomorphism
+    preserves that, so the start fixes the whole code.  Returns (code,
+    crossings in reading order), or None as soon as the code exceeds `best`.
+    """
+    rotation = {start: rot}
+    order = [start]
+    number: dict[int, int] = {}  # dart -> edge number
+    code: list[int] = []
+    tied = best is not None  # the code so far equals best's prefix
+    for c in order:
+        r = rotation[c]
+        for k in range(4):
+            x = 4 * c + (k + r) % 4
+            e = number.get(x)
+            if e is None:
+                y = twin[x]
+                e = number[x] = number[y] = len(number) // 2 + 1
+                if y >> 2 not in rotation:
+                    rotation[y >> 2] = y & 2
+                    order.append(y >> 2)
+            if tied:
+                b = best[len(code)]
+                if e > b:
+                    return None
+                tied = e == b
+            code.append(e)
+    return code, order
 
 
 def pd_isomorphic(d1: Diagram, d2: Diagram) -> bool:
-    """Combinatorial isomorphism of PD codes up to edge relabeling."""
-    if len(d1.crossings) != len(d2.crossings):
-        return False
-    if len(d1.loops) != len(d2.loops):
-        return False
-    if not d1.crossings:
-        return True
-    n = len(d1.crossings)
-    occ2: dict[Edge, int] = {}
-    for cr in d2.crossings:
-        for e in cr:
-            occ2[e] = occ2.get(e, 0) + 1
-
-    crossings2 = list(d2.crossings)
-
-    def backtrack(i: int, used: set[int], emap: dict[Edge, Edge]) -> bool:
-        if i == n:
-            return True
-        cr = d1.crossings[i]
-        for j in range(n):
-            if j in used:
-                continue
-            for variant in _tuple_variants(crossings2[j]):
-                new = {}
-                ok = True
-                for a, b in zip(cr, variant):
-                    cur = emap.get(a, new.get(a))
-                    if cur is None:
-                        if b in emap.values() or b in new.values():
-                            ok = False
-                            break
-                        new[a] = b
-                    elif cur != b:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                emap.update(new)
-                used.add(j)
-                if backtrack(i + 1, used, emap):
-                    return True
-                used.discard(j)
-                for k in new:
-                    del emap[k]
-        return False
-
-    return backtrack(0, set(), {})
+    """Combinatorial isomorphism of PD codes up to edge relabelling, crossing
+    order and rotation of crossings by two; see `canonical_pd`."""
+    return canonical_pd(d1) == canonical_pd(d2)
 
 
 # -- braid insertion and ribbon twist patterns --------------------------------
@@ -734,26 +778,3 @@ def half_ribbon_braid(m: int, s: int) -> list[tuple[int, int]]:
         for i in range(k, 0, -1):
             word.append((i, s))
     return word
-
-
-def ribbon_tangle(m: int, t: int, half: bool, handedness: int = 1):
-    """PD crossings of the standard m-strand twist pattern, as an open tangle.
-
-    Returns (crossings, top_edges, bottom_edges, next_free_edge).  Edge ids
-    start at 1; top edges are 1..m.
-    """
-    word = full_ribbon_braid(m, t)
-    if half:
-        word += half_ribbon_braid(m, 1 if handedness >= 0 else -1)
-    if t < 0:
-        pass
-    nxt = m + 1
-    current = list(range(1, m + 1))
-    crossings: list[Crossing] = []
-    for i, s in word:
-        li, ri = current[i - 1], current[i]
-        lo, ro = nxt, nxt + 1
-        nxt += 2
-        crossings.append(braid_crossing(s * (1 if handedness >= 0 else 1), li, ri, lo, ro))
-        current[i - 1], current[i] = lo, ro
-    return crossings, list(range(1, m + 1)), current, nxt

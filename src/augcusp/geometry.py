@@ -11,7 +11,6 @@ reflection-surface lifts.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -400,7 +399,3 @@ def verify_meridian_bound(
                 }
             )
     return {"entries": entries, "all_pass": all_pass}
-
-
-def report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=None)
