@@ -129,7 +129,9 @@ def cmd_cusp(args) -> int:
                 raise DiagramInvariantError(f"need {n} filling integers, got {len(r)}")
             fam = families.gen_twobridge_family(n, r)
             mid = families.twobridge_middle_circle(fam)
-            rep = analyze_cusp(fam.parent, mid, tol=tol, max_iter=args.max_iter)
+            nerve = build_nerve(fam.parent)
+            packing = solve_packing(nerve, tol=tol, max_iter=args.max_iter)
+            rep = analyze_cusp(fam.parent, mid, tol=tol, packing=packing, nerve=nerve)
             counts = families.twobridge_filled_strand_counts(n, r) if any(r) else None
             doc = {
                 "family": "twobridge",
@@ -147,8 +149,6 @@ def cmd_cusp(args) -> int:
                 f"height {s.height:.6f}"
             )
             if args.render:
-                nerve = build_nerve(fam.parent)
-                packing = solve_packing(nerve, tol=tol, max_iter=args.max_iter)
                 eid = min(k for k, e in enumerate(nerve.edges) if e.cusp == mid)
                 norm = normalize_at_vertex(packing, eid)
                 _render_to(args.render, render.packing_svg(norm))
@@ -253,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--tol", type=float, default=1e-12, help="solver tolerance")
     ap.add_argument(
-        "--max-iter", type=int, default=100_000, help="packing iteration cap"
+        "--max-iter", type=int, default=100_000, help="cap on the Newton steps of the packing radii"
     )
     ap.add_argument("--out", help="write the JSON report to this file")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .augment import AugmentedLink
-from .errors import UnsupportedLinkError
+from .errors import ConvergenceError, UnsupportedLinkError
 from .mobius import Circline
 from .packing import CirclePacking, Nerve, build_nerve, normalize_at_vertex, solve_packing
 
@@ -71,17 +71,18 @@ def assemble(packing: CirclePacking, al: AugmentedLink) -> HoroballDiagram:
     frame = packing.normalization.get("frame")
     if frame not in ("unit-strip", "strip"):
         raise ValueError("packing must be normalized with a cusp at infinity")
-    scale = max(1.0, packing.scale())
-    worst = packing.max_residual()
-    if worst > packing.tol * scale * 10:
-        raise ValueError(
-            f"tangency residual {worst:.3e} exceeds tolerance; refusing to "
-            "assemble geometry"
-        )
     eid = packing.normalization["infinity_edge"]
+    gate = packing.tol * max(1.0, packing.scale()) * 10
+    worst = packing.max_residual()
+    if worst > gate:
+        raise ConvergenceError(
+            f"assemble: tangency residual {worst:.3e} with edge {eid} at "
+            f"infinity exceeds {gate:.3e}; refusing to assemble geometry",
+            worst,
+        )
     cusp = nerve.edges[eid].cusp
     u, v = nerve.edge_vertices(eid)
-    hy = [_height_of_line(packing.whites[u]), _height_of_line(packing.whites[v])]
+    hy = [packing.whites[u].position(), packing.whites[v].position()]
     hd = HoroballDiagram(
         nerve=nerve,
         packing=packing,
@@ -97,11 +98,6 @@ def assemble(packing: CirclePacking, al: AugmentedLink) -> HoroballDiagram:
     return hd
 
 
-def _height_of_line(c: Circline) -> float:
-    n = c.normal()
-    return c.offset() * (1.0 if n.imag > 0 else -1.0)
-
-
 def _spacing_terms(c1: Circline, c2: Circline) -> float:
     """1/(2 r1) + 1/(2 r2): the renormalized spacing of two tangent faces."""
     t = 0.0
@@ -111,12 +107,14 @@ def _spacing_terms(c1: Circline, c2: Circline) -> float:
     return t
 
 
-def _edge_triangles(nerve: Nerve) -> dict[int, list[int]]:
-    out: dict[int, list[int]] = {k: [] for k in range(len(nerve.edges))}
-    for ti, (eids, _lab, _side) in enumerate(nerve.triangles):
-        for e in eids:
-            out[e].append(ti)
-    return out
+def _cusp_disk_spacing(hd: HoroballDiagram) -> float:
+    """Distance between the two vertical crossing-disk lifts through the cusp."""
+    lifts = [hd.packing.shaded[ti] for ti in hd.nerve.edge_triangles[hd.infinity_edge]]
+    if len(lifts) != 2:
+        raise ValueError("expected two crossing-disk lifts through the cusp")
+    if not all(c.is_line for c in lifts):
+        raise ValueError("crossing-disk lift at the cusp is not vertical")
+    return abs(lifts[1].position() - lifts[0].position())
 
 
 def _kappa(hd: HoroballDiagram, eid: int) -> float:
@@ -141,17 +139,7 @@ def cusp_lattice(hd: HoroballDiagram, cusp: str) -> tuple[complex, complex, dict
     h = hd.strip_height
     eid = hd.infinity_edge
     e = nerve.edges[eid]
-    tris = _edge_triangles(nerve)[eid]
-    xs = []
-    for ti in tris:
-        c = hd.packing.shaded[ti]
-        if not c.is_line:
-            raise ValueError("crossing-disk lift at the cusp is not vertical")
-        n = c.normal()
-        xs.append(c.offset() * (1 if n.real > 0 else -1))
-    if len(xs) != 2:
-        raise ValueError("expected two crossing-disk lifts through the cusp")
-    w_inf = abs(xs[1] - xs[0])
+    w_inf = _cusp_disk_spacing(hd)
 
     if e.kind == "circle":
         lab = e.cusp
@@ -200,26 +188,24 @@ def _arc_width(hd: HoroballDiagram, arc_id: int) -> float:
     """Width of the cusp rectangle of one ideal vertex, on the matched scale."""
     nerve = hd.nerve
     eid = nerve.arc_edge[arc_id]
-    tris = _edge_triangles(nerve)[eid]
+    tris = nerve.edge_triangles[eid]
     if len(tris) != 2:
         raise ValueError("arc tangency not flanked by two crossing-disk faces")
     if eid == hd.infinity_edge:
-        xs = []
-        for ti in tris:
-            c = hd.packing.shaded[ti]
-            n = c.normal()
-            xs.append(c.offset() * (1 if n.real > 0 else -1))
-        return abs(xs[1] - xs[0])
+        return _cusp_disk_spacing(hd)
     s_sh = _spacing_terms(hd.packing.shaded[tris[0]], hd.packing.shaded[tris[1]])
     return _kappa(hd, eid) * s_sh
 
 
-def maximal_cusp(hd: HoroballDiagram, cusp: str) -> tuple[float, str]:
+def maximal_cusp(
+    hd: HoroballDiagram, cusp: str, lattice: tuple[complex, complex] | None = None
+) -> tuple[float, str]:
     """Height of the maximal cusp horoball about infinity, with a witness.
 
     The horoball expands until it meets a face of the polyhedra or a
     translate of itself; translate sizes come from the matched development
-    of the other lifts of the same cusp.
+    of the other lifts of the same cusp.  lattice is the cusp's (meridian,
+    longitude), when the caller has it from cusp_lattice.
     """
     if cusp != hd.cusp_at_infinity:
         raise ValueError(f"cusp {cusp!r} is not at infinity")
@@ -237,7 +223,7 @@ def maximal_cusp(hd: HoroballDiagram, cusp: str) -> tuple[float, str]:
             best = math.sqrt(kap)
             witness = f"horoball tangency at edge {k}"
     # Pairwise checks, including nearby lattice translates.
-    mu, lam, _ = cusp_lattice(hd, cusp)
+    mu, lam = lattice if lattice is not None else cusp_lattice(hd, cusp)[:2]
     shifts = [
         a * mu + b * lam for a in (-1, 0, 1) for b in (-1, 0, 1)
     ]
@@ -261,11 +247,16 @@ def maximal_cusp(hd: HoroballDiagram, cusp: str) -> tuple[float, str]:
 
 
 def cusp_shape(hd: HoroballDiagram, cusp: str) -> CuspShape:
+    return _measure(hd, cusp)[0]
+
+
+def _measure(hd: HoroballDiagram, cusp: str) -> tuple[CuspShape, str]:
+    """Cusp shape and the witness of its height, from one lattice."""
     mu, lam, _ = cusp_lattice(hd, cusp)
-    h, _ = maximal_cusp(hd, cusp)
+    h, witness = maximal_cusp(hd, cusp, (mu, lam))
     if (lam / mu).imag < 0:
         lam = -lam  # orient the modulus into the upper half plane
-    return CuspShape(cusp=cusp, meridian=mu, longitude=lam, height=h)
+    return CuspShape(cusp=cusp, meridian=mu, longitude=lam, height=h), witness
 
 
 def reflection_width(hd: HoroballDiagram, cusp: str) -> float:
@@ -333,21 +324,13 @@ def analyze_cusp(
     )
     normalized = normalize_at_vertex(packing, eid)
     hd = assemble(normalized, al)
-    shape = cusp_shape(hd, cusp)
+    shape, witness = _measure(hd, cusp)
     width = hd.strip_height / shape.height
-    _, witness = maximal_cusp(hd, cusp)
     kind = "circle" if nerve.edges[eid].kind == "circle" else "knotting"
     diameters = sorted(
         2.0 * c.radius for c in normalized.whites + normalized.shaded if not c.is_line
     )
-    tris = _edge_triangles(nerve)[eid]
-    xs = []
-    for ti in tris:
-        c = normalized.shaded[ti]
-        if c.is_line:
-            n = c.normal()
-            xs.append(c.offset() * (1 if n.real > 0 else -1))
-    spacing_disk = abs(xs[1] - xs[0]) if len(xs) == 2 else float("nan")
+    spacing_disk = _cusp_disk_spacing(hd)
     return CuspReport(
         cusp=cusp,
         kind=kind,

@@ -71,6 +71,12 @@ class Circline:
         """Signed offset of a line: the line is {z : <n, z> = offset}."""
         return -self.d / abs(2 * self.b)
 
+    def position(self) -> float:
+        """x of a vertical line, or y of a horizontal one."""
+        n = self.normal()
+        axis = n.real if abs(n.real) > abs(n.imag) else n.imag
+        return self.offset() * (1.0 if axis > 0 else -1.0)
+
     def eval(self, z: Complex) -> float:
         """Signed equation value at z (0 on the circline)."""
         return (

@@ -11,9 +11,10 @@ built from the untwisted companion of the link.
 
 from __future__ import annotations
 
-import json
+import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from .errors import ConvergenceError, UnsupportedLinkError
 from .mobius import Circline, MobiusMap, tangency_point, tangency_residual
 
 WDart = tuple[str, int, str]  # (circle, slot, "W"/"E")
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,15 @@ class Nerve:
 
     def cusps(self) -> list[str]:
         return sorted({e.cusp for e in self.edges})
+
+    @cached_property
+    def edge_triangles(self) -> dict[int, list[int]]:
+        """Per edge id: the indices of the shaded triangles that contain it."""
+        out: dict[int, list[int]] = {k: [] for k in range(len(self.edges))}
+        for ti, (eids, _lab, _side) in enumerate(self.triangles):
+            for e in eids:
+                out[e].append(ti)
+        return out
 
 
 # -- companion structure -------------------------------------------------------
@@ -383,104 +395,108 @@ class CirclePacking:
         tang = {k: t(z) for k, z in self.tangencies.items()}
         return CirclePacking(self.nerve, whites, shaded, tang, self.tol, dict(self.normalization))
 
-    def to_json(self) -> str:
-        def circ(c: Circline):
-            if c.is_line:
-                n = c.normal()
-                return {"line": {"normal": [n.real, n.imag], "offset": c.offset()}}
-            z = c.center
-            return {"circle": {"center": [z.real, z.imag], "radius": c.radius}}
-
-        doc = {
-            "whites": [circ(c) for c in self.whites],
-            "shaded": [circ(c) for c in self.shaded],
-            "tangencies": {
-                str(k): ([z.real, z.imag] if z is not None else None)
-                for k, z in sorted(self.tangencies.items())
-            },
-            "max_residual": self.max_residual(),
-            "normalization": {
-                k: v for k, v in self.normalization.items() if isinstance(v, (int, float, str))
-            },
-        }
-        return json.dumps(doc, sort_keys=True)
-
-
-def _petal_angle(r: float, a: float, b: float) -> float:
-    """Angle at the center of a radius-r circle spanned by tangent petals of
-    radii a and b (math.inf for a line petal)."""
-    ta = 1.0 if math.isinf(a) else a / (r + a)
-    tb = 1.0 if math.isinf(b) else b / (r + b)
-    x = math.sqrt(ta * tb)
-    return 2.0 * math.asin(min(1.0, x))
-
 
 def solve_flower_radii(
     flowers: dict[int, list[int]],
     fixed: dict[int, float],
     tol: float = 1e-12,
     max_iter: int = 100_000,
+    *,
+    stats: dict | None = None,
 ) -> dict[int, float]:
-    """Euclidean circle packing radii by angle-sum iteration.
+    """Euclidean circle packing radii by Newton's method on log-radii.
 
     flowers maps each free vertex to the cyclic list of its petal vertices;
-    fixed maps constrained vertices to radii (math.inf marks a line).  Every
-    free vertex's angle sum is driven to 2 pi with the uniform-neighbor
-    update and simple super-step acceleration.
+    fixed maps constrained vertices to radii (math.inf marks a line).  The
+    angle sums are the gradient of a convex function of the log-radii
+    (Colin de Verdiere 1991; Bobenko-Springborn 2004), so Newton's method
+    with a backtracking line search on |theta - 2 pi| drives every free
+    vertex's angle sum to 2 pi, quadratically once close.  max_iter caps the
+    Newton steps.  When every fixed vertex is a line the radii are defined up
+    to scale; the least-squares step leaves the mean log-radius unchanged.
+    If stats is given, it receives the Newton steps and the final angle error.
     """
-    radii: dict[int, float] = dict(fixed)
+    if max_iter < 1:
+        raise ConvergenceError(
+            f"solve_flower_radii: max_iter={max_iter} allows no Newton step", math.inf
+        )
     free = sorted(set(flowers) - set(fixed))
+    if not free:
+        return dict(fixed)
+    n = len(free)
+    # Vertex numbering: free vertices first, then fixed ones.
+    index = {v: k for k, v in enumerate(free)}
+    rest = sorted(fixed)
+    index.update({v: n + k for k, v in enumerate(rest)})
+    kfixed = np.array([1.0 / fixed[v] for v in rest])  # curvature, 0 for a line
+    corners = []  # (centre, petal, next petal)
     for v in free:
-        radii.setdefault(v, 1.0)
-
-    def angle_sum(v: int) -> float:
-        r = radii[v]
-        pet = flowers[v]
-        k = len(pet)
-        total = 0.0
-        for i in range(k):
-            total += _petal_angle(r, radii[pet[i]], radii[pet[(i + 1) % k]])
-        return total
-
+        pet = [index[a] for a in flowers[v]]
+        corners += [(index[v], a, b) for a, b in zip(pet, pet[1:] + pet[:1])]
+    c, pa, pb = (np.array(col, dtype=np.intp) for col in zip(*corners))
+    fa, fb = pa < n, pb < n
+    # Jacobian entries in row-major order: the diagonal, then the free petals.
+    flat = np.concatenate((c * (n + 1), c[fa] * n + pa[fa], c[fb] * n + pb[fb]))
     target = 2.0 * math.pi
-    prev_err = math.inf
-    prev_radii: dict[int, float] | None = None
-    for _ in range(max_iter):
-        before = {v: radii[v] for v in free}
-        err = 0.0
-        for v in free:
-            theta = angle_sum(v)
-            k = len(flowers[v])
-            r = radii[v]
-            beta = math.sin(theta / (2 * k))
-            delta = math.sin(target / (2 * k))
-            hat = beta * r / (1.0 - beta) if beta < 1.0 else r
-            radii[v] = hat * (1.0 - delta) / delta
-            err = max(err, abs(theta - target))
-        if err <= tol:
-            return radii
-        # Super-step: extrapolate along the last displacement when the error
-        # is contracting at a steady rate.
-        if prev_radii is not None and 0 < err < prev_err:
-            ratio = err / prev_err
-            lam = ratio / (1.0 - ratio)
-            if 0.0 < lam < 100.0:
-                trial = {v: radii[v] + lam * (radii[v] - before[v]) for v in free}
-                if all(r > 0 for r in trial.values()):
-                    radii.update(trial)
-        prev_radii = before
-        prev_err = err
-    raise ConvergenceError(
-        f"packing iteration did not reach tol={tol} in {max_iter} steps",
-        prev_err,
-    )
+
+    def angle_error(u):
+        """theta - 2 pi, and per corner: r at the centre, the petals'
+        curvatures and tan of half the corner angle (inf between two lines).
+
+        The tangency points of a corner lie on its triangle's incircle, of
+        radius rho; the half angle at the centre is atan(rho / r)."""
+        k = np.concatenate((np.exp(-u), kfixed))
+        r = np.exp(u)[c]
+        ka, kb = k[pa], k[pb]
+        tan_half = 1.0 / np.sqrt(r * (r * ka * kb + ka + kb))
+        theta = np.bincount(c, 2.0 * np.arctan(tan_half), n)
+        return theta - target, (r, ka, kb, tan_half)
+
+    def jacobian(r, ka, kb, tan_half):
+        """d theta / d log r: a corner angle moves with the log-radius of a
+        petal at rho / (r + r_petal), and with its own at minus the sum."""
+        t = np.where(np.isfinite(tan_half), tan_half, 0.0)
+        da = t * r * ka / (1.0 + r * ka)
+        db = t * r * kb / (1.0 + r * kb)
+        vals = np.concatenate((-(da + db), da[fa], db[fb]))
+        return np.bincount(flat, vals, n * n).reshape(n, n)
+
+    steps = 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u = np.zeros(n)
+        err, parts = angle_error(u)
+        while (worst := float(np.max(np.abs(err)))) > tol and steps < max_iter:
+            du = np.linalg.lstsq(jacobian(*parts), -err, rcond=None)[0]
+            norm = np.linalg.norm(err)
+            for lam in 0.5 ** np.arange(40):
+                trial, trial_parts = angle_error(u + lam * du)
+                if np.linalg.norm(trial) < norm:
+                    break
+            else:
+                break  # no descent left: roundoff floor
+            u, err, parts = u + lam * du, trial, trial_parts
+            steps += 1
+    if worst > tol:
+        raise ConvergenceError(
+            f"solve_flower_radii: angle error {worst:.3e} at vertex "
+            f"{free[int(np.argmax(np.abs(err)))]} after {steps} Newton steps "
+            f"(tol={tol})",
+            worst,
+        )
+    if stats is not None:
+        stats.update(newton_steps=steps, angle_error=worst)
+    radii = dict(fixed)
+    radii.update(zip(free, np.exp(u).tolist()))
+    return radii
 
 
 def solve_packing(nerve: Nerve, tol: float = 1e-12, max_iter: int = 100_000) -> CirclePacking:
     """Solve and lay out the packing with the designated tangency at infinity.
 
     The two white faces of the infinity edge become horizontal lines y = 0
-    and y = H; every other face becomes a circle in the strip.
+    and y = 2; every other face becomes a circle in the strip, the root face
+    (tangent to both lines) of radius 1.  max_iter caps the Newton steps of
+    the radii.
     """
     eid = nerve.infinity_edge
     u, v = nerve.edge_vertices(eid)
@@ -488,9 +504,13 @@ def solve_packing(nerve: Nerve, tol: float = 1e-12, max_iter: int = 100_000) -> 
         i: _neighbor_cycle(nerve, i) for i in range(nerve.whites) if i not in (u, v)
     }
     fixed = {u: math.inf, v: math.inf}
-    radii = solve_flower_radii(petals, fixed, tol=max(tol * 1e-2, 1e-15), max_iter=max_iter)
-    whites = _layout(nerve, u, v, radii)
-    whites = _refine(nerve, whites, u, v, tol)
+    stats: dict = {}
+    radii = solve_flower_radii(
+        petals, fixed, tol=max(tol * 1e-2, 1e-15), max_iter=max_iter, stats=stats
+    )
+    z, r, h = _layout(nerve, u, v, radii)
+    z, r, polish = _refine(nerve, z, r, h, u, v, eid, tol)
+    whites = _whites(z, r, h, u, v)
     shaded, tangencies = _derive_shaded(nerve, whites)
     packing = CirclePacking(
         nerve=nerve,
@@ -501,9 +521,17 @@ def solve_packing(nerve: Nerve, tol: float = 1e-12, max_iter: int = 100_000) -> 
         normalization={"infinity_edge": eid, "frame": "strip"},
     )
     worst = packing.max_residual()
+    log.info(
+        "solve_packing: %d whites, %d Newton steps, angle error %.2e, "
+        "%d Gauss-Newton steps, max relative residual %.2e",
+        nerve.whites, stats["newton_steps"], stats["angle_error"],
+        polish["steps"], worst / packing.scale(),
+    )
     if worst > tol * max(1.0, packing.scale()):
         raise ConvergenceError(
-            f"tangency residual {worst:.3e} exceeds tol after refinement", worst
+            f"solve_packing: tangency residual {worst:.3e} exceeds tol after "
+            "refinement",
+            worst,
         )
     return packing
 
@@ -516,185 +544,143 @@ def _neighbor_cycle(nerve: Nerve, i: int) -> list[int]:
     return out
 
 
-def _layout(nerve: Nerve, u: int, v: int, radii: dict[int, float]) -> list[Circline]:
+def _layout(nerve: Nerve, u: int, v: int, radii: dict[int, float]):
     """Place circles from a root tangent to both lines, most-constrained first.
 
-    Each new circle's two candidate positions (from two placed neighbors)
-    are scored against the tangency constraints of all its placed neighbors
-    and the non-overlap of everything already placed.
+    The radii are rescaled so that the root has radius 1: their scale is
+    otherwise arbitrary, and it would move the residual by roundoff.  Each
+    new circle's two candidate positions (from two placed neighbors) are
+    scored against the tangency constraints of all its placed neighbors and
+    the non-overlap of everything already placed.  Returns the centres and
+    radii of the whites (the entries of u and v unused) and the strip height.
     """
-    h = None
-    for i in range(nerve.whites):
-        if i in (u, v):
-            continue
-        nb = set(_neighbor_cycle(nerve, i))
-        if u in nb and v in nb:
-            h = 2.0 * radii[i]
-            root = i
-            break
-    if h is None:
-        raise UnsupportedLinkError("no face tangent to both reflection lines")
-
-    placed: dict[int, Circline] = {
-        u: Circline.line(0.0, 1j),  # y = 0, packing above
-        v: Circline.line(h * 1j, -1j),  # y = h, packing below
-    }
-    placed[root] = Circline.circle(complex(0.0, radii[root]), radii[root])
     neighbors = {i: _neighbor_cycle(nerve, i) for i in range(nerve.whites)}
+    roots = [i for i in neighbors if i not in (u, v) and {u, v} <= set(neighbors[i])]
+    if not roots:
+        raise UnsupportedLinkError("no face tangent to both reflection lines")
+    radii = {i: x / radii[roots[0]] for i, x in radii.items()}
+    h = 2.0
+    centre = {roots[0]: 1j}
 
-    def gap(c: Circline, z: complex, rw: float) -> float:
-        """Signed tangency error of a radius-rw circle at z against c."""
-        if c.is_line:
-            return _signed(c, z) - rw
-        return abs(z - c.center) - (c.radius + rw)
+    def placed(i: int) -> bool:
+        return i in centre or i in (u, v)
 
-    while len(placed) < nerve.whites:
-        best_v = None
-        best_known = -1
-        for i in range(nerve.whites):
-            if i in placed:
-                continue
-            known = sum(1 for nb in neighbors[i] if nb in placed)
-            if known > best_known:
-                best_known = known
-                best_v = i
-        if best_known < 2:
+    def gap(k: int, z: complex, rw: float) -> float:
+        """Signed tangency error of a radius-rw circle at z against white k."""
+        if k in (u, v):
+            return (z.imag if k == u else h - z.imag) - rw
+        return abs(z - centre[k]) - (radii[k] + rw)
+
+    while len(centre) < nerve.whites - 2:
+        w = max(
+            (i for i in neighbors if not placed(i)),
+            key=lambda i: sum(map(placed, neighbors[i])),
+        )
+        # Circle anchors first: they give the two-solution construction.
+        known = sorted(filter(placed, neighbors[w]), key=lambda k: k in (u, v))
+        if len(known) < 2:
             raise ConvergenceError("layout stalled: nerve not 2-connected", math.inf)
-        w = best_v
-        rw = radii[w]
-        known = [nb for nb in neighbors[w] if nb in placed]
-        # Prefer circle anchors over lines for the two-solution construction.
-        known.sort(key=lambda k: placed[k].is_line)
-        cands = _tangent_candidates(placed[known[0]], placed[known[1]], rw)
-        if not cands:
+        a, b = known[:2]
+        if a in (u, v):
             raise ConvergenceError(f"no tangent position for face {w}", math.inf)
-        best_z, best_score = None, math.inf
-        for z in cands:
-            score = 0.0
-            for nb in known:
-                score = max(score, abs(gap(placed[nb], z, rw)))
-            for k, c in placed.items():
-                if k in known or c.is_line:
-                    continue
-                overlap = -(gap(c, z, rw))
-                score = max(score, overlap)
-            if score < best_score:
-                best_score = score
-                best_z = z
-        placed[w] = Circline.circle(best_z, rw)
-    return [placed[i] for i in range(nerve.whites)]
+        rw = radii[w]
+        za, la = centre[a], radii[a] + rw
+        if b in (u, v):
+            y = rw if b == u else h - rw
+            dx = math.sqrt(max(0.0, la * la - (y - za.imag) ** 2)) * (1 if b == v else -1)
+            cands = [complex(za.real + dx, y), complex(za.real - dx, y)]
+        else:
+            d = abs(centre[b] - za)
+            along = (centre[b] - za) / d
+            x = (d * d + la * la - (radii[b] + rw) ** 2) / (2 * d)
+            across = math.sqrt(max(0.0, la * la - x * x))
+            cands = [za + (x + 1j * across) * along, za + (x - 1j * across) * along]
+
+        def score(z: complex) -> float:
+            fit = [abs(gap(k, z, rw)) for k in known]
+            overlap = [-gap(k, z, rw) for k in centre if k not in known]
+            return max([0.0] + fit + overlap)
+
+        centre[w] = min(cands, key=score)
+    z = np.array([centre.get(i, 0j) for i in range(nerve.whites)])
+    r = np.array([1.0 if i in (u, v) else radii[i] for i in range(nerve.whites)])
+    return z, r, h
 
 
-def _tangent_candidates(ca: Circline, cb: Circline, rw: float) -> list[complex]:
-    """Centers of a radius-rw circle tangent to both placed circlines."""
-    cands: list[complex] = []
-    if ca.is_line and cb.is_line:
-        return cands
-    if ca.is_line:
-        ca, cb = cb, ca
-    if cb.is_line:
-        n = cb.normal()
-        zb = ca.center
-        s = _signed(cb, zb)
-        d2 = (ca.radius + rw) ** 2 - (s - rw) ** 2
-        if d2 < -1e-9 * (ca.radius + rw) ** 2:
-            return cands
-        d = math.sqrt(max(0.0, d2))
-        base = zb - (s - rw) * n
-        t = 1j * n
-        for sgn in (1.0, -1.0):
-            cands.append(base + sgn * d * t)
-        return cands
-    za, ra = ca.center, ca.radius
-    zb, rb = cb.center, cb.radius
-    d = abs(zb - za)
-    if d == 0:
-        return cands
-    l1, l2 = ra + rw, rb + rw
-    x = (d * d + l1 * l1 - l2 * l2) / (2 * d)
-    h2 = l1 * l1 - x * x
-    if h2 < -1e-9 * l1 * l1:
-        return cands
-    hh = math.sqrt(max(0.0, h2))
-    u_ = (zb - za) / d
-    for sgn in (1.0, -1.0):
-        cands.append(za + x * u_ + sgn * hh * (1j * u_))
-    return cands
+def _refine(nerve: Nerve, z, r, h: float, u: int, v: int, skip: int, tol: float):
+    """Newton polish of the tangencies, with u and v the lines y = 0, y = h.
 
+    z and r hold the centre and radius of every white (the entries of u and
+    v are ignored).  The unknowns are the centres and radii of the other
+    whites; the equations are the tangencies of every nerve edge but `skip`,
+    the one at infinity, and a gauge row that holds the x of the first
+    circle.  The nerve triangulates the sphere, so E = 3W - 6 and the system
+    is square.  Returns z, r and the polish record: steps and the largest
+    tangency error before and after.
+    """
+    free = [i for i in range(nerve.whites) if i not in (u, v)]
+    m = len(free)
+    pos = {i: k for k, i in enumerate(free)}
+    pairs, walls = [], []  # circle pairs; (circle, +1 above u or -1 below v)
+    for k, e in enumerate(nerve.edges):
+        if k != skip and e.a in pos and e.b in pos:
+            pairs.append((pos[e.a], pos[e.b]))
+        elif k != skip:
+            line, other = (e.a, e.b) if e.b in pos else (e.b, e.a)
+            walls.append((pos[other], 1 if line == u else -1))
+    (ca, cb), (cw, side) = (np.array(x, dtype=np.intp).T for x in (pairs, walls))
+    off = np.where(side < 0, h, 0.0)  # signed distance to the wall: side * y + off
+    rc = np.arange(len(ca))
+    rw = len(ca) + np.arange(len(cw))
+    state = np.concatenate((z[free].real, z[free].imag, r[free]))
+    x0 = state[0]
 
-def _signed(line: Circline, z: complex) -> float:
-    n = line.normal()
-    return (n.real * z.real + n.imag * z.imag) - line.offset()
+    def residual(s):
+        x, y, rad = s[:m], s[m:2 * m], s[2 * m:]
+        d = np.hypot(x[cb] - x[ca], y[cb] - y[ca])
+        return np.concatenate(
+            (d - rad[ca] - rad[cb], side * y[cw] + off - rad[cw], [s[0] - x0])
+        )
 
+    def jacobian(s):
+        dx = s[cb] - s[ca]
+        dy = s[m + cb] - s[m + ca]
+        d = np.hypot(dx, dy)
+        jac = np.zeros((3 * m, 3 * m))
+        jac[rc, ca], jac[rc, cb] = -dx / d, dx / d
+        jac[rc, m + ca], jac[rc, m + cb] = -dy / d, dy / d
+        jac[rc, 2 * m + ca] = jac[rc, 2 * m + cb] = -1.0
+        jac[rw, m + cw], jac[rw, 2 * m + cw] = side, -1.0
+        jac[-1, 0] = 1.0
+        return jac
 
-def _refine(nerve: Nerve, whites: list[Circline], u: int, v: int, tol: float):
-    """Gauss-Newton polish of centers and radii on the tangency equations."""
-    idx = [i for i in range(nerve.whites) if i not in (u, v)]
-    if not idx:
-        return whites
-    pos = {i: k for k, i in enumerate(idx)}
-    yv = whites[v].offset() if whites[v].is_line else None
-    h = abs(yv)
-    x = np.zeros(3 * len(idx) + 1)
-    for i in idx:
-        z = whites[i].center
-        x[3 * pos[i]] = z.real
-        x[3 * pos[i] + 1] = z.imag
-        x[3 * pos[i] + 2] = whites[i].radius
-    x[-1] = h
-
-    eqs = [e for k, e in enumerate(nerve.edges) if k != nerve.infinity_edge]
-    # Gauge: fix the x coordinate of the lowest-index free circle.
-    gauge = idx[0]
-
-    def residual(xv):
-        res = []
-        hh = xv[-1]
-        for e in eqs:
-            a, b = e.a, e.b
-            if a in (u, v) and b in (u, v):
-                continue
-            if b in (u, v):
-                a, b = b, a
-            if a in (u, v):
-                zb = complex(xv[3 * pos[b]], xv[3 * pos[b] + 1])
-                rb = xv[3 * pos[b] + 2]
-                if a == u:
-                    res.append(zb.imag - rb)
-                else:
-                    res.append((hh - zb.imag) - rb)
-            else:
-                za = complex(xv[3 * pos[a]], xv[3 * pos[a] + 1])
-                zb = complex(xv[3 * pos[b]], xv[3 * pos[b] + 1])
-                ra, rb = xv[3 * pos[a] + 2], xv[3 * pos[b] + 2]
-                res.append(abs(zb - za) - (ra + rb))
-        res.append(xv[3 * pos[gauge]] - x[3 * pos[gauge]])
-        res.append(xv[-1] - h)
-        return np.array(res)
-
-    xv = x.copy()
-    for _ in range(60):
-        r0 = residual(xv)
-        if np.max(np.abs(r0)) < 1e-15:
+    res = residual(state)
+    before = worst = float(np.max(np.abs(res)))
+    steps = 0
+    while worst > 1e-3 * tol and steps < 8:
+        try:
+            trial = state + np.linalg.solve(jacobian(state), -res)
+        except np.linalg.LinAlgError:
             break
-        jac = np.zeros((len(r0), len(xv)))
-        eps = 1e-7
-        for j in range(len(xv)):
-            xp = xv.copy()
-            xp[j] += eps
-            jac[:, j] = (residual(xp) - r0) / eps
-        step, *_ = np.linalg.lstsq(jac, -r0, rcond=None)
-        nxt = xv + step
-        if np.max(np.abs(residual(nxt))) >= np.max(np.abs(r0)):
+        res_trial = residual(trial)
+        if not np.max(np.abs(res_trial)) < worst:
             break
-        xv = nxt
+        state, res, worst = trial, res_trial, float(np.max(np.abs(res_trial)))
+        steps += 1
+    z, r = z.copy(), r.copy()
+    z[free] = state[:m] + 1j * state[m:2 * m]
+    r[free] = state[2 * m:]
+    return z, r, {"steps": steps, "before": before, "after": worst}
 
-    out = list(whites)
-    for i in idx:
-        z = complex(xv[3 * pos[i]], xv[3 * pos[i] + 1])
-        out[i] = Circline.circle(z, xv[3 * pos[i] + 2])
-    out[u] = Circline.line(0.0, 1j)
-    out[v] = Circline.line(xv[-1] * 1j, -1j)
+
+def _whites(z, r, h: float, u: int, v: int) -> list[Circline]:
+    """Circlines of a strip layout: u is y = 0, v is y = h, the rest circles."""
+    out = [
+        Circline.circle(complex(zi), float(ri)) if i not in (u, v) else None
+        for i, (zi, ri) in enumerate(zip(z, r))
+    ]
+    out[u] = Circline.line(0.0, 1j)  # y = 0, packing above
+    out[v] = Circline.line(h * 1j, -1j)  # y = h, packing below
     return out
 
 
@@ -743,76 +729,70 @@ def normalize_at_vertex(packing: CirclePacking, edge_id: int) -> CirclePacking:
 
     The two white circles tangent there become the lines y = 0 and y = 1;
     the two shaded circles through the point become vertical lines, the
-    leftmost at x = 0, with the packing in the right half strip.
+    leftmost at x = 0, with the packing in the right half strip.  One Mobius
+    map carries the whites into this frame, the cusp's own; there the
+    tangencies are polished again, which removes the roundoff the map
+    amplifies, and the shaded circles are derived from the polished whites.
     """
     nerve = packing.nerve
-    e = nerve.edges[edge_id]
+    a, b = nerve.edge_vertices(edge_id)
     p = packing.tangencies[edge_id]
     t = MobiusMap.identity() if p is None else MobiusMap.inversion_at(p)
-    moved = packing.apply_mobius(t)
-    _snap_huge_circles(moved)
-    wa, wb = moved.whites[e.a], moved.whites[e.b]
-    if not (wa.is_line and wb.is_line):
-        raise ValueError("normalization did not produce two parallel lines")
-    # Rotate the common normal to +i so both lines are horizontal.
-    rot = 1j / wa.normal()
-    moved = moved.apply_mobius(MobiusMap.affine(rot / abs(rot), 0))
-    wa, wb = moved.whites[e.a], moved.whites[e.b]
-    ya, yb = _line_height(wa), _line_height(wb)
-    lo, hi = min(ya, yb), max(ya, yb)
-    scale = 1.0 / (hi - lo)
-    moved = moved.apply_mobius(MobiusMap.affine(scale, -1j * lo * scale))
-    # Shift x so the leftmost vertical shaded line (a crossing-disk lift
-    # through the cusp) sits at x = 0.
-    xs = _vertical_shaded_offsets(moved)
-    if xs:
-        moved = moved.apply_mobius(MobiusMap.affine(1.0, -min(xs)))
-    moved.normalization.clear()
-    moved.normalization.update({"infinity_edge": edge_id, "frame": "unit-strip"})
-    return moved
+    # The images of a and b pass through infinity: read them as lines, and
+    # rotate their common normal to +i.
+    normal = _as_line(packing.whites[a].apply(t), edge_id).normal()
+    t = MobiusMap.affine(1j / normal, 0).compose(t)
+    la, lb = (_as_line(packing.whites[i].apply(t), edge_id) for i in (a, b))
+    tilt = abs(lb.normal().real)
+    if tilt > 1e-6:
+        raise ConvergenceError(
+            f"normalize_at_vertex: the whites tangent at edge {edge_id} do not "
+            f"map to parallel lines (angle {tilt:.3e})",
+            tilt,
+        )
+    (ylo, u), (yhi, v) = sorted([(la.position(), a), (lb.position(), b)])
+    scale = 1.0 / (yhi - ylo)
+    t = MobiusMap.affine(scale, -1j * ylo * scale).compose(t)
+    z = np.zeros(nerve.whites, dtype=complex)
+    r = np.ones(nerve.whites)
+    for i, c in enumerate(packing.whites):
+        if i not in (u, v):
+            image = c.apply(t)
+            z[i], r[i] = image.center, image.radius
+    z, r, polish = _refine(nerve, z, r, 1.0, u, v, edge_id, packing.tol)
+    # The shaded lines through infinity pass through the tangencies of the
+    # lines with the two whites that flank the cusp, so they sit at the x of
+    # those whites' centres.
+    flank = {
+        w
+        for ti in nerve.edge_triangles[edge_id]
+        for k in nerve.triangles[ti][0]
+        for w in nerve.edge_vertices(k)
+    } - {u, v}
+    z -= min(z[w].real for w in flank)
+    log.debug(
+        "normalize_at_vertex: edge %d, %d Gauss-Newton steps, tangency error "
+        "%.2e -> %.2e",
+        edge_id, polish["steps"], polish["before"], polish["after"],
+    )
+    whites = _whites(z, r, 1.0, u, v)
+    shaded, tangencies = _derive_shaded(nerve, whites)
+    return CirclePacking(
+        nerve,
+        whites,
+        shaded,
+        tangencies,
+        packing.tol,
+        {"infinity_edge": edge_id, "frame": "unit-strip"},
+    )
 
 
-def _snap_huge_circles(packing: CirclePacking) -> None:
-    """Convert circles that should be lines (tangency sent to infinity with
-    roundoff) into honest lines."""
-
-    def disc(c: Circline) -> float:
-        return abs(c.b) ** 2 - c.a * c.d
-
-    radii = []
-    for c in packing.whites + packing.shaded:
-        if not c.is_line and disc(c) > 0:
-            radii.append(math.sqrt(disc(c)) / abs(c.a))
-    if not radii:
-        return
-    ref = sorted(radii)[len(radii) // 2]
-    cutoff = 1e7 * max(ref, 1e-30)
-
-    def snap(c: Circline) -> Circline:
-        if c.is_line:
-            return c
-        d2 = disc(c)
-        if d2 > 0 and math.sqrt(d2) / abs(c.a) <= cutoff:
-            return c
-        s = abs(2 * c.b)
-        if s == 0:
-            raise ValueError("degenerate circline cannot be snapped to a line")
-        return Circline(0.0, c.b / s, c.d / s)
-
-    packing.whites[:] = [snap(c) for c in packing.whites]
-    packing.shaded[:] = [snap(c) for c in packing.shaded]
-
-
-def _vertical_shaded_offsets(packing: CirclePacking) -> list[float]:
-    xs = []
-    for c in packing.shaded:
-        if c.is_line:
-            n = c.normal()
-            if abs(n.imag) < 1e-9:
-                xs.append(c.offset() * (1 if n.real > 0 else -1))
-    return xs
-
-
-def _line_height(line: Circline) -> float:
-    n = line.normal()
-    return line.offset() * (1.0 if n.imag > 0 else -1.0)
+def _as_line(c: Circline, edge_id: int) -> Circline:
+    """The line that a circline through infinity (up to roundoff) is."""
+    if c.b == 0:
+        raise ConvergenceError(
+            f"normalize_at_vertex: a white tangent at edge {edge_id} does not "
+            "pass through the cusp",
+            math.inf,
+        )
+    return Circline(0.0, c.b, c.d)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -9,8 +10,10 @@ from augcusp import catalog
 CLI = [sys.executable, "-m", "augcusp.cli"]
 
 
-def run(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True)
+def run(*args, env=None):
+    return subprocess.run(
+        CLI + list(args), capture_output=True, text=True, env={**os.environ, **(env or {})}
+    )
 
 
 @pytest.fixture(scope="module")
@@ -85,8 +88,21 @@ class TestCusp:
 
     def test_reports_byte_identical(self):
         a = run("cusp", "--family", "twobridge", "2", "1", "2")
-        b = run("cusp", "--family", "twobridge", "2", "1", "2")
+        b = run("cusp", "--family", "twobridge", "2", "1", "2", env={"AUGCUSP_LOG": "DEBUG"})
         assert a.stdout == b.stdout
+        assert "solve_packing:" in b.stderr and "solve_packing:" not in a.stderr
+        assert "normalize_at_vertex:" in b.stderr
+
+    def test_every_chain_cusp_reported(self, tmp_path):
+        path = tmp_path / "chain-13.json"
+        path.write_text(catalog.two_bridge_chain(13).to_json())
+        r = run("cusp", str(path))
+        assert r.returncode == 0, r.stderr
+        reports = json.loads(r.stdout)["cusps"]
+        assert len(reports) == 15
+        for rep in reports.values():
+            if rep["kind"] == "knotting":
+                assert abs(rep["meridian_length"] - 2.0) <= 1e-8
 
     def test_render(self, tmp_path):
         svg = tmp_path / "packing.svg"

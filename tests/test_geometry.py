@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from augcusp.geometry import (
     reflection_width,
     verify_meridian_bound,
 )
+from augcusp.errors import ConvergenceError
 from augcusp.families import fal_corpus, gen_twobridge_family, twobridge_middle_circle
 from augcusp.mobius import MobiusMap
 from augcusp.packing import build_nerve, normalize_at_vertex, solve_packing
@@ -202,3 +204,42 @@ class TestBoundSuite:
         assert entry["status"] == "SKIP"
         assert "no explicit geometry" in entry["reason"]
         assert report["all_pass"]
+
+
+class TestLadders:
+    @pytest.mark.parametrize(
+        "diagram, exact_two",
+        [
+            pytest.param(catalog.two_bridge_chain(k), True, id=f"chain-{k}")
+            for k in (13, 21, 41)
+        ]
+        + [
+            pytest.param(catalog.pretzel_link([3] * c), False, id=f"pretzel-3x{c}")
+            for c in (10, 20)
+        ],
+    )
+    def test_every_cusp_analyses(self, diagram, exact_two):
+        al, _ = augment(diagram)
+        nerve = build_nerve(al)
+        packing = solve_packing(nerve)
+        for cusp in nerve.cusps():
+            rep = analyze_cusp(al, cusp, packing=packing, nerve=nerve)
+            if rep.kind != "knotting":
+                assert math.isfinite(rep.shape.meridian_length)
+            elif exact_two:
+                assert abs(rep.shape.meridian_length - 2.0) <= 1e-8
+            else:
+                assert 2.0 - 1e-9 <= rep.shape.meridian_length < 4.0
+                assert 1.0 - 1e-9 <= rep.width < 2.0
+
+
+class TestRefusal:
+    def test_assemble_refuses_with_worst_residual(self):
+        al, _ = augment(catalog.two_bridge_chain(9))
+        nerve = build_nerve(al)
+        packing = dataclasses.replace(solve_packing(nerve), tol=1e-30)
+        eid = min(k for k, e in enumerate(nerve.edges) if e.cusp == "0")
+        norm = normalize_at_vertex(packing, eid)
+        with pytest.raises(ConvergenceError, match="^assemble: ") as info:
+            assemble(norm, al)
+        assert info.value.worst_residual == norm.max_residual() > 0

@@ -1,11 +1,13 @@
+import dataclasses
+import logging
 import math
 
 import pytest
 
 from augcusp import catalog
 from augcusp.augment import augment
-from augcusp.errors import UnsupportedLinkError
-from augcusp.mobius import cross_ratio
+from augcusp.errors import ConvergenceError, UnsupportedLinkError
+from augcusp.mobius import Circline, cross_ratio
 from augcusp.packing import (
     build_nerve,
     normalize_at_vertex,
@@ -35,6 +37,18 @@ class TestFlowerSolver:
         k4 = 1.0 / radii[3]
         assert abs(k4 - descartes_fourth(0.0, 1.0, 1.0)) <= 1e-10
         assert abs(radii[3] - 0.25) <= 1e-11
+
+    def test_max_iter_caps_newton_steps(self):
+        flowers = {3: [0, 1, 2]}
+        fixed = {0: math.inf, 1: 1.0, 2: 1.0}
+        stats = {}
+        solve_flower_radii(flowers, fixed, tol=1e-14, stats=stats)
+        assert 1 <= stats["newton_steps"] <= 20
+        assert stats["angle_error"] <= 1e-14
+        with pytest.raises(ConvergenceError):
+            solve_flower_radii(flowers, fixed, tol=1e-14, max_iter=stats["newton_steps"] - 1)
+        with pytest.raises(ConvergenceError):
+            solve_flower_radii({0: list(range(1, 7))}, {p: 1.0 for p in range(1, 7)}, max_iter=0)
 
     def test_tetrahedral_strip_solves_descartes(self):
         # The K4 nerve of the minimal supported link: two lines and two
@@ -210,3 +224,44 @@ class TestNormalization:
         packing = solve_packing(nerve)
         norm = normalize_at_vertex(packing, 5)
         assert norm.max_residual() <= 1e-9
+
+    def test_cusp_frame_has_exact_unit_strip(self):
+        al, _ = augment(catalog.two_bridge_chain(13))
+        nerve = build_nerve(al)
+        packing = solve_packing(nerve)
+        for eid in (0, 7, len(nerve.edges) - 1):
+            norm = normalize_at_vertex(packing, eid)
+            a, b = nerve.edge_vertices(eid)
+            assert {norm.whites[a], norm.whites[b]} == {
+                Circline.line(0.0, 1j),
+                Circline.line(1j, -1j),
+            }
+            assert sum(c.is_line for c in norm.whites) == 2
+            assert norm.max_residual() <= packing.tol
+
+    def test_whites_not_tangent_at_the_cusp_are_refused(self):
+        al, _ = augment(catalog.rational_link([2, 2, 2]))
+        nerve = build_nerve(al)
+        packing = solve_packing(nerve)
+        a, _ = nerve.edge_vertices(3)
+        c = packing.whites[a]
+        whites = list(packing.whites)
+        whites[a] = Circline.circle(c.center + 0.1 * c.radius, c.radius)
+        with pytest.raises(ConvergenceError, match="^normalize_at_vertex: "):
+            normalize_at_vertex(dataclasses.replace(packing, whites=whites), 3)
+
+
+class TestLogging:
+    def test_one_record_per_solve_and_one_per_cusp(self, caplog):
+        al, _ = augment(catalog.rational_link([2, 2, 2]))
+        nerve = build_nerve(al)
+        with caplog.at_level(logging.DEBUG, logger="augcusp"):
+            packing = solve_packing(nerve)
+            normalize_at_vertex(packing, 3)
+        solves = [r for r in caplog.records if r.getMessage().startswith("solve_packing:")]
+        assert len(solves) == 1 and solves[0].levelno == logging.INFO
+        for field in ("Newton steps", "angle error", "Gauss-Newton steps", "max relative residual"):
+            assert field in solves[0].getMessage()
+        polish = [r for r in caplog.records if r.getMessage().startswith("normalize_at_vertex:")]
+        assert len(polish) == 1 and polish[0].levelno == logging.DEBUG
+        assert "tangency error" in polish[0].getMessage()
