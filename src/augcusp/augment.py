@@ -21,6 +21,7 @@ from .diagram import (
     Edge,
     HalfEnd,
     TwistRegion,
+    UnionFind,
     _other_end,
     braid_crossing,
     detect_twist_regions,
@@ -338,20 +339,6 @@ def _face_coloring(d: Diagram, fm, component: str) -> dict[int, int] | None:
 # -- the augmentation splice ---------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        while self.parent.setdefault(x, x) != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        self.parent[self.find(a)] = self.find(b)
-
-
 def _check_regions(d: Diagram, regions: list[TwistRegion]) -> None:
     seen: set[int] = set()
     for r in regions:
@@ -394,7 +381,7 @@ def augment(
             if c != keep:
                 removed.add(c)
 
-    uf = _UnionFind()
+    uf = UnionFind()
     for c in removed:
         cr = d.crossings[c]
         uf.union(cr[0], cr[2])
@@ -599,7 +586,7 @@ def _fill(al: AugmentedLink, twists: dict[str, int], expand_rest: bool) -> Diagr
         for p in plist:
             slot_component[(p.circle, p.slot)] = comp
 
-    uf = _UnionFind()
+    uf = UnionFind()
     stubs: dict[str, dict[int, tuple[Edge, Edge]]] = {}
     for lab in sorted(al.circles):
         circle = al.circles[lab]

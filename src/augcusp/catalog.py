@@ -7,21 +7,14 @@ without external fixtures.
 
 from __future__ import annotations
 
-from .diagram import Crossing, Diagram, Edge, braid_crossing
+from .diagram import Crossing, Diagram, Edge, UnionFind, braid_crossing
 
 
 def _relabel(crossings: list[Crossing], unions: list[tuple[Edge, Edge]]) -> list[Crossing]:
-    parent: dict[Edge, Edge] = {}
-
-    def find(x: Edge) -> Edge:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind()
     for a, b in unions:
-        parent[find(a)] = find(b)
-    raw = [tuple(find(e) for e in cr) for cr in crossings]
+        uf.union(a, b)
+    raw = [tuple(uf.find(e) for e in cr) for cr in crossings]
     ids = sorted({e for cr in raw for e in cr})
     compact = {e: i + 1 for i, e in enumerate(ids)}
     return [tuple(compact[e] for e in cr) for cr in raw]

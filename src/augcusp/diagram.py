@@ -219,25 +219,33 @@ def parse_diagram(text: str) -> Diagram:
     return Diagram(crossings, components, signs, loops)
 
 
-def _infer_components(crossings) -> dict[Edge, str]:
-    parent: dict[Edge, Edge] = {}
+class UnionFind:
+    """Disjoint sets over hashable items, created on first use.  union(a, b)
+    puts a's root under b's, so the roots, and labels read from them, are
+    deterministic."""
 
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, x):
+        while self.parent.setdefault(x, x) != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
         return x
 
-    def union(x, y):
-        parent[find(x)] = find(y)
+    def union(self, a, b) -> None:
+        self.parent[self.find(a)] = self.find(b)
 
+
+def _infer_components(crossings) -> dict[Edge, str]:
+    uf = UnionFind()
     for cr in crossings:
-        union(cr[0], cr[2])
-        union(cr[1], cr[3])
+        uf.union(cr[0], cr[2])
+        uf.union(cr[1], cr[3])
     reps: dict[Edge, int] = {}
     out: dict[Edge, str] = {}
     for e in sorted({e for cr in crossings for e in cr}):
-        r = find(e)
+        r = uf.find(e)
         if r not in reps:
             reps[r] = len(reps)
         out[e] = str(reps[r])

@@ -19,6 +19,11 @@ from .errors import ConvergenceError, UnsupportedLinkError
 from .mobius import Circline
 from .packing import CirclePacking, Nerve, build_nerve, normalize_at_vertex, solve_packing
 
+# After .packing on purpose: without cached bytecode every module is compiled
+# at import, and compiling packing (the largest) after numpy is loaded adds
+# its compile peak to numpy's memory, about 2 MB more peak RSS.
+import numpy as np
+
 WDart = tuple[str, int, str]
 
 
@@ -31,13 +36,21 @@ class HoroballDiagram:
     cusp_at_infinity: str
     infinity_edge: int
     strip_height: float
-    # hemispheres: (circline, provenance "plane"/"disk", label)
-    hemispheres: list[tuple[Circline, str, object]] = field(default_factory=list)
     horoballs: dict[str, list[tuple[complex, float]]] = field(default_factory=dict)
 
+    @property
+    def hemispheres(self) -> list[tuple[Circline, str, object]]:
+        """(circline, provenance "plane"/"disk", label) of every face."""
+        packing = self.packing
+        out = [(c, "plane", i) for i, c in enumerate(packing.whites)]
+        for c, (_, lab, side) in zip(packing.shaded, self.nerve.triangles):
+            out.append((c, "disk", (lab, side)))
+        return out
+
     def finite_radius_max(self) -> float:
-        rs = [c.radius for c, _, _ in self.hemispheres if not c.is_line]
-        return max(rs) if rs else 0.0
+        rs = np.concatenate((self.packing.radius, self.packing.disks[1]))
+        rs = rs[np.isfinite(rs)]
+        return float(rs.max()) if rs.size else 0.0
 
 
 @dataclass
@@ -80,53 +93,35 @@ def assemble(packing: CirclePacking, al: AugmentedLink) -> HoroballDiagram:
             f"infinity exceeds {gate:.3e}; refusing to assemble geometry",
             worst,
         )
-    cusp = nerve.edges[eid].cusp
-    u, v = nerve.edge_vertices(eid)
-    hy = [packing.whites[u].position(), packing.whites[v].position()]
-    hd = HoroballDiagram(
+    return HoroballDiagram(
         nerve=nerve,
         packing=packing,
-        cusp_at_infinity=cusp,
+        cusp_at_infinity=nerve.edges[eid].cusp,
         infinity_edge=eid,
-        strip_height=abs(hy[1] - hy[0]),
+        strip_height=packing.height,
     )
-    for i, c in enumerate(packing.whites):
-        hd.hemispheres.append((c, "plane", i))
-    for k, c in enumerate(packing.shaded):
-        _, lab, side = nerve.triangles[k]
-        hd.hemispheres.append((c, "disk", (lab, side)))
-    return hd
-
-
-def _spacing_terms(c1: Circline, c2: Circline) -> float:
-    """1/(2 r1) + 1/(2 r2): the renormalized spacing of two tangent faces."""
-    t = 0.0
-    for c in (c1, c2):
-        if not c.is_line:
-            t += 1.0 / (2.0 * c.radius)
-    return t
 
 
 def _cusp_disk_spacing(hd: HoroballDiagram) -> float:
     """Distance between the two vertical crossing-disk lifts through the cusp."""
-    lifts = [hd.packing.shaded[ti] for ti in hd.nerve.edge_triangles[hd.infinity_edge]]
-    if len(lifts) != 2:
-        raise ValueError("expected two crossing-disk lifts through the cusp")
-    if not all(c.is_line for c in lifts):
+    center, radius = hd.packing.disks
+    lifts = hd.nerve.edge_triangles[hd.infinity_edge]
+    if not np.isinf(radius[lifts]).all():
         raise ValueError("crossing-disk lift at the cusp is not vertical")
-    return abs(lifts[1].position() - lifts[0].position())
+    return float(abs(center[lifts[1]].real - center[lifts[0]].real))
 
 
-def _kappa(hd: HoroballDiagram, eid: int) -> float:
-    """Matched horoball size constant at a finite tangency of the cusp.
+def _kappa(hd: HoroballDiagram, eid):
+    """Matched horoball size constant at finite tangencies of the cusp.
 
     Renormalizing the tangency to infinity with the reflection-plane spacing
     kept at H turns the cusp horoball of height h into a ball of diameter
-    kappa / h.
+    kappa / h; kappa = H / (1/(2 r_a) + 1/(2 r_b)) over the two whites
+    tangent there (a line adds 0).  eid is an edge id or an array of them.
     """
-    e = hd.nerve.edges[eid]
-    s = _spacing_terms(hd.packing.whites[e.a], hd.packing.whites[e.b])
-    return hd.strip_height / s
+    a, b = hd.nerve.ends
+    r = hd.packing.radius
+    return hd.strip_height / (0.5 / r[a[eid]] + 0.5 / r[b[eid]])
 
 
 def cusp_lattice(hd: HoroballDiagram, cusp: str) -> tuple[complex, complex, dict]:
@@ -152,16 +147,15 @@ def cusp_lattice(hd: HoroballDiagram, cusp: str) -> tuple[complex, complex, dict
     # Knotting strand: the meridian crosses two reflection-plane lifts; the
     # longitude walks the rectangle chain through the crossing-disk faces.
     meridian = 2j * h
-    total = 0.0
     shear = 0.0
     start_arc = e.ref
     _, d0, d1 = nerve.arcs[start_arc]
     pos = (start_arc, d1)  # exit through d1 first
     steps = 0
-    widths = []
+    walk = []
     while True:
         arc, exit_dart = pos
-        widths.append(_arc_width(hd, arc))
+        walk.append(nerve.arc_edge[arc])
         circle, slot, side = exit_dart
         if nerve.circle_half[circle]:
             shear += h * nerve.circle_sign.get(circle, 1)
@@ -178,23 +172,14 @@ def cusp_lattice(hd: HoroballDiagram, cusp: str) -> tuple[complex, complex, dict
             break
         if steps > 4 * len(nerve.arcs) + 4:
             raise RuntimeError("longitude walk did not close")
-    total = sum(widths)
-    longitude = total + 1j * shear
+    # Each rectangle's width: the cusp's own is w_inf; the others are
+    # kappa times the spacing of the two crossing-disk faces flanking them.
+    rest = np.array(walk[1:], dtype=np.intp)
+    disk_r = hd.packing.disks[1][nerve.edge_triangles[rest]]
+    widths = [w_inf] + (_kappa(hd, rest) * (0.5 / disk_r).sum(axis=1)).tolist()
+    longitude = sum(widths) + 1j * shear
     info = {"rectangles": steps, "widths": widths}
     return meridian, longitude, info
-
-
-def _arc_width(hd: HoroballDiagram, arc_id: int) -> float:
-    """Width of the cusp rectangle of one ideal vertex, on the matched scale."""
-    nerve = hd.nerve
-    eid = nerve.arc_edge[arc_id]
-    tris = nerve.edge_triangles[eid]
-    if len(tris) != 2:
-        raise ValueError("arc tangency not flanked by two crossing-disk faces")
-    if eid == hd.infinity_edge:
-        return _cusp_disk_spacing(hd)
-    s_sh = _spacing_terms(hd.packing.shaded[tris[0]], hd.packing.shaded[tris[1]])
-    return _kappa(hd, eid) * s_sh
 
 
 def maximal_cusp(
@@ -205,44 +190,43 @@ def maximal_cusp(
     The horoball expands until it meets a face of the polyhedra or a
     translate of itself; translate sizes come from the matched development
     of the other lifts of the same cusp.  lattice is the cusp's (meridian,
-    longitude), when the caller has it from cusp_lattice.
+    longitude), when the caller has it from cusp_lattice.  Records the
+    cusp's horoballs at that height in hd.horoballs.
     """
     if cusp != hd.cusp_at_infinity:
         raise ValueError(f"cusp {cusp!r} is not at infinity")
     nerve = hd.nerve
     best = hd.finite_radius_max()
     witness = "face tangency"
-    lifts: list[tuple[complex, float]] = []
-    for k, e in enumerate(nerve.edges):
-        if e.cusp != cusp or k == hd.infinity_edge:
-            continue
-        p = hd.packing.tangencies[k]
-        kap = _kappa(hd, k)
-        lifts.append((p, kap))
-        if math.sqrt(kap) > best:
-            best = math.sqrt(kap)
-            witness = f"horoball tangency at edge {k}"
-    # Pairwise checks, including nearby lattice translates.
+    eids = np.array(
+        [k for k in nerve.cusp_edges[cusp] if k != hd.infinity_edge], dtype=np.intp
+    )
+    pts = hd.packing.points[eids]
+    kap = _kappa(hd, eids)
+    if eids.size and math.sqrt(kap.max()) > best:
+        k = int(np.argmax(kap))
+        best = math.sqrt(kap[k])
+        witness = f"horoball tangency at edge {eids[k]}"
+    # Pairs (p_i, p_j + t), t a nearby lattice translate: the two balls
+    # touch at height sqrt(kappa_i kappa_j) / |p_j + t - p_i|, so the pair
+    # of least |p_j + t - p_i| / sqrt(kappa_i kappa_j) is the highest.
     mu, lam = lattice if lattice is not None else cusp_lattice(hd, cusp)[:2]
-    shifts = [
-        a * mu + b * lam for a in (-1, 0, 1) for b in (-1, 0, 1)
-    ]
-    for i in range(len(lifts)):
-        for j in range(len(lifts)):
-            for t in shifts:
-                if i == j and abs(t) < 1e-14:
-                    continue
-                p, kp = lifts[i]
-                q, kq = lifts[j]
-                d = abs((q + t) - p)
-                if d < 1e-14:
-                    continue
-                cand = math.sqrt(kp * kq) / d
-                if cand > best + 1e-15:
-                    best = cand
-                    witness = f"horoball pair at edges near {i},{j}"
-    # Record the horoballs of this cusp at the maximal height.
-    hd.horoballs[cusp] = [(p, kap / best) for p, kap in lifts]
+    shifts = [a * mu + b * lam for a in (-1, 0, 1) for b in (-1, 0, 1)] if eids.size else []
+    x, y, root = pts.real, pts.imag, np.sqrt(kap)
+    for t in shifts:
+        gap = np.subtract.outer(x, x + t.real)
+        gap = np.hypot(gap, np.subtract.outer(y, y + t.imag), out=gap)
+        gap[gap < 1e-14] = np.inf  # the lift itself
+        gap /= root[:, None]
+        gap /= root
+        i, j = divmod(int(np.argmin(gap)), len(eids))
+        if math.isinf(gap[i, j]):
+            continue
+        cand = math.sqrt(kap[i] * kap[j]) / abs(pts[j] + t - pts[i])
+        if cand > best + 1e-15:
+            best = cand
+            witness = f"horoball pair at edges near {i},{j}"
+    hd.horoballs[cusp] = list(zip(pts.tolist(), (kap / best).tolist()))
     return best, witness
 
 
@@ -319,17 +303,14 @@ def analyze_cusp(
         cusp = knotting[0] if knotting else cusps[0]
     if cusp not in cusps:
         raise UnsupportedLinkError(f"unknown cusp {cusp!r}; have {cusps}")
-    eid = min(
-        k for k, e in enumerate(nerve.edges) if e.cusp == cusp
-    )
+    eid = nerve.cusp_edges[cusp][0]
     normalized = normalize_at_vertex(packing, eid)
     hd = assemble(normalized, al)
     shape, witness = _measure(hd, cusp)
     width = hd.strip_height / shape.height
     kind = "circle" if nerve.edges[eid].kind == "circle" else "knotting"
-    diameters = sorted(
-        2.0 * c.radius for c in normalized.whites + normalized.shaded if not c.is_line
-    )
+    radii = np.concatenate((normalized.radius, normalized.disks[1]))
+    diameters = np.sort(2.0 * radii[np.isfinite(radii)]).tolist()
     spacing_disk = _cusp_disk_spacing(hd)
     return CuspReport(
         cusp=cusp,

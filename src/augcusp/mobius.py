@@ -3,15 +3,16 @@
 Circlines are stored as Hermitian matrices [[A, B], [conj(B), D]] with A, D
 real, representing the locus A|z|^2 + conj(B) z + B conj(z) + D = 0.  A == 0
 gives a line.  A Mobius map T = [[a, b], [c, d]] acts on a circline matrix M
-by M -> inv(T)^* M inv(T), which keeps all tangency computations exact up to
-floating point.
+by M -> inv(T)^* M inv(T).  The packing solver keeps circles as centre and
+radius arrays instead; circlines are built from them for rendering and
+inspection.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 Complex = complex
 
@@ -20,7 +21,11 @@ _EPS = 1e-13
 
 @dataclass(frozen=True)
 class Circline:
-    """A circle or line in the extended complex plane."""
+    """A circle or line in the extended complex plane.
+
+    A circle made by `circle` keeps the centre and radius it was made from:
+    reading them back from (a, b, d) would cancel, since d = |c|^2 - r^2.
+    """
 
     a: float
     b: Complex
@@ -32,7 +37,9 @@ class Circline:
     def circle(center: Complex, radius: float) -> "Circline":
         if radius <= 0:
             raise ValueError(f"radius must be positive, got {radius}")
-        return Circline(1.0, -complex(center), abs(center) ** 2 - radius**2)
+        out = Circline(1.0, -complex(center), abs(center) ** 2 - radius**2)
+        vars(out).update(is_line=False, center=complex(center), radius=float(radius))
+        return out
 
     @staticmethod
     def line(point: Complex, normal: Complex) -> "Circline":
@@ -42,17 +49,19 @@ class Circline:
 
     # Classification and parameters
 
-    @property
+    # Computed once per circline (a frozen dataclass may cache in its dict).
+
+    @cached_property
     def is_line(self) -> bool:
         return abs(self.a) < _EPS * (abs(self.b) + 1.0)
 
-    @property
+    @cached_property
     def center(self) -> Complex:
         if self.is_line:
             raise ValueError("a line has no center")
         return -self.b / self.a
 
-    @property
+    @cached_property
     def radius(self) -> float:
         if self.is_line:
             return math.inf
@@ -70,12 +79,6 @@ class Circline:
     def offset(self) -> float:
         """Signed offset of a line: the line is {z : <n, z> = offset}."""
         return -self.d / abs(2 * self.b)
-
-    def position(self) -> float:
-        """x of a vertical line, or y of a horizontal one."""
-        n = self.normal()
-        axis = n.real if abs(n.real) > abs(n.imag) else n.imag
-        return self.offset() * (1.0 if axis > 0 else -1.0)
 
     def eval(self, z: Complex) -> float:
         """Signed equation value at z (0 on the circline)."""
@@ -133,67 +136,12 @@ class MobiusMap:
     d: Complex
 
     @staticmethod
-    def identity() -> "MobiusMap":
-        return MobiusMap(1, 0, 0, 1)
-
-    @staticmethod
     def affine(scale: Complex, shift: Complex) -> "MobiusMap":
         return MobiusMap(scale, shift, 0, 1)
-
-    @staticmethod
-    def inversion_at(p: Complex) -> "MobiusMap":
-        """z -> 1 / (z - p), sending p to infinity."""
-        return MobiusMap(0, 1, 1, -p)
-
-    def __call__(self, z: Complex | None) -> Complex | None:
-        """Apply to a point; None stands for infinity."""
-        if z is None:
-            if abs(self.c) < _EPS * abs(self.a):
-                return None
-            return self.a / self.c
-        den = self.c * z + self.d
-        if abs(den) < _EPS * (abs(self.a * z + self.b) + 1e-300):
-            return None
-        return (self.a * z + self.b) / den
-
-    def compose(self, other: "MobiusMap") -> "MobiusMap":
-        """self after other."""
-        return MobiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
 
 
 def cross_ratio(z1: Complex, z2: Complex, z3: Complex, z4: Complex) -> Complex:
     return (z1 - z3) * (z2 - z4) / ((z1 - z4) * (z2 - z3))
-
-
-def tangency_point(c1: Circline, c2: Circline) -> Complex | None:
-    """Point where two tangent circlines touch; None if it is infinity."""
-    if c1.is_line and c2.is_line:
-        return None
-    if c2.is_line:
-        c1, c2 = c2, c1
-    if c1.is_line:
-        n = c1.normal()
-        z = c2.center
-        # project the center onto the line
-        off = -c1.d / abs(2 * c1.b)
-        dist = (n.real * z.real + n.imag * z.imag) - off
-        return z - dist * n
-    z1, z2 = c1.center, c2.center
-    r1, r2 = c1.radius, c2.radius
-    d = abs(z2 - z1)
-    if d < _EPS:
-        return None
-    u = (z2 - z1) / d
-    if abs(d - (r1 + r2)) <= abs(d - abs(r1 - r2)):
-        return z1 + r1 * u  # external tangency
-    if r1 > r2:
-        return z1 + r1 * u  # internal, c2 inside c1
-    return z1 - r1 * u
 
 
 def tangency_residual(c1: Circline, c2: Circline) -> float:

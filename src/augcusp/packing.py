@@ -11,6 +11,7 @@ built from the untwisted companion of the link.
 
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 from dataclasses import dataclass, field
@@ -19,8 +20,9 @@ from functools import cached_property
 import numpy as np
 
 from .augment import AugmentedLink
+from .diagram import UnionFind
 from .errors import ConvergenceError, UnsupportedLinkError
-from .mobius import Circline, MobiusMap, tangency_point, tangency_residual
+from .mobius import Circline, MobiusMap
 
 WDart = tuple[str, int, str]  # (circle, slot, "W"/"E")
 
@@ -58,16 +60,36 @@ class Nerve:
         return (e.a, e.b)
 
     def cusps(self) -> list[str]:
-        return sorted({e.cusp for e in self.edges})
+        return sorted(self.cusp_edges)
 
     @cached_property
-    def edge_triangles(self) -> dict[int, list[int]]:
-        """Per edge id: the indices of the shaded triangles that contain it."""
-        out: dict[int, list[int]] = {k: [] for k in range(len(self.edges))}
-        for ti, (eids, _lab, _side) in enumerate(self.triangles):
-            for e in eids:
-                out[e].append(ti)
+    def cusp_edges(self) -> dict[str, list[int]]:
+        """Per cusp: the ids of its edges, ascending."""
+        out: dict[str, list[int]] = {}
+        for k, e in enumerate(self.edges):
+            out.setdefault(e.cusp, []).append(k)
         return out
+
+    @cached_property
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two whites of every edge, as index arrays."""
+        a, b = np.array([(e.a, e.b) for e in self.edges], dtype=np.intp).T
+        return a, b
+
+    @cached_property
+    def triangle_edges(self) -> np.ndarray:
+        """The edge ids of every shaded triangle, one row per triangle."""
+        return np.array([eids for eids, _lab, _side in self.triangles], dtype=np.intp)
+
+    @cached_property
+    def edge_triangles(self) -> np.ndarray:
+        """Per edge id: the two shaded triangles that contain it, in order.
+
+        Each crossing circle has four darts, so k circles give 2k arcs, 3k
+        edges and 2k triangles, and every edge lies in exactly two of them.
+        """
+        order = np.argsort(self.triangle_edges.ravel(), kind="stable")
+        return (order // 3).reshape(-1, 2)
 
 
 # -- companion structure -------------------------------------------------------
@@ -137,23 +159,13 @@ def _companion_arcs(al: AugmentedLink):
     for i, (_, d, e) in arcs.items():
         arc_of[d] = i
         arc_of[e] = i
-    parent = {i: i for i in arcs}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        parent[find(i)] = find(j)
-
+    orbits = UnionFind()
     for lab in sorted(al.circles):
         half = al.circles[lab].half_twist
         for j in (0, 1):
             w: WDart = (lab, j, "W")
             e: WDart = (lab, (1 - j) if half else j, "E")
-            union(arc_of[w], arc_of[e])
+            orbits.union(arc_of[w], arc_of[e])
 
     # Label orbits by the true component owning each W dart.
     dart_comp: dict[WDart, str] = {}
@@ -165,10 +177,10 @@ def _companion_arcs(al: AugmentedLink):
     for i, (_, d, e) in sorted(arcs.items()):
         for dd in (d, e):
             if dd[2] == "W":
-                orbit_label.setdefault(find(i), dart_comp[dd])
+                orbit_label.setdefault(orbits.find(i), dart_comp[dd])
     labeled = {}
     for i, (_, d, e) in arcs.items():
-        lab = orbit_label.get(find(i))
+        lab = orbit_label.get(orbits.find(i))
         if lab is None:
             raise UnsupportedLinkError("could not label a cusp orbit")
         labeled[i] = (lab, d, e)
@@ -365,35 +377,120 @@ def _check_degrees(n: Nerve) -> None:
 # -- the packing solver --------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class CirclePacking:
-    """Solved packing: one circline per white vertex plus derived shaded ones."""
+    """Solved packing in a strip frame, as centre and radius arrays.
+
+    The whites `lines` = (u, v) are the horizontal lines y = center[u].imag
+    and, above it, y = center[v].imag, of radius inf; every other white is
+    the circle of its centre and radius.  The tangency points, the shaded
+    circles and the Circline lists are derived on first use.
+    """
 
     nerve: Nerve
-    whites: list[Circline]
-    shaded: list[Circline]  # parallel to nerve.triangles
-    tangencies: dict[int, complex | None]  # edge id -> point (None = infinity)
+    center: np.ndarray  # complex, one per white
+    radius: np.ndarray  # one per white, inf for the two lines
+    lines: tuple[int, int]
     tol: float
     normalization: dict
 
-    def residuals(self) -> list[float]:
-        out = []
-        for e in self.nerve.edges:
-            out.append(tangency_residual(self.whites[e.a], self.whites[e.b]))
+    @property
+    def height(self) -> float:
+        """Distance between the two lines."""
+        u, v = self.lines
+        return float(self.center[v].imag - self.center[u].imag)
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """Tangency point of every edge; nan for the two lines (infinity)."""
+        a, b = self.nerve.ends
+        za, zb, ra, rb = self.center[a], self.center[b], self.radius[a], self.radius[b]
+        la, lb = np.isinf(ra), np.isinf(rb)
+        with np.errstate(invalid="ignore"):
+            p = za + (zb - za) * (ra / (ra + rb))
+        p = np.where(la, zb.real + 1j * za.imag, p)  # the foot of b's centre
+        p = np.where(lb, za.real + 1j * zb.imag, p)
+        p[la & lb] = np.nan
+        return p
+
+    @cached_property
+    def disks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Centres and radii of the shaded circles, parallel to nerve.triangles.
+
+        Each is the circle through its triangle's three tangency points.  The
+        two through infinity are vertical lines: radius inf, and their x as
+        centre.
+        """
+        pts = self.points[self.nerve.triangle_edges]
+        vertical = np.isnan(pts).any(axis=1)
+        center = np.empty(len(pts), dtype=complex)
+        radius = np.full(len(pts), np.inf)
+        # Both finite points of a vertical line are feet of one circle's centre.
+        center[vertical] = np.nanmax(pts[vertical].real, axis=1)
+        # Circumcentre of p1, p1 + s, p1 + t: p1 + (|s|^2 t - |t|^2 s) / (conj(s) t - s conj(t)).
+        p1, s, t = pts[~vertical, 0], pts[~vertical, 1], pts[~vertical, 2]
+        s, t = s - p1, t - p1
+        rel = (abs(s) ** 2 * t - abs(t) ** 2 * s) / (2j * (s.conjugate() * t).imag)
+        center[~vertical] = p1 + rel
+        radius[~vertical] = abs(rel)
+        return center, radius
+
+    @cached_property
+    def whites(self) -> list[Circline]:
+        u, v = self.lines
+        out = [
+            Circline.circle(complex(z), float(r)) if math.isfinite(r) else None
+            for z, r in zip(self.center, self.radius)
+        ]
+        out[u] = Circline.line(1j * self.center[u].imag, 1j)  # packing above
+        out[v] = Circline.line(1j * self.center[v].imag, -1j)  # packing below
+        return out
+
+    @cached_property
+    def shaded(self) -> list[Circline]:
+        return [
+            Circline.circle(complex(z), float(r)) if math.isfinite(r)
+            else Circline.line(complex(z.real), 1.0)
+            for z, r in zip(*self.disks)
+        ]
+
+    @cached_property
+    def tangencies(self) -> dict[int, complex | None]:
+        """Edge id -> tangency point, None for infinity."""
+        return {
+            k: None if cmath.isnan(z) else z for k, z in enumerate(self.points.tolist())
+        }
+
+    def residuals(self) -> np.ndarray:
+        """Per edge: |distance - sum of radii| of two circles, or of a circle's
+        centre to a line and its radius; 0 for the two lines."""
+        a, b = self.nerve.ends
+        za, zb, ra, rb = self.center[a], self.center[b], self.radius[a], self.radius[b]
+        dy = abs(zb.imag - za.imag)
+        out = np.where(np.isinf(ra), abs(dy - rb), abs(abs(zb - za) - ra - rb))
+        out = np.where(np.isinf(rb), abs(dy - ra), out)
+        out[np.isinf(ra) & np.isinf(rb)] = 0.0
         return out
 
     def max_residual(self) -> float:
-        return max(self.residuals())
+        return float(self.residuals().max())
 
     def scale(self) -> float:
-        rs = [c.radius for c in self.whites if not c.is_line]
-        return max(rs) if rs else 1.0
+        finite = self.radius[np.isfinite(self.radius)]
+        return float(finite.max()) if finite.size else 1.0
 
     def apply_mobius(self, t: MobiusMap) -> "CirclePacking":
-        whites = [c.apply(t) for c in self.whites]
-        shaded = [c.apply(t) for c in self.shaded]
-        tang = {k: t(z) for k, z in self.tangencies.items()}
-        return CirclePacking(self.nerve, whites, shaded, tang, self.tol, dict(self.normalization))
+        """Image under a similarity z -> (a z + b) / d with a / d real, which
+        keeps the lines horizontal."""
+        ratio = complex(t.a / t.d)
+        if t.c != 0 or ratio.imag != 0:
+            raise ValueError("apply_mobius takes z -> (a z + b) / d with a / d real")
+        center = ratio.real * self.center + t.b / t.d
+        lines = tuple(sorted(self.lines, key=lambda i: center[i].imag))
+        return CirclePacking(
+            self.nerve, center, abs(ratio.real) * self.radius, lines, self.tol,
+            dict(self.normalization),
+        )
 
 
 def solve_flower_radii(
@@ -510,22 +607,15 @@ def solve_packing(nerve: Nerve, tol: float = 1e-12, max_iter: int = 100_000) -> 
     )
     z, r, h = _layout(nerve, u, v, radii)
     z, r, polish = _refine(nerve, z, r, h, u, v, eid, tol)
-    whites = _whites(z, r, h, u, v)
-    shaded, tangencies = _derive_shaded(nerve, whites)
     packing = CirclePacking(
-        nerve=nerve,
-        whites=whites,
-        shaded=shaded,
-        tangencies=tangencies,
-        tol=tol,
-        normalization={"infinity_edge": eid, "frame": "strip"},
+        nerve, z, r, (u, v), tol, {"infinity_edge": eid, "frame": "strip"}
     )
     worst = packing.max_residual()
     log.info(
         "solve_packing: %d whites, %d Newton steps, angle error %.2e, "
-        "%d Gauss-Newton steps, max relative residual %.2e",
+        "%d Gauss-Newton steps on %d unknowns, max relative residual %.2e",
         nerve.whites, stats["newton_steps"], stats["angle_error"],
-        polish["steps"], worst / packing.scale(),
+        polish["steps"], polish["unknowns"], worst / packing.scale(),
     )
     if worst > tol * max(1.0, packing.scale()):
         raise ConvergenceError(
@@ -552,7 +642,8 @@ def _layout(nerve: Nerve, u: int, v: int, radii: dict[int, float]):
     new circle's two candidate positions (from two placed neighbors) are
     scored against the tangency constraints of all its placed neighbors and
     the non-overlap of everything already placed.  Returns the centres and
-    radii of the whites (the entries of u and v unused) and the strip height.
+    radii of the whites and the strip height; u and v are the lines y = 0
+    and y = 2, of radius inf.
     """
     neighbors = {i: _neighbor_cycle(nerve, i) for i in range(nerve.whites)}
     roots = [i for i in neighbors if i not in (u, v) and {u, v} <= set(neighbors[i])]
@@ -602,8 +693,9 @@ def _layout(nerve: Nerve, u: int, v: int, radii: dict[int, float]):
             return max([0.0] + fit + overlap)
 
         centre[w] = min(cands, key=score)
-    z = np.array([centre.get(i, 0j) for i in range(nerve.whites)])
-    r = np.array([1.0 if i in (u, v) else radii[i] for i in range(nerve.whites)])
+    centre.update({u: 0j, v: h * 1j})
+    z = np.array([centre[i] for i in range(nerve.whites)])
+    r = np.array([radii[i] for i in range(nerve.whites)])
     return z, r, h
 
 
@@ -611,51 +703,72 @@ def _refine(nerve: Nerve, z, r, h: float, u: int, v: int, skip: int, tol: float)
     """Newton polish of the tangencies, with u and v the lines y = 0, y = h.
 
     z and r hold the centre and radius of every white (the entries of u and
-    v are ignored).  The unknowns are the centres and radii of the other
-    whites; the equations are the tangencies of every nerve edge but `skip`,
-    the one at infinity, and a gauge row that holds the x of the first
-    circle.  The nerve triangulates the sphere, so E = 3W - 6 and the system
-    is square.  Returns z, r and the polish record: steps and the largest
+    v are kept).  The equations are the tangencies of every nerve edge but
+    `skip`, the one at infinity, and a gauge row that holds the x of the
+    first circle; the nerve triangulates the sphere, so E = 3W - 6 and the
+    system is square.  A tangency with a line is linear, r = y above u or
+    r = h - y below v: one such row of a circle gives its radius, which is
+    substituted, and a second one stays as the row 2y = h.  The unknowns are
+    x and y of every circle and r of the circles that touch no line; each
+    step is the Newton step of the whole system, solved in fewer unknowns.
+    Returns z, r and the polish record: steps, unknowns, and the largest
     tangency error before and after.
     """
-    free = [i for i in range(nerve.whites) if i not in (u, v)]
+    free = np.flatnonzero((np.arange(nerve.whites) != u) & (np.arange(nerve.whites) != v))
     m = len(free)
-    pos = {i: k for k, i in enumerate(free)}
-    pairs, walls = [], []  # circle pairs; (circle, +1 above u or -1 below v)
-    for k, e in enumerate(nerve.edges):
-        if k != skip and e.a in pos and e.b in pos:
-            pairs.append((pos[e.a], pos[e.b]))
-        elif k != skip:
-            line, other = (e.a, e.b) if e.b in pos else (e.b, e.a)
-            walls.append((pos[other], 1 if line == u else -1))
-    (ca, cb), (cw, side) = (np.array(x, dtype=np.intp).T for x in (pairs, walls))
-    off = np.where(side < 0, h, 0.0)  # signed distance to the wall: side * y + off
-    rc = np.arange(len(ca))
-    rw = len(ca) + np.arange(len(cw))
-    state = np.concatenate((z[free].real, z[free].imag, r[free]))
+    slot = np.full(nerve.whites, -1)
+    slot[free] = np.arange(m)
+    ea, eb = (x[np.arange(len(x)) != skip] for x in nerve.ends)
+    sa, sb = slot[ea], slot[eb]
+    pair = (sa >= 0) & (sb >= 0)
+    ca, cb = sa[pair], sb[pair]
+    # Walls: a circle and a line, with the signed distance side * y + off.
+    circ = np.where(sa >= 0, sa, sb)[~pair]
+    side = np.where((ea == u) | (eb == u), 1.0, -1.0)[~pair]
+    off = np.where(side > 0, 0.0, h)
+    # One wall per walled circle (any one) gives its radius; the rest stay
+    # as rows.
+    wall = np.full(m, -1)
+    wall[circ] = np.arange(len(circ))
+    walled = wall >= 0
+    rest = np.ones(len(circ), dtype=bool)
+    rest[wall[walled]] = False
+    # r = g * s[rcol] + o: its own unknown, or that wall's line in y.
+    g, o = np.ones(m), np.zeros(m)
+    g[walled], o[walled] = side[wall[walled]], off[wall[walled]]
+    own = np.flatnonzero(~walled)
+    rcol = m + np.arange(m)
+    rcol[own] = 2 * m + np.arange(len(own))
+    n = 2 * m + len(own)
+    cq = circ[rest]
+    q_coef, q_const = side[rest] - g[cq], off[rest] - o[cq]
+    rows = np.arange(len(ca)) * n
+    flat = np.concatenate((
+        rows + ca, rows + cb, rows + m + ca, rows + m + cb, rows + rcol[ca], rows + rcol[cb],
+        (len(ca) + np.arange(len(cq))) * n + m + cq, [n * n - n],
+    ))
+    state = np.concatenate((z[free].real, z[free].imag, r[free][own]))
     x0 = state[0]
 
+    def radii(s):
+        return g * s[rcol] + o
+
     def residual(s):
-        x, y, rad = s[:m], s[m:2 * m], s[2 * m:]
+        x, y, rad = s[:m], s[m:2 * m], radii(s)
         d = np.hypot(x[cb] - x[ca], y[cb] - y[ca])
-        return np.concatenate(
-            (d - rad[ca] - rad[cb], side * y[cw] + off - rad[cw], [s[0] - x0])
-        )
+        return np.concatenate((d - rad[ca] - rad[cb], q_coef * y[cq] + q_const, [s[0] - x0]))
 
     def jacobian(s):
         dx = s[cb] - s[ca]
         dy = s[m + cb] - s[m + ca]
         d = np.hypot(dx, dy)
-        jac = np.zeros((3 * m, 3 * m))
-        jac[rc, ca], jac[rc, cb] = -dx / d, dx / d
-        jac[rc, m + ca], jac[rc, m + cb] = -dy / d, dy / d
-        jac[rc, 2 * m + ca] = jac[rc, 2 * m + cb] = -1.0
-        jac[rw, m + cw], jac[rw, 2 * m + cw] = side, -1.0
-        jac[-1, 0] = 1.0
-        return jac
+        vals = np.concatenate((-dx / d, dx / d, -dy / d, dy / d, -g[ca], -g[cb], q_coef, [1.0]))
+        return np.bincount(flat, vals, n * n).reshape(n, n)
 
     res = residual(state)
-    before = worst = float(np.max(np.abs(res)))
+    worst = float(np.max(np.abs(res)))
+    walls = side * z[free].imag[circ] + off - r[free][circ]
+    before = max(worst, float(np.max(np.abs(walls))))
     steps = 0
     while worst > 1e-3 * tol and steps < 8:
         try:
@@ -669,56 +782,8 @@ def _refine(nerve: Nerve, z, r, h: float, u: int, v: int, skip: int, tol: float)
         steps += 1
     z, r = z.copy(), r.copy()
     z[free] = state[:m] + 1j * state[m:2 * m]
-    r[free] = state[2 * m:]
-    return z, r, {"steps": steps, "before": before, "after": worst}
-
-
-def _whites(z, r, h: float, u: int, v: int) -> list[Circline]:
-    """Circlines of a strip layout: u is y = 0, v is y = h, the rest circles."""
-    out = [
-        Circline.circle(complex(zi), float(ri)) if i not in (u, v) else None
-        for i, (zi, ri) in enumerate(zip(z, r))
-    ]
-    out[u] = Circline.line(0.0, 1j)  # y = 0, packing above
-    out[v] = Circline.line(h * 1j, -1j)  # y = h, packing below
-    return out
-
-
-def _derive_shaded(nerve: Nerve, whites: list[Circline]):
-    tangencies: dict[int, complex | None] = {}
-    for k, e in enumerate(nerve.edges):
-        tangencies[k] = tangency_point(whites[e.a], whites[e.b])
-    shaded = []
-    for (e0, e1, e2), lab, side in nerve.triangles:
-        pts = [tangencies[e0], tangencies[e1], tangencies[e2]]
-        shaded.append(_circle_through(pts))
-    return shaded, tangencies
-
-
-def _circle_through(pts) -> Circline:
-    """Circline through three points, one of which may be infinity."""
-    finite = [p for p in pts if p is not None]
-    if len(finite) == 2:
-        z1, z2 = finite
-        d = z2 - z1
-        n = d / abs(d) * 1j
-        return Circline.line(z1, n)
-    z1, z2, z3 = finite
-    # Solve |z - c| identical for the three points.
-    ax, ay = z1.real, z1.imag
-    bx, by = z2.real, z2.imag
-    cx, cy = z3.real, z3.imag
-    dmat = 2 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    if abs(dmat) < 1e-14 * (abs(z1 - z2) + abs(z2 - z3)) ** 2:
-        d = z3 - z1
-        n = d / abs(d) * 1j
-        return Circline.line(z1, n)
-    ux = ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
-          + (cx * cx + cy * cy) * (ay - by)) / dmat
-    uy = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
-          + (cx * cx + cy * cy) * (bx - ax)) / dmat
-    center = complex(ux, uy)
-    return Circline.circle(center, abs(center - z1))
+    r[free] = radii(state)
+    return z, r, {"steps": steps, "unknowns": n, "before": before, "after": worst}
 
 
 # -- normalization --------------------------------------------------------------
@@ -730,69 +795,73 @@ def normalize_at_vertex(packing: CirclePacking, edge_id: int) -> CirclePacking:
     The two white circles tangent there become the lines y = 0 and y = 1;
     the two shaded circles through the point become vertical lines, the
     leftmost at x = 0, with the packing in the right half strip.  One Mobius
-    map carries the whites into this frame, the cusp's own; there the
+    map, w = A + B / (z - p) (or an affine map when p is already infinity),
+    carries the whites into this frame, the cusp's own; there the
     tangencies are polished again, which removes the roundoff the map
-    amplifies, and the shaded circles are derived from the polished whites.
+    amplifies.  The shaded circles follow from the polished whites.
     """
     nerve = packing.nerve
+    z, r = packing.center, packing.radius
     a, b = nerve.edge_vertices(edge_id)
-    p = packing.tangencies[edge_id]
-    t = MobiusMap.identity() if p is None else MobiusMap.inversion_at(p)
-    # The images of a and b pass through infinity: read them as lines, and
-    # rotate their common normal to +i.
-    normal = _as_line(packing.whites[a].apply(t), edge_id).normal()
-    t = MobiusMap.affine(1j / normal, 0).compose(t)
-    la, lb = (_as_line(packing.whites[i].apply(t), edge_id) for i in (a, b))
-    tilt = abs(lb.normal().real)
-    if tilt > 1e-6:
-        raise ConvergenceError(
-            f"normalize_at_vertex: the whites tangent at edge {edge_id} do not "
-            f"map to parallel lines (angle {tilt:.3e})",
-            tilt,
-        )
-    (ylo, u), (yhi, v) = sorted([(la.position(), a), (lb.position(), b)])
-    scale = 1.0 / (yhi - ylo)
-    t = MobiusMap.affine(scale, -1j * ylo * scale).compose(t)
-    z = np.zeros(nerve.whites, dtype=complex)
-    r = np.ones(nerve.whites)
-    for i, c in enumerate(packing.whites):
-        if i not in (u, v):
-            image = c.apply(t)
-            z[i], r[i] = image.center, image.radius
-    z, r, polish = _refine(nerve, z, r, 1.0, u, v, edge_id, packing.tol)
+    p = packing.points[edge_id]
+    at_infinity = bool(np.isnan(p))
+    # s = 1 / (z - p), or s = z, sends a and b to lines {Re(conj(n) s) = o}:
+    # a circle through p to Re((c - p) s) = 1/2, a line through p to the
+    # real axis.
+    ends = []
+    for i in (a, b):
+        if math.isinf(r[i]):
+            ends.append((1j, z[i].imag if at_infinity else 0.0))
+            continue
+        c = complex(z[i] - p)
+        miss = abs(abs(c) - r[i]) / r[i]
+        if miss > 1e-6:
+            raise ConvergenceError(
+                f"normalize_at_vertex: white {i} misses the tangency point of "
+                f"edge {edge_id} by {miss:.3e} of its radius",
+                miss,
+            )
+        ends.append((c.conjugate() / abs(c), 0.5 / abs(c)))
+    (na, oa), (nb, ob) = ends
+    rot = 1j / na  # turns a's normal to +i
+    yb = ob if (rot * nb).imag > 0 else -ob
+    (ylo, u), (yhi, v) = sorted([(oa, a), (yb, b)])
+    k = 1.0 / (yhi - ylo)
+    scale, shift = k * rot, -1j * ylo * k  # w = scale * s + shift
+    circles = np.isfinite(r)
+    circles[[a, b]] = False
+    center = np.zeros_like(z)
+    radius = np.full_like(r, np.inf)
+    if at_infinity:
+        center[circles] = scale * z[circles] + shift
+        radius[circles] = k * r[circles]
+    else:
+        c = z[circles] - p
+        den = (abs(c) - r[circles]) * (abs(c) + r[circles])
+        center[circles] = scale * c.conjugate() / den + shift
+        radius[circles] = k * r[circles] / den
+        for i in set(packing.lines) - {a, b}:  # a line off p: a circle through s = 0
+            delta = z[i].imag - p.imag
+            center[i], radius[i] = scale * (-0.5j / delta) + shift, 0.5 * k / abs(delta)
+    center[u], center[v] = 0j, 1j
+    center, radius, polish = _refine(nerve, center, radius, 1.0, u, v, edge_id, packing.tol)
     # The shaded lines through infinity pass through the tangencies of the
     # lines with the two whites that flank the cusp, so they sit at the x of
     # those whites' centres.
     flank = {
         w
         for ti in nerve.edge_triangles[edge_id]
-        for k in nerve.triangles[ti][0]
-        for w in nerve.edge_vertices(k)
+        for e in nerve.triangles[ti][0]
+        for w in nerve.edge_vertices(e)
     } - {u, v}
-    z -= min(z[w].real for w in flank)
+    circles = np.isfinite(radius)
+    center[circles] -= min(center[w].real for w in flank)
     log.debug(
-        "normalize_at_vertex: edge %d, %d Gauss-Newton steps, tangency error "
-        "%.2e -> %.2e",
-        edge_id, polish["steps"], polish["before"], polish["after"],
+        "normalize_at_vertex: edge %d, %d Gauss-Newton steps on %d unknowns, "
+        "tangency error %.2e -> %.2e",
+        edge_id, polish["steps"], polish["unknowns"], polish["before"], polish["after"],
     )
-    whites = _whites(z, r, 1.0, u, v)
-    shaded, tangencies = _derive_shaded(nerve, whites)
     return CirclePacking(
-        nerve,
-        whites,
-        shaded,
-        tangencies,
-        packing.tol,
+        nerve, center, radius, (u, v), packing.tol,
         {"infinity_edge": edge_id, "frame": "unit-strip"},
     )
-
-
-def _as_line(c: Circline, edge_id: int) -> Circline:
-    """The line that a circline through infinity (up to roundoff) is."""
-    if c.b == 0:
-        raise ConvergenceError(
-            f"normalize_at_vertex: a white tangent at edge {edge_id} does not "
-            "pass through the cusp",
-            math.inf,
-        )
-    return Circline(0.0, c.b, c.d)

@@ -211,7 +211,7 @@ class TestLadders:
         "diagram, exact_two",
         [
             pytest.param(catalog.two_bridge_chain(k), True, id=f"chain-{k}")
-            for k in (13, 21, 41)
+            for k in (13, 21, 41, 61, 81, 121)
         ]
         + [
             pytest.param(catalog.pretzel_link([3] * c), False, id=f"pretzel-3x{c}")
@@ -227,7 +227,7 @@ class TestLadders:
             if rep.kind != "knotting":
                 assert math.isfinite(rep.shape.meridian_length)
             elif exact_two:
-                assert abs(rep.shape.meridian_length - 2.0) <= 1e-8
+                assert abs(rep.shape.meridian_length - 2.0) <= 1e-10
             else:
                 assert 2.0 - 1e-9 <= rep.shape.meridian_length < 4.0
                 assert 1.0 - 1e-9 <= rep.width < 2.0

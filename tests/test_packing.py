@@ -2,13 +2,17 @@ import dataclasses
 import logging
 import math
 
+import numpy as np
 import pytest
 
 from augcusp import catalog
 from augcusp.augment import augment
 from augcusp.errors import ConvergenceError, UnsupportedLinkError
-from augcusp.mobius import Circline, cross_ratio
+from augcusp.mobius import Circline, MobiusMap, cross_ratio, tangency_residual
 from augcusp.packing import (
+    _layout,
+    _neighbor_cycle,
+    _refine,
     build_nerve,
     normalize_at_vertex,
     solve_flower_radii,
@@ -61,6 +65,90 @@ class TestFlowerSolver:
         )
         k1, k2, k3, k4 = ks
         assert abs(k4 - descartes_fourth(k1, k2, k3)) <= 1e-10
+
+
+def full_refine(nerve, z, r, h, u, v, skip, tol):
+    """Reference polish: Newton on all 3m unknowns (x, y, r of every circle)
+    with one row per tangency, the linear wall rows included."""
+    free = [i for i in range(nerve.whites) if i not in (u, v)]
+    m = len(free)
+    pos = {i: k for k, i in enumerate(free)}
+    pairs, walls = [], []
+    for k, e in enumerate(nerve.edges):
+        if k != skip and e.a in pos and e.b in pos:
+            pairs.append((pos[e.a], pos[e.b]))
+        elif k != skip:
+            line, other = (e.a, e.b) if e.b in pos else (e.b, e.a)
+            walls.append((pos[other], 1 if line == u else -1))
+    (ca, cb), (cw, side) = (np.array(x, dtype=np.intp).T for x in (pairs, walls))
+    off = np.where(side < 0, h, 0.0)
+    rc = np.arange(len(ca))
+    rw = len(ca) + np.arange(len(cw))
+    state = np.concatenate((z[free].real, z[free].imag, r[free]))
+    x0 = state[0]
+
+    def residual(s):
+        x, y, rad = s[:m], s[m:2 * m], s[2 * m:]
+        d = np.hypot(x[cb] - x[ca], y[cb] - y[ca])
+        return np.concatenate(
+            (d - rad[ca] - rad[cb], side * y[cw] + off - rad[cw], [s[0] - x0])
+        )
+
+    def jacobian(s):
+        dx = s[cb] - s[ca]
+        dy = s[m + cb] - s[m + ca]
+        d = np.hypot(dx, dy)
+        jac = np.zeros((3 * m, 3 * m))
+        jac[rc, ca], jac[rc, cb] = -dx / d, dx / d
+        jac[rc, m + ca], jac[rc, m + cb] = -dy / d, dy / d
+        jac[rc, 2 * m + ca] = jac[rc, 2 * m + cb] = -1.0
+        jac[rw, m + cw], jac[rw, 2 * m + cw] = side, -1.0
+        jac[-1, 0] = 1.0
+        return jac
+
+    res = residual(state)
+    worst = float(np.max(np.abs(res)))
+    steps = 0
+    while worst > 1e-3 * tol and steps < 8:
+        trial = state + np.linalg.solve(jacobian(state), -res)
+        res_trial = residual(trial)
+        if not np.max(np.abs(res_trial)) < worst:
+            break
+        state, res, worst = trial, res_trial, float(np.max(np.abs(res_trial)))
+        steps += 1
+    z, r = z.copy(), r.copy()
+    z[free] = state[:m] + 1j * state[m:2 * m]
+    r[free] = state[2 * m:]
+    return z, r
+
+
+class TestCentreRadius:
+    def test_circle_keeps_its_radius(self):
+        assert Circline.circle(1 + 1j, 4e-5).radius == 4e-5
+        assert Circline.circle(1 + 1j, 4e-5).center == 1 + 1j
+
+    def test_small_tangent_circles_have_no_residual(self):
+        # |d|^2 - r^2 cancels at this size: (a, b, d) alone loses ~1e-12.
+        z = 1.0 + 1.0j
+        c1 = Circline.circle(z, 4e-5)
+        c2 = Circline.circle(z + 8e-5j, 4e-5)
+        assert tangency_residual(c1, c2) <= 1e-16
+
+    def test_wall_elimination_gives_the_full_newton_solution(self):
+        al, _ = augment(catalog.two_bridge_chain(13))
+        nerve = build_nerve(al)
+        eid = nerve.infinity_edge
+        u, v = nerve.edge_vertices(eid)
+        petals = {i: _neighbor_cycle(nerve, i) for i in range(nerve.whites) if i not in (u, v)}
+        radii = solve_flower_radii(petals, {u: math.inf, v: math.inf}, tol=1e-4)
+        z, r, h = _layout(nerve, u, v, radii)
+        got_z, got_r, polish = _refine(nerve, z, r, h, u, v, eid, 1e-12)
+        want_z, want_r = full_refine(nerve, z, r, h, u, v, eid, 1e-12)
+        assert polish["steps"] >= 2  # from a layout of inexact radii
+        assert polish["unknowns"] < 3 * (nerve.whites - 2)
+        assert np.max(np.abs(got_z - want_z)) <= 1e-14
+        free = np.isfinite(want_r)
+        assert np.max(np.abs(got_r[free] - want_r[free])) <= 1e-14
 
 
 class TestNerve:
@@ -239,16 +327,29 @@ class TestNormalization:
             assert sum(c.is_line for c in norm.whites) == 2
             assert norm.max_residual() <= packing.tol
 
+    def test_shifted_and_scaled_packing_gives_the_same_frame(self):
+        al, _ = augment(catalog.rational_link([2, 2, 2]))
+        nerve = build_nerve(al)
+        packing = solve_packing(nerve)
+        moved = packing.apply_mobius(MobiusMap.affine(0.5, 3.0 - 5.0j))
+        for eid in (nerve.infinity_edge, 3):
+            want = normalize_at_vertex(packing, eid)
+            got = normalize_at_vertex(moved, eid)
+            assert got.lines == want.lines
+            assert np.max(np.abs(got.center - want.center)) <= 1e-12
+            finite = np.isfinite(want.radius)
+            assert np.max(np.abs(got.radius[finite] - want.radius[finite])) <= 1e-12
+
     def test_whites_not_tangent_at_the_cusp_are_refused(self):
         al, _ = augment(catalog.rational_link([2, 2, 2]))
         nerve = build_nerve(al)
         packing = solve_packing(nerve)
         a, _ = nerve.edge_vertices(3)
-        c = packing.whites[a]
-        whites = list(packing.whites)
-        whites[a] = Circline.circle(c.center + 0.1 * c.radius, c.radius)
+        # Edge 3 joins circle a to the line y = 2: move a off that line.
+        center = packing.center.copy()
+        center[a] -= 0.1j * packing.radius[a]
         with pytest.raises(ConvergenceError, match="^normalize_at_vertex: "):
-            normalize_at_vertex(dataclasses.replace(packing, whites=whites), 3)
+            normalize_at_vertex(dataclasses.replace(packing, center=center), 3)
 
 
 class TestLogging:
@@ -260,8 +361,12 @@ class TestLogging:
             normalize_at_vertex(packing, 3)
         solves = [r for r in caplog.records if r.getMessage().startswith("solve_packing:")]
         assert len(solves) == 1 and solves[0].levelno == logging.INFO
-        for field in ("Newton steps", "angle error", "Gauss-Newton steps", "max relative residual"):
+        for field in (
+            "Newton steps", "angle error", "Gauss-Newton steps", "unknowns",
+            "max relative residual",
+        ):
             assert field in solves[0].getMessage()
         polish = [r for r in caplog.records if r.getMessage().startswith("normalize_at_vertex:")]
         assert len(polish) == 1 and polish[0].levelno == logging.DEBUG
         assert "tangency error" in polish[0].getMessage()
+        assert "unknowns" in polish[0].getMessage()
