@@ -194,7 +194,9 @@ def _thread_to_external(d, occ, internal: set[Edge], c: int, s: int) -> HalfEnd:
 def _region_structure(d: Diagram, r: TwistRegion, fm, corner_face):
     occ = d.occurrences()
     S = set(r.crossings)
-    internal = {e for e, ends in occ.items() if ends[0][0] in S and ends[1][0] in S}
+    internal = {
+        e for c in S for e in d.crossings[c] if occ[e][0][0] in S and occ[e][1][0] in S
+    }
     ea, eb = _region_disk_edges(d, r)
     anchor = r.crossings[0]
 
@@ -204,19 +206,15 @@ def _region_structure(d: Diagram, r: TwistRegion, fm, corner_face):
         lat_n = corner_face[(ci, 0)]
         lat_s = corner_face[(ci, 2)]
     else:
-        bigon_faces = {
-            i
-            for i, f in enumerate(fm.faces)
-            if f.sides == 2 and set(f.boundary) == {ea, eb}
-        }
-        lat_n = lat_s = None
-        for i, f in enumerate(fm.faces):
-            if i in bigon_faces:
-                continue
-            if ea in f.boundary and lat_n is None:
-                lat_n = i
-            if eb in f.boundary and lat_s is None:
-                lat_s = i
+        # The first face along each disk edge that is not a bigon of the region.
+        lat_n, lat_s = (
+            next(
+                (i for i in fm.edge_faces[e]
+                 if not (fm.faces[i].sides == 2 and set(fm.faces[i].boundary) == {ea, eb})),
+                None,
+            )
+            for e in (ea, eb)
+        )
         if lat_n is None or lat_s is None:
             raise DiagramInvariantError("could not locate lateral faces of region")
 
@@ -309,10 +307,7 @@ def _region_structure(d: Diagram, r: TwistRegion, fm, corner_face):
 
 def _face_coloring(d: Diagram, fm, component: str) -> dict[int, int] | None:
     """2-coloring of faces by crossing parity with the component's curve."""
-    edge_faces: dict[Edge, list[int]] = {}
-    for i, f in enumerate(fm.faces):
-        for e in f.boundary:
-            edge_faces.setdefault(e, []).append(i)
+    edge_faces = fm.edge_faces
     color = {0: 0}
     stack = [0]
     while stack:

@@ -148,6 +148,16 @@ class FaceMap:
                 out.append(f)
         return tuple(out)
 
+    @cached_property
+    def edge_faces(self) -> dict[Edge, tuple[int, ...]]:
+        """Edge id -> the faces along it, ascending; a face that lies on
+        both sides of an edge is listed twice.  Built once per face map."""
+        out: dict[Edge, list[int]] = {}
+        for i, f in enumerate(self.faces):
+            for e in f.boundary:
+                out.setdefault(e, []).append(i)
+        return {e: tuple(fs) for e, fs in out.items()}
+
     def face_of_corner(self) -> dict[HalfEnd, int]:
         idx = {}
         for i, f in enumerate(self.faces):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import logging
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -510,7 +511,10 @@ def solve_flower_radii(
     with a backtracking line search on |theta - 2 pi| drives every free
     vertex's angle sum to 2 pi, quadratically once close.  max_iter caps the
     Newton steps.  When every fixed vertex is a line the radii are defined up
-    to scale; the least-squares step leaves the mean log-radius unchanged.
+    to scale: the Jacobian J is symmetric with J 1 = 0, and the angle errors
+    sum to 0 (the angles of the 2n triangles sum to 2 pi n), so the LU solve
+    of (J + 1 1^T) du = -err gives the minimum-norm step, which leaves the
+    mean log-radius unchanged.
     If stats is given, it receives the Newton steps and the final angle error.
     """
     if max_iter < 1:
@@ -535,6 +539,7 @@ def solve_flower_radii(
     # Jacobian entries in row-major order: the diagonal, then the free petals.
     flat = np.concatenate((c * (n + 1), c[fa] * n + pa[fa], c[fb] * n + pb[fb]))
     target = 2.0 * math.pi
+    gauge = 0.0 if kfixed.any() else 1.0  # the all-ones matrix fixes the scale
 
     def angle_error(u):
         """theta - 2 pi, and per corner: r at the centre, the petals'
@@ -563,7 +568,7 @@ def solve_flower_radii(
         u = np.zeros(n)
         err, parts = angle_error(u)
         while (worst := float(np.max(np.abs(err)))) > tol and steps < max_iter:
-            du = np.linalg.lstsq(jacobian(*parts), -err, rcond=None)[0]
+            du = np.linalg.solve(jacobian(*parts) + gauge, -err)
             norm = np.linalg.norm(err)
             for lam in 0.5 ** np.arange(40):
                 trial, trial_parts = angle_error(u + lam * du)
@@ -638,15 +643,19 @@ def _layout(nerve: Nerve, u: int, v: int, radii: dict[int, float]):
     """Place circles from a root tangent to both lines, most-constrained first.
 
     The radii are rescaled so that the root has radius 1: their scale is
-    otherwise arbitrary, and it would move the residual by roundoff.  Each
-    new circle's two candidate positions (from two placed neighbors) are
-    scored against the tangency constraints of all its placed neighbors and
-    the non-overlap of everything already placed.  Returns the centres and
-    radii of the whites and the strip height; u and v are the lines y = 0
-    and y = 2, of radius inf.
+    otherwise arbitrary, and it would move the residual by roundoff.  The
+    next circle is the unplaced one with the most placed neighbours, the
+    lowest-numbered on ties.  Its two candidate positions (from two placed
+    neighbours) are scored against the tangency constraints of all its
+    placed neighbours and the non-overlap of the placed circles that sit
+    within two places of it in the flower of a neighbouring circle.  (Some
+    whites neighbour almost every other, so the whole two-step neighbourhood
+    would be most of the packing.)  Returns the centres and radii of the
+    whites and the strip height; u and v are the lines y = 0 and y = 2, of
+    radius inf.
     """
-    neighbors = {i: _neighbor_cycle(nerve, i) for i in range(nerve.whites)}
-    roots = [i for i in neighbors if i not in (u, v) and {u, v} <= set(neighbors[i])]
+    neighbors = [_neighbor_cycle(nerve, i) for i in range(nerve.whites)]
+    roots = [i for i in range(nerve.whites) if i not in (u, v) and {u, v} <= set(neighbors[i])]
     if not roots:
         raise UnsupportedLinkError("no face tangent to both reflection lines")
     radii = {i: x / radii[roots[0]] for i, x in radii.items()}
@@ -662,11 +671,14 @@ def _layout(nerve: Nerve, u: int, v: int, radii: dict[int, float]):
             return (z.imag if k == u else h - z.imag) - rw
         return abs(z - centre[k]) - (radii[k] + rw)
 
-    while len(centre) < nerve.whites - 2:
-        w = max(
-            (i for i in neighbors if not placed(i)),
-            key=lambda i: sum(map(placed, neighbors[i])),
-        )
+    spot = [{j: p for p, j in enumerate(nb)} for nb in neighbors]
+    # Unplaced whites keyed (-placed neighbours, white), kept sorted: the
+    # front is the next one to place.
+    count = {i: sum(map(placed, nb)) for i, nb in enumerate(neighbors) if not placed(i)}
+    queue = sorted((-c, i) for i, c in count.items())
+    while queue:
+        _, w = queue.pop(0)
+        del count[w]
         # Circle anchors first: they give the two-solution construction.
         known = sorted(filter(placed, neighbors[w]), key=lambda k: k in (u, v))
         if len(known) < 2:
@@ -686,13 +698,23 @@ def _layout(nerve: Nerve, u: int, v: int, radii: dict[int, float]):
             x = (d * d + la * la - (radii[b] + rw) ** 2) / (2 * d)
             across = math.sqrt(max(0.0, la * la - x * x))
             cands = [za + (x + 1j * across) * along, za + (x - 1j * across) * along]
+        near = {
+            neighbors[k][(spot[k][w] + s) % len(neighbors[k])]
+            for k in neighbors[w] if k not in (u, v) for s in (-2, -1, 1, 2)
+        }
+        near = [k for k in near if k in centre and k not in known]
 
         def score(z: complex) -> float:
             fit = [abs(gap(k, z, rw)) for k in known]
-            overlap = [-gap(k, z, rw) for k in centre if k not in known]
+            overlap = [-gap(k, z, rw) for k in near]
             return max([0.0] + fit + overlap)
 
         centre[w] = min(cands, key=score)
+        for j in neighbors[w]:
+            if j in count:
+                del queue[bisect_left(queue, (-count[j], j))]
+                count[j] += 1
+                insort(queue, (-count[j], j))
     centre.update({u: 0j, v: h * 1j})
     z = np.array([centre[i] for i in range(nerve.whites)])
     r = np.array([radii[i] for i in range(nerve.whites)])
@@ -798,7 +820,10 @@ def normalize_at_vertex(packing: CirclePacking, edge_id: int) -> CirclePacking:
     map, w = A + B / (z - p) (or an affine map when p is already infinity),
     carries the whites into this frame, the cusp's own; there the
     tangencies are polished again, which removes the roundoff the map
-    amplifies.  The shaded circles follow from the polished whites.
+    amplifies; a frame whose mapped tangency error is already within tol is
+    not polished.  The shaded circles follow from the whites.  The polish
+    record (steps, unknowns, tangency error before and after; 0 steps on 0
+    unknowns when skipped) is kept in normalization["polish"].
     """
     nerve = packing.nerve
     z, r = packing.center, packing.radius
@@ -844,7 +869,13 @@ def normalize_at_vertex(packing: CirclePacking, edge_id: int) -> CirclePacking:
             delta = z[i].imag - p.imag
             center[i], radius[i] = scale * (-0.5j / delta) + shift, 0.5 * k / abs(delta)
     center[u], center[v] = 0j, 1j
-    center, radius, polish = _refine(nerve, center, radius, 1.0, u, v, edge_id, packing.tol)
+    # Every radius in the unit strip is at most 1/2, so tol is the gate
+    # tol * max(1, scale) that solve_packing meets: polish only above it.
+    before = CirclePacking(nerve, center, radius, (u, v), packing.tol, {}).max_residual()
+    if before > packing.tol:
+        center, radius, polish = _refine(nerve, center, radius, 1.0, u, v, edge_id, packing.tol)
+    else:
+        polish = {"steps": 0, "unknowns": 0, "before": before, "after": before}
     # The shaded lines through infinity pass through the tangencies of the
     # lines with the two whites that flank the cusp, so they sit at the x of
     # those whites' centres.
@@ -856,12 +887,19 @@ def normalize_at_vertex(packing: CirclePacking, edge_id: int) -> CirclePacking:
     } - {u, v}
     circles = np.isfinite(radius)
     center[circles] -= min(center[w].real for w in flank)
-    log.debug(
-        "normalize_at_vertex: edge %d, %d Gauss-Newton steps on %d unknowns, "
-        "tangency error %.2e -> %.2e",
-        edge_id, polish["steps"], polish["unknowns"], polish["before"], polish["after"],
-    )
+    if polish["unknowns"]:
+        log.debug(
+            "normalize_at_vertex: edge %d, %d Gauss-Newton steps on %d unknowns, "
+            "tangency error %.2e -> %.2e",
+            edge_id, polish["steps"], polish["unknowns"], polish["before"], polish["after"],
+        )
+    else:
+        log.debug(
+            "normalize_at_vertex: edge %d, not polished (0 unknowns), mapped "
+            "tangency error %.2e within tol %.2e",
+            edge_id, polish["before"], packing.tol,
+        )
     return CirclePacking(
         nerve, center, radius, (u, v), packing.tol,
-        {"infinity_edge": edge_id, "frame": "unit-strip"},
+        {"infinity_edge": edge_id, "frame": "unit-strip", "polish": polish},
     )

@@ -6,6 +6,7 @@ gives a per-criterion summary.
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import time
 
 import pytest
 
+import augcusp
 from augcusp import catalog
 from augcusp.augment import augment, untwist_retwist_roundtrip
 from augcusp.diagram import pd_isomorphic
@@ -26,10 +28,16 @@ from augcusp.geometry import analyze_cusp, verify_meridian_bound
 from augcusp.packing import build_nerve, solve_flower_radii, solve_packing
 
 CLI = [sys.executable, "-m", "augcusp.cli"]
+# The CLI runs from the source tree the tests import.
+SRC = os.path.dirname(os.path.dirname(augcusp.__file__))
 
 
 def run_cli(*args):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True)
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        CLI + list(args), capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def test_criterion_1_square_cusp_reproduction():

@@ -5,14 +5,19 @@ import sys
 
 import pytest
 
+import augcusp
 from augcusp import catalog
 
 CLI = [sys.executable, "-m", "augcusp.cli"]
+# The CLI runs from the source tree the tests import.
+SRC = os.path.dirname(os.path.dirname(augcusp.__file__))
 
 
 def run(*args, env=None):
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env={**os.environ, **(env or {})}
+        CLI + list(args), capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path, **(env or {})},
     )
 
 

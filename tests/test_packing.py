@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from augcusp import catalog
+from augcusp import catalog, geometry
 from augcusp.augment import augment
 from augcusp.errors import ConvergenceError, UnsupportedLinkError
 from augcusp.mobius import Circline, MobiusMap, cross_ratio, tangency_residual
@@ -120,6 +120,129 @@ def full_refine(nerve, z, r, h, u, v, skip, tol):
     z[free] = state[:m] + 1j * state[m:2 * m]
     r[free] = state[2 * m:]
     return z, r
+
+
+def lstsq_newton(flowers, tol, max_steps=50):
+    """Reference: Newton on log-radii for a nerve whose fixed vertices are all
+    lines, each step the minimum-norm lstsq solution of J du = -err.  Returns
+    the radii and, per step, (J, err)."""
+    free = sorted(flowers)
+    index = {w: k for k, w in enumerate(free)}
+    n = len(free)
+
+    def angles(u):
+        r = np.exp(u)
+        err, jac = np.full(n, -2 * math.pi), np.zeros((n, n))
+        for w in free:
+            i, pet = index[w], flowers[w]
+            for a, b in zip(pet, pet[1:] + pet[:1]):
+                ka, kb = (1 / r[index[x]] if x in index else 0.0 for x in (a, b))
+                t = 1 / math.sqrt(r[i] * (r[i] * ka * kb + ka + kb)) if ka or kb else math.inf
+                err[i] += 2 * math.atan(t)
+                t = 0.0 if math.isinf(t) else t
+                for x, k in ((a, ka), (b, kb)):
+                    dx = t * r[i] * k / (1 + r[i] * k)
+                    jac[i, i] -= dx
+                    if x in index:
+                        jac[i, index[x]] += dx
+        return err, jac
+
+    u, steps = np.zeros(n), []
+    err, jac = angles(u)
+    while np.max(np.abs(err)) > tol and len(steps) < max_steps:
+        steps.append((jac, err))
+        du = np.linalg.lstsq(jac, -err, rcond=None)[0]
+        for lam in 0.5 ** np.arange(40):
+            trial, trial_jac = angles(u + lam * du)
+            if np.linalg.norm(trial) < np.linalg.norm(err):
+                break
+        u, err, jac = u + lam * du, trial, trial_jac
+    return dict(zip(free, np.exp(u))), steps
+
+
+class TestGaugeStep:
+    def test_lu_step_is_the_minimum_norm_step(self):
+        al, _ = augment(catalog.two_bridge_chain(13))
+        nerve = build_nerve(al)
+        u, v = nerve.edge_vertices(nerve.infinity_edge)
+        petals = {i: _neighbor_cycle(nerve, i) for i in range(nerve.whites) if i not in (u, v)}
+        want, steps = lstsq_newton(petals, 1e-14)
+        assert len(steps) >= 3
+        for jac, err in steps:
+            assert np.max(np.abs(jac.sum(axis=1))) <= 1e-12  # J 1 = 0
+            assert abs(err.sum()) <= 1e-12  # the angle errors sum to 0
+            minimum_norm = np.linalg.lstsq(jac, -err, rcond=None)[0]
+            lu = np.linalg.solve(jac + 1.0, -err)
+            # The roundoff left in sum(err) moves the LU step by -sum(err) / n^2
+            # along 1, which lstsq drops.
+            lu += err.sum() / len(err) ** 2
+            assert np.max(np.abs(lu - minimum_norm)) <= 1e-12 * np.max(np.abs(minimum_norm))
+        got = solve_flower_radii(petals, {u: math.inf, v: math.inf}, tol=1e-14)
+        for i, r in want.items():
+            assert abs(got[i] - r) <= 1e-12 * r
+
+
+def reference_layout(nerve, u, v, radii):
+    """Reference: the layout that picks each next circle by a max over every
+    unplaced white and scores its candidates against every placed circle."""
+    neighbors = {i: _neighbor_cycle(nerve, i) for i in range(nerve.whites)}
+    root = next(i for i in neighbors if i not in (u, v) and {u, v} <= set(neighbors[i]))
+    radii = {i: x / radii[root] for i, x in radii.items()}
+    h, centre = 2.0, {root: 1j}
+
+    def placed(i):
+        return i in centre or i in (u, v)
+
+    def gap(k, z, rw):
+        if k in (u, v):
+            return (z.imag if k == u else h - z.imag) - rw
+        return abs(z - centre[k]) - (radii[k] + rw)
+
+    while len(centre) < nerve.whites - 2:
+        w = max((i for i in neighbors if not placed(i)),
+                key=lambda i: sum(map(placed, neighbors[i])))
+        known = sorted(filter(placed, neighbors[w]), key=lambda k: k in (u, v))
+        a, b = known[:2]
+        if a in (u, v):
+            raise ConvergenceError(f"no tangent position for face {w}", math.inf)
+        rw = radii[w]
+        za, la = centre[a], radii[a] + rw
+        if b in (u, v):
+            y = rw if b == u else h - rw
+            dx = math.sqrt(max(0.0, la * la - (y - za.imag) ** 2)) * (1 if b == v else -1)
+            cands = [complex(za.real + dx, y), complex(za.real - dx, y)]
+        else:
+            d = abs(centre[b] - za)
+            along = (centre[b] - za) / d
+            x = (d * d + la * la - (radii[b] + rw) ** 2) / (2 * d)
+            across = math.sqrt(max(0.0, la * la - x * x))
+            cands = [za + (x + 1j * across) * along, za + (x - 1j * across) * along]
+        centre[w] = min(cands, key=lambda z: max(
+            [0.0] + [abs(gap(k, z, rw)) for k in known]
+            + [-gap(k, z, rw) for k in centre if k not in known]))
+    centre.update({u: 0j, v: h * 1j})
+    return np.array([centre[i] for i in range(nerve.whites)])
+
+
+class TestLayout:
+    @pytest.mark.parametrize("d", [
+        catalog.two_bridge_chain(21), catalog.two_bridge_chain(41),
+        catalog.pretzel_link([3] * 10), catalog.rational_link([2, 3, 2]),
+    ])
+    def test_local_scoring_places_like_the_global_scan(self, d):
+        al, _ = augment(d)
+        nerve = build_nerve(al)
+        for eid in range(0, len(nerve.edges), 7):
+            u, v = nerve.edge_vertices(eid)
+            petals = {i: _neighbor_cycle(nerve, i) for i in range(nerve.whites) if i not in (u, v)}
+            radii = solve_flower_radii(petals, {u: math.inf, v: math.inf})
+            try:
+                want = reference_layout(nerve, u, v, radii)
+            except ConvergenceError as exc:
+                with pytest.raises(ConvergenceError, match=str(exc)):
+                    _layout(nerve, u, v, radii)
+                continue
+            assert np.array_equal(_layout(nerve, u, v, radii)[0], want)
 
 
 class TestCentreRadius:
@@ -350,6 +473,67 @@ class TestNormalization:
         center[a] -= 0.1j * packing.radius[a]
         with pytest.raises(ConvergenceError, match="^normalize_at_vertex: "):
             normalize_at_vertex(dataclasses.replace(packing, center=center), 3)
+
+
+def frames(d):
+    al, _ = augment(d)
+    nerve = build_nerve(al)
+    packing = solve_packing(nerve)
+    return al, nerve, packing, [
+        normalize_at_vertex(packing, nerve.cusp_edges[c][0]) for c in nerve.cusps()
+    ]
+
+
+def always_polished(packing, edge_id):
+    """Reference frame: the map, then the Newton polish whatever the mapped
+    residual."""
+    norm = normalize_at_vertex(packing, edge_id)
+    u, v = norm.lines
+    z, r, _ = _refine(norm.nerve, norm.center, norm.radius, 1.0, u, v, edge_id, norm.tol)
+    return dataclasses.replace(norm, center=z, radius=r)
+
+
+class TestPolishOnlyWhenNeeded:
+    @pytest.mark.parametrize("d", [catalog.pretzel_link([3] * 10), catalog.two_bridge_chain(13)])
+    def test_mapped_frames_within_tol_are_not_polished(self, d, caplog):
+        _al, _nerve, packing, norms = frames(d)
+        for norm in norms:
+            assert norm.normalization["polish"]["steps"] == 0
+            assert norm.normalization["polish"]["unknowns"] == 0
+            assert norm.max_residual() <= packing.tol
+        with caplog.at_level(logging.DEBUG, logger="augcusp"):
+            normalize_at_vertex(packing, 0)
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("normalize_at_vertex:")]
+        assert "not polished" in record.getMessage()
+        assert "mapped tangency error" in record.getMessage()
+
+    def test_frames_beyond_tol_are_polished_to_tol(self):
+        _al, nerve, packing, norms = frames(catalog.two_bridge_chain(81))
+        polished = [n for n in norms if n.normalization["polish"]["unknowns"]]
+        assert polished
+        for norm in polished:
+            polish = norm.normalization["polish"]
+            assert polish["before"] > packing.tol
+            assert polish["steps"] >= 1
+            assert polish["after"] <= packing.tol
+            assert norm.max_residual() <= packing.tol
+
+    @pytest.mark.parametrize("d", [catalog.two_bridge_chain(21), catalog.pretzel_link([3] * 10)])
+    def test_reports_match_an_always_polished_frame(self, d, monkeypatch):
+        al, nerve, packing, _norms = frames(d)
+        got = [geometry.analyze_cusp(al, c, packing=packing, nerve=nerve) for c in nerve.cusps()]
+        monkeypatch.setattr(geometry, "normalize_at_vertex", always_polished)
+        want = [geometry.analyze_cusp(al, c, packing=packing, nerve=nerve) for c in nerve.cusps()]
+        for g, w in zip(got, want):
+            g, w = g.to_dict(), w.to_dict()
+            del g["witness"], w["witness"]  # may name another of tied candidates
+            assert g.keys() == w.keys()
+            for key in g:
+                if isinstance(g[key], str):
+                    assert g[key] == w[key]
+                    continue
+                a, b = np.atleast_1d(g[key]), np.atleast_1d(w[key])
+                assert np.all(np.abs(a - b) <= 1e-10 * np.abs(b)), key
 
 
 class TestLogging:
