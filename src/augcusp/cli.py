@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from fractions import Fraction
@@ -116,6 +117,15 @@ def _render_to(path: str, content: str) -> None:
     _say(f"wrote {path}")
 
 
+def _family_ints(family: list[str]) -> list[int]:
+    try:
+        return [int(x) for x in family[1:]]
+    except ValueError:
+        raise DiagramInvariantError(
+            f"--family {family[0]} takes integers, got {' '.join(family[1:])!r}"
+        ) from None
+
+
 def cmd_cusp(args) -> int:
     tol = args.tol
     if args.family:
@@ -123,8 +133,9 @@ def cmd_cusp(args) -> int:
         if kind == "twobridge":
             if len(args.family) < 2:
                 raise DiagramInvariantError("need: --family twobridge n r1 [r2 ...]")
-            n = int(args.family[1])
-            r = [int(x) for x in args.family[2:]]
+            n, *r = _family_ints(args.family)
+            if n < 1:
+                raise DiagramInvariantError(f"--family twobridge needs n >= 1, got {n}")
             if len(r) != n:
                 raise DiagramInvariantError(f"need {n} filling integers, got {len(r)}")
             fam = families.gen_twobridge_family(n, r)
@@ -156,7 +167,9 @@ def cmd_cusp(args) -> int:
         if kind == "longitude":
             if len(args.family) != 2:
                 raise DiagramInvariantError("need: --family longitude n")
-            n = int(args.family[1])
+            (n,) = _family_ints(args.family)
+            if n < 0:
+                raise DiagramInvariantError(f"--family longitude needs n >= 0, got {n}")
             al = families.gen_longitude_family(n)
             inv = families.longitude_family_invariants(al)
             cert = families.three_punctured_certificate(al, "K")
@@ -244,6 +257,18 @@ def cmd_verify(args) -> int:
     return 0 if report["all_pass"] else EXIT_VALIDATION
 
 
+def _tolerance(text: str) -> float:
+    """The solver tolerance, a finite float > 0: any other value is a usage
+    error (exit 2), not a solver failure."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="augcusp",
@@ -251,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
             "augmented link diagrams, circle packings and cusp geometry"
         ),
     )
-    ap.add_argument("--tol", type=float, default=1e-12, help="solver tolerance")
+    ap.add_argument("--tol", type=_tolerance, default=1e-12, help="solver tolerance (finite, > 0)")
     ap.add_argument(
         "--max-iter", type=int, default=100_000, help="cap on the Newton steps of the packing radii"
     )

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 from .augment import AugmentedLink
 from .errors import ConvergenceError, UnsupportedLinkError
-from .mobius import Circline
 from .packing import CirclePacking, Nerve, build_nerve, normalize_at_vertex, solve_packing
 
 # After .packing on purpose: without cached bytecode every module is compiled
@@ -37,15 +36,6 @@ class HoroballDiagram:
     infinity_edge: int
     strip_height: float
     horoballs: dict[str, list[tuple[complex, float]]] = field(default_factory=dict)
-
-    @property
-    def hemispheres(self) -> list[tuple[Circline, str, object]]:
-        """(circline, provenance "plane"/"disk", label) of every face."""
-        packing = self.packing
-        out = [(c, "plane", i) for i, c in enumerate(packing.whites)]
-        for c, (_, lab, side) in zip(packing.shaded, self.nerve.triangles):
-            out.append((c, "disk", (lab, side)))
-        return out
 
     def finite_radius_max(self) -> float:
         rs = np.concatenate((self.packing.radius, self.packing.disks[1]))
@@ -87,7 +77,7 @@ def assemble(packing: CirclePacking, al: AugmentedLink) -> HoroballDiagram:
     eid = packing.normalization["infinity_edge"]
     gate = packing.tol * max(1.0, packing.scale()) * 10
     worst = packing.max_residual()
-    if worst > gate:
+    if not worst <= gate:
         raise ConvergenceError(
             f"assemble: tangency residual {worst:.3e} with edge {eid} at "
             f"infinity exceeds {gate:.3e}; refusing to assemble geometry",

@@ -3,9 +3,13 @@
 Circlines are stored as Hermitian matrices [[A, B], [conj(B), D]] with A, D
 real, representing the locus A|z|^2 + conj(B) z + B conj(z) + D = 0.  A == 0
 gives a line.  A Mobius map T = [[a, b], [c, d]] acts on a circline matrix M
-by M -> inv(T)^* M inv(T).  The packing solver keeps circles as centre and
-radius arrays instead; circlines are built from them for rendering and
-inspection.
+by M -> inv(T)^* M inv(T).
+
+No other module of the package imports this one: packings, their rendering
+and their checks work on centre and radius arrays.  It is kept because the
+benchmark's per-layer tracer (perfbench/spans.py) wraps `Circline.apply` and
+`tangency_residual` by name and fails to install without them; the rest is
+what those two need.
 """
 
 from __future__ import annotations
@@ -41,12 +45,6 @@ class Circline:
         vars(out).update(is_line=False, center=complex(center), radius=float(radius))
         return out
 
-    @staticmethod
-    def line(point: Complex, normal: Complex) -> "Circline":
-        """Line through `point` with unit normal `normal` (interior side +)."""
-        n = complex(normal) / abs(normal)
-        return Circline(0.0, n / 2 * 1.0, -(n.real * point.real + n.imag * point.imag))
-
     # Classification and parameters
 
     # Computed once per circline (a frozen dataclass may cache in its dict).
@@ -75,22 +73,6 @@ class Circline:
         if not self.is_line:
             raise ValueError("not a line")
         return 2 * self.b / abs(2 * self.b)
-
-    def offset(self) -> float:
-        """Signed offset of a line: the line is {z : <n, z> = offset}."""
-        return -self.d / abs(2 * self.b)
-
-    def eval(self, z: Complex) -> float:
-        """Signed equation value at z (0 on the circline)."""
-        return (
-            self.a * abs(z) ** 2
-            + (self.b.conjugate() * z).real * 2
-            + self.d
-        )
-
-    def contains(self, z: Complex, tol: float = 1e-9) -> bool:
-        scale = abs(self.a) * abs(z) ** 2 + 2 * abs(self.b) * abs(z) + abs(self.d) + 1.0
-        return abs(self.eval(z)) <= tol * scale
 
     def normalized(self) -> "Circline":
         """Scale so that circles have a = 1 and lines have |b| = 1/2."""
@@ -134,14 +116,6 @@ class MobiusMap:
     b: Complex
     c: Complex
     d: Complex
-
-    @staticmethod
-    def affine(scale: Complex, shift: Complex) -> "MobiusMap":
-        return MobiusMap(scale, shift, 0, 1)
-
-
-def cross_ratio(z1: Complex, z2: Complex, z3: Complex, z4: Complex) -> Complex:
-    return (z1 - z3) * (z2 - z4) / ((z1 - z4) * (z2 - z3))
 
 
 def tangency_residual(c1: Circline, c2: Circline) -> float:

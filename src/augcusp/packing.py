@@ -11,7 +11,6 @@ built from the untwisted companion of the link.
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 from bisect import bisect_left, insort
@@ -23,7 +22,6 @@ import numpy as np
 from .augment import AugmentedLink
 from .diagram import UnionFind
 from .errors import ConvergenceError, UnsupportedLinkError
-from .mobius import Circline, MobiusMap
 
 WDart = tuple[str, int, str]  # (circle, slot, "W"/"E")
 
@@ -384,8 +382,8 @@ class CirclePacking:
 
     The whites `lines` = (u, v) are the horizontal lines y = center[u].imag
     and, above it, y = center[v].imag, of radius inf; every other white is
-    the circle of its centre and radius.  The tangency points, the shaded
-    circles and the Circline lists are derived on first use.
+    the circle of its centre and radius.  The tangency points and the
+    shaded circles are derived on first use.
     """
 
     nerve: Nerve
@@ -436,32 +434,6 @@ class CirclePacking:
         radius[~vertical] = abs(rel)
         return center, radius
 
-    @cached_property
-    def whites(self) -> list[Circline]:
-        u, v = self.lines
-        out = [
-            Circline.circle(complex(z), float(r)) if math.isfinite(r) else None
-            for z, r in zip(self.center, self.radius)
-        ]
-        out[u] = Circline.line(1j * self.center[u].imag, 1j)  # packing above
-        out[v] = Circline.line(1j * self.center[v].imag, -1j)  # packing below
-        return out
-
-    @cached_property
-    def shaded(self) -> list[Circline]:
-        return [
-            Circline.circle(complex(z), float(r)) if math.isfinite(r)
-            else Circline.line(complex(z.real), 1.0)
-            for z, r in zip(*self.disks)
-        ]
-
-    @cached_property
-    def tangencies(self) -> dict[int, complex | None]:
-        """Edge id -> tangency point, None for infinity."""
-        return {
-            k: None if cmath.isnan(z) else z for k, z in enumerate(self.points.tolist())
-        }
-
     def residuals(self) -> np.ndarray:
         """Per edge: |distance - sum of radii| of two circles, or of a circle's
         centre to a line and its radius; 0 for the two lines."""
@@ -479,19 +451,6 @@ class CirclePacking:
     def scale(self) -> float:
         finite = self.radius[np.isfinite(self.radius)]
         return float(finite.max()) if finite.size else 1.0
-
-    def apply_mobius(self, t: MobiusMap) -> "CirclePacking":
-        """Image under a similarity z -> (a z + b) / d with a / d real, which
-        keeps the lines horizontal."""
-        ratio = complex(t.a / t.d)
-        if t.c != 0 or ratio.imag != 0:
-            raise ValueError("apply_mobius takes z -> (a z + b) / d with a / d real")
-        center = ratio.real * self.center + t.b / t.d
-        lines = tuple(sorted(self.lines, key=lambda i: center[i].imag))
-        return CirclePacking(
-            self.nerve, center, abs(ratio.real) * self.radius, lines, self.tol,
-            dict(self.normalization),
-        )
 
 
 def solve_flower_radii(
@@ -578,7 +537,7 @@ def solve_flower_radii(
                 break  # no descent left: roundoff floor
             u, err, parts = u + lam * du, trial, trial_parts
             steps += 1
-    if worst > tol:
+    if not worst <= tol:  # a NaN error or tol fails too
         raise ConvergenceError(
             f"solve_flower_radii: angle error {worst:.3e} at vertex "
             f"{free[int(np.argmax(np.abs(err)))]} after {steps} Newton steps "
@@ -622,7 +581,7 @@ def solve_packing(nerve: Nerve, tol: float = 1e-12, max_iter: int = 100_000) -> 
         nerve.whites, stats["newton_steps"], stats["angle_error"],
         polish["steps"], polish["unknowns"], worst / packing.scale(),
     )
-    if worst > tol * max(1.0, packing.scale()):
+    if not worst <= tol * max(1.0, packing.scale()):
         raise ConvergenceError(
             f"solve_packing: tangency residual {worst:.3e} exceeds tol after "
             "refinement",

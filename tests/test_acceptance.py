@@ -98,7 +98,7 @@ def test_criterion_4_packing_solver_oracles():
     # Tetrahedral nerve: Descartes circle relation to 1e-10.
     al, _ = augment(catalog.figure_eight())
     packing = solve_packing(build_nerve(al), tol=1e-12)
-    ks = sorted(0.0 if c.is_line else 1.0 / c.radius for c in packing.whites)
+    ks = sorted((1.0 / packing.radius).tolist())
     k1, k2, k3, k4 = ks
     target = k1 + k2 + k3 + 2 * math.sqrt(k1 * k2 + k2 * k3 + k3 * k1)
     assert abs(k4 - target) <= 1e-10

@@ -161,3 +161,19 @@ class TestExitCodes:
         assert r.returncode == 0
         assert svg.exists()
         assert (tmp_path / "fal.horoballs.svg").exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "abc"])
+    def test_bad_tol_exit_2(self, tol):
+        r = run("--tol", tol, "cusp", "--family", "twobridge", "1", "1")
+        assert r.returncode == 2
+        assert "argument --tol" in r.stderr
+        assert r.stdout == ""
+
+    @pytest.mark.parametrize(
+        "family", [["twobridge", "0"], ["longitude", "-1"], ["twobridge", "x"]]
+    )
+    def test_bad_family_arguments_exit_3(self, family):
+        r = run("cusp", "--family", *family)
+        assert r.returncode == 3
+        assert r.stderr.startswith("validation error: ")
+        assert "Traceback" not in r.stderr

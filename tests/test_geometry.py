@@ -1,7 +1,12 @@
 import dataclasses
+import functools
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_canonical_pd import scrambled
 
 from augcusp import catalog
 from augcusp.augment import augment
@@ -15,7 +20,6 @@ from augcusp.geometry import (
 )
 from augcusp.errors import ConvergenceError
 from augcusp.families import fal_corpus, gen_twobridge_family, twobridge_middle_circle
-from augcusp.mobius import MobiusMap
 from augcusp.packing import build_nerve, normalize_at_vertex, solve_packing
 
 
@@ -91,8 +95,7 @@ class TestScaling:
         hd1 = assemble(norm, al)
         h1, _ = maximal_cusp(hd1, "0")
         s1 = cusp_shape(hd1, "0")
-        doubled = norm.apply_mobius(MobiusMap.affine(2.0, 0.0))
-        doubled.normalization.update(norm.normalization)
+        doubled = dataclasses.replace(norm, center=2.0 * norm.center, radius=2.0 * norm.radius)
         hd2 = assemble(doubled, al)
         h2, _ = maximal_cusp(hd2, "0")
         s2 = cusp_shape(hd2, "0")
@@ -119,27 +122,27 @@ class TestInvariants:
         hd = assemble(norm, al)
         h, _ = maximal_cusp(hd, "0")
         balls = hd.horoballs["0"]
+        # Every face: the whites (lines y = const) and the shaded circles
+        # (lines x = const), as (centre, radius, vertical).
+        faces = [(z, r, False) for z, r in zip(norm.center.tolist(), norm.radius.tolist())]
+        faces += [(z, r, True) for z, r in zip(*(a.tolist() for a in norm.disks))]
+        assert sum(math.isinf(r) for _, r, _ in faces) == 4
         # horoball about infinity vs all hemisphere tops
-        assert all(
-            c.is_line or c.radius <= h + 1e-9 for c, _, _ in hd.hemispheres
-        )
+        assert all(math.isinf(r) or r <= h + 1e-9 for _, r, _ in faces)
         # finite horoballs vs hemispheres they do not sit on
         for p, diam in balls:
-            for c, _, _ in hd.hemispheres:
-                if c.is_line:
-                    n = c.normal()
-                    dist = abs(
-                        (n.real * p.real + n.imag * p.imag) - c.offset()
-                    )
+            for c, r, vertical in faces:
+                if math.isinf(r):
+                    dist = abs(p.real - c.real) if vertical else abs(p.imag - c.imag)
                     if dist > 1e-9:
                         assert dist >= diam / 2 - 1e-9
                     continue
-                on_face = abs(abs(p - c.center) - c.radius) <= 1e-9
+                on_face = abs(abs(p - c) - r) <= 1e-9
                 if on_face:
                     continue
                 center3 = (p.real, p.imag, diam / 2)
-                hemi3 = (c.center.real, c.center.imag, 0.0)
-                gap = math.dist(center3, hemi3) - (diam / 2 + c.radius)
+                hemi3 = (c.real, c.imag, 0.0)
+                gap = math.dist(center3, hemi3) - (diam / 2 + r)
                 assert gap >= -1e-9
 
     def test_horoballs_pairwise_disjoint(self):
@@ -167,11 +170,51 @@ class TestInvariants:
         hd = assemble(norm, al)
         area = cusp_shape(hd, "0").torus_area
         assert area > 0
-        scaled = norm.apply_mobius(MobiusMap.affine(3.0, 1.0 + 2.0j))
-        scaled.normalization.update(norm.normalization)
+        scaled = dataclasses.replace(
+            norm, center=3.0 * norm.center + (1.0 + 2.0j), radius=3.0 * norm.radius
+        )
         hd2 = assemble(scaled, al)
         area2 = cusp_shape(hd2, "0").torus_area
         assert abs(area - area2) <= 1e-9
+
+
+def sorted_reports(d):
+    """Sorted (kind, meridian length, longitude length, height) of every cusp."""
+    al, _ = augment(d)
+    nerve = build_nerve(al)
+    packing = solve_packing(nerve)
+    reports = []
+    for cusp in nerve.cusps():
+        rep = analyze_cusp(al, cusp, packing=packing, nerve=nerve)
+        s = rep.shape
+        reports.append((rep.kind, s.meridian_length, s.longitude_length, s.height))
+    # Cusp labels may change with the scramble; round the sort key so that
+    # roundoff cannot reorder cusps of equal shape.
+    return sorted(reports, key=lambda t: (t[0], *(round(x, 8) for x in t[1:])))
+
+
+INVARIANCE = {
+    "chain-13": catalog.two_bridge_chain(13),
+    "pretzel-3x6": catalog.pretzel_link([3] * 6),
+}
+
+
+@functools.cache
+def unscrambled_reports(name):
+    return sorted_reports(INVARIANCE[name])
+
+
+@pytest.mark.parametrize("name", sorted(INVARIANCE))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_cusp_reports_invariant_under_scrambling(name, seed):
+    # Fresh edge ids, shuffled crossings, crossings rotated by two.
+    got = sorted_reports(scrambled(INVARIANCE[name], random.Random(seed)))
+    want = unscrambled_reports(name)
+    assert [t[0] for t in got] == [t[0] for t in want]
+    for g, w in zip(got, want):
+        for x, y in zip(g[1:], w[1:]):
+            assert abs(x - y) <= 1e-10 * abs(y)
 
 
 class TestBoundSuite:
