@@ -13,11 +13,10 @@ import logging
 import math
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import families, render
-from .augment import SlopeLedger, apply_filling, augment, untwist_retwist_roundtrip
+from .augment import augment, untwist_retwist_roundtrip
 from .diagram import (
     detect_twist_regions,
     parse_diagram,
@@ -269,6 +268,17 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _positive_int(text: str) -> int:
+    """A count of at least 1: any other value is a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="augcusp",
@@ -311,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus", nargs="?", help="directory of diagram JSON files")
     p.add_argument(
         "--generate",
-        type=int,
+        type=_positive_int,
         metavar="MAX_CIRCLES",
         help="use the generated corpus up to this many crossing circles",
     )

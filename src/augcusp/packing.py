@@ -240,19 +240,18 @@ def build_nerve(al: AugmentedLink, infinity: int | None = None) -> Nerve:
         rot = rotations[d[0]]
         return rot[(rot.index(d) + shift) % len(rot)]
 
-    unused: set[tuple[WDart, int]] = set()
-    for i, (_, d, e) in arcs.items():
-        unused.add((d, i))
-        unused.add((e, i))
+    # Each face starts from the least dart not yet walked.
+    used: set[tuple[WDart, int]] = set()
     faces: list[list[tuple[WDart, int]]] = []
     gap_face: dict[tuple[WDart, WDart], int] = {}
-    while unused:
-        start = min(unused)
+    for start in sorted((d, i) for i, (_, x, y) in arcs.items() for d in (x, y)):
+        if start in used:
+            continue
         walk = []
         cur = start
         while True:
             walk.append(cur)
-            unused.discard(cur)
+            used.add(cur)
             d, i = cur
             _, x, y = arcs[i]
             twin = y if d == x else x
@@ -387,8 +386,8 @@ class CirclePacking:
     """
 
     nerve: Nerve
-    center: np.ndarray  # complex, one per white
-    radius: np.ndarray  # one per white, inf for the two lines
+    center: np.ndarray  # complex, one per white; clongdouble in the strip frame
+    radius: np.ndarray  # one per white, inf for the two lines; longdouble likewise
     lines: tuple[int, int]
     tol: float
     normalization: dict
@@ -557,7 +556,10 @@ def solve_packing(nerve: Nerve, tol: float = 1e-12, max_iter: int = 100_000) -> 
     The two white faces of the infinity edge become horizontal lines y = 0
     and y = 2; every other face becomes a circle in the strip, the root face
     (tangent to both lines) of radius 1.  max_iter caps the Newton steps of
-    the radii.
+    the radii.  The tangencies are refined, and the packing kept, in
+    np.longdouble, so that the map to a cusp frame does not magnify float64
+    roundoff; where longdouble is float64 the cusp frames that miss tol are
+    polished instead.
     """
     eid = nerve.infinity_edge
     u, v = nerve.edge_vertices(eid)
@@ -570,6 +572,7 @@ def solve_packing(nerve: Nerve, tol: float = 1e-12, max_iter: int = 100_000) -> 
         petals, fixed, tol=max(tol * 1e-2, 1e-15), max_iter=max_iter, stats=stats
     )
     z, r, h = _layout(nerve, u, v, radii)
+    z, r = z.astype(np.clongdouble), r.astype(np.longdouble)
     z, r, polish = _refine(nerve, z, r, h, u, v, eid, tol)
     packing = CirclePacking(
         nerve, z, r, (u, v), tol, {"infinity_edge": eid, "frame": "strip"}
@@ -577,9 +580,11 @@ def solve_packing(nerve: Nerve, tol: float = 1e-12, max_iter: int = 100_000) -> 
     worst = packing.max_residual()
     log.info(
         "solve_packing: %d whites, %d Newton steps, angle error %.2e, "
-        "%d Gauss-Newton steps on %d unknowns, max relative residual %.2e",
+        "%d Gauss-Newton steps on %d unknowns in %s (eps %.2e), "
+        "max relative residual %.2e",
         nerve.whites, stats["newton_steps"], stats["angle_error"],
-        polish["steps"], polish["unknowns"], worst / packing.scale(),
+        polish["steps"], polish["unknowns"], r.dtype.name, np.finfo(r.dtype).eps,
+        worst / packing.scale(),
     )
     if not worst <= tol * max(1.0, packing.scale()):
         raise ConvergenceError(
@@ -692,6 +697,11 @@ def _refine(nerve: Nerve, z, r, h: float, u: int, v: int, skip: int, tol: float)
     substituted, and a second one stays as the row 2y = h.  The unknowns are
     x and y of every circle and r of the circles that touch no line; each
     step is the Newton step of the whole system, solved in fewer unknowns.
+    The state, residual and radii keep the dtype of z and r; the Jacobian
+    and the step are solved in float64 (mixed-precision iterative
+    refinement, Higham 2002 ch. 12).  A state wider than float64 is refined
+    to the roundoff floor of its residual, a float64 one to 1e-3 tol; either
+    stops early when a step does not lower the residual, and after 8 steps.
     Returns z, r and the polish record: steps, unknowns, and the largest
     tangency error before and after.
     """
@@ -740,6 +750,7 @@ def _refine(nerve: Nerve, z, r, h: float, u: int, v: int, skip: int, tol: float)
         return np.concatenate((d - rad[ca] - rad[cb], q_coef * y[cq] + q_const, [s[0] - x0]))
 
     def jacobian(s):
+        s = s.astype(float, copy=False)
         dx = s[cb] - s[ca]
         dy = s[m + cb] - s[m + ca]
         d = np.hypot(dx, dy)
@@ -750,10 +761,14 @@ def _refine(nerve: Nerve, z, r, h: float, u: int, v: int, skip: int, tol: float)
     worst = float(np.max(np.abs(res)))
     walls = side * z[free].imag[circ] + off - r[free][circ]
     before = max(worst, float(np.max(np.abs(walls))))
+    # The roundoff floor of a wider state is a few ulps of its largest
+    # coordinate: one more step there would only confirm that it stalls.
+    eps = np.finfo(state.dtype).eps
+    goal = 4 * eps * float(np.max(np.abs(state))) if eps < np.finfo(float).eps else 1e-3 * tol
     steps = 0
-    while worst > 1e-3 * tol and steps < 8:
+    while worst > goal and steps < 8:
         try:
-            trial = state + np.linalg.solve(jacobian(state), -res)
+            trial = state + np.linalg.solve(jacobian(state), (-res).astype(float))
         except np.linalg.LinAlgError:
             break
         res_trial = residual(trial)
@@ -777,12 +792,14 @@ def normalize_at_vertex(packing: CirclePacking, edge_id: int) -> CirclePacking:
     the two shaded circles through the point become vertical lines, the
     leftmost at x = 0, with the packing in the right half strip.  One Mobius
     map, w = A + B / (z - p) (or an affine map when p is already infinity),
-    carries the whites into this frame, the cusp's own; there the
+    carries the whites into this frame, the cusp's own.  The map runs in the
+    packing's precision and the frame is then rounded to float64; there the
     tangencies are polished again, which removes the roundoff the map
-    amplifies; a frame whose mapped tangency error is already within tol is
-    not polished.  The shaded circles follow from the whites.  The polish
-    record (steps, unknowns, tangency error before and after; 0 steps on 0
-    unknowns when skipped) is kept in normalization["polish"].
+    amplifies, unless the mapped tangency error is already within tol (as
+    it is from an extended-precision strip frame).  The shaded circles
+    follow from the whites.  The polish record (steps, unknowns, tangency
+    error before and after; 0 steps on 0 unknowns when skipped) is kept in
+    normalization["polish"].
     """
     nerve = packing.nerve
     z, r = packing.center, packing.radius
@@ -797,8 +814,8 @@ def normalize_at_vertex(packing: CirclePacking, edge_id: int) -> CirclePacking:
         if math.isinf(r[i]):
             ends.append((1j, z[i].imag if at_infinity else 0.0))
             continue
-        c = complex(z[i] - p)
-        miss = abs(abs(c) - r[i]) / r[i]
+        c = z[i] - p
+        miss = float(abs(abs(c) - r[i]) / r[i])
         if miss > 1e-6:
             raise ConvergenceError(
                 f"normalize_at_vertex: white {i} misses the tangency point of "
@@ -814,16 +831,19 @@ def normalize_at_vertex(packing: CirclePacking, edge_id: int) -> CirclePacking:
     scale, shift = k * rot, -1j * ylo * k  # w = scale * s + shift
     circles = np.isfinite(r)
     circles[[a, b]] = False
-    center = np.zeros_like(z)
-    radius = np.full_like(r, np.inf)
+    # The frame is float64: the mapped values are rounded as they are stored.
+    center = np.zeros(len(z), dtype=complex)
+    radius = np.full(len(r), np.inf)
+    rc = r[circles]
     if at_infinity:
         center[circles] = scale * z[circles] + shift
-        radius[circles] = k * r[circles]
+        radius[circles] = k * rc
     else:
         c = z[circles] - p
-        den = (abs(c) - r[circles]) * (abs(c) + r[circles])
+        dist = abs(c)
+        den = (dist - rc) * (dist + rc)
         center[circles] = scale * c.conjugate() / den + shift
-        radius[circles] = k * r[circles] / den
+        radius[circles] = k * rc / den
         for i in set(packing.lines) - {a, b}:  # a line off p: a circle through s = 0
             delta = z[i].imag - p.imag
             center[i], radius[i] = scale * (-0.5j / delta) + shift, 0.5 * k / abs(delta)

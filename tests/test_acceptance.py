@@ -12,8 +12,6 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 import augcusp
 from augcusp import catalog
 from augcusp.augment import augment, untwist_retwist_roundtrip

@@ -142,6 +142,13 @@ class TestVerify:
         assert statuses["trefoil"] == "SKIP"
         assert statuses["fig8"] == "PASS"
 
+    @pytest.mark.parametrize("count", ["-1", "0", "x"])
+    def test_generate_below_one_exit_2(self, count):
+        r = run("verify", "--generate", count)
+        assert r.returncode == 2
+        assert "argument --generate" in r.stderr
+        assert r.stdout == ""
+
     def test_out_flag_writes_file(self, tmp_path):
         out = tmp_path / "report.json"
         r = run("--out", str(out), "verify", "--generate", "2")

@@ -15,7 +15,6 @@ from augcusp.geometry import (
     assemble,
     cusp_shape,
     maximal_cusp,
-    reflection_width,
     verify_meridian_bound,
 )
 from augcusp.errors import ConvergenceError
