@@ -43,7 +43,6 @@ from .geometry import (
     assemble,
     cusp_shape,
     maximal_cusp,
-    reflection_width,
     verify_meridian_bound,
 )
 from .packing import (
@@ -90,7 +89,6 @@ __all__ = [
     "normalize_at_vertex",
     "parse_diagram",
     "pd_isomorphic",
-    "reflection_width",
     "solve_flower_radii",
     "solve_packing",
     "three_punctured_certificate",

@@ -22,6 +22,7 @@ from .diagram import (
     HalfEnd,
     TwistRegion,
     UnionFind,
+    _infer_components,
     _other_end,
     braid_crossing,
     detect_twist_regions,
@@ -198,7 +199,6 @@ def _region_structure(d: Diagram, r: TwistRegion, fm, corner_face):
         e for c in S for e in d.crossings[c] if occ[e][0][0] in S and occ[e][1][0] in S
     }
     ea, eb = _region_disk_edges(d, r)
-    anchor = r.crossings[0]
 
     # Lateral faces: beyond the slot-0 strand and beyond the slot-1 strand.
     if r.crossing_count == 1:
@@ -296,7 +296,6 @@ def _region_structure(d: Diagram, r: TwistRegion, fm, corner_face):
 
     return {
         "disk": (ea, eb),
-        "anchor": anchor,
         "rotation": rotation,
         "laterals": (lat_n, lat_s),
         "disk_occs": disk_occs,
@@ -665,8 +664,6 @@ def _fill(al: AugmentedLink, twists: dict[str, int], expand_rest: bool) -> Diagr
     final = tuple(tuple(compact[e] for e in cr) for cr in resolved)
     components = {compact[e]: comp_map.get(e, "?") for e in ids}
     if any(lab == "?" for lab in components.values()):
-        from .diagram import _infer_components
-
         inferred = _infer_components(final)
         known: dict[str, str] = {}
         for e, lab in components.items():
@@ -699,11 +696,6 @@ def _expand_circle(crossings, fresh, al: AugmentedLink, lab: str, comp_of_new):
             if p.circle == lab:
                 slot_component[p.slot] = comp
 
-    def put(cr: tuple) -> None:
-        # A left-handed frame only reverses the column-to-slot assignment;
-        # the underlying 4-valent map is symmetric under the flip.
-        crossings.append(cr)
-
     # Frame matched to the braid insertion: strands run downward in columns
     # (W end up), the circle's upper arc crosses over them left to right and
     # the lower arc returns under them.
@@ -717,7 +709,7 @@ def _expand_circle(crossings, fresh, al: AugmentedLink, lab: str, comp_of_new):
         # Upper crossing at column p: strand (under) runs w_stub -> mid,
         # circle (over) runs loop[p] -> loop[p+1].  CCW from the incoming
         # under edge at the north: (N, W, S, E).
-        put((w_stub, loop[p], mid, loop[p + 1]))
+        crossings.append((w_stub, loop[p], mid, loop[p + 1]))
         mids[j] = mid
         out[j] = [w_stub, None]
     for i in range(m):
@@ -730,6 +722,6 @@ def _expand_circle(crossings, fresh, al: AugmentedLink, lab: str, comp_of_new):
         # Lower crossing at column p: circle (under) runs c_in -> c_out
         # leftward, strand (over) runs mid -> e_stub.  CCW from the incoming
         # under edge at the east: (E, N, W, S).
-        put((c_in, mids[j], c_out, e_stub))
+        crossings.append((c_in, mids[j], c_out, e_stub))
         out[j][1] = e_stub
     return {j: tuple(v) for j, v in out.items()}

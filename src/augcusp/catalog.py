@@ -7,7 +7,7 @@ without external fixtures.
 
 from __future__ import annotations
 
-from .diagram import Crossing, Diagram, Edge, UnionFind, braid_crossing
+from .diagram import Crossing, Diagram, Edge, UnionFind, _infer_components, braid_crossing
 
 
 def _relabel(crossings: list[Crossing], unions: list[tuple[Edge, Edge]]) -> list[Crossing]:
@@ -21,14 +21,7 @@ def _relabel(crossings: list[Crossing], unions: list[tuple[Edge, Edge]]) -> list
 
 
 def _labeled(crossings: list[Crossing]) -> Diagram:
-    d = Diagram(tuple(crossings), _infer(crossings))
-    return d
-
-
-def _infer(crossings) -> dict[Edge, str]:
-    from .diagram import _infer_components
-
-    return _infer_components(tuple(crossings))
+    return Diagram(tuple(crossings), _infer_components(tuple(crossings)))
 
 
 def braid_closure(strands: int, word: list[tuple[int, int]]) -> Diagram:

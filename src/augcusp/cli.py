@@ -159,8 +159,7 @@ def cmd_cusp(args) -> int:
                 f"height {s.height:.6f}"
             )
             if args.render:
-                eid = min(k for k, e in enumerate(nerve.edges) if e.cusp == mid)
-                norm = normalize_at_vertex(packing, eid)
+                norm = normalize_at_vertex(packing, nerve.cusp_edges[mid][0])
                 _render_to(args.render, render.packing_svg(norm))
             return 0
         if kind == "longitude":
@@ -212,10 +211,8 @@ def cmd_cusp(args) -> int:
     if args.render:
         from .geometry import assemble, maximal_cusp
 
-        knot = [c for c, r in reports.items() if r["kind"] == "knotting"]
-        target = knot[0] if knot else nerve.cusps()[0]
-        eid = min(k for k, e in enumerate(nerve.edges) if e.cusp == target)
-        norm = normalize_at_vertex(packing, eid)
+        target = (nerve.knotting_cusps or nerve.cusps())[0]
+        norm = normalize_at_vertex(packing, nerve.cusp_edges[target][0])
         _render_to(args.render, render.packing_svg(norm))
         hd = assemble(norm, al)
         maximal_cusp(hd, target)

@@ -373,7 +373,6 @@ def compute_faces(d: Diagram) -> FaceMap:
 def _alternating_bigon(d: Diagram, f: Face) -> bool:
     """A bigon is alternating when each of its edges changes over/under role
     between its two crossings; otherwise the two crossings cancel."""
-    (c1, _), (c2, _) = f.corners
     occ = d.occurrences()
     for e in f.boundary:
         roles = []

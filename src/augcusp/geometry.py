@@ -145,7 +145,7 @@ def cusp_lattice(hd: HoroballDiagram, cusp: str) -> tuple[complex, complex, dict
     walk = []
     while True:
         arc, exit_dart = pos
-        walk.append(nerve.arc_edge[arc])
+        walk.append(arc)  # arc i is nerve edge i
         circle, slot, side = exit_dart
         if nerve.circle_half[circle]:
             shear += h * nerve.circle_sign.get(circle, 1)
@@ -233,12 +233,6 @@ def _measure(hd: HoroballDiagram, cusp: str) -> tuple[CuspShape, str]:
     return CuspShape(cusp=cusp, meridian=mu, longitude=lam, height=h), witness
 
 
-def reflection_width(hd: HoroballDiagram, cusp: str) -> float:
-    """Horospherical distance between adjacent reflection-surface lifts."""
-    h, _ = maximal_cusp(hd, cusp)
-    return hd.strip_height / h
-
-
 # -- high level pipeline --------------------------------------------------------
 
 
@@ -288,9 +282,7 @@ def analyze_cusp(
         packing = solve_packing(nerve, tol=tol, max_iter=max_iter)
     cusps = nerve.cusps()
     if cusp is None:
-        knotting = [c for c in cusps if any(
-            e.kind == "arc" and e.cusp == c for e in nerve.edges)]
-        cusp = knotting[0] if knotting else cusps[0]
+        cusp = (nerve.knotting_cusps or cusps)[0]
     if cusp not in cusps:
         raise UnsupportedLinkError(f"unknown cusp {cusp!r}; have {cusps}")
     eid = nerve.cusp_edges[cusp][0]
@@ -332,10 +324,7 @@ def verify_meridian_bound(
         except UnsupportedLinkError as ex:
             entries.append({"name": name, "status": "SKIP", "reason": str(ex)})
             continue
-        knotting = sorted(
-            {e.cusp for e in nerve.edges if e.kind == "arc"}
-        )
-        for cusp in knotting:
+        for cusp in nerve.knotting_cusps:
             rep = analyze_cusp(al, cusp, tol=tol, packing=packing, nerve=nerve)
             m = float(rep.shape.meridian_length)
             w = float(rep.width)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import math
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -50,7 +49,6 @@ class Nerve:
     arcs: dict[int, tuple[str, WDart, WDart]] = field(default_factory=dict)
     circle_half: dict[str, bool] = field(default_factory=dict)
     circle_sign: dict[str, int] = field(default_factory=dict)
-    arc_edge: dict[int, int] = field(default_factory=dict)  # arc id -> edge id
     circle_edge: dict[str, int] = field(default_factory=dict)
     dart_arc: dict[WDart, int] = field(default_factory=dict)
 
@@ -68,6 +66,20 @@ class Nerve:
         for k, e in enumerate(self.edges):
             out.setdefault(e.cusp, []).append(k)
         return out
+
+    @cached_property
+    def knotting_cusps(self) -> list[str]:
+        """The cusps of the knotting strands, sorted; the others are the
+        crossing circles'."""
+        return sorted({e.cusp for e in self.edges if e.kind == "arc"})
+
+    @cached_property
+    def petals(self) -> list[list[int]]:
+        """Per white: the whites across its flower's edges, in flower order."""
+        return [
+            [self.edges[k].b if self.edges[k].a == i else self.edges[k].a for k in fl]
+            for i, fl in enumerate(self.flowers)
+        ]
 
     @cached_property
     def ends(self) -> tuple[np.ndarray, np.ndarray]:
@@ -231,37 +243,41 @@ def build_nerve(al: AugmentedLink, infinity: int | None = None) -> Nerve:
     for i, (_, d, e) in arcs.items():
         dart_arc[d] = i
         dart_arc[e] = i
+    # Nerve edges: arc i is edge i (faces on its two sides), and each
+    # circle's edge (its two lateral gaps) follows, in label order.
+    circle_edge = {lab: len(arcs) + k for k, lab in enumerate(sorted(al.circles))}
 
     # Face traversal of the collapsed embedded graph: vertices are circles,
     # edges are arcs, rotations as above.  Walking keeps a face on a fixed
     # side: from an arriving dart step to the next dart clockwise in the
-    # rotation and leave through its arc.
-    def next_in_rotation(d: WDart, shift: int) -> WDart:
-        rot = rotations[d[0]]
-        return rot[(rot.index(d) + shift) % len(rot)]
-
-    # Each face starts from the least dart not yet walked.
-    used: set[tuple[WDart, int]] = set()
-    faces: list[list[tuple[WDart, int]]] = []
-    gap_face: dict[tuple[WDart, WDart], int] = {}
+    # rotation and leave through its arc.  Each face starts from the least
+    # dart not yet walked, and its flower lists the edges it meets in the
+    # order of the walk: every arc, and a circle's edge after a step through
+    # one of its lateral gaps (between darts of mixed sides).
+    face_of_dart: dict[tuple[WDart, int], int] = {}
+    lateral: dict[str, list[int]] = {lab: [] for lab in circle_edge}
+    flowers: list[list[int]] = []
     for start in sorted((d, i) for i, (_, x, y) in arcs.items() for d in (x, y)):
-        if start in used:
+        if start in face_of_dart:
             continue
-        walk = []
+        flower = []
         cur = start
         while True:
-            walk.append(cur)
-            used.add(cur)
+            face_of_dart[cur] = len(flowers)
             d, i = cur
+            flower.append(i)
             _, x, y = arcs[i]
             twin = y if d == x else x
-            nxt_d = next_in_rotation(twin, 1)
-            gap_face[(twin, nxt_d)] = len(faces)
+            rot = rotations[twin[0]]
+            nxt_d = rot[(rot.index(twin) + 1) % len(rot)]
+            if nxt_d[2] != twin[2]:
+                flower.append(circle_edge[twin[0]])
+                lateral[twin[0]].append(len(flowers))
             cur = (nxt_d, dart_arc[nxt_d])
             if cur == start:
                 break
-        faces.append(walk)
-    whites = len(faces)
+        flowers.append(flower)
+    whites = len(flowers)
 
     v = len(al.circles)
     e_count = len(arcs)
@@ -270,42 +286,22 @@ def build_nerve(al: AugmentedLink, infinity: int | None = None) -> Nerve:
             "collapsed diagram is not planar; no polyhedral decomposition"
         )
 
-    face_of_dart: dict[tuple[WDart, int], int] = {}
-    for fi, walk in enumerate(faces):
-        for item in walk:
-            face_of_dart[item] = fi
-
-    # Nerve edges: one per arc (faces on its two sides) and one per circle
-    # (the two lateral gaps, between mixed-side dart pairs).
     edges: list[NerveEdge] = []
-    arc_edge: dict[int, int] = {}
     for i in sorted(arcs):
         cusp, d, e = arcs[i]
         fa = face_of_dart[(d, i)]
         fb = face_of_dart[(e, i)]
-        arc_edge[i] = len(edges)
         edges.append(NerveEdge(min(fa, fb), max(fa, fb), "arc", cusp, i))
-    circle_edge: dict[str, int] = {}
-    tri_raw: list[tuple[str, str, int]] = []
+    # Triangles: the circle's lateral tangency plus the arcs at its two
+    # same-side darts.
+    triangles = []
     for lab in sorted(al.circles):
-        rot = rotations[lab]
-        lateral = []
-        ends = {}
-        for k in range(4):
-            d1, d2 = rot[k], rot[(k + 1) % 4]
-            f = gap_face[(d1, d2)]
-            if d1[2] != d2[2]:
-                lateral.append(f)
-            else:
-                ends[d1[2]] = f
-        if len(lateral) != 2 or set(ends) != {"W", "E"}:
+        if len(lateral[lab]) != 2:
             raise UnsupportedLinkError(f"circle {lab}: degenerate disk gaps")
-        circle_edge[lab] = len(edges)
-        edges.append(
-            NerveEdge(min(lateral), max(lateral), "circle", lab, lab)
-        )
-        tri_raw.append((lab, "W", ends["W"]))
-        tri_raw.append((lab, "E", ends["E"]))
+        edges.append(NerveEdge(min(lateral[lab]), max(lateral[lab]), "circle", lab, lab))
+        for side in ("W", "E"):
+            eids = (circle_edge[lab], dart_arc[(lab, 0, side)], dart_arc[(lab, 1, side)])
+            triangles.append((eids, lab, side))
 
     # Simplicity: tangent circles meet once, so edge pairs must be unique.
     pairs = [(e.a, e.b) for e in edges]
@@ -314,38 +310,9 @@ def build_nerve(al: AugmentedLink, infinity: int | None = None) -> Nerve:
             "white faces would be tangent more than once; the diagram is not "
             "prime and twist-reduced (augmented link not hyperbolic)"
         )
-
-    # Incident edges per white vertex, in the cyclic order of the face walk.
-    flowers: list[list[int]] = [[] for _ in range(whites)]
-    for fi, walk in enumerate(faces):
-        for d, i in walk:
-            flowers[fi].append(arc_edge[i])
-            # A lateral gap follows when the next dart sits on the same
-            # circle with mixed sides.
-            _, x, y = arcs[i]
-            twin = y if d == x else x
-            nxt = rotations[twin[0]][(rotations[twin[0]].index(twin) + 1) % 4]
-            if nxt[2] != twin[2]:
-                flowers[fi].append(circle_edge[twin[0]])
-
-    # Triangles: the circle's lateral tangency plus the arcs at its two
-    # same-side darts.
-    triangles = []
-    for lab, side, _f_end in tri_raw:
-        a0 = dart_arc[(lab, 0, side)]
-        a1 = dart_arc[(lab, 1, side)]
-        triangles.append(
-            ((circle_edge[lab], arc_edge[a0], arc_edge[a1]), lab, side)
-        )
-
-    tri_vertex_sets = set()
-    for (e0, e1, e2), lab, side in triangles:
-        vs = frozenset(
-            [edges[e0].a, edges[e0].b, edges[e1].a, edges[e1].b, edges[e2].a, edges[e2].b]
-        )
-        if len(vs) != 3:
+    for eids, _lab, _side in triangles:
+        if len({w for k in eids for w in (edges[k].a, edges[k].b)}) != 3:
             raise UnsupportedLinkError("shaded face is not a triangle")
-        tri_vertex_sets.add(vs)
 
     n = Nerve(
         whites=whites,
@@ -356,7 +323,6 @@ def build_nerve(al: AugmentedLink, infinity: int | None = None) -> Nerve:
         arcs=arcs,
         circle_half={lab: al.circles[lab].half_twist for lab in al.circles},
         circle_sign={lab: al.circles[lab].handedness for lab in al.circles},
-        arc_edge=arc_edge,
         circle_edge=circle_edge,
         dart_arc=dart_arc,
     )
@@ -563,9 +529,7 @@ def solve_packing(nerve: Nerve, tol: float = 1e-12, max_iter: int = 100_000) -> 
     """
     eid = nerve.infinity_edge
     u, v = nerve.edge_vertices(eid)
-    petals = {
-        i: _neighbor_cycle(nerve, i) for i in range(nerve.whites) if i not in (u, v)
-    }
+    petals = {i: p for i, p in enumerate(nerve.petals) if i not in (u, v)}
     fixed = {u: math.inf, v: math.inf}
     stats: dict = {}
     radii = solve_flower_radii(
@@ -595,94 +559,49 @@ def solve_packing(nerve: Nerve, tol: float = 1e-12, max_iter: int = 100_000) -> 
     return packing
 
 
-def _neighbor_cycle(nerve: Nerve, i: int) -> list[int]:
-    out = []
-    for eid in nerve.flowers[i]:
-        a, b = nerve.edge_vertices(eid)
-        out.append(b if a == i else a)
-    return out
-
-
 def _layout(nerve: Nerve, u: int, v: int, radii: dict[int, float]):
-    """Place circles from a root tangent to both lines, most-constrained first.
+    """Place the circles flower by flower from a root tangent to both lines.
 
     The radii are rescaled so that the root has radius 1: their scale is
     otherwise arbitrary, and it would move the residual by roundoff.  The
-    next circle is the unplaced one with the most placed neighbours, the
-    lowest-numbered on ties.  Its two candidate positions (from two placed
-    neighbours) are scored against the tangency constraints of all its
-    placed neighbours and the non-overlap of the placed circles that sit
-    within two places of it in the flower of a neighbouring circle.  (Some
-    whites neighbour almost every other, so the whole two-step neighbourhood
-    would be most of the packing.)  Returns the centres and radii of the
-    whites and the strip height; u and v are the lines y = 0 and y = 2, of
-    radius inf.
+    root sits at 1j between the lines u, y = 0, and v, y = 2.  Each placed
+    circle in turn walks its petal cycle from a placed petal and puts every
+    unplaced petal where it touches the centre circle and the previous petal,
+    on that petal's clockwise side: the flowers all run one way round, so
+    this is the one position (Collins-Stephenson 2003).  Returns the centres
+    and radii of the whites and the strip height.
     """
-    neighbors = [_neighbor_cycle(nerve, i) for i in range(nerve.whites)]
-    roots = [i for i in range(nerve.whites) if i not in (u, v) and {u, v} <= set(neighbors[i])]
+    petals = nerve.petals
+    roots = [i for i in range(nerve.whites) if i not in (u, v) and {u, v} <= set(petals[i])]
     if not roots:
         raise UnsupportedLinkError("no face tangent to both reflection lines")
-    radii = {i: x / radii[roots[0]] for i, x in radii.items()}
+    r = [radii[i] / radii[roots[0]] for i in range(nerve.whites)]
     h = 2.0
-    centre = {roots[0]: 1j}
-
-    def placed(i: int) -> bool:
-        return i in centre or i in (u, v)
-
-    def gap(k: int, z: complex, rw: float) -> float:
-        """Signed tangency error of a radius-rw circle at z against white k."""
-        if k in (u, v):
-            return (z.imag if k == u else h - z.imag) - rw
-        return abs(z - centre[k]) - (radii[k] + rw)
-
-    spot = [{j: p for p, j in enumerate(nb)} for nb in neighbors]
-    # Unplaced whites keyed (-placed neighbours, white), kept sorted: the
-    # front is the next one to place.
-    count = {i: sum(map(placed, nb)) for i, nb in enumerate(neighbors) if not placed(i)}
-    queue = sorted((-c, i) for i, c in count.items())
-    while queue:
-        _, w = queue.pop(0)
-        del count[w]
-        # Circle anchors first: they give the two-solution construction.
-        known = sorted(filter(placed, neighbors[w]), key=lambda k: k in (u, v))
-        if len(known) < 2:
-            raise ConvergenceError("layout stalled: nerve not 2-connected", math.inf)
-        a, b = known[:2]
-        if a in (u, v):
-            raise ConvergenceError(f"no tangent position for face {w}", math.inf)
-        rw = radii[w]
-        za, la = centre[a], radii[a] + rw
-        if b in (u, v):
-            y = rw if b == u else h - rw
-            dx = math.sqrt(max(0.0, la * la - (y - za.imag) ** 2)) * (1 if b == v else -1)
-            cands = [complex(za.real + dx, y), complex(za.real - dx, y)]
-        else:
-            d = abs(centre[b] - za)
-            along = (centre[b] - za) / d
-            x = (d * d + la * la - (radii[b] + rw) ** 2) / (2 * d)
-            across = math.sqrt(max(0.0, la * la - x * x))
-            cands = [za + (x + 1j * across) * along, za + (x - 1j * across) * along]
-        near = {
-            neighbors[k][(spot[k][w] + s) % len(neighbors[k])]
-            for k in neighbors[w] if k not in (u, v) for s in (-2, -1, 1, 2)
-        }
-        near = [k for k in near if k in centre and k not in known]
-
-        def score(z: complex) -> float:
-            fit = [abs(gap(k, z, rw)) for k in known]
-            overlap = [-gap(k, z, rw) for k in near]
-            return max([0.0] + fit + overlap)
-
-        centre[w] = min(cands, key=score)
-        for j in neighbors[w]:
-            if j in count:
-                del queue[bisect_left(queue, (-count[j], j))]
-                count[j] += 1
-                insort(queue, (-count[j], j))
-    centre.update({u: 0j, v: h * 1j})
+    centre = {u: 0j, v: h * 1j, roots[0]: 1j}
+    order = [roots[0]]
+    for w in order:  # grows as petals are placed
+        zw, pet = centre[w], petals[w]
+        n = len(pet)
+        k = next(j for j, p in enumerate(pet) if p in centre)
+        for j in range(k + 1, k + n):
+            q, p = pet[j % n], pet[(j - 1) % n]
+            if q in centre:
+                continue
+            la = r[w] + r[q]
+            if p in (u, v):
+                along = -1j if p == u else 1j
+                x = (zw.imag if p == u else h - zw.imag) - r[q]
+            else:
+                d = abs(centre[p] - zw)
+                along = (centre[p] - zw) / d
+                x = (d * d + la * la - (r[p] + r[q]) ** 2) / (2 * d)
+            centre[q] = zw + (x - 1j * math.sqrt(max(0.0, la * la - x * x))) * along
+            order.append(q)
+    if len(centre) < nerve.whites:
+        lost = min(set(range(nerve.whites)) - set(centre))
+        raise UnsupportedLinkError(f"layout: white {lost} is not reached from root {roots[0]}")
     z = np.array([centre[i] for i in range(nerve.whites)])
-    r = np.array([radii[i] for i in range(nerve.whites)])
-    return z, r, h
+    return z, np.array(r), h
 
 
 def _refine(nerve: Nerve, z, r, h: float, u: int, v: int, skip: int, tol: float):

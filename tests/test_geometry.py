@@ -1,7 +1,11 @@
 import dataclasses
 import functools
+import json
 import math
 import random
+from pathlib import Path
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -273,6 +277,35 @@ class TestLadders:
             else:
                 assert 2.0 - 1e-9 <= rep.shape.meridian_length < 4.0
                 assert 1.0 - 1e-9 <= rep.width < 2.0
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "ladder_reports.json"
+GOLDEN_LINKS = {
+    "chain-5": lambda: catalog.two_bridge_chain(5),
+    "chain-13": lambda: catalog.two_bridge_chain(13),
+    "chain-41": lambda: catalog.two_bridge_chain(41),
+    "pretzel-3x10": lambda: catalog.pretzel_link([3] * 10),
+    "pretzel-3x20": lambda: catalog.pretzel_link([3] * 20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LINKS))
+def test_reports_match_the_recorded_ladder_reports(name):
+    """Every scalar field of every cusp, against the reports recorded in
+    tests/data/ladder_reports.json before the flower-by-flower layout, to
+    1e-11 relative (of the field's norm for a complex one).  One and two
+    BLAS threads already differ by up to 2.2e-12.  Witness strings, which
+    may name either of tied candidates, and circle diameters are not kept."""
+    want = json.loads(GOLDEN.read_text())[name]
+    al, _ = augment(GOLDEN_LINKS[name]())
+    nerve = build_nerve(al)
+    packing = solve_packing(nerve)
+    assert sorted(want) == nerve.cusps()
+    for cusp, fields in want.items():
+        got = analyze_cusp(al, cusp, packing=packing, nerve=nerve).to_dict()
+        for key, value in fields.items():
+            a, b = np.atleast_1d(got[key]), np.atleast_1d(value)
+            assert np.linalg.norm(a - b) <= 1e-11 * np.linalg.norm(b), (cusp, key)
 
 
 class TestRefusal:

@@ -1,0 +1,61 @@
+"""Source hygiene of the package, checked with the standard library's ast.
+
+Every import of a module is used in it, and every module-level private
+function is referenced somewhere in the package besides its definition.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "augcusp"
+MODULES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Names loaded anywhere in a module, the roots of attribute chains
+    included, and the strings listed in its __all__."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names |= {elt.value for elt in node.value.elts}
+    return names
+
+
+def imported_names(tree: ast.Module) -> list[tuple[str, int]]:
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [((a.asname or a.name).split(".")[0], node.lineno) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [(a.asname or a.name, node.lineno) for a in node.names]
+    return out
+
+
+def test_every_import_is_used():
+    unused = []
+    for name, tree in MODULES.items():
+        used = used_names(tree)
+        unused += [f"{name}:{line} {imp}" for imp, line in imported_names(tree) if imp not in used]
+    assert not unused
+
+
+def test_every_private_function_is_referenced():
+    referenced: set[str] = set()
+    for tree in MODULES.values():
+        referenced |= used_names(tree)
+        referenced |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                referenced |= {a.name for a in node.names}
+    dead = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
+    assert not dead

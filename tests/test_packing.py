@@ -14,7 +14,6 @@ from augcusp.families import fal_corpus
 from augcusp.packing import (
     _companion_arcs,
     _layout,
-    _neighbor_cycle,
     _refine,
     build_nerve,
     normalize_at_vertex,
@@ -170,7 +169,7 @@ class TestGaugeStep:
         al, _ = augment(catalog.two_bridge_chain(13))
         nerve = build_nerve(al)
         u, v = nerve.edge_vertices(nerve.infinity_edge)
-        petals = {i: _neighbor_cycle(nerve, i) for i in range(nerve.whites) if i not in (u, v)}
+        petals = {i: p for i, p in enumerate(nerve.petals) if i not in (u, v)}
         want, steps = lstsq_newton(petals, 1e-14)
         assert len(steps) >= 3
         for jac, err in steps:
@@ -190,7 +189,7 @@ class TestGaugeStep:
 def reference_layout(nerve, u, v, radii):
     """Reference: the layout that picks each next circle by a max over every
     unplaced white and scores its candidates against every placed circle."""
-    neighbors = {i: _neighbor_cycle(nerve, i) for i in range(nerve.whites)}
+    neighbors = dict(enumerate(nerve.petals))
     root = next(i for i in neighbors if i not in (u, v) and {u, v} <= set(neighbors[i]))
     radii = {i: x / radii[root] for i, x in radii.items()}
     h, centre = 2.0, {root: 1j}
@@ -234,20 +233,69 @@ class TestLayout:
         catalog.two_bridge_chain(21), catalog.two_bridge_chain(41),
         catalog.pretzel_link([3] * 10), catalog.rational_link([2, 3, 2]),
     ])
-    def test_local_scoring_places_like_the_global_scan(self, d):
+    def test_flower_layout_places_like_the_scored_scan(self, d):
+        """Where the scored reference places, the flower layout puts every
+        centre at its centre or at its mirror image -conj(z)."""
         al, _ = augment(d)
         nerve = build_nerve(al)
+        compared = 0
         for eid in range(0, len(nerve.edges), 7):
             u, v = nerve.edge_vertices(eid)
-            petals = {i: _neighbor_cycle(nerve, i) for i in range(nerve.whites) if i not in (u, v)}
+            petals = {i: p for i, p in enumerate(nerve.petals) if i not in (u, v)}
             radii = solve_flower_radii(petals, {u: math.inf, v: math.inf})
+            got, _r, h = _layout(nerve, u, v, radii)
+            assert h == 2.0 and got[u] == 0j and got[v] == 2j
             try:
                 want = reference_layout(nerve, u, v, radii)
-            except ConvergenceError as exc:
-                with pytest.raises(ConvergenceError, match=str(exc)):
-                    _layout(nerve, u, v, radii)
+            except ConvergenceError:
                 continue
-            assert np.array_equal(_layout(nerve, u, v, radii)[0], want)
+            assert min(
+                np.max(np.abs(got - want)), np.max(np.abs(got + want.conjugate()))
+            ) <= 1e-9
+            compared += 1
+        assert compared
+
+    def test_petals_run_clockwise(self):
+        """Each white's petals, read in flower order, turn clockwise about
+        its centre: the orientation the layout reads from the flowers."""
+        al, _ = augment(catalog.two_bridge_chain(21))
+        nerve = build_nerve(al)
+        packing = solve_packing(nerve)
+        z = packing.center.astype(complex)
+        for w, pet in enumerate(nerve.petals):
+            if np.isinf(packing.radius[w]):
+                continue
+            finite = [p for p in pet if np.isfinite(packing.radius[p])]
+            turns = [(z[q] - z[w]) / (z[p] - z[w]) for p, q in zip(finite, finite[1:])]
+            assert all(t.imag < 0 for t in turns)
+
+    def test_every_infinity_edge_packs(self):
+        """Frames whose second circle touches only a line and the root, which
+        a layout from two placed neighbours cannot place, pack too."""
+        links = [augment(catalog.pretzel_link([3] * c))[0] for c in (4, 6, 10)]
+        links += [al for _name, al in fal_corpus(4)]
+        frames = 0
+        for al in links:
+            try:
+                edges = len(build_nerve(al).edges)
+            except UnsupportedLinkError:
+                continue
+            for eid in range(edges):
+                packing = solve_packing(build_nerve(al, infinity=eid))
+                assert packing.max_residual() <= packing.tol * max(1.0, packing.scale())
+                frames += 1
+        assert frames == 174
+
+    def test_unreached_white_is_refused(self):
+        al, _ = augment(catalog.two_bridge_chain(5))
+        nerve = build_nerve(al)
+        u, v = nerve.edge_vertices(nerve.infinity_edge)
+        petals = {i: p for i, p in enumerate(nerve.petals) if i not in (u, v)}
+        radii = solve_flower_radii(petals, {u: math.inf, v: math.inf})
+        cut = dataclasses.replace(nerve, whites=nerve.whites + 1, flowers=nerve.flowers + [[]])
+        radii[nerve.whites] = 1.0
+        with pytest.raises(UnsupportedLinkError, match=f"white {nerve.whites} is not reached"):
+            _layout(cut, u, v, radii)
 
 
 class TestNanTolerance:
@@ -288,7 +336,7 @@ class TestCentreRadius:
         nerve = build_nerve(al)
         eid = nerve.infinity_edge
         u, v = nerve.edge_vertices(eid)
-        petals = {i: _neighbor_cycle(nerve, i) for i in range(nerve.whites) if i not in (u, v)}
+        petals = {i: p for i, p in enumerate(nerve.petals) if i not in (u, v)}
         radii = solve_flower_radii(petals, {u: math.inf, v: math.inf}, tol=1e-4)
         z, r, h = _layout(nerve, u, v, radii)
         got_z, got_r, polish = _refine(nerve, z, r, h, u, v, eid, 1e-12)
@@ -300,29 +348,35 @@ class TestCentreRadius:
         assert np.max(np.abs(got_r[free] - want_r[free])) <= 1e-14
 
 
-def reference_faces(al):
+def reference_flowers(al, nerve):
     """Reference face walk: each face starts from the least dart of any
-    face not yet walked, found by a scan of every remaining dart."""
+    face not yet walked, found by a scan of every remaining dart.  A face's
+    flower lists, in walk order, the edge of every arc it walks and the
+    circle's edge after each step through a lateral gap (a rotation step
+    between darts of mixed sides), with the edge ids looked up by ref."""
     arcs, rotations = _companion_arcs(al)
+    edge_of = {(e.kind, e.ref): k for k, e in enumerate(nerve.edges)}
     dart_arc = {d: i for i, (_, x, y) in arcs.items() for d in (x, y)}
     unused = {(d, i) for i, (_, x, y) in arcs.items() for d in (x, y)}
-    faces = []
+    flowers = []
     while unused:
         start = cur = min(unused)
-        walk = []
+        flower = []
         while True:
-            walk.append(cur)
             unused.discard(cur)
             d, i = cur
+            flower.append(edge_of["arc", i])
             _, x, y = arcs[i]
             twin = y if d == x else x
             rot = rotations[twin[0]]
             nxt = rot[(rot.index(twin) + 1) % len(rot)]
+            if nxt[2] != twin[2]:
+                flower.append(edge_of["circle", twin[0]])
             cur = (nxt, dart_arc[nxt])
             if cur == start:
                 break
-        faces.append([i for _d, i in walk])
-    return faces
+        flowers.append(flower)
+    return flowers
 
 
 LADDERS = [catalog.two_bridge_chain(k) for k in (5, 9, 13, 21, 31, 41, 61, 81, 121)] + [
@@ -339,14 +393,20 @@ class TestNerve:
                 nerve = build_nerve(al)
             except UnsupportedLinkError:
                 continue
-            faces = reference_faces(al)
-            assert nerve.whites == len(faces)
-            arc_edges = set(nerve.arc_edge.values())
-            for fi, arcs in enumerate(faces):
-                walked = [e for e in nerve.flowers[fi] if e in arc_edges]
-                assert walked == [nerve.arc_edge[i] for i in arcs]
+            assert nerve.flowers == reference_flowers(al, nerve)
+            # Arc i is edge i; the circles' edges follow in label order.
+            arcs = [e.ref for e in nerve.edges if e.kind == "arc"]
+            circles = [e.ref for e in nerve.edges if e.kind == "circle"]
+            assert arcs == list(range(len(arcs))) and circles == sorted(al.circles)
+            assert [e.kind for e in nerve.edges] == ["arc"] * len(arcs) + ["circle"] * len(circles)
             compared += 1
         assert compared >= len(LADDERS) + 5
+
+    def test_petals_are_the_whites_across_the_flower(self):
+        al, _ = augment(catalog.two_bridge_chain(13))
+        nerve = build_nerve(al)
+        for i, (flower, petals) in enumerate(zip(nerve.flowers, nerve.petals)):
+            assert [{i, p} for p in petals] == [set(nerve.edge_vertices(k)) for k in flower]
 
     def test_borromean_nerve_is_tetrahedral(self):
         al, _ = augment(catalog.figure_eight())
