@@ -285,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--tol", type=_tolerance, default=1e-12, help="solver tolerance (finite, > 0)")
     ap.add_argument(
-        "--max-iter", type=int, default=100_000, help="cap on the Newton steps of the packing radii"
+        "--max-iter", type=_positive_int, default=100_000,
+        help="cap on the Newton steps of the packing radii (at least 1)",
     )
     ap.add_argument("--out", help="write the JSON report to this file")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from weakref import WeakKeyDictionary
 
 from .augment import AugmentedLink
 from .errors import ConvergenceError, UnsupportedLinkError
@@ -267,6 +268,14 @@ class CuspReport:
         }
 
 
+# (frame, edge) pairs normalized as one block: the working memory of a
+# packing's cusps stays near that many elements, not cusps * edges.
+_BLOCK_ELEMENTS = 8192
+
+# Per packing, for as long as it lives: every cusp's report, or its error.
+_reports: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def analyze_cusp(
     al: AugmentedLink,
     cusp: str | None = None,
@@ -275,7 +284,11 @@ def analyze_cusp(
     packing: CirclePacking | None = None,
     nerve: Nerve | None = None,
 ) -> CuspReport:
-    """Full pipeline: nerve, packing, normalization and cusp measurement."""
+    """Full pipeline: nerve, packing, normalization and cusp measurement.
+
+    The first call for a packing analyses all its cusps, in blocks, and
+    keeps their reports (or errors) with it for the later calls.
+    """
     if nerve is None:
         nerve = build_nerve(al)
     if packing is None:
@@ -285,24 +298,51 @@ def analyze_cusp(
         cusp = (nerve.knotting_cusps or cusps)[0]
     if cusp not in cusps:
         raise UnsupportedLinkError(f"unknown cusp {cusp!r}; have {cusps}")
-    eid = nerve.cusp_edges[cusp][0]
-    normalized = normalize_at_vertex(packing, eid)
+    if packing not in _reports:
+        _reports[packing] = _analyze_every_cusp(packing, al)
+    report = _reports[packing][cusp]
+    if isinstance(report, Exception):
+        raise report
+    return report
+
+
+def _analyze_every_cusp(packing: CirclePacking, al: AugmentedLink) -> dict:
+    """Every cusp's report, or the error it met.  A block whose
+    normalization fails is redone one frame at a time, so that the error
+    stays with its cusp."""
+    nerve = packing.nerve
+    cusps = nerve.cusps()
+    size = max(1, _BLOCK_ELEMENTS // len(nerve.edges))
+    blocks = [cusps[k:k + size] for k in range(0, len(cusps), size)]
+    out: dict = {}
+    for block in blocks:  # grows by the frames of a failed block
+        eids = np.array([nerve.cusp_edges[c][0] for c in block], dtype=np.intp)
+        try:
+            frames = normalize_at_vertex(packing, eids)
+        except ConvergenceError as exc:
+            if len(block) > 1:
+                blocks += [[c] for c in block]
+            else:
+                out[block[0]] = exc
+            continue
+        for c, frame in zip(block, frames):
+            try:
+                out[c] = _cusp_report(frame, al, c)
+            except (ValueError, RuntimeError) as exc:  # what measuring raises
+                out[c] = exc
+    return out
+
+
+def _cusp_report(normalized: CirclePacking, al: AugmentedLink, cusp: str) -> CuspReport:
     hd = assemble(normalized, al)
     shape, witness = _measure(hd, cusp)
     width = hd.strip_height / shape.height
-    kind = "circle" if nerve.edges[eid].kind == "circle" else "knotting"
+    kind = "circle" if hd.nerve.edges[hd.infinity_edge].kind == "circle" else "knotting"
     radii = np.concatenate((normalized.radius, normalized.disks[1]))
     diameters = np.sort(2.0 * radii[np.isfinite(radii)]).tolist()
-    spacing_disk = _cusp_disk_spacing(hd)
     return CuspReport(
-        cusp=cusp,
-        kind=kind,
-        shape=shape,
-        width=width,
-        witness=witness,
-        diameters=diameters,
-        spacing_white=hd.strip_height,
-        spacing_disk=spacing_disk,
+        cusp=cusp, kind=kind, shape=shape, width=width, witness=witness, diameters=diameters,
+        spacing_white=hd.strip_height, spacing_disk=_cusp_disk_spacing(hd),
     )
 
 

@@ -49,7 +49,6 @@ class Nerve:
     arcs: dict[int, tuple[str, WDart, WDart]] = field(default_factory=dict)
     circle_half: dict[str, bool] = field(default_factory=dict)
     circle_sign: dict[str, int] = field(default_factory=dict)
-    circle_edge: dict[str, int] = field(default_factory=dict)
     dart_arc: dict[WDart, int] = field(default_factory=dict)
 
     def edge_vertices(self, eid: int) -> tuple[int, int]:
@@ -323,7 +322,6 @@ def build_nerve(al: AugmentedLink, infinity: int | None = None) -> Nerve:
         arcs=arcs,
         circle_half={lab: al.circles[lab].half_twist for lab in al.circles},
         circle_sign={lab: al.circles[lab].handedness for lab in al.circles},
-        circle_edge=circle_edge,
         dart_arc=dart_arc,
     )
     _check_degrees(n)
@@ -347,8 +345,9 @@ class CirclePacking:
 
     The whites `lines` = (u, v) are the horizontal lines y = center[u].imag
     and, above it, y = center[v].imag, of radius inf; every other white is
-    the circle of its centre and radius.  The tangency points and the
-    shaded circles are derived on first use.
+    the circle of its centre and radius.  The tangency points, the shaded
+    circles and the residuals are derived on first use; they also derive
+    for a block of frames: arrays with a leading frame axis, lines None.
     """
 
     nerve: Nerve
@@ -368,7 +367,7 @@ class CirclePacking:
     def points(self) -> np.ndarray:
         """Tangency point of every edge; nan for the two lines (infinity)."""
         a, b = self.nerve.ends
-        za, zb, ra, rb = self.center[a], self.center[b], self.radius[a], self.radius[b]
+        za, zb, ra, rb = (x[..., i] for x in (self.center, self.radius) for i in (a, b))
         la, lb = np.isinf(ra), np.isinf(rb)
         with np.errstate(invalid="ignore"):
             p = za + (zb - za) * (ra / (ra + rb))
@@ -385,10 +384,10 @@ class CirclePacking:
         two through infinity are vertical lines: radius inf, and their x as
         centre.
         """
-        pts = self.points[self.nerve.triangle_edges]
-        vertical = np.isnan(pts).any(axis=1)
-        center = np.empty(len(pts), dtype=complex)
-        radius = np.full(len(pts), np.inf)
+        pts = self.points[..., self.nerve.triangle_edges]
+        vertical = np.isnan(pts).any(axis=-1)
+        center = np.empty(vertical.shape, dtype=complex)
+        radius = np.full(vertical.shape, np.inf)
         # Both finite points of a vertical line are feet of one circle's centre.
         center[vertical] = np.nanmax(pts[vertical].real, axis=1)
         # Circumcentre of p1, p1 + s, p1 + t: p1 + (|s|^2 t - |t|^2 s) / (conj(s) t - s conj(t)).
@@ -399,11 +398,12 @@ class CirclePacking:
         radius[~vertical] = abs(rel)
         return center, radius
 
+    @cached_property
     def residuals(self) -> np.ndarray:
         """Per edge: |distance - sum of radii| of two circles, or of a circle's
         centre to a line and its radius; 0 for the two lines."""
         a, b = self.nerve.ends
-        za, zb, ra, rb = self.center[a], self.center[b], self.radius[a], self.radius[b]
+        za, zb, ra, rb = (x[..., i] for x in (self.center, self.radius) for i in (a, b))
         dy = abs(zb.imag - za.imag)
         out = np.where(np.isinf(ra), abs(dy - rb), abs(abs(zb - za) - ra - rb))
         out = np.where(np.isinf(rb), abs(dy - ra), out)
@@ -411,7 +411,7 @@ class CirclePacking:
         return out
 
     def max_residual(self) -> float:
-        return float(self.residuals().max())
+        return float(self.residuals.max())
 
     def scale(self) -> float:
         finite = self.radius[np.isfinite(self.radius)]
@@ -704,7 +704,9 @@ def _refine(nerve: Nerve, z, r, h: float, u: int, v: int, skip: int, tol: float)
 # -- normalization --------------------------------------------------------------
 
 
-def normalize_at_vertex(packing: CirclePacking, edge_id: int) -> CirclePacking:
+def normalize_at_vertex(
+    packing: CirclePacking, edge_id: int | np.ndarray
+) -> CirclePacking | list[CirclePacking]:
     """Mobius-normalize with the given tangency point at infinity.
 
     The two white circles tangent there become the lines y = 0 and y = 1;
@@ -719,85 +721,98 @@ def normalize_at_vertex(packing: CirclePacking, edge_id: int) -> CirclePacking:
     follow from the whites.  The polish record (steps, unknowns, tangency
     error before and after; 0 steps on 0 unknowns when skipped) is kept in
     normalization["polish"].
+
+    edge_id is an edge id, or an array of them for a list of frames made as
+    one block of (frames x whites) arrays, each holding its rows: the same
+    frames, bit for bit, as one edge at a time.  Each is polished alone.
     """
     nerve = packing.nerve
     z, r = packing.center, packing.radius
-    a, b = nerve.edge_vertices(edge_id)
-    p = packing.points[edge_id]
-    at_infinity = bool(np.isnan(p))
+    eids = np.atleast_1d(np.asarray(edge_id, dtype=np.intp))
+    ea, eb = nerve.ends[0][eids], nerve.ends[1][eids]
+    p = packing.points[eids]
+    at_infinity = np.isnan(p)
     # s = 1 / (z - p), or s = z, sends a and b to lines {Re(conj(n) s) = o}:
     # a circle through p to Re((c - p) s) = 1/2, a line through p to the
     # real axis.
     ends = []
-    for i in (a, b):
-        if math.isinf(r[i]):
-            ends.append((1j, z[i].imag if at_infinity else 0.0))
-            continue
-        c = z[i] - p
-        miss = float(abs(abs(c) - r[i]) / r[i])
-        if miss > 1e-6:
-            raise ConvergenceError(
-                f"normalize_at_vertex: white {i} misses the tangency point of "
-                f"edge {edge_id} by {miss:.3e} of its radius",
-                miss,
-            )
-        ends.append((c.conjugate() / abs(c), 0.5 / abs(c)))
-    (na, oa), (nb, ob) = ends
-    rot = 1j / na  # turns a's normal to +i
-    yb = ob if (rot * nb).imag > 0 else -ob
-    (ylo, u), (yhi, v) = sorted([(oa, a), (yb, b)])
-    k = 1.0 / (yhi - ylo)
-    scale, shift = k * rot, -1j * ylo * k  # w = scale * s + shift
-    circles = np.isfinite(r)
-    circles[[a, b]] = False
-    # The frame is float64: the mapped values are rounded as they are stored.
-    center = np.zeros(len(z), dtype=complex)
-    radius = np.full(len(r), np.inf)
-    rc = r[circles]
-    if at_infinity:
-        center[circles] = scale * z[circles] + shift
-        radius[circles] = k * rc
-    else:
-        c = z[circles] - p
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for i in (ea, eb):
+            line, c = np.isinf(r[i]), z[i] - p
+            miss = np.where(line, 0.0, abs(abs(c) - r[i]) / r[i])
+            if (miss > 1e-6).any():
+                f = int(np.argmax(miss > 1e-6))
+                raise ConvergenceError(
+                    f"normalize_at_vertex: white {i[f]} misses the tangency point of "
+                    f"edge {eids[f]} by {float(miss[f]):.3e} of its radius",
+                    float(miss[f]),
+                )
+            offset = np.where(line, np.where(at_infinity, z[i].imag, 0.0), 0.5 / abs(c))
+            ends.append((np.where(line, 1j, c.conjugate() / abs(c)), offset))
+        (na, oa), (nb, ob) = ends
+        rot = 1j / na  # turns a's normal to +i
+        yb = np.where((rot * nb).imag > 0, ob, -ob)
+        low = (oa < yb) | ((oa == yb) & (ea < eb))  # a is the lower line
+        u, v = np.where(low, ea, eb), np.where(low, eb, ea)
+        ylo, yhi = np.where(low, oa, yb), np.where(low, yb, oa)
+        k = 1.0 / (yhi - ylo)
+        scale, shift = k * rot, -1j * ylo * k  # w = scale * s + shift
+        # The frame is float64: the mapped values are rounded as they are
+        # stored.  Rows at infinity, the lines and a and b are set after.
+        c = z - p[:, None]
         dist = abs(c)
-        den = (dist - rc) * (dist + rc)
-        center[circles] = scale * c.conjugate() / den + shift
-        radius[circles] = k * rc / den
-        for i in set(packing.lines) - {a, b}:  # a line off p: a circle through s = 0
-            delta = z[i].imag - p.imag
-            center[i], radius[i] = scale * (-0.5j / delta) + shift, 0.5 * k / abs(delta)
-    center[u], center[v] = 0j, 1j
+        den = (dist - r) * (dist + r)
+        center = (scale[:, None] * c.conjugate() / den + shift[:, None]).astype(complex)
+        radius = (k[:, None] * r / den).astype(float)
+    rows = np.flatnonzero(at_infinity)
+    center[rows] = scale[rows, None] * z + shift[rows, None]
+    radius[rows] = k[rows, None] * r
+    for i in packing.lines:  # a line off p: a circle through s = 0
+        off = np.flatnonzero(~at_infinity & (ea != i) & (eb != i))
+        delta = z[i].imag - p[off].imag
+        center[off, i] = scale[off] * (-0.5j / delta) + shift[off]
+        radius[off, i] = 0.5 * k[off] / abs(delta)
+    frame = np.arange(len(eids))
+    center[frame, u], center[frame, v] = 0j, 1j
+    radius[frame, u] = radius[frame, v] = np.inf
     # Every radius in the unit strip is at most 1/2, so tol is the gate
     # tol * max(1, scale) that solve_packing meets: polish only above it.
-    before = CirclePacking(nerve, center, radius, (u, v), packing.tol, {}).max_residual()
-    if before > packing.tol:
-        center, radius, polish = _refine(nerve, center, radius, 1.0, u, v, edge_id, packing.tol)
-    else:
-        polish = {"steps": 0, "unknowns": 0, "before": before, "after": before}
+    before = CirclePacking(nerve, center, radius, None, packing.tol, {}).residuals.max(axis=1)
+    polish = [{"steps": 0, "unknowns": 0, "before": x, "after": x} for x in before.tolist()]
+    for f in np.flatnonzero(before > packing.tol):
+        center[f], radius[f], polish[f] = _refine(
+            nerve, center[f], radius[f], 1.0, u[f], v[f], eids[f], packing.tol
+        )
     # The shaded lines through infinity pass through the tangencies of the
     # lines with the two whites that flank the cusp, so they sit at the x of
     # those whites' centres.
-    flank = {
-        w
-        for ti in nerve.edge_triangles[edge_id]
-        for e in nerve.triangles[ti][0]
-        for w in nerve.edge_vertices(e)
-    } - {u, v}
-    circles = np.isfinite(radius)
-    center[circles] -= min(center[w].real for w in flank)
-    if polish["unknowns"]:
-        log.debug(
-            "normalize_at_vertex: edge %d, %d Gauss-Newton steps on %d unknowns, "
-            "tangency error %.2e -> %.2e",
-            edge_id, polish["steps"], polish["unknowns"], polish["before"], polish["after"],
+    flank = nerve.triangle_edges[nerve.edge_triangles[eids]].reshape(len(eids), -1)
+    flank = np.concatenate((nerve.ends[0][flank], nerve.ends[1][flank]), axis=1)
+    on_line = (flank == u[:, None]) | (flank == v[:, None])
+    x = np.where(on_line, np.inf, center[frame[:, None], flank].real)
+    center = np.where(np.isfinite(radius), center - x.min(axis=1)[:, None], center)
+    block = CirclePacking(nerve, center, radius, None, packing.tol, {})
+    out = []
+    for f, (eid, record) in enumerate(zip(eids.tolist(), polish)):
+        if record["unknowns"]:
+            log.debug(
+                "normalize_at_vertex: edge %d, %d Gauss-Newton steps on %d unknowns, "
+                "tangency error %.2e -> %.2e",
+                eid, record["steps"], record["unknowns"], record["before"], record["after"],
+            )
+        else:
+            log.debug(
+                "normalize_at_vertex: edge %d, not polished (0 unknowns), mapped "
+                "tangency error %.2e within tol %.2e",
+                eid, record["before"], packing.tol,
+            )
+        norm = CirclePacking(
+            nerve, center[f], radius[f], (int(u[f]), int(v[f])), packing.tol,
+            {"infinity_edge": eid, "frame": "unit-strip", "polish": record},
         )
-    else:
-        log.debug(
-            "normalize_at_vertex: edge %d, not polished (0 unknowns), mapped "
-            "tangency error %.2e within tol %.2e",
-            edge_id, polish["before"], packing.tol,
+        vars(norm).update(
+            points=block.points[f], disks=(block.disks[0][f], block.disks[1][f]),
+            residuals=block.residuals[f],
         )
-    return CirclePacking(
-        nerve, center, radius, (u, v), packing.tol,
-        {"infinity_edge": edge_id, "frame": "unit-strip", "polish": polish},
-    )
+        out.append(norm)
+    return out if np.ndim(edge_id) else out[0]

@@ -157,10 +157,19 @@ class TestVerify:
 
 
 class TestExitCodes:
-    def test_solver_nonconvergence_exit_4(self, diagrams):
-        r = run("--max-iter", "0", "cusp", str(diagrams / "fig8.json"))
+    def test_solver_nonconvergence_exit_4(self):
+        # One Newton step leaves this family's radii unconverged; a cap
+        # below 1 is a usage error, below.
+        r = run("--max-iter", "1", "cusp", "--family", "twobridge", "1", "1")
         assert r.returncode == 4
         assert "did not converge" in r.stderr or "residual" in r.stderr
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_max_iter_below_one_exit_2(self, count):
+        r = run("--max-iter", count, "cusp", "--family", "twobridge", "1", "1")
+        assert r.returncode == 2
+        assert "argument --max-iter" in r.stderr
+        assert r.stdout == ""
 
     def test_render_writes_horoball_svg(self, diagrams, tmp_path):
         svg = tmp_path / "fal.svg"

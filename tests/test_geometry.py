@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_canonical_pd import scrambled
 
-from augcusp import catalog
+from augcusp import catalog, geometry
 from augcusp.augment import augment
 from augcusp.geometry import (
     analyze_cusp,
@@ -318,3 +319,72 @@ class TestRefusal:
         with pytest.raises(ConvergenceError, match="^assemble: ") as info:
             assemble(norm, al)
         assert info.value.worst_residual == norm.max_residual() > 0
+
+
+class TestReportsPerPacking:
+    def count_normalizations(self, monkeypatch):
+        calls = []
+
+        def counted(packing, edge_id):
+            calls.append(np.size(edge_id))
+            return normalize_at_vertex(packing, edge_id)
+
+        monkeypatch.setattr(geometry, "normalize_at_vertex", counted)
+        return calls
+
+    def test_a_packing_is_analysed_once(self, monkeypatch):
+        al, _ = augment(catalog.two_bridge_chain(13))
+        nerve = build_nerve(al)
+        packing = solve_packing(nerve)
+        calls = self.count_normalizations(monkeypatch)
+        first = [analyze_cusp(al, c, packing=packing, nerve=nerve) for c in nerve.cusps()]
+        assert calls == [len(nerve.cusps())]  # one block
+        again = [analyze_cusp(al, c, packing=packing, nerve=nerve) for c in nerve.cusps()]
+        assert calls == [len(nerve.cusps())]
+        assert all(a is b for a, b in zip(first, again))
+        fresh = dataclasses.replace(packing)
+        other = [analyze_cusp(al, c, packing=fresh, nerve=nerve) for c in nerve.cusps()]
+        assert len(calls) == 2
+        assert [r.to_dict() for r in other] == [r.to_dict() for r in first]
+
+    def test_every_cusp_of_chain_121_in_bounded_memory(self, monkeypatch):
+        # 123 cusps of 363 edges, normalized in blocks of 22: the kept
+        # reports take about 1.6 MB and a block about 1.4 MB at its peak.
+        # One block of all 123 frames would peak above 7 MB.
+        al, _ = augment(catalog.two_bridge_chain(121))
+        nerve = build_nerve(al)
+        packing = solve_packing(nerve)
+        calls = self.count_normalizations(monkeypatch)
+        tracemalloc.start()
+        try:
+            for cusp in nerve.cusps():
+                analyze_cusp(al, cusp, packing=packing, nerve=nerve)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(calls) == len(nerve.cusps()) == 123
+        assert len(calls) == 6
+        assert peak < 4e6
+
+    def test_an_error_stays_with_its_cusp(self):
+        # White 2 moved off its tangencies: the frames whose point it misses
+        # fail to normalize, alone or in a block; the others analyse.
+        al, _ = augment(catalog.rational_link([2, 2, 2]))
+        nerve = build_nerve(al)
+        packing = solve_packing(nerve)
+        center = packing.center.copy()
+        center[2] -= 0.1j * packing.radius[2]
+        moved = dataclasses.replace(packing, center=center)
+        outcomes = set()
+        for cusp in nerve.cusps():
+            try:
+                normalize_at_vertex(moved, nerve.cusp_edges[cusp][0])
+            except ConvergenceError as exc:
+                with pytest.raises(ConvergenceError) as info:
+                    analyze_cusp(al, cusp, packing=moved, nerve=nerve)
+                assert str(info.value) == str(exc)
+                outcomes.add("refused")
+            else:
+                assert analyze_cusp(al, cusp, packing=moved, nerve=nerve).cusp == cusp
+                outcomes.add("analysed")
+        assert outcomes == {"refused", "analysed"}

@@ -610,13 +610,62 @@ def frames(d):
     ]
 
 
-def always_polished(packing, edge_id):
-    """Reference frame: the map, then the Newton polish whatever the mapped
-    residual."""
-    norm = normalize_at_vertex(packing, edge_id)
-    u, v = norm.lines
-    z, r, _ = _refine(norm.nerve, norm.center, norm.radius, 1.0, u, v, edge_id, norm.tol)
-    return dataclasses.replace(norm, center=z, radius=r)
+def always_polished(packing, edge_ids):
+    """Reference frames of a block: the map, then the Newton polish whatever
+    the mapped residual."""
+    out = []
+    for norm in normalize_at_vertex(packing, edge_ids):
+        u, v, eid = *norm.lines, norm.normalization["infinity_edge"]
+        z, r, _ = _refine(norm.nerve, norm.center, norm.radius, 1.0, u, v, eid, norm.tol)
+        out.append(dataclasses.replace(norm, center=z, radius=r))
+    return out
+
+
+def assert_same_frame(got, want):
+    """Bit for bit: the whites, their derived arrays and the records."""
+    assert got.lines == want.lines and got.normalization == want.normalization
+    for x, y in [
+        (got.center, want.center), (got.radius, want.radius), (got.points, want.points),
+        *zip(got.disks, want.disks), (got.residuals, want.residuals),
+    ]:
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def block_packings(name):
+    if name != "fal_corpus-4":
+        d = catalog.two_bridge_chain(41) if name == "chain-41" else catalog.pretzel_link([3] * 10)
+        return [solve_packing(build_nerve(augment(d)[0]))]
+    packings = []
+    for _name, al in fal_corpus(4):
+        try:
+            packings.append(solve_packing(build_nerve(al)))
+        except UnsupportedLinkError:
+            continue
+    return packings
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("name", ["chain-41", "pretzel-3x10", "fal_corpus-4"])
+    def test_block_frames_are_the_single_frames(self, name):
+        packings = block_packings(name)
+        assert packings
+        for packing in packings:
+            nerve = packing.nerve
+            eids = np.array([nerve.cusp_edges[c][0] for c in nerve.cusps()])
+            assert nerve.infinity_edge in eids  # the cusp already at infinity
+            block = normalize_at_vertex(packing, eids)
+            backwards = normalize_at_vertex(packing, eids[::-1])[::-1]
+            assert len(block) == len(backwards) == len(eids)
+            for eid, got, rev in zip(eids.tolist(), block, backwards):
+                one = normalize_at_vertex(packing, eid)
+                assert one.normalization["infinity_edge"] == eid
+                assert_same_frame(got, one)
+                assert_same_frame(rev, one)
+
+    def test_a_block_of_one_is_a_list(self):
+        packing = solve_packing(build_nerve(augment(catalog.rational_link([2, 2, 2]))[0]))
+        (frame,) = normalize_at_vertex(packing, np.array([3]))
+        assert_same_frame(frame, normalize_at_vertex(packing, 3))
 
 
 class TestPolishOnlyWhenNeeded:
@@ -640,9 +689,13 @@ class TestPolishOnlyWhenNeeded:
         packing = dataclasses.replace(
             packing, center=packing.center.astype(complex), radius=packing.radius.astype(float)
         )
-        norms = [normalize_at_vertex(packing, nerve.cusp_edges[c][0]) for c in nerve.cusps()]
+        eids = [nerve.cusp_edges[c][0] for c in nerve.cusps()]
+        norms = [normalize_at_vertex(packing, eid) for eid in eids]
+        block = normalize_at_vertex(packing, np.array(eids))
         polished = [n for n in norms if n.normalization["polish"]["unknowns"]]
         assert polished
+        for norm, row in zip(norms, block):
+            assert_same_frame(row, norm)  # a polished row too, as polished alone
         for norm in polished:
             polish = norm.normalization["polish"]
             assert polish["before"] > packing.tol
@@ -667,7 +720,10 @@ class TestPolishOnlyWhenNeeded:
         al, nerve, packing, _norms = frames(d)
         got = [geometry.analyze_cusp(al, c, packing=packing, nerve=nerve) for c in nerve.cusps()]
         monkeypatch.setattr(geometry, "normalize_at_vertex", always_polished)
-        want = [geometry.analyze_cusp(al, c, packing=packing, nerve=nerve) for c in nerve.cusps()]
+        # Its own packing: the reports of `packing` are kept with it.
+        reference = dataclasses.replace(packing)
+        want = [geometry.analyze_cusp(al, c, packing=reference, nerve=nerve) for c in nerve.cusps()]
+        assert not any(g is w for g, w in zip(got, want))
         for g, w in zip(got, want):
             g, w = g.to_dict(), w.to_dict()
             del g["witness"], w["witness"]  # may name another of tied candidates
