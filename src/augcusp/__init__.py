@@ -38,7 +38,6 @@ from .families import (
 )
 from .geometry import (
     CuspShape,
-    HoroballDiagram,
     analyze_cusp,
     assemble,
     cusp_shape,
@@ -65,7 +64,6 @@ __all__ = [
     "Diagram",
     "DiagramInvariantError",
     "FaceMap",
-    "HoroballDiagram",
     "Nerve",
     "PDSyntaxError",
     "Passage",

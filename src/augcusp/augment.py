@@ -28,7 +28,7 @@ from .diagram import (
     detect_twist_regions,
     full_ribbon_braid,
 )
-from .errors import DiagramInvariantError
+from .errors import DiagramInvariantError, UnsupportedLinkError
 
 Dart = tuple[int, str]  # (slot, side); side "E" points at the retained crossing
 
@@ -336,6 +336,11 @@ def _face_coloring(d: Diagram, fm, component: str) -> dict[int, int] | None:
 def _check_regions(d: Diagram, regions: list[TwistRegion]) -> None:
     seen: set[int] = set()
     for r in regions:
+        if r.strand_count != 2:
+            raise UnsupportedLinkError(
+                f"region on crossings {r.crossings} has {r.strand_count} strands; "
+                "augment inserts crossing circles around two-strand regions only"
+            )
         for c in r.crossings:
             if not 0 <= c < len(d.crossings):
                 raise DiagramInvariantError(f"region crossing {c} not in diagram")

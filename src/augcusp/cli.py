@@ -29,7 +29,7 @@ from .errors import (
     PDSyntaxError,
     UnsupportedLinkError,
 )
-from .geometry import analyze_cusp, verify_meridian_bound
+from .geometry import analyze_cusp, assemble, verify_meridian_bound
 from .packing import build_nerve, normalize_at_vertex, solve_packing
 
 log = logging.getLogger("augcusp")
@@ -141,7 +141,7 @@ def cmd_cusp(args) -> int:
             mid = families.twobridge_middle_circle(fam)
             nerve = build_nerve(fam.parent)
             packing = solve_packing(nerve, tol=tol, max_iter=args.max_iter)
-            rep = analyze_cusp(fam.parent, mid, tol=tol, packing=packing, nerve=nerve)
+            rep = analyze_cusp(fam.parent, mid, tol=tol, packing=packing)
             counts = families.twobridge_filled_strand_counts(n, r) if any(r) else None
             doc = {
                 "family": "twobridge",
@@ -199,7 +199,7 @@ def cmd_cusp(args) -> int:
     packing = solve_packing(nerve, tol=tol, max_iter=args.max_iter)
     reports = {}
     for cusp in nerve.cusps():
-        rep = analyze_cusp(al, cusp, tol=tol, packing=packing, nerve=nerve)
+        rep = analyze_cusp(al, cusp, tol=tol, packing=packing)
         reports[cusp] = rep.to_dict()
     doc = {"cusps": reports}
     _emit(doc, args)
@@ -209,15 +209,11 @@ def cmd_cusp(args) -> int:
             f"longitude {repd['longitude_length']:.6f}"
         )
     if args.render:
-        from .geometry import assemble, maximal_cusp
-
         target = (nerve.knotting_cusps or nerve.cusps())[0]
         norm = normalize_at_vertex(packing, nerve.cusp_edges[target][0])
         _render_to(args.render, render.packing_svg(norm))
-        hd = assemble(norm, al)
-        maximal_cusp(hd, target)
         horo_path = str(Path(args.render).with_suffix(".horoballs.svg"))
-        _render_to(horo_path, render.horoball_svg(hd, target))
+        _render_to(horo_path, render.horoball_svg(assemble(norm)))
     return 0
 
 

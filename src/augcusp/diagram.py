@@ -438,34 +438,39 @@ def detect_twist_regions(d: Diagram) -> list[TwistRegion]:
                 if nb not in comp:
                     comp.add(nb)
                     stack.append(nb)
-        ends = sorted(c for c in comp if len(links[c]) == 1)
-        is_cycle = not ends
-        start = ends[0] if ends else min(comp)
-        chain = [start]
-        pairs: list[Face] = []
-        prev_face: Face | None = None
-        cur = start
-        while True:
-            step = None
-            for f, nb in links[cur]:
-                if f is not prev_face:
-                    step = (f, nb)
-                    break
-            if step is None:
-                break
-            f, nb = step
-            pairs.append(f)
-            if nb == start:
-                break  # cycle closed; the closing bigon is recorded
-            chain.append(nb)
-            prev_face, cur = f, nb
         visited.update(comp)
-        if set(chain) != comp:
-            raise DiagramInvariantError(
-                "bigon adjacency is not a simple chain; not a reduced diagram"
-            )
-        regions.append(_chain_region(d, chain, pairs, is_cycle))
+        regions.append(_walk_chain(d, links, comp))
     return regions
+
+
+def _walk_chain(d: Diagram, links: dict, comp: set[int]) -> TwistRegion:
+    """The chain region of crossings joined by the bigons of `links`, walked
+    from its least end (its least crossing, for a cycle)."""
+    ends = sorted(c for c in comp if len(links[c]) == 1)
+    start = ends[0] if ends else min(comp)
+    chain = [start]
+    pairs: list[Face] = []
+    prev_face: Face | None = None
+    cur = start
+    while True:
+        step = None
+        for f, nb in links[cur]:
+            if f is not prev_face:
+                step = (f, nb)
+                break
+        if step is None:
+            break
+        f, nb = step
+        pairs.append(f)
+        if nb == start:
+            break  # cycle closed; the closing bigon is recorded
+        chain.append(nb)
+        prev_face, cur = f, nb
+    if set(chain) != comp:
+        raise DiagramInvariantError(
+            "bigon adjacency is not a simple chain; not a reduced diagram"
+        )
+    return _chain_region(d, chain, pairs, not ends)
 
 
 def _crossing_handed(d: Diagram, ci: int) -> int:
@@ -654,7 +659,8 @@ def validate_generalized_region(
                 "over and under passes are unbalanced: not a ribbon twist "
                 f"(first offending crossing {offender})"
             )
-    # For two strands also demand alternation (rules out reducible pairs).
+    # For two strands also demand alternation (rules out reducible pairs),
+    # and return the bigon chain in order, with its bigons, as detected.
     if m == 2:
         for path in strands:
             roles = [r for _, r in path]
@@ -664,6 +670,14 @@ def validate_generalized_region(
                         "strand does not alternate over and under: reducible "
                         f"pair (first offending crossing {path[0][0]})"
                     )
+        if n > 1:
+            links: dict = {c: [] for c in ids}
+            for f in d.face_map.bigons:
+                (c1, _), (c2, _) = f.corners
+                if c1 in links and c2 in links:
+                    links[c1].append((f, c2))
+                    links[c2].append((f, c1))
+            return _walk_chain(d, links, set(ids))
     handed = _crossing_handed(d, ids[0])
     return TwistRegion(
         crossings=list(ids),

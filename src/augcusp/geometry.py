@@ -12,7 +12,7 @@ reflection-surface lifts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from weakref import WeakKeyDictionary
 
 from .augment import AugmentedLink
@@ -25,23 +25,6 @@ from .packing import CirclePacking, Nerve, build_nerve, normalize_at_vertex, sol
 import numpy as np
 
 WDart = tuple[str, int, str]
-
-
-@dataclass
-class HoroballDiagram:
-    """Hemisphere faces and cusp data for a packing normalized at a cusp."""
-
-    nerve: Nerve
-    packing: CirclePacking
-    cusp_at_infinity: str
-    infinity_edge: int
-    strip_height: float
-    horoballs: dict[str, list[tuple[complex, float]]] = field(default_factory=dict)
-
-    def finite_radius_max(self) -> float:
-        rs = np.concatenate((self.packing.radius, self.packing.disks[1]))
-        rs = rs[np.isfinite(rs)]
-        return float(rs.max()) if rs.size else 0.0
 
 
 @dataclass
@@ -69,40 +52,33 @@ class CuspShape:
         return abs(cross) / self.height**2
 
 
-def assemble(packing: CirclePacking, al: AugmentedLink) -> HoroballDiagram:
-    """Hemispheres over every face of a packing normalized at a cusp."""
-    nerve = packing.nerve
-    frame = packing.normalization.get("frame")
-    if frame not in ("unit-strip", "strip"):
+def assemble(frame: CirclePacking) -> CirclePacking:
+    """The residual gate of a packing normalized at a cusp: returns the
+    frame, which is all that the measuring functions below take."""
+    if frame.normalization.get("frame") not in ("unit-strip", "strip"):
         raise ValueError("packing must be normalized with a cusp at infinity")
-    eid = packing.normalization["infinity_edge"]
-    gate = packing.tol * max(1.0, packing.scale()) * 10
-    worst = packing.max_residual()
+    eid = frame.normalization["infinity_edge"]
+    gate = frame.tol * max(1.0, frame.scale()) * 10
+    worst = frame.max_residual()
     if not worst <= gate:
         raise ConvergenceError(
             f"assemble: tangency residual {worst:.3e} with edge {eid} at "
             f"infinity exceeds {gate:.3e}; refusing to assemble geometry",
             worst,
         )
-    return HoroballDiagram(
-        nerve=nerve,
-        packing=packing,
-        cusp_at_infinity=nerve.edges[eid].cusp,
-        infinity_edge=eid,
-        strip_height=packing.height,
-    )
+    return frame
 
 
-def _cusp_disk_spacing(hd: HoroballDiagram) -> float:
+def _cusp_disk_spacing(frame: CirclePacking) -> float:
     """Distance between the two vertical crossing-disk lifts through the cusp."""
-    center, radius = hd.packing.disks
-    lifts = hd.nerve.edge_triangles[hd.infinity_edge]
+    center, radius = frame.disks
+    lifts = frame.nerve.edge_triangles[frame.normalization["infinity_edge"]]
     if not np.isinf(radius[lifts]).all():
         raise ValueError("crossing-disk lift at the cusp is not vertical")
     return float(abs(center[lifts[1]].real - center[lifts[0]].real))
 
 
-def _kappa(hd: HoroballDiagram, eid):
+def _kappa(frame: CirclePacking, eid):
     """Matched horoball size constant at finite tangencies of the cusp.
 
     Renormalizing the tangency to infinity with the reflection-plane spacing
@@ -110,22 +86,17 @@ def _kappa(hd: HoroballDiagram, eid):
     kappa / h; kappa = H / (1/(2 r_a) + 1/(2 r_b)) over the two whites
     tangent there (a line adds 0).  eid is an edge id or an array of them.
     """
-    a, b = hd.nerve.ends
-    r = hd.packing.radius
-    return hd.strip_height / (0.5 / r[a[eid]] + 0.5 / r[b[eid]])
+    a, b = frame.nerve.ends
+    r = frame.radius
+    return frame.height / (0.5 / r[a[eid]] + 0.5 / r[b[eid]])
 
 
-def cusp_lattice(hd: HoroballDiagram, cusp: str) -> tuple[complex, complex, dict]:
+def cusp_lattice(frame: CirclePacking) -> tuple[complex, complex, dict]:
     """Meridian and longitude translations of the cusp at infinity."""
-    if cusp != hd.cusp_at_infinity:
-        raise ValueError(
-            f"cusp {cusp!r} is not at infinity (normalize there first)"
-        )
-    nerve = hd.nerve
-    h = hd.strip_height
-    eid = hd.infinity_edge
-    e = nerve.edges[eid]
-    w_inf = _cusp_disk_spacing(hd)
+    nerve = frame.nerve
+    h = frame.height
+    e = nerve.edges[frame.normalization["infinity_edge"]]
+    w_inf = _cusp_disk_spacing(frame)
 
     if e.kind == "circle":
         lab = e.cusp
@@ -166,34 +137,35 @@ def cusp_lattice(hd: HoroballDiagram, cusp: str) -> tuple[complex, complex, dict
     # Each rectangle's width: the cusp's own is w_inf; the others are
     # kappa times the spacing of the two crossing-disk faces flanking them.
     rest = np.array(walk[1:], dtype=np.intp)
-    disk_r = hd.packing.disks[1][nerve.edge_triangles[rest]]
-    widths = [w_inf] + (_kappa(hd, rest) * (0.5 / disk_r).sum(axis=1)).tolist()
+    disk_r = frame.disks[1][nerve.edge_triangles[rest]]
+    widths = [w_inf] + (_kappa(frame, rest) * (0.5 / disk_r).sum(axis=1)).tolist()
     longitude = sum(widths) + 1j * shear
     info = {"rectangles": steps, "widths": widths}
     return meridian, longitude, info
 
 
 def maximal_cusp(
-    hd: HoroballDiagram, cusp: str, lattice: tuple[complex, complex] | None = None
-) -> tuple[float, str]:
-    """Height of the maximal cusp horoball about infinity, with a witness.
+    frame: CirclePacking, lattice: tuple[complex, complex] | None = None
+) -> tuple[float, str, list[tuple[complex, float]]]:
+    """Height of the maximal cusp horoball about infinity, a witness, and the
+    cusp's other horoballs at that height as (tangency point, diameter).
 
     The horoball expands until it meets a face of the polyhedra or a
     translate of itself; translate sizes come from the matched development
     of the other lifts of the same cusp.  lattice is the cusp's (meridian,
-    longitude), when the caller has it from cusp_lattice.  Records the
-    cusp's horoballs at that height in hd.horoballs.
+    longitude), when the caller has it from cusp_lattice.
     """
-    if cusp != hd.cusp_at_infinity:
-        raise ValueError(f"cusp {cusp!r} is not at infinity")
-    nerve = hd.nerve
-    best = hd.finite_radius_max()
+    nerve = frame.nerve
+    eid = frame.normalization["infinity_edge"]
+    rs = np.concatenate((frame.radius, frame.disks[1]))
+    rs = rs[np.isfinite(rs)]
+    best = float(rs.max()) if rs.size else 0.0
     witness = "face tangency"
     eids = np.array(
-        [k for k in nerve.cusp_edges[cusp] if k != hd.infinity_edge], dtype=np.intp
+        [k for k in nerve.cusp_edges[nerve.edges[eid].cusp] if k != eid], dtype=np.intp
     )
-    pts = hd.packing.points[eids]
-    kap = _kappa(hd, eids)
+    pts = frame.points[eids]
+    kap = _kappa(frame, eids)
     if eids.size and math.sqrt(kap.max()) > best:
         k = int(np.argmax(kap))
         best = math.sqrt(kap[k])
@@ -201,7 +173,7 @@ def maximal_cusp(
     # Pairs (p_i, p_j + t), t a nearby lattice translate: the two balls
     # touch at height sqrt(kappa_i kappa_j) / |p_j + t - p_i|, so the pair
     # of least |p_j + t - p_i| / sqrt(kappa_i kappa_j) is the highest.
-    mu, lam = lattice if lattice is not None else cusp_lattice(hd, cusp)[:2]
+    mu, lam = lattice if lattice is not None else cusp_lattice(frame)[:2]
     shifts = [a * mu + b * lam for a in (-1, 0, 1) for b in (-1, 0, 1)] if eids.size else []
     x, y, root = pts.real, pts.imag, np.sqrt(kap)
     for t in shifts:
@@ -216,21 +188,21 @@ def maximal_cusp(
         cand = math.sqrt(kap[i] * kap[j]) / abs(pts[j] + t - pts[i])
         if cand > best + 1e-15:
             best = cand
-            witness = f"horoball pair at edges near {i},{j}"
-    hd.horoballs[cusp] = list(zip(pts.tolist(), (kap / best).tolist()))
-    return best, witness
+            witness = f"horoball pair at edges near {eids[i]},{eids[j]}"
+    return best, witness, list(zip(pts.tolist(), (kap / best).tolist()))
 
 
-def cusp_shape(hd: HoroballDiagram, cusp: str) -> CuspShape:
-    return _measure(hd, cusp)[0]
+def cusp_shape(frame: CirclePacking) -> CuspShape:
+    return _measure(frame)[0]
 
 
-def _measure(hd: HoroballDiagram, cusp: str) -> tuple[CuspShape, str]:
+def _measure(frame: CirclePacking) -> tuple[CuspShape, str]:
     """Cusp shape and the witness of its height, from one lattice."""
-    mu, lam, _ = cusp_lattice(hd, cusp)
-    h, witness = maximal_cusp(hd, cusp, (mu, lam))
+    mu, lam, _ = cusp_lattice(frame)
+    h, witness, _ = maximal_cusp(frame, (mu, lam))
     if (lam / mu).imag < 0:
         lam = -lam  # orient the modulus into the upper half plane
+    cusp = frame.nerve.edges[frame.normalization["infinity_edge"]].cusp
     return CuspShape(cusp=cusp, meridian=mu, longitude=lam, height=h), witness
 
 
@@ -286,32 +258,37 @@ def analyze_cusp(
 ) -> CuspReport:
     """Full pipeline: nerve, packing, normalization and cusp measurement.
 
-    The first call for a packing analyses all its cusps, in blocks, and
-    keeps their reports (or errors) with it for the later calls.
+    The first call for a given packing (whose own nerve is used) analyses
+    all its cusps, in blocks, and keeps their reports (or errors) with it.
+    Without a packing, a new one is solved and only the asked cusp is
+    measured; nothing is kept, as nobody else holds that packing.
     """
-    if nerve is None:
+    if packing is not None:
+        nerve = packing.nerve
+    elif nerve is None:
         nerve = build_nerve(al)
-    if packing is None:
-        packing = solve_packing(nerve, tol=tol, max_iter=max_iter)
     cusps = nerve.cusps()
     if cusp is None:
         cusp = (nerve.knotting_cusps or cusps)[0]
     if cusp not in cusps:
         raise UnsupportedLinkError(f"unknown cusp {cusp!r}; have {cusps}")
-    if packing not in _reports:
-        _reports[packing] = _analyze_every_cusp(packing, al)
-    report = _reports[packing][cusp]
+    if packing is None:
+        reports = _analyze(solve_packing(nerve, tol=tol, max_iter=max_iter), [cusp])
+    elif packing in _reports:
+        reports = _reports[packing]
+    else:
+        reports = _reports[packing] = _analyze(packing, cusps)
+    report = reports[cusp]
     if isinstance(report, Exception):
         raise report
     return report
 
 
-def _analyze_every_cusp(packing: CirclePacking, al: AugmentedLink) -> dict:
-    """Every cusp's report, or the error it met.  A block whose
-    normalization fails is redone one frame at a time, so that the error
-    stays with its cusp."""
+def _analyze(packing: CirclePacking, cusps: list[str]) -> dict:
+    """The report of each of the given cusps, or the error it met.  A block
+    whose normalization fails is redone one frame at a time, so that the
+    error stays with its cusp."""
     nerve = packing.nerve
-    cusps = nerve.cusps()
     size = max(1, _BLOCK_ELEMENTS // len(nerve.edges))
     blocks = [cusps[k:k + size] for k in range(0, len(cusps), size)]
     out: dict = {}
@@ -327,22 +304,21 @@ def _analyze_every_cusp(packing: CirclePacking, al: AugmentedLink) -> dict:
             continue
         for c, frame in zip(block, frames):
             try:
-                out[c] = _cusp_report(frame, al, c)
+                out[c] = _cusp_report(frame)
             except (ValueError, RuntimeError) as exc:  # what measuring raises
                 out[c] = exc
     return out
 
 
-def _cusp_report(normalized: CirclePacking, al: AugmentedLink, cusp: str) -> CuspReport:
-    hd = assemble(normalized, al)
-    shape, witness = _measure(hd, cusp)
-    width = hd.strip_height / shape.height
-    kind = "circle" if hd.nerve.edges[hd.infinity_edge].kind == "circle" else "knotting"
-    radii = np.concatenate((normalized.radius, normalized.disks[1]))
+def _cusp_report(frame: CirclePacking) -> CuspReport:
+    shape, witness = _measure(assemble(frame))
+    edge = frame.nerve.edges[frame.normalization["infinity_edge"]]
+    radii = np.concatenate((frame.radius, frame.disks[1]))
     diameters = np.sort(2.0 * radii[np.isfinite(radii)]).tolist()
     return CuspReport(
-        cusp=cusp, kind=kind, shape=shape, width=width, witness=witness, diameters=diameters,
-        spacing_white=hd.strip_height, spacing_disk=_cusp_disk_spacing(hd),
+        cusp=shape.cusp, kind="circle" if edge.kind == "circle" else "knotting", shape=shape,
+        width=frame.height / shape.height, witness=witness, diameters=diameters,
+        spacing_white=frame.height, spacing_disk=_cusp_disk_spacing(frame),
     )
 
 
@@ -364,8 +340,11 @@ def verify_meridian_bound(
         except UnsupportedLinkError as ex:
             entries.append({"name": name, "status": "SKIP", "reason": str(ex)})
             continue
+        reports = _analyze(packing, nerve.knotting_cusps)
         for cusp in nerve.knotting_cusps:
-            rep = analyze_cusp(al, cusp, tol=tol, packing=packing, nerve=nerve)
+            rep = reports[cusp]
+            if isinstance(rep, Exception):
+                raise rep
             m = float(rep.shape.meridian_length)
             w = float(rep.width)
             ok = bool(2.0 - 1e-9 <= m < 4.0 and 1.0 - 1e-9 <= w < 2.0)

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .geometry import HoroballDiagram
+from .geometry import maximal_cusp
 from .packing import CirclePacking
 
 _HEADER = (
@@ -76,11 +76,12 @@ def packing_svg(packing: CirclePacking) -> str:
     return _svg(packing, _DISK + ' stroke-dasharray="0.05,0.03"', dots)
 
 
-def horoball_svg(hd: HoroballDiagram, cusp: str) -> str:
-    """Horoballs (as circles sized by diameter) over the face traces."""
+def horoball_svg(frame: CirclePacking) -> str:
+    """The maximal cusp's horoballs (as circles sized by diameter) over the
+    face traces of a cusp frame."""
     balls = [
         f'<circle cx="{p.real:.5f}" cy="{p.imag + diam / 2:.5f}" r="{diam / 2:.5f}" '
         'fill="#9467bd" fill-opacity="0.45"/>\n'
-        for p, diam in hd.horoballs.get(cusp, [])
+        for p, diam in maximal_cusp(frame)[2]
     ]
-    return _svg(hd.packing, _DISK, balls)
+    return _svg(frame, _DISK, balls)

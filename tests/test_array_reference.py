@@ -18,32 +18,39 @@ from augcusp.geometry import _kappa, assemble, cusp_lattice, maximal_cusp
 from augcusp.packing import build_nerve, normalize_at_vertex, solve_packing
 
 
-def scalar_maximal_cusp(hd, cusp):
+def finite_radius_max(frame):
+    """The largest finite radius of a white or shaded face."""
+    radii = (*frame.radius.tolist(), *frame.disks[1].tolist())
+    return max((r for r in radii if math.isfinite(r)), default=0.0)
+
+
+def scalar_maximal_cusp(frame):
     """Reference: height, witness and every pair candidate (i, j) -> the
-    largest sqrt(kappa_i kappa_j) / |p_j + t - p_i| over the shifts t."""
-    nerve = hd.nerve
-    best = hd.finite_radius_max()
+    largest sqrt(kappa_i kappa_j) / |p_j + t - p_i| over the shifts t, with
+    i and j edge ids."""
+    nerve = frame.nerve
+    inf_edge = frame.normalization["infinity_edge"]
+    cusp = nerve.edges[inf_edge].cusp
+    best = finite_radius_max(frame)
     witness = "face tangency"
     lifts = []
     for k, e in enumerate(nerve.edges):
-        if e.cusp != cusp or k == hd.infinity_edge:
+        if e.cusp != cusp or k == inf_edge:
             continue
-        p = complex(hd.packing.points[k])
-        kap = float(_kappa(hd, k))
-        lifts.append((p, kap))
+        p = complex(frame.points[k])
+        kap = float(_kappa(frame, k))
+        lifts.append((k, p, kap))
         if math.sqrt(kap) > best:
             best = math.sqrt(kap)
             witness = f"horoball tangency at edge {k}"
-    mu, lam = cusp_lattice(hd, cusp)[:2]
+    mu, lam = cusp_lattice(frame)[:2]
     shifts = [a * mu + b * lam for a in (-1, 0, 1) for b in (-1, 0, 1)]
     pair = {}
-    for i in range(len(lifts)):
-        for j in range(len(lifts)):
+    for i, p, kp in lifts:
+        for j, q, kq in lifts:
             for t in shifts:
                 if i == j and abs(t) < 1e-14:
                     continue
-                p, kp = lifts[i]
-                q, kq = lifts[j]
                 d = abs((q + t) - p)
                 if d < 1e-14:
                     continue
@@ -102,9 +109,9 @@ IDS = [f"{name}:{cusp}" for name, _al, cusp, _norm in FRAMES]
 
 @pytest.mark.parametrize("name, al, cusp, norm", FRAMES, ids=IDS)
 def test_maximal_cusp_matches_scalar_loop(name, al, cusp, norm):
-    hd = assemble(norm, al)
-    ref_height, ref_witness, pair = scalar_maximal_cusp(hd, cusp)
-    height, witness = maximal_cusp(hd, cusp)
+    frame = assemble(norm)
+    ref_height, ref_witness, pair = scalar_maximal_cusp(frame)
+    height, witness, _ = maximal_cusp(frame)
     assert abs(height - ref_height) <= 1e-12 * ref_height
     if witness != ref_witness:
         # Only a tie may name another witness: both attain the height.
@@ -113,9 +120,9 @@ def test_maximal_cusp_matches_scalar_loop(name, al, cusp, norm):
             if w.startswith("horoball pair"):
                 value = pair[tuple(map(int, last.split(",")))]
             elif w.startswith("horoball tangency"):
-                value = math.sqrt(_kappa(hd, int(last)))
+                value = math.sqrt(_kappa(frame, int(last)))
             else:
-                value = hd.finite_radius_max()
+                value = finite_radius_max(frame)
             assert abs(value - ref_height) <= 1e-12 * ref_height
 
 

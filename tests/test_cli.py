@@ -7,6 +7,7 @@ import pytest
 
 import augcusp
 from augcusp import catalog
+from augcusp.diagram import full_ribbon_braid
 
 CLI = [sys.executable, "-m", "augcusp.cli"]
 # The CLI runs from the source tree the tests import.
@@ -66,6 +67,29 @@ class TestAugment:
         ann.write_text(json.dumps([{"crossings": [0, 1, 2]}, {"crossings": [2]}]))
         r = run("augment", str(diagrams / "trefoil.json"), "--annotations", str(ann))
         assert r.returncode == 3
+
+    def test_annotated_sub_chain_augments_and_roundtrips(self, diagrams, tmp_path):
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps([{"crossings": [0, 1]}, {"crossings": [2]}]))
+        r = run("augment", str(diagrams / "trefoil.json"), "--annotations", str(ann),
+                "--roundtrip")
+        assert r.returncode == 0, r.stderr
+        assert "roundtrip ok" in r.stderr
+        assert len(json.loads(r.stdout)["link"]["circles"]) == 2
+
+    def test_three_strand_annotation_exit_3(self, tmp_path):
+        # A full ribbon twist of three strands (6 crossings), closed up by a
+        # second one: it validates, but augment handles two strands only.
+        word = full_ribbon_braid(3, 1)
+        (tmp_path / "ribbon.json").write_text(
+            catalog.braid_closure(3, word + word).to_json()
+        )
+        ann = tmp_path / "ann.json"
+        ann.write_text(json.dumps([{"crossings": list(range(len(word))), "strands": 3}]))
+        r = run("augment", str(tmp_path / "ribbon.json"), "--annotations", str(ann))
+        assert r.returncode == 3
+        assert r.stderr.startswith("validation error: ") and "3 strands" in r.stderr
+        assert "Traceback" not in r.stderr
 
 
 class TestCusp:

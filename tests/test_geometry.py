@@ -96,13 +96,13 @@ class TestScaling:
         packing = solve_packing(nerve)
         eid = min(k for k, e in enumerate(nerve.edges) if e.cusp == "0")
         norm = normalize_at_vertex(packing, eid)
-        hd1 = assemble(norm, al)
-        h1, _ = maximal_cusp(hd1, "0")
-        s1 = cusp_shape(hd1, "0")
+        frame1 = assemble(norm)
+        h1, _, _ = maximal_cusp(frame1)
+        s1 = cusp_shape(frame1)
         doubled = dataclasses.replace(norm, center=2.0 * norm.center, radius=2.0 * norm.radius)
-        hd2 = assemble(doubled, al)
-        h2, _ = maximal_cusp(hd2, "0")
-        s2 = cusp_shape(hd2, "0")
+        frame2 = assemble(doubled)
+        h2, _, _ = maximal_cusp(frame2)
+        s2 = cusp_shape(frame2)
         assert abs(h2 - 2 * h1) <= 1e-9
         assert abs(s1.meridian_length - s2.meridian_length) <= 1e-9
         assert abs(s1.longitude_length - s2.longitude_length) <= 1e-9
@@ -123,9 +123,7 @@ class TestInvariants:
         packing = solve_packing(nerve)
         eid = min(k for k, e in enumerate(nerve.edges) if e.cusp == "0")
         norm = normalize_at_vertex(packing, eid)
-        hd = assemble(norm, al)
-        h, _ = maximal_cusp(hd, "0")
-        balls = hd.horoballs["0"]
+        h, _, balls = maximal_cusp(assemble(norm))
         # Every face: the whites (lines y = const) and the shaded circles
         # (lines x = const), as (centre, radius, vertical).
         faces = [(z, r, False) for z, r in zip(norm.center.tolist(), norm.radius.tolist())]
@@ -156,9 +154,7 @@ class TestInvariants:
             eid = min(k for k, e in enumerate(nerve.edges) if e.cusp == cusp)
             packing = solve_packing(nerve)
             norm = normalize_at_vertex(packing, eid)
-            hd = assemble(norm, al)
-            h, _ = maximal_cusp(hd, cusp)
-            balls = hd.horoballs[cusp]
+            h, _, balls = maximal_cusp(assemble(norm))
             for i in range(len(balls)):
                 for j in range(i + 1, len(balls)):
                     (p, dp), (q, dq) = balls[i], balls[j]
@@ -171,14 +167,12 @@ class TestInvariants:
         packing = solve_packing(nerve)
         eid = min(k for k, e in enumerate(nerve.edges) if e.cusp == "0")
         norm = normalize_at_vertex(packing, eid)
-        hd = assemble(norm, al)
-        area = cusp_shape(hd, "0").torus_area
+        area = cusp_shape(assemble(norm)).torus_area
         assert area > 0
         scaled = dataclasses.replace(
             norm, center=3.0 * norm.center + (1.0 + 2.0j), radius=3.0 * norm.radius
         )
-        hd2 = assemble(scaled, al)
-        area2 = cusp_shape(hd2, "0").torus_area
+        area2 = cusp_shape(assemble(scaled)).torus_area
         assert abs(area - area2) <= 1e-9
 
 
@@ -317,7 +311,7 @@ class TestRefusal:
         eid = min(k for k, e in enumerate(nerve.edges) if e.cusp == "0")
         norm = normalize_at_vertex(packing, eid)
         with pytest.raises(ConvergenceError, match="^assemble: ") as info:
-            assemble(norm, al)
+            assemble(norm)
         assert info.value.worst_residual == norm.max_residual() > 0
 
 
@@ -346,6 +340,20 @@ class TestReportsPerPacking:
         other = [analyze_cusp(al, c, packing=fresh, nerve=nerve) for c in nerve.cusps()]
         assert len(calls) == 2
         assert [r.to_dict() for r in other] == [r.to_dict() for r in first]
+
+    def test_verify_normalizes_only_knotting_frames(self, monkeypatch):
+        al, _ = augment(catalog.two_bridge_chain(13))
+        nerve = build_nerve(al)
+        calls = self.count_normalizations(monkeypatch)
+        report = verify_meridian_bound([("chain-13", al)])
+        assert calls == [len(nerve.knotting_cusps)] == [2]  # of 15 cusps
+        assert [e["cusp"] for e in report["entries"]] == nerve.knotting_cusps
+
+    def test_without_a_packing_one_frame_is_normalized(self, monkeypatch):
+        al, _ = augment(catalog.two_bridge_chain(13))
+        calls = self.count_normalizations(monkeypatch)
+        assert analyze_cusp(al, "C3").cusp == "C3"
+        assert calls == [1]
 
     def test_every_cusp_of_chain_121_in_bounded_memory(self, monkeypatch):
         # 123 cusps of 363 edges, normalized in blocks of 22: the kept

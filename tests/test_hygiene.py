@@ -1,7 +1,8 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
-Every import of a module is used in it, and every module-level private
-function is referenced somewhere in the package besides its definition.
+Every import of a module is used in it, every module-level private
+function is referenced somewhere in the package besides its definition, and
+every parameter of every function is read in its body.
 """
 
 import ast
@@ -59,3 +60,21 @@ def test_every_private_function_is_referenced():
         and node.name not in referenced
     ]
     assert not dead
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for name, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            label = getattr(node, "name", "<lambda>")
+            unread += [f"{name}:{node.lineno} {label}({p})" for p in params if p not in read]
+    assert not unread

@@ -314,9 +314,9 @@ class TestNanTolerance:
         al, _ = augment(catalog.two_bridge_chain(5))
         nerve = build_nerve(al)
         norm = normalize_at_vertex(solve_packing(nerve), 0)
-        geometry.assemble(norm, al)
+        geometry.assemble(norm)
         with pytest.raises(ConvergenceError):
-            geometry.assemble(dataclasses.replace(norm, tol=math.nan), al)
+            geometry.assemble(dataclasses.replace(norm, tol=math.nan))
 
 
 class TestCentreRadius:

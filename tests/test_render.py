@@ -57,13 +57,12 @@ def test_cusp_frame_svgs_match_the_arrays():
     for e, p in zip(dots, points.tolist()):
         assert e.tag == NS + "circle" and close(e, cx=p.real, cy=p.imag)
 
-    hd = assemble(norm, al)
-    maximal_cusp(hd, cusp)
-    horo = render.horoball_svg(hd, cusp)
+    horo = render.horoball_svg(assemble(norm))
+    _, _, horoballs = maximal_cusp(norm)
     assert_faces(elements(horo, WHITE), norm.center, norm.radius, vertical=False)
     assert_faces(elements(horo, DISK), *norm.disks, vertical=True)
     balls = elements(horo, BALL)
-    assert len(balls) == len(hd.horoballs[cusp]) > 0
-    for e, (p, diam) in zip(balls, hd.horoballs[cusp]):
+    assert len(balls) == len(horoballs) > 0
+    for e, (p, diam) in zip(balls, horoballs):
         assert close(e, cx=p.real, cy=p.imag + diam / 2, r=diam / 2)
     assert not elements(horo, DOT)
