@@ -173,15 +173,6 @@ class SlopeLedger:
 # -- region analysis ----------------------------------------------------------
 
 
-def _region_disk_edges(d: Diagram, r: TwistRegion) -> tuple[Edge, Edge]:
-    """The two original edges the crossing disk cuts, as (slot 0, slot 1)."""
-    if r.crossing_count == 1:
-        ci = r.crossings[0]
-        return d.crossings[ci][0], d.crossings[ci][3]
-    ea, eb = r.bigon_edge_pairs[0]
-    return ea, eb
-
-
 def _thread_to_external(d, occ, internal: set[Edge], c: int, s: int) -> HalfEnd:
     """Follow a strand from the occurrence (c, s) until it exits the region."""
     while True:
@@ -192,19 +183,26 @@ def _thread_to_external(d, occ, internal: set[Edge], c: int, s: int) -> HalfEnd:
         c, s = _other_end(occ, e, (c, exit_slot))
 
 
-def _region_structure(d: Diagram, r: TwistRegion, fm, corner_face):
+def _region_structure(d: Diagram, r: TwistRegion, fm):
     occ = d.occurrences()
     S = set(r.crossings)
     internal = {
         e for c in S for e in d.crossings[c] if occ[e][0][0] in S and occ[e][1][0] in S
     }
-    ea, eb = _region_disk_edges(d, r)
+    # The two original edges the crossing disk cuts, as (slot 0, slot 1), and
+    # their E-side anchor occurrences (at the retained crossing).
+    c1 = r.crossings[0]
+    if r.crossing_count == 1:
+        ea, eb = d.crossings[c1][0], d.crossings[c1][3]
+        disk_occs = ((c1, 0), (c1, 3))
+    else:
+        ea, eb = r.bigon_edge_pairs[0]
+        disk_occs = tuple(a if a[0] == c1 else b for a, b in (occ[ea], occ[eb]))
 
     # Lateral faces: beyond the slot-0 strand and beyond the slot-1 strand.
     if r.crossing_count == 1:
-        ci = r.crossings[0]
-        lat_n = corner_face[(ci, 0)]
-        lat_s = corner_face[(ci, 2)]
+        lat_n = fm.face_of_corner((c1, 0))
+        lat_s = fm.face_of_corner((c1, 2))
     else:
         # The first face along each disk edge that is not a bigon of the region.
         lat_n, lat_s = (
@@ -228,17 +226,14 @@ def _region_structure(d: Diagram, r: TwistRegion, fm, corner_face):
     if len(darts) == 4:
         dart_labels: dict[HalfEnd, Dart] = {}
         if r.crossing_count == 1:
-            ci = r.crossings[0]
-            dart_labels[(ci, 0)] = (0, "W")
-            dart_labels[(ci, 2)] = (0, "E")
-            dart_labels[(ci, 3)] = (1, "W")
-            dart_labels[(ci, 1)] = (1, "E")
+            dart_labels[(c1, 0)] = (0, "W")
+            dart_labels[(c1, 2)] = (0, "E")
+            dart_labels[(c1, 3)] = (1, "W")
+            dart_labels[(c1, 1)] = (1, "E")
         else:
-            c1 = r.crossings[0]
             for slot, e in ((0, ea), (1, eb)):
-                occ_a, occ_b = occ[e]
-                near = occ_a if occ_a[0] == c1 else occ_b
-                far = occ_b if near is occ_a else occ_a
+                near = disk_occs[slot]
+                far = _other_end(occ, e, near)
                 dart_labels[_thread_to_external(d, occ, internal, *near)] = (slot, "E")
                 dart_labels[_thread_to_external(d, occ, internal, *far)] = (slot, "W")
         if set(dart_labels) != set(darts):
@@ -256,21 +251,9 @@ def _region_structure(d: Diagram, r: TwistRegion, fm, corner_face):
             s = t
             cyc.append((c, s))
         rotation = [dart_labels[x] for x in cyc]
-        gaps = [corner_face[x] for x in cyc]
+        gaps = [fm.face_of_corner(x) for x in cyc]
         if {lat_n, lat_s} - set(gaps):
             raise DiagramInvariantError("lateral faces missing from region walk")
-
-    # E-side anchor occurrence of each disk edge (at the retained crossing).
-    if r.crossing_count == 1:
-        ci = r.crossings[0]
-        disk_occs = ((ci, 0), (ci, 3))
-    else:
-        c1 = r.crossings[0]
-        pair = []
-        for e in (ea, eb):
-            occ_a, occ_b = occ[e]
-            pair.append(occ_a if occ_a[0] == c1 else occ_b)
-        disk_occs = tuple(pair)
 
     # Local frame handedness: +1 when slot1 sits counterclockwise-next from
     # slot0 at the E-side crossing.
@@ -279,12 +262,7 @@ def _region_structure(d: Diagram, r: TwistRegion, fm, corner_face):
 
     # Twist pattern: the braid letter sign is anchored at the crossing
     # adjacent to the disk that gets removed and reinserted.
-    if r.crossing_count == 1:
-        pattern_anchor = r.crossings[0]
-    elif r.half_twist:
-        pattern_anchor = r.crossings[1]
-    else:
-        pattern_anchor = r.crossings[0]
+    pattern_anchor = r.crossings[1] if r.half_twist and r.crossing_count > 1 else c1
     occ_a, occ_b = occ[ea]
     anchor_occ = occ_a if occ_a[0] == pattern_anchor else occ_b
     slot0_under = anchor_occ[1] % 2 == 0
@@ -304,30 +282,36 @@ def _region_structure(d: Diagram, r: TwistRegion, fm, corner_face):
     }
 
 
-def _face_coloring(d: Diagram, fm, component: str) -> dict[int, int] | None:
-    """2-coloring of faces by crossing parity with the component's curve."""
+def _face_colorings(d: Diagram, fm) -> tuple[dict[int, int], dict[str, int]]:
+    """2-colorings of faces by crossing parity with each component's curve.
+
+    One search over the faces carries a bit per component.  Returns the bits
+    of each face, and the bit position of each component whose coloring
+    holds: not one whose curve touches a face on both sides or whose
+    parities conflict, and none when the faces are not connected.
+    """
+    labels = sorted(set(d.components.values()))
+    bit = {lab: 1 << j for j, lab in enumerate(labels)}
     edge_faces = fm.edge_faces
     color = {0: 0}
+    bad = 0
     stack = [0]
     while stack:
         i = stack.pop()
         for e in fm.faces[i].boundary:
-            flip = 1 if d.components.get(e) == component else 0
-            for j in edge_faces[e]:
-                want = color[i] ^ flip
-                if j == i:
-                    if flip == 1 and edge_faces[e].count(i) == 2:
-                        return None  # curve touches the face on both sides
-                    continue
-                if j in color:
-                    if color[j] != want:
-                        return None
-                else:
-                    color[j] = want
-                    stack.append(j)
+            flip = bit[d.components[e]]
+            f, g = edge_faces[e]
+            j = g if f == i else f
+            if j == i:
+                bad |= flip  # the curve touches the face on both sides
+            elif j in color:
+                bad |= color[j] ^ color[i] ^ flip
+            else:
+                color[j] = color[i] ^ flip
+                stack.append(j)
     if len(color) != len(fm.faces):
-        return None
-    return color
+        return color, {}
+    return color, {lab: j for j, lab in enumerate(labels) if not bad >> j & 1}
 
 
 # -- the augmentation splice ---------------------------------------------------
@@ -362,23 +346,13 @@ def augment(
     _check_regions(d, regions)
     occ = d.occurrences()
     fm = d.face_map
-    corner_face = fm.face_of_corner()
-    colorings = {
-        comp: _face_coloring(d, fm, comp) for comp in set(d.components.values())
-    }
+    color, bits = _face_colorings(d, fm)
 
-    infos = []
-    for idx, r in enumerate(regions):
-        label = f"C{idx + 1}"
-        st = _region_structure(d, r, fm, corner_face)
-        infos.append((label, r, st))
-
-    removed: set[int] = set()
-    for _, r, _st in infos:
-        keep = r.crossings[0] if r.half_twist else None
-        for c in r.crossings:
-            if c != keep:
-                removed.add(c)
+    infos = [
+        (f"C{idx + 1}", r, _region_structure(d, r, fm)) for idx, r in enumerate(regions)
+    ]
+    # A half twist keeps its first crossing in the base.
+    removed = {c for r in regions for c in r.crossings[1 if r.half_twist else 0 :]}
 
     uf = UnionFind()
     for c in removed:
@@ -497,10 +471,10 @@ def augment(
     ledger = SlopeLedger()
     for label, r, st in infos:
         lat_n, lat_s = st["laterals"]
-        end_sides: dict[str, tuple[int, int]] = {}
-        for comp, coloring in colorings.items():
-            if coloring is not None:
-                end_sides[comp] = (coloring[lat_n], coloring[lat_s])
+        end_sides = {
+            comp: (color[lat_n] >> j & 1, color[lat_s] >> j & 1)
+            for comp, j in bits.items()
+        }
         circles[label] = CrossingCircle(
             label=label,
             strand_count=2,

@@ -1,8 +1,9 @@
 """Command line front end: parse, detect, augment, pack, measure, report.
 
 Reports are deterministic JSON on stdout (or --out); a short human summary
-goes to stderr.  Exit codes: 0 success, 2 parse error, 3 validation error,
-4 solver non-convergence.
+goes to stderr.  Exit codes: 0 success, 2 parse or usage error (an input
+that cannot be read, an output path that cannot be written), 3 validation
+error, 4 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -39,10 +40,21 @@ EXIT_VALIDATION = 3
 EXIT_SOLVER = 4
 
 
+class _OutputError(Exception):
+    """An output path that cannot be written (exit 2)."""
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(doc, args) -> None:
     text = json.dumps(doc, sort_keys=True)
     if getattr(args, "out", None):
-        Path(args.out).write_text(text + "\n")
+        _write(args.out, text + "\n")
     else:
         print(text)
 
@@ -54,9 +66,30 @@ def _say(msg: str) -> None:
 def _read_diagram(path: str):
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PDSyntaxError(f"cannot read {path}: {exc}") from exc
     return parse_diagram(text)
+
+
+def _read_annotations(path: str) -> list[dict]:
+    """A JSON list of {"crossings": [int, ...], "strands": int} regions
+    ("strands" optional): exit 2 if the file cannot be read or is not JSON,
+    exit 3 for any other shape."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise PDSyntaxError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, list) or not all(
+        isinstance(a, dict)
+        and isinstance(a.get("crossings"), list)
+        and all(type(c) is int for c in a["crossings"])
+        and type(a.get("strands", 0)) is int
+        for a in doc
+    ):
+        raise DiagramInvariantError(
+            f'{path}: expected a list of {{"crossings": [int, ...]}} objects'
+        )
+    return doc
 
 
 def cmd_twists(args) -> int:
@@ -87,10 +120,9 @@ def cmd_augment(args) -> int:
     d = _read_diagram(args.input)
     regions = None
     if args.annotations:
-        ann = json.loads(Path(args.annotations).read_text())
         regions = [
             validate_generalized_region(d, a["crossings"], a.get("strands"))
-            for a in ann
+            for a in _read_annotations(args.annotations)
         ]
     al, ledger = augment(d, regions)
     if args.roundtrip:
@@ -112,7 +144,7 @@ def cmd_augment(args) -> int:
 
 
 def _render_to(path: str, content: str) -> None:
-    Path(path).write_text(content)
+    _write(path, content)
     _say(f"wrote {path}")
 
 
@@ -226,7 +258,7 @@ def cmd_verify(args) -> int:
         if not root.is_dir():
             raise PDSyntaxError(f"{args.corpus} is not a directory")
         for path in sorted(root.glob("*.json")):
-            d = parse_diagram(path.read_text())
+            d = _read_diagram(str(path))
             al, _ = augment(d)
             corpus.append((path.stem, al))
     report = verify_meridian_bound(corpus, tol=args.tol)
@@ -332,6 +364,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except PDSyntaxError as exc:
         _say(f"parse error: {exc}")
+        return EXIT_PARSE
+    except _OutputError as exc:
+        _say(f"output error: {exc}")
         return EXIT_PARSE
     except (DiagramInvariantError, UnsupportedLinkError, KeyError) as exc:
         _say(f"validation error: {exc}")

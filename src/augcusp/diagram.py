@@ -10,7 +10,6 @@ them.
 
 from __future__ import annotations
 
-import itertools
 import json
 import warnings
 from collections.abc import Mapping
@@ -52,10 +51,6 @@ class Diagram:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
-    def edges(self) -> list[Edge]:
-        return sorted(self.components)
-
-    @property
     def component_labels(self) -> list[str]:
         seen: dict[str, None] = {}
         for e in sorted(self.components):
@@ -78,6 +73,15 @@ class Diagram:
             for slot, e in enumerate(cr):
                 occ.setdefault(e, []).append((ci, slot))
         return MappingProxyType({e: tuple(ends) for e, ends in occ.items()})
+
+    @cached_property
+    def _twin(self) -> list[int]:
+        """Dart 4*crossing + slot -> the dart at the other end of its edge."""
+        twin = [0] * (4 * len(self.crossings))
+        for (c1, s1), (c2, s2) in self.occurrences().values():
+            twin[4 * c1 + s1] = 4 * c2 + s2
+            twin[4 * c2 + s2] = 4 * c1 + s1
+        return twin
 
     @cached_property
     def face_map(self) -> FaceMap:
@@ -139,14 +143,14 @@ class Face:
 @dataclass(frozen=True)
 class FaceMap:
     faces: tuple[Face, ...]
+    # The face of corner (c, k) at index 4c + k, recorded by the walk.
+    corner_faces: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def bigons(self) -> tuple[Face, ...]:
-        out = []
-        for f in self.faces:
-            if f.sides == 2 and f.corners[0][0] != f.corners[1][0]:
-                out.append(f)
-        return tuple(out)
+        return tuple(
+            f for f in self.faces if f.sides == 2 and f.corners[0][0] != f.corners[1][0]
+        )
 
     @cached_property
     def edge_faces(self) -> dict[Edge, tuple[int, ...]]:
@@ -158,12 +162,9 @@ class FaceMap:
                 out.setdefault(e, []).append(i)
         return {e: tuple(fs) for e, fs in out.items()}
 
-    def face_of_corner(self) -> dict[HalfEnd, int]:
-        idx = {}
-        for i, f in enumerate(self.faces):
-            for c in f.corners:
-                idx[c] = i
-        return idx
+    def face_of_corner(self, corner: HalfEnd) -> int:
+        c, k = corner
+        return self.corner_faces[4 * c + k]
 
 
 @dataclass
@@ -265,18 +266,15 @@ def _infer_components(crossings) -> dict[Edge, str]:
 def _validate(d: Diagram) -> None:
     if not d.crossings and not d.loops:
         raise DiagramInvariantError("diagram has no crossings and no loops")
-    counts: dict[Edge, int] = {}
-    for cr in d.crossings:
-        for e in cr:
-            counts[e] = counts.get(e, 0) + 1
-    bad = sorted(e for e, n in counts.items() if n != 2)
+    occ = d.occurrences()
+    bad = sorted(e for e, ends in occ.items() if len(ends) != 2)
     if bad:
         raise DiagramInvariantError(
             f"edge ids must appear exactly twice, offending: {bad}"
         )
-    if set(counts) != set(d.components):
-        missing = sorted(set(counts) - set(d.components))
-        extra = sorted(set(d.components) - set(counts))
+    if occ.keys() != d.components.keys():
+        missing = sorted(occ.keys() - d.components.keys())
+        extra = sorted(d.components.keys() - occ.keys())
         raise DiagramInvariantError(
             f"component map mismatch (missing {missing}, extra {extra})"
         )
@@ -293,36 +291,32 @@ def _validate(d: Diagram) -> None:
     if d.signs is not None and len(d.signs) != len(d.crossings):
         raise DiagramInvariantError("signs length differs from crossing count")
     if d.crossings:
-        k = _connected_parts(d)
         v = len(d.crossings)
         e = 2 * v
         f = len(d.face_map.faces)
         # Each connected part of the projection contributes its own sphere.
-        if v - e + f != 2 * k:
+        if v - e + f != 2 * _count_parts(d):
             raise DiagramInvariantError(
                 f"face traversal does not close on a sphere: V-E+F = {v - e + f}"
             )
 
 
-def _connected_parts(d: Diagram) -> int:
-    adj: dict[Edge, set[Edge]] = {}
-    for cr in d.crossings:
-        for a, b in itertools.combinations(set(cr), 2):
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-    seen: set[Edge] = set()
+def _count_parts(d: Diagram) -> int:
+    """Connected parts of the projection: a search over crossings, each
+    joined to the four crossings at the other ends of its edges."""
+    twin = d._twin
+    seen = [False] * len(d.crossings)
     parts = 0
-    for start in adj:
-        if start in seen:
+    for c in range(len(d.crossings)):
+        if seen[c]:
             continue
         parts += 1
-        seen.add(start)
-        stack = [start]
+        stack = [c]
         while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
+            x = stack.pop()
+            if not seen[x]:
+                seen[x] = True
+                stack += [y >> 2 for y in twin[4 * x : 4 * x + 4]]
     return parts
 
 
@@ -330,41 +324,35 @@ def _connected_parts(d: Diagram) -> int:
 
 
 def compute_faces(d: Diagram) -> FaceMap:
-    """All complementary regions by corner traversal (uncached; the
-    diagram's `face_map` keeps the result).
+    """All complementary regions by corner traversal, in linear time
+    (uncached; the diagram's `face_map` keeps the result).
 
     Corner (c, k) is the sector between slots k and k+1 at crossing c.  The
     walk keeps the region on the right of each traversed edge, which on a
     counterclockwise slot ordering means: leave through slot k+1, arrive at
-    the twin occurrence (c', s'), continue with corner (c', s').
+    the twin occurrence (c', s'), continue with corner (c', s').  One scan
+    over the corners in sorted order starts a face at each corner not yet
+    walked, so the faces are ordered by their least corner, and each walk
+    starts there.
     """
-    occ = d.occurrences()
-    twin: dict[HalfEnd, HalfEnd] = {}
-    for e, ends in occ.items():
-        a, b = ends
-        twin[a] = b
-        twin[b] = a
-    unvisited: set[HalfEnd] = {
-        (ci, k) for ci in range(len(d.crossings)) for k in range(4)
-    }
+    edge = [e for cr in d.crossings for e in cr]  # dart -> its edge
+    twin = d._twin
+    face_of = [-1] * len(twin)
     faces = []
-    while unvisited:
-        start = min(unvisited)
-        corner = start
+    for start in range(len(twin)):
+        if face_of[start] >= 0:
+            continue
         corners = []
         boundary = []
-        while True:
-            corners.append(corner)
-            unvisited.discard(corner)
-            ci, k = corner
-            out_slot = (k + 1) % 4
-            edge = d.crossings[ci][out_slot]
-            boundary.append(edge)
-            corner = twin[(ci, out_slot)]
-            if corner == start:
-                break
+        x = start
+        while face_of[x] < 0:
+            face_of[x] = len(faces)
+            corners.append((x >> 2, x & 3))
+            out = x - 3 if x & 3 == 3 else x + 1
+            boundary.append(edge[out])
+            x = twin[out]
         faces.append(Face(tuple(corners), tuple(boundary)))
-    return FaceMap(tuple(faces))
+    return FaceMap(tuple(faces), tuple(face_of))
 
 
 # -- twist regions (two strands) ----------------------------------------------
@@ -374,13 +362,7 @@ def _alternating_bigon(d: Diagram, f: Face) -> bool:
     """A bigon is alternating when each of its edges changes over/under role
     between its two crossings; otherwise the two crossings cancel."""
     occ = d.occurrences()
-    for e in f.boundary:
-        roles = []
-        for ci, slot in occ[e]:
-            roles.append(slot % 2)
-        if roles[0] == roles[1]:
-            return False
-    return True
+    return all(occ[e][0][1] % 2 != occ[e][1][1] % 2 for e in f.boundary)
 
 
 def detect_twist_regions(d: Diagram) -> list[TwistRegion]:
@@ -709,10 +691,7 @@ def canonical_pd(d: Diagram) -> CanonicalPD:
 
 def _part_codes(d: Diagram) -> list[tuple[int, ...]]:
     """The least BFS code of each connected part of the projection."""
-    twin = [0] * (4 * len(d.crossings))  # dart 4*crossing+slot -> other end
-    for (c1, s1), (c2, s2) in d.occurrences().values():
-        twin[4 * c1 + s1] = 4 * c2 + s2
-        twin[4 * c2 + s2] = 4 * c1 + s1
+    twin = d._twin
     seen: set[int] = set()
     codes = []
     for c in range(len(d.crossings)):

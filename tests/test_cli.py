@@ -49,6 +49,13 @@ class TestTwists:
         r = run("twists", str(diagrams / "bad.json"))
         assert r.returncode == 2
 
+    def test_undecodable_input_exit_2(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\x86\xff\x00")
+        r = run("twists", str(path))
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"parse error: cannot read {path}: ")
+
 
 class TestAugment:
     def test_trefoil_ledger(self, diagrams):
@@ -90,6 +97,29 @@ class TestAugment:
         assert r.returncode == 3
         assert r.stderr.startswith("validation error: ") and "3 strands" in r.stderr
         assert "Traceback" not in r.stderr
+
+
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            (None, 2),
+            ("{nope", 2),
+            ('{"crossings": [0]}', 3),
+            ("[[0, 1]]", 3),
+            ('[{"crossings": "ab"}]', 3),
+            ('[{"crossings": [0.5]}]', 3),
+            ('[{"crossings": [0], "strands": "2"}]', 3),
+            ("[{}]", 3),
+        ],
+    )
+    def test_malformed_annotations_exit_2_or_3(self, diagrams, tmp_path, text, code):
+        ann = tmp_path / "ann.json"
+        if text is not None:
+            ann.write_text(text)
+        r = run("augment", str(diagrams / "trefoil.json"), "--annotations", str(ann))
+        assert r.returncode == code, r.stderr
+        assert str(ann) in r.stderr
+        assert "Traceback" not in r.stderr and r.stdout == ""
 
 
 class TestCusp:
@@ -216,4 +246,18 @@ class TestExitCodes:
         r = run("cusp", "--family", *family)
         assert r.returncode == 3
         assert r.stderr.startswith("validation error: ")
+        assert "Traceback" not in r.stderr
+
+    def test_unwritable_out_exit_2(self, diagrams, tmp_path):
+        out = tmp_path / "missing" / "report.json"
+        r = run("--out", str(out), "twists", str(diagrams / "trefoil.json"))
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"output error: cannot write {out}: ")
+        assert "Traceback" not in r.stderr
+
+    def test_unwritable_render_exit_2(self, diagrams, tmp_path):
+        svg = tmp_path / "missing" / "fal.svg"
+        r = run("cusp", str(diagrams / "fig8.json"), "--render", str(svg))
+        assert r.returncode == 2
+        assert f"output error: cannot write {svg}: " in r.stderr
         assert "Traceback" not in r.stderr

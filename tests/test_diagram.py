@@ -1,10 +1,17 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from augcusp import catalog
+from augcusp.augment import SlopeLedger, apply_filling
 from augcusp.diagram import (
     Diagram,
+    Face,
+    FaceMap,
+    _count_parts,
     compute_faces,
     detect_twist_regions,
     full_ribbon_braid,
@@ -14,6 +21,8 @@ from augcusp.diagram import (
     validate_generalized_region,
 )
 from augcusp.errors import DiagramInvariantError, PDSyntaxError, ReducibleDiagramWarning
+from augcusp.families import fal_corpus
+from test_canonical_pd import scrambled
 
 
 def brute_force_faces(d):
@@ -119,6 +128,80 @@ class TestFaces:
             catalog.pretzel_link([2, 2, 2, 2]),
         ):
             assert len(compute_faces(d).faces) == brute_force_faces(d)
+
+
+def reference_faces(d):
+    """Reference: the quadratic walk that starts each face at the least
+    corner not yet visited."""
+    twin = {}
+    for a, b in d.occurrences().values():
+        twin[a], twin[b] = b, a
+    unvisited = {(ci, k) for ci in range(len(d.crossings)) for k in range(4)}
+    faces = []
+    while unvisited:
+        start = corner = min(unvisited)
+        corners, boundary = [], []
+        while True:
+            corners.append(corner)
+            unvisited.discard(corner)
+            ci, k = corner
+            boundary.append(d.crossings[ci][(k + 1) % 4])
+            corner = twin[(ci, (k + 1) % 4)]
+            if corner == start:
+                break
+        faces.append(Face(tuple(corners), tuple(boundary)))
+    return FaceMap(tuple(faces))
+
+
+def assert_faces_match_reference(d):
+    fm = compute_faces(d)
+    assert fm.faces == reference_faces(d).faces
+    firsts = [f.corners[0] for f in fm.faces]
+    assert firsts == sorted(firsts)
+    assert all(f.corners[0] == min(f.corners) for f in fm.faces)
+    for i, f in enumerate(fm.faces):
+        assert all(fm.face_of_corner(c) == i for c in f.corners)
+
+
+class TestFaceWalk:
+    @pytest.mark.parametrize("k", [5, 9, 13, 21, 31, 41, 61, 81, 121])
+    def test_chain_ladder_matches_reference(self, k):
+        assert_faces_match_reference(catalog.two_bridge_chain(k))
+
+    def test_pretzel_ladder_matches_reference(self):
+        for c in range(10, 61):
+            assert_faces_match_reference(catalog.pretzel_link([3] * c))
+
+    def test_fal_corpus_matches_reference(self):
+        for _, al in fal_corpus(4):
+            assert_faces_match_reference(al.base)
+            filled = apply_filling(al, SlopeLedger({lab: 1 for lab in al.circles}))
+            assert_faces_match_reference(filled)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3, 4]), min_size=1, max_size=5)
+            .map(catalog.rational_link),
+            st.lists(st.sampled_from([-3, -2, 2, 3, 4]), min_size=2, max_size=6)
+            .map(catalog.pretzel_link),
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_scrambled_diagrams_match_reference(self, d, seed):
+        assert_faces_match_reference(scrambled(d, random.Random(seed)))
+
+    def test_split_diagram_has_two_parts(self):
+        # A trefoil and a Hopf link side by side: V - E + F = 4 = 2 * parts.
+        pd = [[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 6, 2], [7, 9, 8, 10], [9, 7, 10, 8]]
+        d = parse_diagram(json.dumps({"pd": pd}))
+        assert len(d.face_map.faces) == 9
+        assert _count_parts(d) == 2
+
+    def test_non_planar_pd_rejected(self):
+        pd = [[1, 5, 2, 4], [3, 6, 4, 1], [5, 2, 6, 3]]
+        with pytest.raises(DiagramInvariantError, match="V-E\\+F = 0"):
+            parse_diagram(json.dumps({"pd": pd}))
 
 
 class TestTwistRegions:

@@ -1,7 +1,5 @@
 import pytest
 
-from augcusp.augment import apply_filling
-from augcusp.diagram import pd_isomorphic
 from augcusp.families import (
     fal_corpus,
     gen_longitude_family,
@@ -10,7 +8,6 @@ from augcusp.families import (
     three_punctured_certificate,
     twobridge_filled,
     twobridge_filled_strand_counts,
-    twobridge_middle_circle,
 )
 
 

@@ -1,15 +1,20 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
-Every import of a module is used in it, every module-level private
-function is referenced somewhere in the package besides its definition, and
-every parameter of every function is read in its body.
+Every import of a module is used in it, in the package and in the tests;
+every module-level private function is referenced somewhere in the package
+besides its definition, and every parameter of every function is read in its
+body.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "augcusp"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "augcusp"
 MODULES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+TEST_MODULES = {
+    f"tests/{path.name}": ast.parse(path.read_text()) for path in sorted(TESTS.glob("*.py"))
+}
 
 
 def used_names(tree: ast.Module) -> set[str]:
@@ -36,7 +41,7 @@ def imported_names(tree: ast.Module) -> list[tuple[str, int]]:
 
 def test_every_import_is_used():
     unused = []
-    for name, tree in MODULES.items():
+    for name, tree in (MODULES | TEST_MODULES).items():
         used = used_names(tree)
         unused += [f"{name}:{line} {imp}" for imp, line in imported_names(tree) if imp not in used]
     assert not unused
