@@ -14,16 +14,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 
 from .diagram import (
     Crossing,
     Diagram,
     Edge,
-    HalfEnd,
     TwistRegion,
     UnionFind,
-    _infer_components,
-    _other_end,
     braid_crossing,
     detect_twist_regions,
     full_ribbon_braid,
@@ -173,36 +171,25 @@ class SlopeLedger:
 # -- region analysis ----------------------------------------------------------
 
 
-def _thread_to_external(d, occ, internal: set[Edge], c: int, s: int) -> HalfEnd:
-    """Follow a strand from the occurrence (c, s) until it exits the region."""
-    while True:
-        exit_slot = (s + 2) % 4
-        e = d.crossings[c][exit_slot]
-        if e not in internal:
-            return (c, exit_slot)
-        c, s = _other_end(occ, e, (c, exit_slot))
-
-
 def _region_structure(d: Diagram, r: TwistRegion, fm):
-    occ = d.occurrences()
+    twin = d._twin
     S = set(r.crossings)
-    internal = {
-        e for c in S for e in d.crossings[c] if occ[e][0][0] in S and occ[e][1][0] in S
-    }
-    # The two original edges the crossing disk cuts, as (slot 0, slot 1), and
-    # their E-side anchor occurrences (at the retained crossing).
+    # The two original edges the crossing disk cuts, as (slot 0, slot 1), by
+    # their E-side darts (at the retained crossing).
     c1 = r.crossings[0]
     if r.crossing_count == 1:
         ea, eb = d.crossings[c1][0], d.crossings[c1][3]
-        disk_occs = ((c1, 0), (c1, 3))
+        near = (4 * c1, 4 * c1 + 3)
     else:
         ea, eb = r.bigon_edge_pairs[0]
-        disk_occs = tuple(a if a[0] == c1 else b for a, b in (occ[ea], occ[eb]))
+        near = tuple(
+            4 * c + s for e in (ea, eb) for c, s in d.occurrences()[e] if c == c1
+        )
 
     # Lateral faces: beyond the slot-0 strand and beyond the slot-1 strand.
     if r.crossing_count == 1:
-        lat_n = fm.face_of_corner((c1, 0))
-        lat_s = fm.face_of_corner((c1, 2))
+        lat_n = fm.corner_faces[4 * c1]
+        lat_s = fm.corner_faces[4 * c1 + 2]
     else:
         # The first face along each disk edge that is not a bigon of the region.
         lat_n, lat_s = (
@@ -216,56 +203,48 @@ def _region_structure(d: Diagram, r: TwistRegion, fm):
         if lat_n is None or lat_s is None:
             raise DiagramInvariantError("could not locate lateral faces of region")
 
+    # The darts whose edges leave the region.
     darts = [
-        (c, s)
-        for c in sorted(S)
-        for s in range(4)
-        if d.crossings[c][s] not in internal
+        x for c in sorted(S) for x in range(4 * c, 4 * c + 4) if twin[x] >> 2 not in S
     ]
     rotation = None
     if len(darts) == 4:
-        dart_labels: dict[HalfEnd, Dart] = {}
         if r.crossing_count == 1:
-            dart_labels[(c1, 0)] = (0, "W")
-            dart_labels[(c1, 2)] = (0, "E")
-            dart_labels[(c1, 3)] = (1, "W")
-            dart_labels[(c1, 1)] = (1, "E")
+            x = 4 * c1
+            ends = {x: (0, "W"), x + 2: (0, "E"), x + 3: (1, "W"), x + 1: (1, "E")}
         else:
-            for slot, e in ((0, ea), (1, eb)):
-                near = disk_occs[slot]
-                far = _other_end(occ, e, near)
-                dart_labels[_thread_to_external(d, occ, internal, *near)] = (slot, "E")
-                dart_labels[_thread_to_external(d, occ, internal, *far)] = (slot, "W")
-        if set(dart_labels) != set(darts):
+            # Thread each disk edge's strand out of the region, both ways.
+            ends = {}
+            for slot, x in enumerate(near):
+                for y, side in ((x, "E"), (twin[x], "W")):
+                    y ^= 2
+                    while twin[y] >> 2 in S:
+                        y = twin[y] ^ 2
+                    ends[y] = (slot, side)
+        if set(ends) != set(darts):
             raise DiagramInvariantError("region strand threading did not close")
-        start = min(darts)
-        cyc = [start]
-        c, s = start
-        for _ in range(3):
-            t = (s + 1) % 4
-            e = d.crossings[c][t]
-            while e in internal:
-                c, t = _other_end(occ, e, (c, t))
-                t = (t + 1) % 4
-                e = d.crossings[c][t]
-            s = t
-            cyc.append((c, s))
-        rotation = [dart_labels[x] for x in cyc]
-        gaps = [fm.face_of_corner(x) for x in cyc]
-        if {lat_n, lat_s} - set(gaps):
+        # Turn counterclockwise around the region from its least dart.
+        cyc = [darts[0]]
+        x = darts[0]
+        while len(cyc) < 4:
+            x = x - 3 if x & 3 == 3 else x + 1
+            if twin[x] >> 2 in S:
+                x = twin[x]
+            else:
+                cyc.append(x)
+        rotation = [ends[x] for x in cyc]
+        if {lat_n, lat_s} - {fm.corner_faces[x] for x in cyc}:
             raise DiagramInvariantError("lateral faces missing from region walk")
 
     # Local frame handedness: +1 when slot1 sits counterclockwise-next from
     # slot0 at the E-side crossing.
-    s_a, s_b = disk_occs[0][1], disk_occs[1][1]
-    chirality = 1 if s_b == (s_a + 1) % 4 else -1
+    chirality = 1 if near[1] & 3 == (near[0] + 1) & 3 else -1
 
     # Twist pattern: the braid letter sign is anchored at the crossing
     # adjacent to the disk that gets removed and reinserted.
     pattern_anchor = r.crossings[1] if r.half_twist and r.crossing_count > 1 else c1
-    occ_a, occ_b = occ[ea]
-    anchor_occ = occ_a if occ_a[0] == pattern_anchor else occ_b
-    slot0_under = anchor_occ[1] % 2 == 0
+    anchor = near[0] if near[0] >> 2 == pattern_anchor else twin[near[0]]
+    slot0_under = anchor & 1 == 0
     pattern_sign = chirality * (1 if slot0_under else -1)
     if r.half_twist:
         # The retained half-twist crossing sits between the disk and the
@@ -273,10 +252,9 @@ def _region_structure(d: Diagram, r: TwistRegion, fm):
         chirality, pattern_sign = -chirality, -pattern_sign
 
     return {
-        "disk": (ea, eb),
         "rotation": rotation,
         "laterals": (lat_n, lat_s),
-        "disk_occs": disk_occs,
+        "near": near,
         "chirality": chirality,
         "pattern_sign": pattern_sign,
     }
@@ -344,7 +322,6 @@ def augment(
     if regions is None:
         regions = detect_twist_regions(d)
     _check_regions(d, regions)
-    occ = d.occurrences()
     fm = d.face_map
     color, bits = _face_colorings(d, fm)
 
@@ -365,7 +342,6 @@ def augment(
         for ci, cr in enumerate(d.crossings)
         if ci not in removed
     ]
-    old_to_new_ci = {ci: k for k, (ci, _) in enumerate(survivors)}
     used_edges = {e for _, cr in survivors for e in cr}
 
     class_members: dict[Edge, list[Edge]] = {}
@@ -389,80 +365,37 @@ def augment(
         None,
         tuple(loop_comps),
     )
-    base_occ = base.occurrences()
-
-    def surviving_occ(c: int, s: int) -> HalfEnd | None:
-        """Map an original edge end to its base occurrence after splicing."""
-        visited: set[HalfEnd] = set()
-        while c in removed:
-            if (c, s) in visited:
-                return None  # the strand closes up inside removed crossings
-            visited.add((c, s))
-            exit_slot = (s + 2) % 4
-            e = d.crossings[c][exit_slot]
-            c, s = _other_end(occ, e, (c, exit_slot))
-        return (old_to_new_ci[c], s)
-
-    # Disk events, attached to original edges with their E-side anchors.
-    events_by_edge: dict[Edge, list[tuple[str, int, HalfEnd]]] = {}
-    for label, r, st in infos:
-        ea, eb = st["disk"]
-        for slot, e in ((0, ea), (1, eb)):
-            near = st["disk_occs"][slot]
-            events_by_edge.setdefault(e, []).append((label, slot, near))
+    # Each passage's frame and rank on its base edge, read off one walk of
+    # that edge from its base occurrence 0 through the removed crossings.
+    twin = d._twin
+    disk = {x: (lab, slot) for lab, _, st in infos for slot, x in enumerate(st["near"])}
+    on_edge: dict[int, tuple[Edge, int, int]] = {}  # E-side dart -> (edge, frame, rank)
+    for rep, ((c, s), _) in base.occurrences().items():
+        a = 4 * survivors[c][0] + s
+        rank = 0
+        while True:
+            b = twin[a]
+            # The edge from dart a to dart b: a disk whose E side is at b
+            # has its W side toward occurrence 0 (frame +1).
+            for x, frame in ((a, -1), (b, 1)):
+                if x in disk:
+                    on_edge[x] = (rep, frame, rank)
+                    rank += 1
+            if b >> 2 not in removed:
+                break
+            a = b ^ 2
 
     # Walk the original components, recording passages in order.
     passages: dict[str, list[Passage]] = {}
-    rank_counter: dict[tuple[Edge, int], int] = {}
-    for comp, cyc in d.component_cycles().items():
+    for comp, walk in d._walks:
         plist: list[Passage] = []
-        e, end = cyc[0], 0
-        for _ in range(len(cyc)):
-            toward = occ[e][end]
-            start = _other_end(occ, e, toward)
-            evs = events_by_edge.get(e, [])
-            evs_sorted = sorted(evs, key=lambda ev: 0 if ev[2] == start else 1)
-            for label, slot, near in evs_sorted:
-                direction = 1 if near == toward else -1
-                rep = uf.find(e)
-                if rep in used_edges:
-                    e_surv = surviving_occ(*near)
-                    frame = 1 if base_occ[rep][1] == e_surv else -1
-                    plist.append(Passage(label, slot, direction, rep, frame, 0))
-                else:
-                    plist.append(Passage(label, slot, direction, None))
-            ci, sl = toward
-            nxt = d.crossings[ci][(sl + 2) % 4]
-            entry = (ci, (sl + 2) % 4)
-            end = 1 if occ[nxt][0] == entry else 0
-            e = nxt
+        for b in walk:
+            for x, direction in ((twin[b], -1), (b, 1)):
+                if x in disk:
+                    on = on_edge.get(x, (None,))  # None: the strand became a loop
+                    plist.append(Passage(*disk[x], direction, *on))
         if plist:
             passages[comp] = plist
-
-    # Ranks along each base edge, measured from base occurrence 0.
-    for comp, plist in passages.items():
-        groups: dict[Edge, list[int]] = {}
-        for i, p in enumerate(plist):
-            if p.edge is not None:
-                groups.setdefault(p.edge, []).append(i)
-        for e, idxs in groups.items():
-            # The edge is traversed once, so its events are consecutive in
-            # the cyclic walk; rotate past the wrap-around gap if needed.
-            order = sorted(idxs)
-            if order[-1] - order[0] != len(order) - 1:
-                for k in range(1, len(order)):
-                    if order[k] - order[k - 1] > 1:
-                        order = order[k:] + order[:k]
-                        break
-            # Walk order along the edge runs occ0 -> occ1 iff frame and
-            # direction agree (W faces occ0 and the walk crosses W to E,
-            # or both reversed).
-            p0 = plist[order[0]]
-            occ0_first = (p0.frame == p0.direction)
-            ordered = order if occ0_first else list(reversed(order))
-            for rank, i in enumerate(ordered):
-                p = plist[i]
-                plist[i] = Passage(p.circle, p.slot, p.direction, p.edge, p.frame, rank)
 
     for comp in base.loops:
         passages.setdefault(comp, [])
@@ -543,15 +476,8 @@ def untwist_retwist_roundtrip(
 
 def _fill(al: AugmentedLink, twists: dict[str, int], expand_rest: bool) -> Diagram:
     crossings: list[Crossing] = list(al.base.crossings)
-    occ: dict[Edge, list[HalfEnd]] = {}
-    for ci, cr in enumerate(crossings):
-        for s, e in enumerate(cr):
-            occ.setdefault(e, []).append((ci, s))
-    counter = [max(occ, default=0) + 1]
-
-    def fresh() -> Edge:
-        counter[0] += 1
-        return counter[0] - 1
+    occ = al.base.occurrences()
+    fresh = count(max(occ, default=0) + 1).__next__
 
     comp_of_new: dict[Edge, str] = dict(al.base.components)
     slot_component: dict[tuple[str, int], str] = {}
@@ -575,19 +501,22 @@ def _fill(al: AugmentedLink, twists: dict[str, int], expand_rest: bool) -> Diagr
             )
             w_stubs = [fresh() for _ in range(m)]
             current = list(w_stubs)
+            comps = [slot_component[(lab, j)] for j in pos_to_slot]
+            comp_of_new.update(zip(w_stubs, comps))
             for i, s in word:
                 lo, ro = fresh(), fresh()
                 crossings.append(braid_crossing(s, current[i - 1], current[i], lo, ro))
                 current[i - 1], current[i] = lo, ro
+                # The two strands swap positions at every letter.
+                comps[i - 1], comps[i] = comps[i], comps[i - 1]
+                comp_of_new[lo], comp_of_new[ro] = comps[i - 1], comps[i]
             stubs[lab] = {
                 pos_to_slot[p]: (w_stubs[p], current[p]) for p in range(m)
             }
-            for p in range(m):
-                comp = slot_component[(lab, pos_to_slot[p])]
-                comp_of_new[w_stubs[p]] = comp
-                comp_of_new[current[p]] = comp
         elif expand_rest:
-            stubs[lab] = _expand_circle(crossings, fresh, al, lab, comp_of_new)
+            stubs[lab] = _expand_circle(
+                crossings, fresh, al, lab, comp_of_new, slot_component
+            )
         else:
             raise DiagramInvariantError(f"no filling for circle {lab}")
 
@@ -641,20 +570,13 @@ def _fill(al: AugmentedLink, twists: dict[str, int], expand_rest: bool) -> Diagr
     ids = sorted({e for cr in resolved for e in cr})
     compact = {e: i + 1 for i, e in enumerate(ids)}
     final = tuple(tuple(compact[e] for e in cr) for cr in resolved)
-    components = {compact[e]: comp_map.get(e, "?") for e in ids}
-    if any(lab == "?" for lab in components.values()):
-        inferred = _infer_components(final)
-        known: dict[str, str] = {}
-        for e, lab in components.items():
-            if lab != "?":
-                known.setdefault(inferred[e], lab)
-        for e in components:
-            if components[e] == "?":
-                components[e] = known.get(inferred[e], inferred[e])
+    components = {compact[e]: comp_map[e] for e in ids}
     return Diagram(final, components, None, tuple(sorted(loops_left)))
 
 
-def _expand_circle(crossings, fresh, al: AugmentedLink, lab: str, comp_of_new):
+def _expand_circle(
+    crossings, fresh, al: AugmentedLink, lab: str, comp_of_new, slot_component
+):
     """Replace an unfilled circle by its PD loop crossing each strand twice.
 
     The circle's W arc descends across the strands passing over them; the E
@@ -669,12 +591,6 @@ def _expand_circle(crossings, fresh, al: AugmentedLink, lab: str, comp_of_new):
     loop = [fresh() for _ in range(2 * m)]
     for seg in loop:
         comp_of_new[seg] = lab
-    slot_component: dict[int, str] = {}
-    for comp, plist in al.passages.items():
-        for p in plist:
-            if p.circle == lab:
-                slot_component[p.slot] = comp
-
     # Frame matched to the braid insertion: strands run downward in columns
     # (W end up), the circle's upper arc crosses over them left to right and
     # the lower arc returns under them.
@@ -683,8 +599,8 @@ def _expand_circle(crossings, fresh, al: AugmentedLink, lab: str, comp_of_new):
     for p in range(m):
         j = pos_to_slot[p]
         w_stub, mid = fresh(), fresh()
-        comp_of_new[w_stub] = slot_component[j]
-        comp_of_new[mid] = slot_component[j]
+        comp_of_new[w_stub] = slot_component[(lab, j)]
+        comp_of_new[mid] = slot_component[(lab, j)]
         # Upper crossing at column p: strand (under) runs w_stub -> mid,
         # circle (over) runs loop[p] -> loop[p+1].  CCW from the incoming
         # under edge at the north: (N, W, S, E).
@@ -695,7 +611,7 @@ def _expand_circle(crossings, fresh, al: AugmentedLink, lab: str, comp_of_new):
         p = m - 1 - i  # the lower arc returns right to left
         j = pos_to_slot[p]
         e_stub = fresh()
-        comp_of_new[e_stub] = slot_component[j]
+        comp_of_new[e_stub] = slot_component[(lab, j)]
         c_in = loop[m + i]
         c_out = loop[(m + i + 1) % (2 * m)]
         # Lower crossing at column p: circle (under) runs c_in -> c_out

@@ -84,6 +84,28 @@ class Diagram:
         return twin
 
     @cached_property
+    def _walks(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """(label, walk) per component, ordered by the component's least
+        edge: the darts the walk arrives at, from that edge's first end on.
+        A strand arriving at dart x leaves by x ^ 2 and arrives at twin[x ^ 2]."""
+        occ = self.occurrences()
+        twin = self._twin
+        walked = [False] * len(twin)
+        walks = []
+        for e in sorted(occ):
+            c, s = occ[e][0]
+            x = 4 * c + s
+            if walked[x]:
+                continue
+            walk = []
+            while not walked[x]:
+                walked[x] = walked[twin[x]] = True
+                walk.append(x)
+                x = twin[x ^ 2]
+            walks.append((self.components[e], tuple(walk)))
+        return tuple(walks)
+
+    @cached_property
     def face_map(self) -> FaceMap:
         """The complementary regions, traced once by `compute_faces`."""
         return compute_faces(self)
@@ -91,30 +113,6 @@ class Diagram:
     @cached_property
     def _canonical_pd(self) -> CanonicalPD:
         return (len(self.loops), tuple(sorted(_part_codes(self))))
-
-    def component_cycles(self) -> dict[str, list[Edge]]:
-        """Each component's edges in traversal order (cyclic, fixed origin)."""
-        occ = self.occurrences()
-        cycles: dict[str, list[Edge]] = {}
-        done: set[Edge] = set()
-        for start in sorted(self.components):
-            if start in done:
-                continue
-            # Directed edge = (edge, index of the occurrence it runs toward).
-            cyc: list[Edge] = []
-            e, end = start, 0
-            while True:
-                cyc.append(e)
-                done.add(e)
-                ci, slot = occ[e][end]
-                nxt = self.crossings[ci][(slot + 2) % 4]
-                entry = (ci, (slot + 2) % 4)
-                end = 1 if occ[nxt][0] == entry else 0
-                e = nxt
-                if (e, end) == (start, 0):
-                    break
-            cycles[self.components[start]] = cyc
-        return cycles
 
     def to_json(self) -> str:
         doc = {
@@ -161,10 +159,6 @@ class FaceMap:
             for e in f.boundary:
                 out.setdefault(e, []).append(i)
         return {e: tuple(fs) for e, fs in out.items()}
-
-    def face_of_corner(self, corner: HalfEnd) -> int:
-        c, k = corner
-        return self.corner_faces[4 * c + k]
 
 
 @dataclass
@@ -288,6 +282,13 @@ def _validate(d: Diagram) -> None:
             raise DiagramInvariantError(
                 f"overstrand changes component at crossing {cr}"
             )
+    carried: set[str] = set()
+    for lab, _ in d._walks:
+        if lab in carried:
+            raise DiagramInvariantError(
+                f"component label {lab!r} is carried by two separate components"
+            )
+        carried.add(lab)
     if d.signs is not None and len(d.signs) != len(d.crossings):
         raise DiagramInvariantError("signs length differs from crossing count")
     if d.crossings:
@@ -495,54 +496,31 @@ def _subtangle_strands(d: Diagram, crossing_ids: list[int]):
     """Thread the strands of a subdiagram spanned by the given crossings.
 
     Returns a list of strands, each a list of (crossing, role) steps where
-    role is "o" or "u", ordered along the strand from one boundary end to
-    the other.
+    role is "o" or "u", ordered along the strand from its first boundary end
+    (in dart order) to the other.
     """
     S = set(crossing_ids)
-    occ = d.occurrences()
-
-    def inside(e: Edge) -> bool:
-        a, b = occ[e]
-        return a[0] in S and b[0] in S
-
-    boundary_ends: list[HalfEnd] = []
-    for c in sorted(S):
-        for s in range(4):
-            if not inside(d.crossings[c][s]):
-                boundary_ends.append((c, s))
-    if len(boundary_ends) % 2:
+    twin = d._twin
+    ends = [
+        x for c in sorted(S) for x in range(4 * c, 4 * c + 4) if twin[x] >> 2 not in S
+    ]
+    if len(ends) % 2:
         raise DiagramInvariantError("open strand end inside annotation")
     strands = []
-    seen: set[HalfEnd] = set()
-    for start in boundary_ends:
-        if start in seen:
+    done: set[int] = set()
+    for x in ends:
+        if x in done:
             continue
-        seen.add(start)
         path = []
-        c, s = start
         while True:
-            path.append((c, "u" if s % 2 == 0 else "o"))
-            exit_slot = (s + 2) % 4
-            e = d.crossings[c][exit_slot]
-            if not inside(e):
-                seen.add((c, exit_slot))
+            path.append((x >> 2, "o" if x & 1 else "u"))
+            x ^= 2
+            if twin[x] >> 2 not in S:
                 break
-            c, s = _other_end(occ, e, (c, exit_slot))
+            x = twin[x]
+        done.add(x)  # the far end: the strand is traced from one end only
         strands.append(path)
-    # Each strand was traced once from each of its two ends; deduplicate.
-    unique = []
-    used: set[tuple] = set()
-    for p in strands:
-        key = min(tuple(p), tuple(reversed(p)))
-        if key not in used:
-            used.add(key)
-            unique.append(p)
-    return unique
-
-
-def _other_end(occ, e: Edge, here: HalfEnd) -> HalfEnd:
-    a, b = occ[e]
-    return b if a == here else a
+    return strands
 
 
 def validate_generalized_region(

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +15,8 @@ from augcusp.augment import (
 )
 from augcusp.diagram import detect_twist_regions, pd_isomorphic
 from augcusp.errors import DiagramInvariantError
-from augcusp.families import three_punctured_certificate
+from augcusp.families import fal_corpus, three_punctured_certificate
+from test_canonical_pd import scrambled
 
 
 class TestAugment:
@@ -94,21 +98,24 @@ class TestFilling:
             apply_filling(al, SlopeLedger({"nope": Fraction(1, 1)}))
 
     def test_randomized_roundtrips(self):
+        # Twist entries from 1 give rational vectors whose components pass
+        # every crossing circle on one base edge; scrambled copies write the
+        # same diagram with other edge ids, crossing order and rotations.
         rng = random.Random(20260808)
-        count = 0
+        inputs = [
+            catalog.rational_link(vec)
+            for vec in ([1, 1, 2, 1], [1, 2, 3, 2], [1, 3, 2, 1], [2, 2, 2, 1])
+        ]
         for _ in range(60):
-            kind = rng.choice(["rational", "pretzel"])
-            if kind == "rational":
+            if rng.choice(["rational", "pretzel"]) == "rational":
                 k = rng.randint(1, 5)
-                vec = [rng.randint(2, 4) for _ in range(k)]
-                d = catalog.rational_link(vec)
+                inputs.append(catalog.rational_link([rng.randint(1, 4) for _ in range(k)]))
             else:
                 c = rng.randint(2, 4)
-                vec = [rng.randint(2, 5) for _ in range(c)]
-                d = catalog.pretzel_link(vec)
-            assert pd_isomorphic(untwist_retwist_roundtrip(d), d), vec
-            count += 1
-        assert count >= 50
+                inputs.append(catalog.pretzel_link([rng.randint(2, 5) for _ in range(c)]))
+        for d in inputs:
+            for copy in (d, scrambled(d, rng), scrambled(d, rng)):
+                assert pd_isomorphic(untwist_retwist_roundtrip(copy), copy), copy.to_json()
 
 
 class TestSlopeLedger:
@@ -156,3 +163,27 @@ class TestCertificate:
         al, _ = augment(catalog.figure_eight())
         with pytest.raises(KeyError):
             three_punctured_certificate(al, "zzz")
+
+
+FRONT_END_DIGESTS = Path(__file__).resolve().parent / "data" / "front_end_digests.json"
+
+
+def test_front_end_output_is_unchanged():
+    """sha256 of augment's link JSON (and ledger) on fal_corpus(4) and the 14
+    ladder diagrams, recorded in tests/data/front_end_digests.json: a
+    refactor of the front end must keep these outputs byte-identical."""
+
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    got = {f"fal/{name}": {"link": sha(al.to_json())} for name, al in fal_corpus(4)}
+    ladders = {
+        f"chain-{k}": catalog.two_bridge_chain(k) for k in (5, 9, 13, 21, 31, 41, 61, 81, 121)
+    }
+    ladders.update(
+        {f"pretzel-3x{c}": catalog.pretzel_link([3] * c) for c in (10, 20, 30, 40, 60)}
+    )
+    for name, d in ladders.items():
+        al, ledger = augment(d)
+        got[name] = {"link": sha(al.to_json()), "ledger": sha(ledger.to_json())}
+    assert got == json.loads(FRONT_END_DIGESTS.read_text())

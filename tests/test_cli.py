@@ -49,6 +49,15 @@ class TestTwists:
         r = run("twists", str(diagrams / "bad.json"))
         assert r.returncode == 2
 
+    def test_label_shared_by_two_components_exit_3(self, tmp_path):
+        doc = json.loads(catalog.two_bridge_chain(5).to_json())
+        doc["components"] = {e: "0" for e in doc["components"]}
+        path = tmp_path / "shared.json"
+        path.write_text(json.dumps(doc))
+        r = run("twists", str(path))
+        assert r.returncode == 3
+        assert "label '0' is carried by two separate components" in r.stderr
+
     def test_undecodable_input_exit_2(self, tmp_path):
         path = tmp_path / "binary.json"
         path.write_bytes(b"\x86\xff\x00")

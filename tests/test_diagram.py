@@ -88,6 +88,12 @@ class TestParse:
         d2 = parse_diagram(json.dumps(doc))
         assert len(set(d2.components.values())) == 1
 
+    def test_label_shared_by_two_components_rejected(self):
+        doc = json.loads(catalog.two_bridge_chain(5).to_json())
+        doc["components"] = {e: "0" for e in doc["components"]}
+        with pytest.raises(DiagramInvariantError, match="label '0' is carried by two"):
+            parse_diagram(json.dumps(doc))
+
     def test_bad_signs_rejected(self):
         doc = json.loads(catalog.trefoil().to_json())
         doc["signs"] = [1, 2, 1]
@@ -160,7 +166,7 @@ def assert_faces_match_reference(d):
     assert firsts == sorted(firsts)
     assert all(f.corners[0] == min(f.corners) for f in fm.faces)
     for i, f in enumerate(fm.faces):
-        assert all(fm.face_of_corner(c) == i for c in f.corners)
+        assert all(fm.corner_faces[4 * c + k] == i for c, k in f.corners)
 
 
 class TestFaceWalk:
