@@ -22,8 +22,10 @@ from .diagram import (
     validate_generalized_region,
 )
 from .errors import (
+    AugcuspError,
     ConvergenceError,
     DiagramInvariantError,
+    MeasuringError,
     PDSyntaxError,
     ReducibleDiagramWarning,
     UnsupportedLinkError,
@@ -46,6 +48,7 @@ from .geometry import (
 )
 from .packing import (
     CirclePacking,
+    FrameBlock,
     Nerve,
     build_nerve,
     normalize_at_vertex,
@@ -56,6 +59,7 @@ from .packing import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "AugcuspError",
     "AugmentedLink",
     "CirclePacking",
     "ConvergenceError",
@@ -64,6 +68,8 @@ __all__ = [
     "Diagram",
     "DiagramInvariantError",
     "FaceMap",
+    "FrameBlock",
+    "MeasuringError",
     "Nerve",
     "PDSyntaxError",
     "Passage",

@@ -351,12 +351,13 @@ def augment(
     base_components: dict[Edge, str] = {}
     for rep in used_edges:
         base_components[rep] = d.components[class_members[rep][0]]
+    # The input's own loops, and the components whose crossings all went.
     loop_comps = sorted(
         {
             d.components[members[0]]
             for rep, members in class_members.items()
             if rep not in used_edges
-        }
+        }.union(d.loops)
     )
 
     base = Diagram(

@@ -92,8 +92,9 @@ def rational_link(twist_vector: list[int]) -> Diagram:
 
     Runs alternate between twisting the two right-hand endpoints and the two
     bottom endpoints, starting on the right; the numerator closure is taken.
-    rational_link([3]) is a trefoil diagram and rational_link([2, 2]) a
-    figure-eight diagram.
+    rational_link([3]) is a trefoil diagram.  A vector of even length gives
+    a diagram with a nugatory crossing: rational_link([2, 2]) has 4
+    crossings and 2 components, so it is not the figure-eight.
     """
     if not twist_vector or any(a == 0 for a in twist_vector):
         raise ValueError("twist vector entries must be nonzero")
@@ -109,10 +110,11 @@ def rational_link(twist_vector: list[int]) -> Diagram:
 
 
 def two_bridge_chain(k: int) -> Diagram:
-    """The alternating 2-bridge diagram with k twist regions of two crossings.
+    """rational_link([2] * k): k twist regions of two crossings each.
 
-    For odd k the result has two components; these are the parents of the
-    reflective family with a middle crossing circle.
+    The result has two components for every k, and a nugatory crossing for
+    even k.  The odd k are the parents of the reflective family with a
+    middle crossing circle.
     """
     if k < 1:
         raise ValueError("k must be at least 1")

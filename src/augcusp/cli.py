@@ -24,12 +24,7 @@ from .diagram import (
     pd_isomorphic,
     validate_generalized_region,
 )
-from .errors import (
-    ConvergenceError,
-    DiagramInvariantError,
-    PDSyntaxError,
-    UnsupportedLinkError,
-)
+from .errors import AugcuspError, ConvergenceError, DiagramInvariantError, PDSyntaxError
 from .geometry import analyze_cusp, assemble, verify_meridian_bound
 from .packing import build_nerve, normalize_at_vertex, solve_packing
 
@@ -368,12 +363,12 @@ def main(argv: list[str] | None = None) -> int:
     except _OutputError as exc:
         _say(f"output error: {exc}")
         return EXIT_PARSE
-    except (DiagramInvariantError, UnsupportedLinkError, KeyError) as exc:
-        _say(f"validation error: {exc}")
-        return EXIT_VALIDATION
     except ConvergenceError as exc:
         _say(f"solver did not converge: {exc} (worst residual {exc.worst_residual:.3e})")
         return EXIT_SOLVER
+    except (AugcuspError, KeyError) as exc:
+        _say(f"validation error: {exc}")
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -283,7 +283,7 @@ def _validate(d: Diagram) -> None:
                 f"overstrand changes component at crossing {cr}"
             )
     carried: set[str] = set()
-    for lab, _ in d._walks:
+    for lab in [lab for lab, _ in d._walks] + list(d.loops):
         if lab in carried:
             raise DiagramInvariantError(
                 f"component label {lab!r} is carried by two separate components"

@@ -11,13 +11,22 @@ reflection-surface lifts.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 from .augment import AugmentedLink
-from .errors import ConvergenceError, UnsupportedLinkError
-from .packing import CirclePacking, Nerve, build_nerve, normalize_at_vertex, solve_packing
+from .errors import ConvergenceError, MeasuringError, UnsupportedLinkError
+from .packing import (
+    CirclePacking,
+    FrameBlock,
+    Nerve,
+    build_nerve,
+    normalize_at_vertex,
+    solve_packing,
+)
 
 # After .packing on purpose: without cached bytecode every module is compiled
 # at import, and compiling packing (the largest) after numpy is loaded adds
@@ -25,6 +34,8 @@ from .packing import CirclePacking, Nerve, build_nerve, normalize_at_vertex, sol
 import numpy as np
 
 WDart = tuple[str, int, str]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -52,30 +63,85 @@ class CuspShape:
         return abs(cross) / self.height**2
 
 
+class _Rows(NamedTuple):
+    """The measures that take O(1) work per frame, one entry per frame of a
+    block (the diameters as one array).  They are Python numbers, so that
+    the per-frame arithmetic rounds as Python's does: numpy's complex
+    division rounds differently."""
+
+    eids: list[int]  # the edge at infinity
+    strip: list[float]  # the distance between the two lines
+    worst: list[float]  # the largest tangency residual
+    gate: list[float]  # the bound assemble puts on it
+    spacing: list[float]  # between the two crossing-disk lifts through the cusp
+    vertical: list[bool]  # whether both those lifts are vertical
+    floor: list[float]  # the face-tangency height: the largest finite radius
+    diameters: np.ndarray  # of the finite faces, ascending, then inf
+    finite: list[int]  # how many faces are finite
+
+
+def _rows(block: FrameBlock) -> _Rows:
+    """Every frame's O(1) measures, from array operations over the block.
+
+    Only a knotting cusp's longitude walk and horoball-pair search work on
+    one frame at a time; the single-frame functions below run this same
+    code on a block of one.
+    """
+    radius, (disk_x, disk_r) = block.radius, block.disks
+    eids = block.normalization["infinity_edge"]
+    scale = np.max(radius, axis=1, where=np.isfinite(radius), initial=-np.inf).astype(float)
+    rows = np.arange(len(block))[:, None]
+    lifts = block.nerve.edge_triangles[eids]
+    x = disk_x[rows, lifts].real
+    radii = np.concatenate((radius, disk_r), axis=1)
+    finite = np.isfinite(radii)
+    return _Rows(
+        eids=eids.tolist(),
+        strip=block.height.tolist(),
+        worst=block.residuals.max(axis=1).astype(float).tolist(),
+        gate=(block.tol * np.maximum(1.0, scale) * 10).tolist(),
+        spacing=abs(x[:, 1] - x[:, 0]).tolist(),
+        vertical=np.isinf(disk_r[rows, lifts]).all(axis=1).tolist(),
+        floor=np.max(radii, axis=1, where=finite, initial=0.0).astype(float).tolist(),
+        diameters=np.sort(np.where(finite, 2.0 * radii, np.inf), axis=1),
+        finite=finite.sum(axis=1).tolist(),
+    )
+
+
+def _alone(frame: CirclePacking) -> tuple[FrameBlock, _Rows]:
+    """A frame normalized at a cusp as a block of one, on the frame's arrays,
+    and its rows: what the single-frame functions below measure."""
+    norm = frame.normalization
+    if norm.get("frame") not in ("unit-strip", "strip"):
+        raise MeasuringError("packing must be normalized with a cusp at infinity")
+    (u, v), one = frame.lines, np.zeros(1, dtype=np.intp)
+    block = FrameBlock(
+        frame.nerve, frame.center[None], frame.radius[None], (one + u, one + v), frame.tol,
+        {"infinity_edge": one + norm["infinity_edge"], "frame": norm["frame"],
+         "polish": [norm.get("polish")]},
+    )
+    vars(block).update(
+        points=frame.points[None], disks=tuple(x[None] for x in frame.disks),
+        residuals=frame.residuals[None],
+    )
+    return block, _rows(block)
+
+
 def assemble(frame: CirclePacking) -> CirclePacking:
     """The residual gate of a packing normalized at a cusp: returns the
     frame, which is all that the measuring functions below take."""
-    if frame.normalization.get("frame") not in ("unit-strip", "strip"):
-        raise ValueError("packing must be normalized with a cusp at infinity")
-    eid = frame.normalization["infinity_edge"]
-    gate = frame.tol * max(1.0, frame.scale()) * 10
-    worst = frame.max_residual()
-    if not worst <= gate:
-        raise ConvergenceError(
-            f"assemble: tangency residual {worst:.3e} with edge {eid} at "
-            f"infinity exceeds {gate:.3e}; refusing to assemble geometry",
-            worst,
-        )
+    _gate(_alone(frame)[1], 0)
     return frame
 
 
-def _cusp_disk_spacing(frame: CirclePacking) -> float:
-    """Distance between the two vertical crossing-disk lifts through the cusp."""
-    center, radius = frame.disks
-    lifts = frame.nerve.edge_triangles[frame.normalization["infinity_edge"]]
-    if not np.isinf(radius[lifts]).all():
-        raise ValueError("crossing-disk lift at the cusp is not vertical")
-    return float(abs(center[lifts[1]].real - center[lifts[0]].real))
+def _gate(rows: _Rows, f: int) -> None:
+    worst, gate = rows.worst[f], rows.gate[f]
+    if not worst <= gate:
+        raise ConvergenceError(
+            f"assemble: tangency residual {worst:.3e} with edge {rows.eids[f]} at "
+            f"infinity exceeds {gate:.3e}; refusing to assemble geometry",
+            worst,
+        )
 
 
 def _kappa(frame: CirclePacking, eid):
@@ -93,10 +159,15 @@ def _kappa(frame: CirclePacking, eid):
 
 def cusp_lattice(frame: CirclePacking) -> tuple[complex, complex, dict]:
     """Meridian and longitude translations of the cusp at infinity."""
-    nerve = frame.nerve
-    h = frame.height
-    e = nerve.edges[frame.normalization["infinity_edge"]]
-    w_inf = _cusp_disk_spacing(frame)
+    return _lattice(*_alone(frame), 0)
+
+
+def _lattice(block: FrameBlock, rows: _Rows, f: int) -> tuple[complex, complex, dict]:
+    if not rows.vertical[f]:
+        raise MeasuringError("crossing-disk lift at the cusp is not vertical")
+    nerve = block.nerve
+    h, w_inf = rows.strip[f], rows.spacing[f]
+    e = nerve.edges[rows.eids[f]]
 
     if e.kind == "circle":
         lab = e.cusp
@@ -133,9 +204,10 @@ def cusp_lattice(frame: CirclePacking) -> tuple[complex, complex, dict]:
         if pos[0] == start_arc and pos[1] == d1:
             break
         if steps > 4 * len(nerve.arcs) + 4:
-            raise RuntimeError("longitude walk did not close")
+            raise MeasuringError("longitude walk did not close")
     # Each rectangle's width: the cusp's own is w_inf; the others are
     # kappa times the spacing of the two crossing-disk faces flanking them.
+    frame = block[f]
     rest = np.array(walk[1:], dtype=np.intp)
     disk_r = frame.disks[1][nerve.edge_triangles[rest]]
     widths = [w_inf] + (_kappa(frame, rest) * (0.5 / disk_r).sum(axis=1)).tolist()
@@ -155,26 +227,32 @@ def maximal_cusp(
     of the other lifts of the same cusp.  lattice is the cusp's (meridian,
     longitude), when the caller has it from cusp_lattice.
     """
-    nerve = frame.nerve
-    eid = frame.normalization["infinity_edge"]
-    rs = np.concatenate((frame.radius, frame.disks[1]))
-    rs = rs[np.isfinite(rs)]
-    best = float(rs.max()) if rs.size else 0.0
+    return _height(*_alone(frame), 0, lattice)
+
+
+def _height(
+    block: FrameBlock, rows: _Rows, f: int, lattice: tuple[complex, complex] | None
+) -> tuple[float, str, list[tuple[complex, float]]]:
+    nerve = block.nerve
+    eid = rows.eids[f]
+    best = rows.floor[f]
     witness = "face tangency"
-    eids = np.array(
-        [k for k in nerve.cusp_edges[nerve.edges[eid].cusp] if k != eid], dtype=np.intp
-    )
+    eids = [k for k in nerve.cusp_edges[nerve.edges[eid].cusp] if k != eid]
+    if not eids:  # a crossing circle's cusp: no other lift to meet
+        return best, witness, []
+    frame = block[f]
+    eids = np.array(eids, dtype=np.intp)
     pts = frame.points[eids]
     kap = _kappa(frame, eids)
-    if eids.size and math.sqrt(kap.max()) > best:
+    if math.sqrt(kap.max()) > best:
         k = int(np.argmax(kap))
         best = math.sqrt(kap[k])
         witness = f"horoball tangency at edge {eids[k]}"
     # Pairs (p_i, p_j + t), t a nearby lattice translate: the two balls
     # touch at height sqrt(kappa_i kappa_j) / |p_j + t - p_i|, so the pair
     # of least |p_j + t - p_i| / sqrt(kappa_i kappa_j) is the highest.
-    mu, lam = lattice if lattice is not None else cusp_lattice(frame)[:2]
-    shifts = [a * mu + b * lam for a in (-1, 0, 1) for b in (-1, 0, 1)] if eids.size else []
+    mu, lam = lattice if lattice is not None else _lattice(block, rows, f)[:2]
+    shifts = [a * mu + b * lam for a in (-1, 0, 1) for b in (-1, 0, 1)]
     x, y, root = pts.real, pts.imag, np.sqrt(kap)
     for t in shifts:
         gap = np.subtract.outer(x, x + t.real)
@@ -193,16 +271,16 @@ def maximal_cusp(
 
 
 def cusp_shape(frame: CirclePacking) -> CuspShape:
-    return _measure(frame)[0]
+    return _shape(*_alone(frame), 0)[0]
 
 
-def _measure(frame: CirclePacking) -> tuple[CuspShape, str]:
+def _shape(block: FrameBlock, rows: _Rows, f: int) -> tuple[CuspShape, str]:
     """Cusp shape and the witness of its height, from one lattice."""
-    mu, lam, _ = cusp_lattice(frame)
-    h, witness, _ = maximal_cusp(frame, (mu, lam))
+    mu, lam, _ = _lattice(block, rows, f)
+    h, witness, _ = _height(block, rows, f, (mu, lam))
     if (lam / mu).imag < 0:
         lam = -lam  # orient the modulus into the upper half plane
-    cusp = frame.nerve.edges[frame.normalization["infinity_edge"]].cusp
+    cusp = block.nerve.edges[rows.eids[f]].cusp
     return CuspShape(cusp=cusp, meridian=mu, longitude=lam, height=h), witness
 
 
@@ -302,23 +380,32 @@ def _analyze(packing: CirclePacking, cusps: list[str]) -> dict:
             else:
                 out[block[0]] = exc
             continue
-        for c, frame in zip(block, frames):
+        rows = _rows(frames)
+        worst = int(np.argmax(rows.worst))
+        circles = sum(nerve.edges[e].kind == "circle" for e in rows.eids)
+        log.debug(
+            "measure: block of %d frames, %d circle and %d knotting; largest "
+            "residual %.2e against its gate %.2e (edge %d)",
+            len(block), circles, len(block) - circles, rows.worst[worst], rows.gate[worst],
+            rows.eids[worst],
+        )
+        for f, c in enumerate(block):
             try:
-                out[c] = _cusp_report(frame)
-            except (ValueError, RuntimeError) as exc:  # what measuring raises
+                out[c] = _report(frames, rows, f)
+            except (ConvergenceError, MeasuringError) as exc:
                 out[c] = exc
     return out
 
 
-def _cusp_report(frame: CirclePacking) -> CuspReport:
-    shape, witness = _measure(assemble(frame))
-    edge = frame.nerve.edges[frame.normalization["infinity_edge"]]
-    radii = np.concatenate((frame.radius, frame.disks[1]))
-    diameters = np.sort(2.0 * radii[np.isfinite(radii)]).tolist()
+def _report(block: FrameBlock, rows: _Rows, f: int) -> CuspReport:
+    _gate(rows, f)
+    shape, witness = _shape(block, rows, f)
+    edge = block.nerve.edges[rows.eids[f]]
     return CuspReport(
         cusp=shape.cusp, kind="circle" if edge.kind == "circle" else "knotting", shape=shape,
-        width=frame.height / shape.height, witness=witness, diameters=diameters,
-        spacing_white=frame.height, spacing_disk=_cusp_disk_spacing(frame),
+        width=rows.strip[f] / shape.height, witness=witness,
+        diameters=rows.diameters[f, :rows.finite[f]].tolist(),
+        spacing_white=rows.strip[f], spacing_disk=rows.spacing[f],
     )
 
 

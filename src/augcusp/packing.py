@@ -347,7 +347,7 @@ class CirclePacking:
     and, above it, y = center[v].imag, of radius inf; every other white is
     the circle of its centre and radius.  The tangency points, the shaded
     circles and the residuals are derived on first use; they also derive
-    for a block of frames: arrays with a leading frame axis, lines None.
+    for a block of frames, arrays with a leading frame axis (FrameBlock).
     """
 
     nerve: Nerve
@@ -386,16 +386,15 @@ class CirclePacking:
         """
         pts = self.points[..., self.nerve.triangle_edges]
         vertical = np.isnan(pts).any(axis=-1)
-        center = np.empty(vertical.shape, dtype=complex)
-        radius = np.full(vertical.shape, np.inf)
+        # Circumcentre of p1, p1 + s, p1 + t: p1 + (|s|^2 t - |t|^2 s) / (conj(s) t - s conj(t)),
+        # nan where a point is infinity.
+        p1, s, t = pts[..., 0], pts[..., 1] - pts[..., 0], pts[..., 2] - pts[..., 0]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rel = (abs(s) ** 2 * t - abs(t) ** 2 * s) / (2j * (s.conjugate() * t).imag)
         # Both finite points of a vertical line are feet of one circle's centre.
-        center[vertical] = np.nanmax(pts[vertical].real, axis=1)
-        # Circumcentre of p1, p1 + s, p1 + t: p1 + (|s|^2 t - |t|^2 s) / (conj(s) t - s conj(t)).
-        p1, s, t = pts[~vertical, 0], pts[~vertical, 1], pts[~vertical, 2]
-        s, t = s - p1, t - p1
-        rel = (abs(s) ** 2 * t - abs(t) ** 2 * s) / (2j * (s.conjugate() * t).imag)
-        center[~vertical] = p1 + rel
-        radius[~vertical] = abs(rel)
+        foot = np.fmax.reduce(pts.real, axis=-1)
+        center = np.where(vertical, foot, p1 + rel).astype(complex, copy=False)
+        radius = np.where(vertical, np.inf, abs(rel)).astype(float, copy=False)
         return center, radius
 
     @cached_property
@@ -416,6 +415,44 @@ class CirclePacking:
     def scale(self) -> float:
         finite = self.radius[np.isfinite(self.radius)]
         return float(finite.max()) if finite.size else 1.0
+
+
+@dataclass(eq=False)
+class FrameBlock(CirclePacking):
+    """Cusp frames normalized as one block: the arrays have a leading frame
+    axis, `lines` holds the two lines' whites of every frame, and the
+    normalization record holds an entry per frame ("frame" is shared).
+    Indexing gives a frame, a CirclePacking whose arrays, derived ones
+    too, are its block's rows."""
+
+    @property
+    def height(self) -> np.ndarray:
+        """Per frame: the distance between the two lines."""
+        rows = np.arange(len(self))
+        u, v = self.lines
+        return (self.center[rows, v].imag - self.center[rows, u].imag).astype(float)
+
+    def __len__(self) -> int:
+        return len(self.center)
+
+    def __iter__(self):
+        return (self[f] for f in range(len(self)))
+
+    def __getitem__(self, f):
+        if isinstance(f, slice):
+            return [self[k] for k in range(*f.indices(len(self)))]
+        u, v = self.lines
+        norm = self.normalization
+        frame = CirclePacking(
+            self.nerve, self.center[f], self.radius[f], (int(u[f]), int(v[f])), self.tol,
+            {"infinity_edge": int(norm["infinity_edge"][f]), "frame": norm["frame"],
+             "polish": norm["polish"][f]},
+        )
+        vars(frame).update(
+            points=self.points[f], disks=(self.disks[0][f], self.disks[1][f]),
+            residuals=self.residuals[f],
+        )
+        return frame
 
 
 def solve_flower_radii(
@@ -722,9 +759,9 @@ def normalize_at_vertex(
     error before and after; 0 steps on 0 unknowns when skipped) is kept in
     normalization["polish"].
 
-    edge_id is an edge id, or an array of them for a list of frames made as
-    one block of (frames x whites) arrays, each holding its rows: the same
-    frames, bit for bit, as one edge at a time.  Each is polished alone.
+    edge_id is an edge id, or an array of them for a FrameBlock of those
+    frames, (frames x whites) arrays: its frames are the same, bit for bit,
+    as one edge at a time.  Each is polished alone.
     """
     nerve = packing.nerve
     z, r = packing.center, packing.radius
@@ -791,9 +828,7 @@ def normalize_at_vertex(
     on_line = (flank == u[:, None]) | (flank == v[:, None])
     x = np.where(on_line, np.inf, center[frame[:, None], flank].real)
     center = np.where(np.isfinite(radius), center - x.min(axis=1)[:, None], center)
-    block = CirclePacking(nerve, center, radius, None, packing.tol, {})
-    out = []
-    for f, (eid, record) in enumerate(zip(eids.tolist(), polish)):
+    for eid, record in zip(eids.tolist(), polish):
         if record["unknowns"]:
             log.debug(
                 "normalize_at_vertex: edge %d, %d Gauss-Newton steps on %d unknowns, "
@@ -806,13 +841,8 @@ def normalize_at_vertex(
                 "tangency error %.2e within tol %.2e",
                 eid, record["before"], packing.tol,
             )
-        norm = CirclePacking(
-            nerve, center[f], radius[f], (int(u[f]), int(v[f])), packing.tol,
-            {"infinity_edge": eid, "frame": "unit-strip", "polish": record},
-        )
-        vars(norm).update(
-            points=block.points[f], disks=(block.disks[0][f], block.disks[1][f]),
-            residuals=block.residuals[f],
-        )
-        out.append(norm)
-    return out if np.ndim(edge_id) else out[0]
+    block = FrameBlock(
+        nerve, center, radius, (u, v), packing.tol,
+        {"infinity_edge": eids, "frame": "unit-strip", "polish": polish},
+    )
+    return block if np.ndim(edge_id) else block[0]

@@ -13,7 +13,7 @@ from augcusp.augment import (
     augment,
     untwist_retwist_roundtrip,
 )
-from augcusp.diagram import detect_twist_regions, pd_isomorphic
+from augcusp.diagram import Diagram, detect_twist_regions, pd_isomorphic
 from augcusp.errors import DiagramInvariantError
 from augcusp.families import fal_corpus, three_punctured_certificate
 from test_canonical_pd import scrambled
@@ -35,6 +35,16 @@ class TestAugment:
         assert al.base.loops == ("0",)
         assert all(abs(s) == 1 for s in ledger.entries.values())
         assert len(ledger) == 2
+
+    @pytest.mark.parametrize("d", [catalog.trefoil(), catalog.figure_eight()])
+    def test_crossingless_components_are_kept(self, d):
+        with_loop = Diagram(d.crossings, d.components, None, ("L",))
+        al, _ = augment(with_loop)
+        assert "L" in al.base.loops and al.passages["L"] == []
+        back = untwist_retwist_roundtrip(with_loop)
+        assert back.loops == ("L",)
+        assert pd_isomorphic(back, with_loop)
+        assert not pd_isomorphic(back, d)
 
     def test_half_twist_only_region_has_no_ledger_entry(self):
         al, ledger = augment(catalog.unknot_kink())

@@ -6,8 +6,10 @@ import sys
 import pytest
 
 import augcusp
-from augcusp import catalog
+from augcusp import catalog, cli
 from augcusp.diagram import full_ribbon_braid
+from augcusp.packing import build_nerve
+from test_geometry import unclosed_walks
 
 CLI = [sys.executable, "-m", "augcusp.cli"]
 # The CLI runs from the source tree the tests import.
@@ -77,6 +79,16 @@ class TestAugment:
         r = run("augment", str(diagrams / "trefoil.json"), "--roundtrip")
         assert r.returncode == 0
         assert "roundtrip ok" in r.stderr
+
+    def test_roundtrip_keeps_loops(self, tmp_path):
+        doc = json.loads(catalog.trefoil().to_json())
+        doc["loops"] = ["L"]
+        path = tmp_path / "trefoil-and-loop.json"
+        path.write_text(json.dumps(doc))
+        r = run("augment", str(path), "--roundtrip")
+        assert r.returncode == 0, r.stderr
+        assert "roundtrip ok" in r.stderr
+        assert "L" in json.loads(r.stdout)["link"]["base"]["loops"]
 
     def test_overlapping_annotations_exit_3(self, diagrams, tmp_path):
         ann = tmp_path / "ann.json"
@@ -171,6 +183,23 @@ class TestCusp:
         for rep in reports.values():
             if rep["kind"] == "knotting":
                 assert abs(rep["meridian_length"] - 2.0) <= 1e-8
+
+    def test_block_records_leave_stdout_unchanged(self, tmp_path):
+        path = tmp_path / "chain-13.json"
+        path.write_text(catalog.two_bridge_chain(13).to_json())
+        a = run("cusp", str(path))
+        b = run("cusp", str(path), env={"AUGCUSP_LOG": "DEBUG"})
+        assert a.returncode == b.returncode == 0
+        assert a.stdout == b.stdout
+        assert "measure: block of 15 frames, 13 circle and 2 knotting" in b.stderr
+        assert "measure:" not in a.stderr
+
+    def test_measuring_error_exit_3(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "chain-5.json"
+        path.write_text(catalog.two_bridge_chain(5).to_json())
+        monkeypatch.setattr(cli, "build_nerve", lambda al: unclosed_walks(build_nerve(al)))
+        assert cli.main(["cusp", str(path)]) == 3
+        assert "validation error: longitude walk did not close" in capsys.readouterr().err
 
     def test_render(self, tmp_path):
         svg = tmp_path / "packing.svg"

@@ -94,11 +94,32 @@ class TestParse:
         with pytest.raises(DiagramInvariantError, match="label '0' is carried by two"):
             parse_diagram(json.dumps(doc))
 
+    @pytest.mark.parametrize("loops", [["0"], ["L", "L"]])
+    def test_loop_label_carried_twice_rejected(self, loops):
+        doc = json.loads(catalog.trefoil().to_json())
+        doc["loops"] = loops
+        with pytest.raises(DiagramInvariantError, match="is carried by two separate"):
+            parse_diagram(json.dumps(doc))
+
     def test_bad_signs_rejected(self):
         doc = json.loads(catalog.trefoil().to_json())
         doc["signs"] = [1, 2, 1]
         with pytest.raises(PDSyntaxError):
             parse_diagram(json.dumps(doc))
+
+
+class TestCatalog:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_two_bridge_chain_has_two_components(self, k):
+        d = catalog.two_bridge_chain(k)
+        assert len(d.crossings) == 2 * k
+        assert len(d.component_labels) == 2
+
+    def test_rational_two_two_is_not_the_figure_eight(self):
+        d = catalog.rational_link([2, 2])
+        assert len(d.crossings) == 4
+        assert len(d.component_labels) == 2
+        assert len(catalog.figure_eight().component_labels) == 1
 
 
 class TestFaces:

@@ -1,8 +1,10 @@
 import dataclasses
 import functools
 import json
+import logging
 import math
 import random
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -22,9 +24,23 @@ from augcusp.geometry import (
     maximal_cusp,
     verify_meridian_bound,
 )
-from augcusp.errors import ConvergenceError
+from augcusp.errors import (
+    AugcuspError,
+    ConvergenceError,
+    DiagramInvariantError,
+    MeasuringError,
+    PDSyntaxError,
+    UnsupportedLinkError,
+)
 from augcusp.families import fal_corpus, gen_twobridge_family, twobridge_middle_circle
 from augcusp.packing import build_nerve, normalize_at_vertex, solve_packing
+
+
+def unclosed_walks(nerve):
+    """The nerve with every dart's partner on one arc: no longitude walk
+    comes back to its start."""
+    arc = max(nerve.arcs)
+    return dataclasses.replace(nerve, dart_arc=dict.fromkeys(nerve.dart_arc, arc))
 
 
 def borromean_link():
@@ -313,6 +329,126 @@ class TestRefusal:
         with pytest.raises(ConvergenceError, match="^assemble: ") as info:
             assemble(norm)
         assert info.value.worst_residual == norm.max_residual() > 0
+
+
+class TestMeasuringErrors:
+    @pytest.fixture(scope="class")
+    def norm(self):
+        nerve = build_nerve(borromean_link())
+        return normalize_at_vertex(solve_packing(nerve), nerve.cusp_edges["0"][0])
+
+    @pytest.mark.parametrize("error, base", [
+        (PDSyntaxError, ValueError), (DiagramInvariantError, ValueError),
+        (UnsupportedLinkError, ValueError), (ConvergenceError, RuntimeError),
+        (MeasuringError, ValueError),
+    ])
+    def test_package_errors_share_one_base(self, error, base):
+        assert issubclass(error, AugcuspError) and issubclass(error, base)
+
+    def test_unnormalized_packing_refused(self, norm):
+        strip = dataclasses.replace(norm, normalization={})
+        for measure in (assemble, cusp_shape, maximal_cusp, geometry.cusp_lattice):
+            with pytest.raises(MeasuringError, match="must be normalized"):
+                measure(strip)
+
+    def test_lift_off_infinity_refused(self, norm):
+        # Another edge's lifts are shaded circles, not vertical lines.
+        moved = dataclasses.replace(
+            norm, normalization={**norm.normalization, "infinity_edge": 1}
+        )
+        assert assemble(moved) is moved
+        with pytest.raises(MeasuringError, match="lift at the cusp is not vertical"):
+            geometry.cusp_lattice(moved)
+
+    def test_unclosed_walk_stays_with_its_cusp(self):
+        al, _ = augment(catalog.two_bridge_chain(5))
+        packing = solve_packing(build_nerve(al))
+        broken = dataclasses.replace(packing, nerve=unclosed_walks(packing.nerve))
+        for cusp in broken.nerve.cusps():
+            if cusp in broken.nerve.knotting_cusps:
+                with pytest.raises(MeasuringError, match="longitude walk did not close"):
+                    analyze_cusp(al, cusp, packing=broken)
+            else:
+                assert analyze_cusp(al, cusp, packing=broken).kind == "circle"
+
+
+LADDER = {
+    **{f"chain-{k}": functools.partial(catalog.two_bridge_chain, k)
+       for k in (5, 9, 13, 21, 31, 41, 61, 81, 121)},
+    **{f"pretzel-3x{c}": functools.partial(catalog.pretzel_link, [3] * c)
+       for c in (10, 20, 30, 40, 60)},
+}
+
+
+def ladder_packings(name):
+    if name in LADDER:
+        return [solve_packing(build_nerve(augment(LADDER[name]())[0]))]
+    packings = []
+    for _name, al in fal_corpus(4):
+        try:
+            packings.append(solve_packing(build_nerve(al)))
+        except UnsupportedLinkError:
+            continue
+    return packings
+
+
+class TestBlockMeasuring:
+    @pytest.mark.parametrize("name", [*LADDER, "fal_corpus-4"])
+    def test_block_reports_are_the_single_frame_reports(self, name):
+        for packing in ladder_packings(name):
+            nerve = packing.nerve
+            reports = geometry._analyze(packing, nerve.cusps())
+            for cusp in nerve.cusps():
+                (alone,) = geometry._analyze(packing, [cusp]).values()
+                assert reports[cusp].to_dict() == alone.to_dict()
+                # The public functions, on the frame as a block of one.
+                frame = assemble(normalize_at_vertex(packing, nerve.cusp_edges[cusp][0]))
+                assert cusp_shape(frame) == reports[cusp].shape
+                height, witness, _ = maximal_cusp(frame)
+                assert (height, witness) == (reports[cusp].shape.height, reports[cusp].witness)
+
+    def test_a_block_that_passes_some_frames_and_refuses_others(self):
+        # A tol that the polish of some frames reaches and of others does not.
+        packing = solve_packing(build_nerve(augment(catalog.two_bridge_chain(13))[0]))
+        nerve, cusps = packing.nerve, packing.nerve.cusps()
+        assert len(cusps) * len(nerve.edges) <= geometry._BLOCK_ELEMENTS  # one block
+        for tol in np.geomspace(1e-19, 1e-15, 41).tolist():
+            mixed = dataclasses.replace(packing, tol=tol)
+            reports = geometry._analyze(mixed, cusps)
+            refused = [c for c in cusps if isinstance(reports[c], Exception)]
+            if 0 < len(refused) < len(cusps):
+                break
+        else:
+            pytest.fail("no tol splits the block")
+        for cusp in cusps:
+            (alone,) = geometry._analyze(mixed, [cusp]).values()
+            frame = normalize_at_vertex(mixed, nerve.cusp_edges[cusp][0])
+            if cusp not in refused:
+                assert alone.to_dict() == reports[cusp].to_dict()
+                assert assemble(frame) is frame
+                continue
+            assert type(reports[cusp]) is type(alone) is ConvergenceError
+            assert str(reports[cusp]) == str(alone)
+            assert reports[cusp].worst_residual == alone.worst_residual
+            with pytest.raises(ConvergenceError) as info:
+                assemble(frame)
+            assert str(info.value) == str(alone)
+
+    def test_one_debug_record_per_block(self, caplog):
+        al, _ = augment(catalog.two_bridge_chain(121))
+        nerve = build_nerve(al)
+        packing = solve_packing(nerve)
+        with caplog.at_level(logging.DEBUG, logger="augcusp"):
+            geometry._analyze(packing, nerve.cusps())
+        records = [r for r in caplog.records if r.getMessage().startswith("measure: ")]
+        assert len(records) == 6 and {r.levelno for r in records} == {logging.DEBUG}
+        counts = [
+            list(map(int, re.findall(r"(\d+) (?:frames|circle|knotting)", r.getMessage())))
+            for r in records
+        ]
+        assert [sum(col) for col in zip(*counts)] == [123, 121, 2]
+        for record in records:
+            assert f"against its gate {10 * packing.tol:.2e}" in record.getMessage()
 
 
 class TestReportsPerPacking:

@@ -613,12 +613,13 @@ def frames(d):
 def always_polished(packing, edge_ids):
     """Reference frames of a block: the map, then the Newton polish whatever
     the mapped residual."""
-    out = []
-    for norm in normalize_at_vertex(packing, edge_ids):
+    block = normalize_at_vertex(packing, edge_ids)
+    polished = []
+    for norm in block:
         u, v, eid = *norm.lines, norm.normalization["infinity_edge"]
-        z, r, _ = _refine(norm.nerve, norm.center, norm.radius, 1.0, u, v, eid, norm.tol)
-        out.append(dataclasses.replace(norm, center=z, radius=r))
-    return out
+        polished.append(_refine(norm.nerve, norm.center, norm.radius, 1.0, u, v, eid, norm.tol))
+    center, radius, _ = zip(*polished)
+    return dataclasses.replace(block, center=np.array(center), radius=np.array(radius))
 
 
 def assert_same_frame(got, want):
