@@ -8,6 +8,7 @@ without external fixtures.
 from __future__ import annotations
 
 from .diagram import Crossing, Diagram, Edge, UnionFind, _infer_components, braid_crossing
+from .errors import DiagramInvariantError
 
 
 def _relabel(crossings: list[Crossing], unions: list[tuple[Edge, Edge]]) -> list[Crossing]:
@@ -27,7 +28,7 @@ def _labeled(crossings: list[Crossing]) -> Diagram:
 def braid_closure(strands: int, word: list[tuple[int, int]]) -> Diagram:
     """Closure of the braid given by signed generator indices (i, sign)."""
     if not word:
-        raise ValueError("empty braid word")
+        raise DiagramInvariantError("empty braid word")
     current = list(range(1, strands + 1))
     nxt = strands + 1
     crossings: list[Crossing] = []
@@ -97,7 +98,7 @@ def rational_link(twist_vector: list[int]) -> Diagram:
     crossings and 2 components, so it is not the figure-eight.
     """
     if not twist_vector or any(a == 0 for a in twist_vector):
-        raise ValueError("twist vector entries must be nonzero")
+        raise DiagramInvariantError("twist vector entries must be nonzero")
     t = _Tangle()
     for run, a in enumerate(twist_vector):
         sign = 1 if a > 0 else -1
@@ -117,7 +118,7 @@ def two_bridge_chain(k: int) -> Diagram:
     middle crossing circle.
     """
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise DiagramInvariantError("k must be at least 1")
     return rational_link([2] * k)
 
 
@@ -125,7 +126,7 @@ def pretzel_link(twists: list[int]) -> Diagram:
     """Pretzel diagram with one vertical twist column per entry."""
     c = len(twists)
     if c < 2 or any(q == 0 for q in twists):
-        raise ValueError("need at least two nonzero columns")
+        raise DiagramInvariantError("need at least two nonzero columns")
     top = [100 * (i + 1) + 1 for i in range(c)]
     bot = [100 * (i + 1) + 2 for i in range(c)]
     nxt = 100 * (c + 1)

@@ -16,7 +16,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import families, render
 from .augment import augment, untwist_retwist_roundtrip
 from .diagram import (
     detect_twist_regions,
@@ -25,8 +24,11 @@ from .diagram import (
     validate_generalized_region,
 )
 from .errors import AugcuspError, ConvergenceError, DiagramInvariantError, PDSyntaxError
-from .geometry import analyze_cusp, assemble, verify_meridian_bound
-from .packing import build_nerve, normalize_at_vertex, solve_packing
+
+# families, geometry, packing and render are imported by the commands that
+# use them, so that `twists`, `augment` and `cusp --family longitude` never
+# load numpy.  render and geometry import packing before numpy, so all three
+# compile before numpy loads (see the note in geometry.py).
 
 log = logging.getLogger("augcusp")
 
@@ -155,8 +157,14 @@ def _family_ints(family: list[str]) -> list[int]:
 def cmd_cusp(args) -> int:
     tol = args.tol
     if args.family:
+        from . import families
+
         kind = args.family[0]
         if kind == "twobridge":
+            from . import render
+            from .geometry import analyze_cusp
+            from .packing import build_nerve, normalize_at_vertex, solve_packing
+
             if len(args.family) < 2:
                 raise DiagramInvariantError("need: --family twobridge n r1 [r2 ...]")
             n, *r = _family_ints(args.family)
@@ -220,6 +228,10 @@ def cmd_cusp(args) -> int:
 
     if not args.input:
         raise PDSyntaxError("need an input diagram or --family")
+    from . import render
+    from .geometry import analyze_cusp, assemble
+    from .packing import build_nerve, normalize_at_vertex, solve_packing
+
     d = _read_diagram(args.input)
     al, _ = augment(d)
     nerve = build_nerve(al)
@@ -245,6 +257,9 @@ def cmd_cusp(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import families
+    from .geometry import verify_meridian_bound
+
     corpus: list = []
     if args.generate:
         corpus = families.fal_corpus(args.generate)

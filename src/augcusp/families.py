@@ -46,9 +46,9 @@ def gen_twobridge_family(n: int, r: list[int]) -> TwoBridgeFamily:
     L1..Ln, L-1..L-n carrying the filling slopes 1/r_i and -1/r_i.
     """
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise DiagramInvariantError("n must be at least 1")
     if len(r) != n:
-        raise ValueError(f"need {n} filling integers, got {len(r)}")
+        raise DiagramInvariantError(f"need {n} filling integers, got {len(r)}")
     k = 2 * n + 1
     d = catalog.two_bridge_chain(k)
     regions = detect_twist_regions(d)
@@ -107,7 +107,7 @@ def twobridge_filled_strand_counts(n: int, r: list[int]) -> dict[str, int]:
     the twisted class with the disk trace's boundary class.
     """
     if len(r) != n or n < 1:
-        raise ValueError("need one filling integer per pair")
+        raise DiagramInvariantError("need one filling integer per pair")
     v0 = (1, 0)  # the middle circle's curve class
     g = (0, 1)  # the annulus trace class, meeting v0 twice
     v = _twist(v0, g, sum(r))
@@ -128,7 +128,7 @@ def gen_longitude_family(n: int) -> AugmentedLink:
     the same three-punctured-sphere component.
     """
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise DiagramInvariantError("n must be nonnegative")
     base = Diagram(tuple(), {}, None, ("K",))
     circles: dict[str, CrossingCircle] = {}
     passages: list[Passage] = []

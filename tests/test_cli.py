@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import augcusp
-from augcusp import catalog, cli
+from augcusp import catalog, cli, packing
 from augcusp.diagram import full_ribbon_braid
 from augcusp.packing import build_nerve
 from test_geometry import unclosed_walks
@@ -197,7 +197,8 @@ class TestCusp:
     def test_measuring_error_exit_3(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "chain-5.json"
         path.write_text(catalog.two_bridge_chain(5).to_json())
-        monkeypatch.setattr(cli, "build_nerve", lambda al: unclosed_walks(build_nerve(al)))
+        # cli imports build_nerve from augcusp.packing when the command runs
+        monkeypatch.setattr(packing, "build_nerve", lambda al: unclosed_walks(build_nerve(al)))
         assert cli.main(["cusp", str(path)]) == 3
         assert "validation error: longitude walk did not close" in capsys.readouterr().err
 

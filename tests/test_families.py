@@ -1,5 +1,7 @@
 import pytest
 
+from augcusp import catalog
+from augcusp.errors import AugcuspError
 from augcusp.families import (
     fal_corpus,
     gen_longitude_family,
@@ -92,6 +94,23 @@ class TestLongitudeFamily:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             gen_longitude_family(-1)
+
+
+def test_argument_errors_are_package_errors():
+    bad_calls = [
+        lambda: catalog.braid_closure(2, []),
+        lambda: catalog.rational_link([2, 0]),
+        lambda: catalog.two_bridge_chain(0),
+        lambda: catalog.pretzel_link([3, 0]),
+        lambda: gen_twobridge_family(0, []),
+        lambda: gen_twobridge_family(2, [1]),
+        lambda: twobridge_filled_strand_counts(2, [1]),
+        lambda: gen_longitude_family(-1),
+    ]
+    for call in bad_calls:
+        with pytest.raises(AugcuspError) as info:
+            call()
+        assert isinstance(info.value, ValueError)
 
 
 class TestCorpus:
