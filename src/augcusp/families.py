@@ -75,7 +75,7 @@ def twobridge_middle_circle(fam: TwoBridgeFamily) -> str:
     for lab, name in fam.labels.items():
         if name == "L0":
             return lab
-    raise KeyError("no middle circle")
+    raise DiagramInvariantError("no middle circle")
 
 
 def twobridge_filled(fam: TwoBridgeFamily) -> Diagram:
@@ -186,7 +186,7 @@ def three_punctured_certificate(
     crossing disk.
     """
     if component not in al.passages:
-        raise KeyError(f"unknown component {component!r}")
+        raise DiagramInvariantError(f"unknown component {component!r}")
     if not al.passages[component]:
         return None  # split strand: the bound is vacuous
     counts = [0, 0]

@@ -33,8 +33,6 @@ from .packing import (
 # its compile peak to numpy's memory, about 2 MB more peak RSS.
 import numpy as np
 
-WDart = tuple[str, int, str]
-
 log = logging.getLogger(__name__)
 
 
@@ -167,44 +165,29 @@ def _lattice(block: FrameBlock, rows: _Rows, f: int) -> tuple[complex, complex, 
         raise MeasuringError("crossing-disk lift at the cusp is not vertical")
     nerve = block.nerve
     h, w_inf = rows.strip[f], rows.spacing[f]
-    e = nerve.edges[rows.eids[f]]
+    eid = rows.eids[f]
 
-    if e.kind == "circle":
-        lab = e.cusp
-        shear = h * 1j * nerve.circle_sign.get(lab, 1) if nerve.circle_half[lab] else 0
-        meridian = w_inf + shear
+    if nerve.edges[eid].kind == "circle":
+        sign = nerve.shear_sign[eid - len(nerve.arc_exit)]
+        meridian = w_inf + h * 1j * sign if sign else w_inf
         longitude = 2j * h
         info = {"rectangles": 1, "shaded_spacing": w_inf}
         return meridian, longitude, info
 
     # Knotting strand: the meridian crosses two reflection-plane lifts; the
-    # longitude walks the rectangle chain through the crossing-disk faces.
+    # longitude walks the rectangle chain through the crossing-disk faces,
+    # leaving the cusp's arc by its larger dart first.  A half-twisted disk
+    # shears the chain by its sign.
     meridian = 2j * h
     shear = 0.0
-    start_arc = e.ref
-    _, d0, d1 = nerve.arcs[start_arc]
-    pos = (start_arc, d1)  # exit through d1 first
-    steps = 0
-    walk = []
+    start = x = nerve.arc_exit[eid]
+    walk = [eid]  # arc i is nerve edge i
     while True:
-        arc, exit_dart = pos
-        walk.append(arc)  # arc i is nerve edge i
-        circle, slot, side = exit_dart
-        if nerve.circle_half[circle]:
-            shear += h * nerve.circle_sign.get(circle, 1)
-            partner: WDart = (circle, 1 - slot, "E" if side == "W" else "W")
-        else:
-            partner = (circle, slot, "E" if side == "W" else "W")
-        nxt = nerve.dart_arc[partner]
-        _, a0, a1 = nerve.arcs[nxt]
-        enter = partner
-        leave = a1 if a0 == enter else a0
-        pos = (nxt, leave)
-        steps += 1
-        if pos[0] == start_arc and pos[1] == d1:
+        shear += h * nerve.shear_sign[x >> 2]
+        x, arc = nerve.exits[x]
+        if x == start:
             break
-        if steps > 4 * len(nerve.arcs) + 4:
-            raise MeasuringError("longitude walk did not close")
+        walk.append(arc)
     # Each rectangle's width: the cusp's own is w_inf; the others are
     # kappa times the spacing of the two crossing-disk faces flanking them.
     frame = block[f]
@@ -212,7 +195,7 @@ def _lattice(block: FrameBlock, rows: _Rows, f: int) -> tuple[complex, complex, 
     disk_r = frame.disks[1][nerve.edge_triangles[rest]]
     widths = [w_inf] + (_kappa(frame, rest) * (0.5 / disk_r).sum(axis=1)).tolist()
     longitude = sum(widths) + 1j * shear
-    info = {"rectangles": steps, "widths": widths}
+    info = {"rectangles": len(walk), "widths": widths}
     return meridian, longitude, info
 
 

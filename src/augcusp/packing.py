@@ -19,10 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .augment import AugmentedLink
-from .diagram import UnionFind
 from .errors import ConvergenceError, UnsupportedLinkError
-
-WDart = tuple[str, int, str]  # (circle, slot, "W"/"E")
 
 log = logging.getLogger(__name__)
 
@@ -35,7 +32,6 @@ class NerveEdge:
     b: int
     kind: str  # "arc" (knotting strand) or "circle" (crossing circle)
     cusp: str  # component or circle label
-    ref: object = None  # arc id or circle label
 
 
 @dataclass
@@ -45,11 +41,12 @@ class Nerve:
     flowers: list[list[int]]  # per white vertex: incident edge ids, cyclic
     triangles: list[tuple[tuple[int, int, int], str, str]]  # (edge ids), circle, side
     infinity_edge: int
-    # arc structure for cusp walks: per arc id: (cusp, darts at its two ends)
-    arcs: dict[int, tuple[str, WDart, WDart]] = field(default_factory=dict)
-    circle_half: dict[str, bool] = field(default_factory=dict)
-    circle_sign: dict[str, int] = field(default_factory=dict)
-    dart_arc: dict[WDart, int] = field(default_factory=dict)
+    # The cusp walks, on the companion's darts (see _companion): per dart a
+    # walk leaves an arc by, the dart it leaves the next arc by, across the
+    # disk, and that arc.
+    exits: list[tuple[int, int]] = field(default_factory=list)
+    arc_exit: list[int] = field(default_factory=list)  # per arc: its larger dart
+    shear_sign: list[int] = field(default_factory=list)  # per circle; 0 unless half-twisted
 
     def edge_vertices(self, eid: int) -> tuple[int, int]:
         e = self.edges[eid]
@@ -105,116 +102,81 @@ class Nerve:
 # -- companion structure -------------------------------------------------------
 
 
-def _companion_arcs(al: AugmentedLink):
-    """Arc pairing of the untwisted companion plus dart rotations.
+def _companion(al: AugmentedLink) -> tuple[list[int], list[int], list[int], list[int], list[str]]:
+    """The untwisted companion of the link, on integer darts.
 
-    Returns (arcs, rotations) where arcs maps arc id -> (cusp, dart, dart)
-    and rotations maps circle -> CCW dart cycle of the bare disk.
+    Dart 4k + 2 * slot + (side == "W") is the end of an arc at the given slot
+    and side of the k-th crossing circle in label order, so darts sort as
+    (label, slot, "E" < "W") would.  Returns, per dart, its arc; its `mate`,
+    the arc's other end; its `turn`, the next dart counterclockwise around
+    the bare disk; and `across`, the same strand's dart on the other side of
+    the disk.  Last comes the cusp of every arc.  Arcs are numbered in the
+    order the components, by label, first reach them.
     """
-    # Arcs of the link as given: consecutive passages along each component.
-    raw: list[tuple[str, WDart, WDart]] = []
-    for comp, plist in sorted(al.passages.items()):
-        n = len(plist)
-        if n == 0:
+    labels = sorted(al.circles)
+    rank = {lab: k for k, lab in enumerate(labels)}
+    n = 4 * len(labels)
+    mate, comp, order = [0] * n, [""] * n, []
+    for c, plist in sorted(al.passages.items()):
+        if not plist:
             raise UnsupportedLinkError(
-                f"component {comp!r} meets no crossing disk; the diagram is "
+                f"component {c!r} meets no crossing disk; the diagram is "
                 "not sufficiently reduced for explicit geometry"
             )
-        for k, p in enumerate(plist):
-            q = plist[(k + 1) % n]
-            leave: WDart = (p.circle, p.slot, "E" if p.direction == 1 else "W")
-            arrive: WDart = (q.circle, q.slot, "W" if q.direction == 1 else "E")
-            raw.append((comp, leave, arrive))
+        # Consecutive passages p, q are joined by an arc.  A passage of
+        # direction 1 enters its disk on the W side and leaves on the E side.
+        for p, q in zip(plist, plist[1:] + plist[:1]):
+            x = 4 * rank[p.circle] + 2 * p.slot + (p.direction != 1)
+            y = 4 * rank[q.circle] + 2 * q.slot + (q.direction == 1)
+            mate[x], mate[y] = y, x
+            comp[x] = comp[x ^ 1] = c
+            order += (x, y)
 
     # Untwist: the half-twist crossing east of the disk swaps the two rails,
-    # so flattening it exchanges the destinations of the two E-side darts.
-    partner: dict[WDart, WDart] = {}
-    for comp, x, y in raw:
-        partner[x] = y
-        partner[y] = x
-    for lab in sorted(al.circles):
-        c = al.circles[lab]
-        if not c.half_twist:
-            continue
-        if c.strand_count != 2:
-            raise UnsupportedLinkError(
-                f"circle {lab}: no explicit geometry available for "
-                f"{c.strand_count}-strand twist regions"
-            )
-        a: WDart = (lab, 0, "E")
-        b: WDart = (lab, 1, "E")
-        x, y = partner[a], partner[b]
-        if x == b:  # the two E darts join each other; flattening keeps that
-            continue
-        partner[a], partner[y] = y, a
-        partner[b], partner[x] = x, b
+    # so flattening it exchanges the destinations of the two E darts.
+    half = [al.circles[lab].half_twist for lab in labels]
+    for k in range(len(labels)):
+        a, b = 4 * k, 4 * k + 2
+        x, y = mate[a], mate[b]
+        if half[k] and x != b:  # E darts joined to each other stay so
+            mate[a], mate[y], mate[b], mate[x] = y, a, x, b
+    arc, arcs = [-1] * n, 0
+    for x in order:
+        if arc[x] < 0:
+            arc[x] = arc[mate[x]] = arcs
+            arcs += 1
 
-    # Rebuild arcs from the involution; label cusps afterwards.
-    arcs: dict[int, tuple[str, WDart, WDart]] = {}
-    seen: set[WDart] = set()
-    aid = 0
-    for comp, x, y in raw:
-        for d in (x, y):
-            if d in seen:
-                continue
-            e = partner[d]
-            seen.add(d)
-            seen.add(e)
-            arcs[aid] = ("?", d, e) if d <= e else ("?", e, d)
-            aid += 1
+    # A cusp is an orbit of x -> mate[across[x]], a strand crossing disk
+    # after disk; a half-twist shear crosses to the other slot.  Each is
+    # named by the component of its first W dart in arc order.
+    across = [x ^ (3 if half[x >> 2] else 1) for x in range(n)]
+    cusp: list = [None] * arcs
+    for w in sorted(range(1, n, 2), key=lambda x: (arc[x], x)):
+        x = w  # walk w's whole orbit, unless its cusp is named already
+        while cusp[arc[w]] is None or x != w:
+            cusp[arc[x]] = comp[w]
+            x = mate[across[x]]
+    if None in cusp:
+        raise UnsupportedLinkError("could not label a cusp orbit")
 
-    # Cusp orbits: crossing a disk identifies (j, W) with (j, E) for a plain
-    # circle and (j, W) with (1 - j, E) under a half-twist shear.
-    arc_of: dict[WDart, int] = {}
-    for i, (_, d, e) in arcs.items():
-        arc_of[d] = i
-        arc_of[e] = i
-    orbits = UnionFind()
-    for lab in sorted(al.circles):
-        half = al.circles[lab].half_twist
-        for j in (0, 1):
-            w: WDart = (lab, j, "W")
-            e: WDart = (lab, (1 - j) if half else j, "E")
-            orbits.union(arc_of[w], arc_of[e])
-
-    # Label orbits by the true component owning each W dart.
-    dart_comp: dict[WDart, str] = {}
-    for comp, plist in al.passages.items():
-        for p in plist:
-            dart_comp[(p.circle, p.slot, "W")] = comp
-            dart_comp[(p.circle, p.slot, "E")] = comp
-    orbit_label: dict[int, str] = {}
-    for i, (_, d, e) in sorted(arcs.items()):
-        for dd in (d, e):
-            if dd[2] == "W":
-                orbit_label.setdefault(orbits.find(i), dart_comp[dd])
-    labeled = {}
-    for i, (_, d, e) in arcs.items():
-        lab = orbit_label.get(orbits.find(i))
-        if lab is None:
-            raise UnsupportedLinkError("could not label a cusp orbit")
-        labeled[i] = (lab, d, e)
-
-    # Companion rotations around the bare disk.  The recorded region walk is
-    # the ground truth; a retained half twist swaps the slots of the E darts.
+    # Rotations around the bare disks.  The recorded region walk is the
+    # ground truth; a retained half twist swaps the slots of the E darts.
     # When the walk is unavailable (the region swallows its complement) the
     # word is synthesized from the calibrated frame handedness.
-    rotations: dict[str, list[WDart]] = {}
-    for lab in sorted(al.circles):
+    turn = [0] * n
+    for k, lab in enumerate(labels):
         c = al.circles[lab]
         if c.rotation is not None:
-            word = list(c.rotation)
+            word = [2 * s + (side == "W") for s, side in c.rotation]
             if c.half_twist:
-                word = [
-                    ((1 - s), side) if side == "E" else (s, side)
-                    for s, side in word
-                ]
-            rotations[lab] = [(lab, s, side) for s, side in word]
+                word = [x if x & 1 else x ^ 2 for x in word]
         elif c.chirality == 1:
-            rotations[lab] = [(lab, 1, "E"), (lab, 1, "W"), (lab, 0, "W"), (lab, 0, "E")]
+            word = [2, 3, 1, 0]
         else:
-            rotations[lab] = [(lab, 0, "E"), (lab, 0, "W"), (lab, 1, "W"), (lab, 1, "E")]
-    return labeled, rotations
+            word = [0, 1, 3, 2]
+        for x, y in zip(word, word[1:] + word[:1]):
+            turn[4 * k + x] = 4 * k + y
+    return arc, mate, turn, across, cusp
 
 
 def build_nerve(al: AugmentedLink, infinity: int | None = None) -> Nerve:
@@ -237,70 +199,55 @@ def build_nerve(al: AugmentedLink, infinity: int | None = None) -> Nerve:
             "link; need at least two crossing circles"
         )
 
-    arcs, rotations = _companion_arcs(al)
-    dart_arc: dict[WDart, int] = {}
-    for i, (_, d, e) in arcs.items():
-        dart_arc[d] = i
-        dart_arc[e] = i
-    # Nerve edges: arc i is edge i (faces on its two sides), and each
-    # circle's edge (its two lateral gaps) follows, in label order.
-    circle_edge = {lab: len(arcs) + k for k, lab in enumerate(sorted(al.circles))}
+    arc, mate, turn, across, cusp = _companion(al)
+    # Nerve edges: arc i is edge i (faces on its two sides), and the k-th
+    # circle's edge (its two lateral gaps) is edge arcs + k.
+    arcs = len(cusp)
 
-    # Face traversal of the collapsed embedded graph: vertices are circles,
-    # edges are arcs, rotations as above.  Walking keeps a face on a fixed
-    # side: from an arriving dart step to the next dart clockwise in the
-    # rotation and leave through its arc.  Each face starts from the least
-    # dart not yet walked, and its flower lists the edges it meets in the
-    # order of the walk: every arc, and a circle's edge after a step through
-    # one of its lateral gaps (between darts of mixed sides).
-    face_of_dart: dict[tuple[WDart, int], int] = {}
-    lateral: dict[str, list[int]] = {lab: [] for lab in circle_edge}
+    # Faces of the collapsed embedded graph (vertices circles, edges arcs):
+    # the orbits of x -> turn[mate[x]], each from the least dart not yet
+    # walked.  A face's flower lists the edges it meets in walk order: every
+    # arc, and a circle's edge after a turn through one of its lateral gaps
+    # (between darts of mixed sides).
+    face = [-1] * len(arc)
+    lateral: list[list[int]] = [[] for _ in al.circles]
     flowers: list[list[int]] = []
-    for start in sorted((d, i) for i, (_, x, y) in arcs.items() for d in (x, y)):
-        if start in face_of_dart:
+    for start in range(len(arc)):
+        if face[start] >= 0:
             continue
-        flower = []
-        cur = start
-        while True:
-            face_of_dart[cur] = len(flowers)
-            d, i = cur
-            flower.append(i)
-            _, x, y = arcs[i]
-            twin = y if d == x else x
-            rot = rotations[twin[0]]
-            nxt_d = rot[(rot.index(twin) + 1) % len(rot)]
-            if nxt_d[2] != twin[2]:
-                flower.append(circle_edge[twin[0]])
-                lateral[twin[0]].append(len(flowers))
-            cur = (nxt_d, dart_arc[nxt_d])
-            if cur == start:
-                break
+        flower, x = [], start
+        while face[x] < 0:
+            face[x] = len(flowers)
+            flower.append(arc[x])
+            t = mate[x]
+            x = turn[t]
+            if (x ^ t) & 1:
+                flower.append(arcs + (t >> 2))
+                lateral[t >> 2].append(len(flowers))
         flowers.append(flower)
     whites = len(flowers)
 
-    v = len(al.circles)
-    e_count = len(arcs)
-    if whites != 2 - v + e_count:
+    if whites != 2 - len(al.circles) + arcs:
         raise UnsupportedLinkError(
             "collapsed diagram is not planar; no polyhedral decomposition"
         )
 
-    edges: list[NerveEdge] = []
-    for i in sorted(arcs):
-        cusp, d, e = arcs[i]
-        fa = face_of_dart[(d, i)]
-        fb = face_of_dart[(e, i)]
-        edges.append(NerveEdge(min(fa, fb), max(fa, fb), "arc", cusp, i))
+    arc_exit = [0] * arcs
+    for x in range(len(arc)):
+        arc_exit[arc[x]] = x  # the larger of the two
+    edges = [
+        NerveEdge(*sorted((face[x], face[mate[x]])), "arc", cusp[i])
+        for i, x in enumerate(arc_exit)
+    ]
     # Triangles: the circle's lateral tangency plus the arcs at its two
     # same-side darts.
     triangles = []
-    for lab in sorted(al.circles):
-        if len(lateral[lab]) != 2:
+    for k, lab in enumerate(sorted(al.circles)):
+        if len(lateral[k]) != 2:
             raise UnsupportedLinkError(f"circle {lab}: degenerate disk gaps")
-        edges.append(NerveEdge(min(lateral[lab]), max(lateral[lab]), "circle", lab, lab))
-        for side in ("W", "E"):
-            eids = (circle_edge[lab], dart_arc[(lab, 0, side)], dart_arc[(lab, 1, side)])
-            triangles.append((eids, lab, side))
+        edges.append(NerveEdge(*sorted(lateral[k]), "circle", lab))
+        for side, w in (("W", 4 * k + 1), ("E", 4 * k)):
+            triangles.append(((arcs + k, arc[w], arc[w + 2]), lab, side))
 
     # Simplicity: tangent circles meet once, so edge pairs must be unique.
     pairs = [(e.a, e.b) for e in edges]
@@ -319,10 +266,9 @@ def build_nerve(al: AugmentedLink, infinity: int | None = None) -> Nerve:
         flowers=flowers,
         triangles=triangles,
         infinity_edge=infinity if infinity is not None else 0,
-        arcs=arcs,
-        circle_half={lab: al.circles[lab].half_twist for lab in al.circles},
-        circle_sign={lab: al.circles[lab].handedness for lab in al.circles},
-        dart_arc=dart_arc,
+        exits=[(mate[y], arc[y]) for y in across],
+        arc_exit=arc_exit,
+        shear_sign=[c.handedness if c.half_twist else 0 for _, c in sorted(al.circles.items())],
     )
     _check_degrees(n)
     return n

@@ -171,7 +171,7 @@ class TestCertificate:
 
     def test_unknown_component_rejected(self):
         al, _ = augment(catalog.figure_eight())
-        with pytest.raises(KeyError):
+        with pytest.raises(DiagramInvariantError, match="unknown component 'zzz'"):
             three_punctured_certificate(al, "zzz")
 
 

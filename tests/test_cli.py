@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,10 +7,9 @@ import sys
 import pytest
 
 import augcusp
-from augcusp import catalog, cli, packing
+from augcusp import catalog, cli, geometry
 from augcusp.diagram import full_ribbon_braid
-from augcusp.packing import build_nerve
-from test_geometry import unclosed_walks
+from augcusp.packing import normalize_at_vertex
 
 CLI = [sys.executable, "-m", "augcusp.cli"]
 # The CLI runs from the source tree the tests import.
@@ -197,10 +197,20 @@ class TestCusp:
     def test_measuring_error_exit_3(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "chain-5.json"
         path.write_text(catalog.two_bridge_chain(5).to_json())
-        # cli imports build_nerve from augcusp.packing when the command runs
-        monkeypatch.setattr(packing, "build_nerve", lambda al: unclosed_walks(build_nerve(al)))
+        # The frames name the next edge as the one at infinity: that edge's
+        # lifts are shaded circles, not vertical lines.
+        def off_infinity(packing, eids):
+            frames = normalize_at_vertex(packing, eids)
+            moved = (eids + 1) % len(packing.nerve.edges)
+            return dataclasses.replace(
+                frames, normalization={**frames.normalization, "infinity_edge": moved}
+            )
+
+        monkeypatch.setattr(geometry, "normalize_at_vertex", off_infinity)
         assert cli.main(["cusp", str(path)]) == 3
-        assert "validation error: longitude walk did not close" in capsys.readouterr().err
+        assert "validation error: crossing-disk lift at the cusp is not vertical" in (
+            capsys.readouterr().err
+        )
 
     def test_render(self, tmp_path):
         svg = tmp_path / "packing.svg"

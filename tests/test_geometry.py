@@ -36,13 +36,6 @@ from augcusp.families import fal_corpus, gen_twobridge_family, twobridge_middle_
 from augcusp.packing import build_nerve, normalize_at_vertex, solve_packing
 
 
-def unclosed_walks(nerve):
-    """The nerve with every dart's partner on one arc: no longitude walk
-    comes back to its start."""
-    arc = max(nerve.arcs)
-    return dataclasses.replace(nerve, dart_arc=dict.fromkeys(nerve.dart_arc, arc))
-
-
 def borromean_link():
     al, _ = augment(catalog.figure_eight())
     return al
@@ -97,6 +90,11 @@ class TestSquareCusp:
         fam = gen_twobridge_family(1, [1])
         rep = analyze_cusp(fam.parent, twobridge_middle_circle(fam))
         assert abs(rep.width - 2.0) <= 1e-9
+
+    def test_family_without_middle_circle_rejected(self):
+        fam = gen_twobridge_family(1, [1])
+        with pytest.raises(DiagramInvariantError, match="no middle circle"):
+            twobridge_middle_circle(dataclasses.replace(fam, labels={}))
 
     def test_knotting_cusps_of_parent_are_exactly_two(self):
         fam = gen_twobridge_family(1, [1])
@@ -360,17 +358,6 @@ class TestMeasuringErrors:
         with pytest.raises(MeasuringError, match="lift at the cusp is not vertical"):
             geometry.cusp_lattice(moved)
 
-    def test_unclosed_walk_stays_with_its_cusp(self):
-        al, _ = augment(catalog.two_bridge_chain(5))
-        packing = solve_packing(build_nerve(al))
-        broken = dataclasses.replace(packing, nerve=unclosed_walks(packing.nerve))
-        for cusp in broken.nerve.cusps():
-            if cusp in broken.nerve.knotting_cusps:
-                with pytest.raises(MeasuringError, match="longitude walk did not close"):
-                    analyze_cusp(al, cusp, packing=broken)
-            else:
-                assert analyze_cusp(al, cusp, packing=broken).kind == "circle"
-
 
 LADDER = {
     **{f"chain-{k}": functools.partial(catalog.two_bridge_chain, k)
@@ -378,6 +365,34 @@ LADDER = {
     **{f"pretzel-3x{c}": functools.partial(catalog.pretzel_link, [3] * c)
        for c in (10, 20, 30, 40, 60)},
 }
+
+
+class TestLongitudeWalk:
+    def test_every_edge_of_a_knotting_cusp_walks_its_lattice(self):
+        # Reports walk from a cusp's least edge; here each of its edges is
+        # put at infinity in turn, so walks run from every arc of the chain.
+        links = [augment(d)[0] for d in (
+            *(catalog.two_bridge_chain(k) for k in (5, 13, 21)),
+            *(catalog.pretzel_link([3] * c) for c in (10, 20)),
+        )] + [al for _name, al in fal_corpus(4)]
+        frames = 0
+        for al in links:
+            try:
+                nerve = build_nerve(al)
+            except UnsupportedLinkError:
+                continue
+            packing = solve_packing(nerve)
+            for cusp in nerve.knotting_cusps:
+                eids = nerve.cusp_edges[cusp]
+                block = normalize_at_vertex(packing, np.array(eids, dtype=np.intp))
+                ratios = []
+                for f in range(len(eids)):
+                    mu, lam, info = geometry.cusp_lattice(block[f])
+                    assert info["rectangles"] == len(eids)
+                    ratios.append(abs(lam / mu))
+                assert max(ratios) - min(ratios) <= 1e-12 * max(ratios)
+                frames += len(eids)
+        assert frames == 214
 
 
 def ladder_packings(name):

@@ -12,7 +12,7 @@ from augcusp.errors import ConvergenceError, UnsupportedLinkError
 from augcusp.mobius import Circline, tangency_residual
 from augcusp.families import fal_corpus
 from augcusp.packing import (
-    _companion_arcs,
+    _companion,
     _layout,
     _refine,
     build_nerve,
@@ -349,30 +349,27 @@ class TestCentreRadius:
 
 
 def reference_flowers(al, nerve):
-    """Reference face walk: each face starts from the least dart of any
-    face not yet walked, found by a scan of every remaining dart.  A face's
-    flower lists, in walk order, the edge of every arc it walks and the
-    circle's edge after each step through a lateral gap (a rotation step
-    between darts of mixed sides), with the edge ids looked up by ref."""
-    arcs, rotations = _companion_arcs(al)
-    edge_of = {(e.kind, e.ref): k for k, e in enumerate(nerve.edges)}
-    dart_arc = {d: i for i, (_, x, y) in arcs.items() for d in (x, y)}
-    unused = {(d, i) for i, (_, x, y) in arcs.items() for d in (x, y)}
+    """Reference face walk on the integer companion: each face starts from
+    the least dart of any face not yet walked, found by a scan of every
+    remaining dart.  A face's flower lists, in walk order, the edge of every
+    arc it walks (arc i is edge i) and the circle's edge after each turn
+    through a lateral gap (between darts of mixed sides), looked up by its
+    cusp."""
+    arc, mate, turn, _across, _cusp = _companion(al)
+    labels = sorted(al.circles)
+    circle_edge = {e.cusp: k for k, e in enumerate(nerve.edges) if e.kind == "circle"}
+    unused = set(range(len(arc)))
     flowers = []
     while unused:
         start = cur = min(unused)
         flower = []
         while True:
             unused.discard(cur)
-            d, i = cur
-            flower.append(edge_of["arc", i])
-            _, x, y = arcs[i]
-            twin = y if d == x else x
-            rot = rotations[twin[0]]
-            nxt = rot[(rot.index(twin) + 1) % len(rot)]
-            if nxt[2] != twin[2]:
-                flower.append(edge_of["circle", twin[0]])
-            cur = (nxt, dart_arc[nxt])
+            flower.append(arc[cur])
+            twin = mate[cur]
+            cur = turn[twin]
+            if (cur ^ twin) & 1:
+                flower.append(circle_edge[labels[twin >> 2]])
             if cur == start:
                 break
         flowers.append(flower)
@@ -395,8 +392,8 @@ class TestNerve:
                 continue
             assert nerve.flowers == reference_flowers(al, nerve)
             # Arc i is edge i; the circles' edges follow in label order.
-            arcs = [e.ref for e in nerve.edges if e.kind == "arc"]
-            circles = [e.ref for e in nerve.edges if e.kind == "circle"]
+            arcs = [k for k, e in enumerate(nerve.edges) if e.kind == "arc"]
+            circles = [e.cusp for e in nerve.edges if e.kind == "circle"]
             assert arcs == list(range(len(arcs))) and circles == sorted(al.circles)
             assert [e.kind for e in nerve.edges] == ["arc"] * len(arcs) + ["circle"] * len(circles)
             compared += 1
