@@ -231,26 +231,50 @@ def _height(
         k = int(np.argmax(kap))
         best = math.sqrt(kap[k])
         witness = f"horoball tangency at edge {eids[k]}"
-    # Pairs (p_i, p_j + t), t a nearby lattice translate: the two balls
-    # touch at height sqrt(kappa_i kappa_j) / |p_j + t - p_i|, so the pair
-    # of least |p_j + t - p_i| / sqrt(kappa_i kappa_j) is the highest.
     mu, lam = lattice if lattice is not None else _lattice(block, rows, f)[:2]
     shifts = [a * mu + b * lam for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    best, pair, searched = _pair_search(pts, kap, best, shifts)
+    if pair is not None:
+        witness = f"horoball pair at edges near {eids[pair[0]]},{eids[pair[1]]}"
+    log.debug(
+        "height: edge %d at infinity, %d of %d shifts searched (%d pairs), "
+        "height %.17g, witness %s",
+        eid, searched, len(shifts), searched * len(eids) ** 2, best, witness,
+    )
+    return best, witness, list(zip(pts.tolist(), (kap / best).tolist()))
+
+
+def _pair_search(
+    pts: np.ndarray, kap: np.ndarray, best: float, shifts: list[complex]
+) -> tuple[float, tuple[int, int] | None, int]:
+    """The highest horoball pair (p_i, p_j + t) over the shifts t, if above
+    best: (its height or best, (i, j) or None, the shifts searched).  The
+    two balls touch at height sqrt(kappa_i kappa_j) / |p_j + t - p_i|."""
     x, y, root = pts.real, pts.imag, np.sqrt(kap)
+    # Every pair across t is at least apart = max(|Re t| - wx, |Im t| - wy)
+    # apart, wx and wy the extent of the points, so its height is at most
+    # max(kappa) / apart.  A shift with apart * best > max(kappa) thus has
+    # no pair above best, nor above any later best: skipping it changes
+    # nothing.  The margin 1e-9 covers the roundoff of the bound.
+    wx, wy = x.max() - x.min(), y.max() - y.min()
+    top = kap.max() * (1 + 1e-9)
+    pair, searched = None, 0
     for t in shifts:
+        if max(abs(t.real) - wx, abs(t.imag) - wy) * best > top:
+            continue
+        searched += 1
         gap = np.subtract.outer(x, x + t.real)
         gap = np.hypot(gap, np.subtract.outer(y, y + t.imag), out=gap)
         gap[gap < 1e-14] = np.inf  # the lift itself
         gap /= root[:, None]
         gap /= root
-        i, j = divmod(int(np.argmin(gap)), len(eids))
+        i, j = divmod(int(np.argmin(gap)), len(pts))
         if math.isinf(gap[i, j]):
             continue
         cand = math.sqrt(kap[i] * kap[j]) / abs(pts[j] + t - pts[i])
         if cand > best + 1e-15:
-            best = cand
-            witness = f"horoball pair at edges near {eids[i]},{eids[j]}"
-    return best, witness, list(zip(pts.tolist(), (kap / best).tolist()))
+            best, pair = cand, (i, j)
+    return best, pair, searched
 
 
 def cusp_shape(frame: CirclePacking) -> CuspShape:

@@ -703,7 +703,11 @@ def normalize_at_vertex(
     it is from an extended-precision strip frame).  The shaded circles
     follow from the whites.  The polish record (steps, unknowns, tangency
     error before and after; 0 steps on 0 unknowns when skipped) is kept in
-    normalization["polish"].
+    normalization["polish"].  The frame's residuals are those that decide
+    the polish (derived again for a polished frame): they are taken before
+    the flank shift that puts the leftmost shaded line at x = 0, which moves
+    the circle centres by one real constant, so the rows of a line are the
+    same and the others differ at roundoff.
 
     edge_id is an edge id, or an array of them for a FrameBlock of those
     frames, (frames x whites) arrays: its frames are the same, bit for bit,
@@ -760,12 +764,14 @@ def normalize_at_vertex(
     radius[frame, u] = radius[frame, v] = np.inf
     # Every radius in the unit strip is at most 1/2, so tol is the gate
     # tol * max(1, scale) that solve_packing meets: polish only above it.
-    before = CirclePacking(nerve, center, radius, None, packing.tol, {}).residuals.max(axis=1)
+    residuals = CirclePacking(nerve, center, radius, None, packing.tol, {}).residuals
+    before = residuals.max(axis=1)
     polish = [{"steps": 0, "unknowns": 0, "before": x, "after": x} for x in before.tolist()]
     for f in np.flatnonzero(before > packing.tol):
         center[f], radius[f], polish[f] = _refine(
             nerve, center[f], radius[f], 1.0, u[f], v[f], eids[f], packing.tol
         )
+        residuals[f] = CirclePacking(nerve, center[f], radius[f], None, packing.tol, {}).residuals
     # The shaded lines through infinity pass through the tangencies of the
     # lines with the two whites that flank the cusp, so they sit at the x of
     # those whites' centres.
@@ -791,4 +797,5 @@ def normalize_at_vertex(
         nerve, center, radius, (u, v), packing.tol,
         {"infinity_edge": eids, "frame": "unit-strip", "polish": polish},
     )
+    vars(block)["residuals"] = residuals
     return block if np.ndim(edge_id) else block[0]

@@ -1,6 +1,9 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -192,7 +195,8 @@ class TestCusp:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
         assert "measure: block of 15 frames, 13 circle and 2 knotting" in b.stderr
-        assert "measure:" not in a.stderr
+        assert b.stderr.count("height: edge ") == 2  # one per knotting frame
+        assert "measure:" not in a.stderr and "height:" not in a.stderr
 
     def test_measuring_error_exit_3(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "chain-5.json"
@@ -310,3 +314,51 @@ class TestExitCodes:
         assert r.returncode == 2
         assert f"output error: cannot write {svg}: " in r.stderr
         assert "Traceback" not in r.stderr
+
+
+FUZZ_SOURCES = [
+    catalog.trefoil, catalog.figure_eight, catalog.borromean_rings, catalog.unknot_kink,
+    lambda: catalog.rational_link([2, 2, 2]), lambda: catalog.rational_link([3, -2]),
+    lambda: catalog.pretzel_link([3, -2, 2]), lambda: catalog.pretzel_link([3, 3, 3]),
+    lambda: catalog.two_bridge_chain(5),
+]
+
+
+def mutated(doc, rng):
+    """A catalog diagram's JSON with one to three random changes: an entry
+    changed, a crossing dropped, duplicated or rotated, the crossings
+    permuted, or the components removed."""
+    pd = [list(c) for c in doc["pd"]]
+    top = max(e for c in pd for e in c)
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice(("entry", "drop", "duplicate", "permute", "rotate", "components"))
+        if op == "entry":
+            rng.choice(pd)[rng.randrange(4)] = rng.randint(-1, top + 2)
+        elif op == "drop" and len(pd) > 1:
+            pd.pop(rng.randrange(len(pd)))
+        elif op == "duplicate":
+            pd.insert(rng.randrange(len(pd) + 1), list(rng.choice(pd)))
+        elif op == "permute":
+            rng.shuffle(pd)
+        elif op == "rotate":
+            c = rng.choice(pd)
+            k = rng.randrange(1, 4)
+            c[:] = c[k:] + c[:k]
+        elif op == "components":
+            doc = {k: v for k, v in doc.items() if k != "components"}
+    return {**doc, "pd": pd}
+
+
+@pytest.mark.filterwarnings("ignore::augcusp.errors.ReducibleDiagramWarning")
+def test_mutated_diagrams_exit_with_a_code(tmp_path):
+    """Every run ends in an exit code of the CLI, never in a traceback."""
+    rng = random.Random(1616)
+    path = tmp_path / "mutated.json"
+    codes = []
+    for _ in range(300):
+        path.write_text(json.dumps(mutated(json.loads(rng.choice(FUZZ_SOURCES)().to_json()), rng)))
+        for argv in (["twists", path], ["augment", path, "--roundtrip"], ["cusp", path]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                codes.append(cli.main([str(x) for x in argv]))
+    assert set(codes) <= {0, 2, 3, 4}
+    assert {0, 2, 3} <= set(codes)

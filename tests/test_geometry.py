@@ -367,31 +367,37 @@ LADDER = {
 }
 
 
+def knotting_blocks():
+    """Per knotting cusp of chain-5, 13, 21, pretzel 3x10, 3x20 and
+    fal_corpus(4), the block of its frames with each of its edges at
+    infinity in turn."""
+    links = [augment(d)[0] for d in (
+        *(catalog.two_bridge_chain(k) for k in (5, 13, 21)),
+        *(catalog.pretzel_link([3] * c) for c in (10, 20)),
+    )] + [al for _name, al in fal_corpus(4)]
+    for al in links:
+        try:
+            nerve = build_nerve(al)
+        except UnsupportedLinkError:
+            continue
+        packing = solve_packing(nerve)
+        for cusp in nerve.knotting_cusps:
+            yield normalize_at_vertex(packing, np.array(nerve.cusp_edges[cusp], dtype=np.intp))
+
+
 class TestLongitudeWalk:
     def test_every_edge_of_a_knotting_cusp_walks_its_lattice(self):
         # Reports walk from a cusp's least edge; here each of its edges is
         # put at infinity in turn, so walks run from every arc of the chain.
-        links = [augment(d)[0] for d in (
-            *(catalog.two_bridge_chain(k) for k in (5, 13, 21)),
-            *(catalog.pretzel_link([3] * c) for c in (10, 20)),
-        )] + [al for _name, al in fal_corpus(4)]
         frames = 0
-        for al in links:
-            try:
-                nerve = build_nerve(al)
-            except UnsupportedLinkError:
-                continue
-            packing = solve_packing(nerve)
-            for cusp in nerve.knotting_cusps:
-                eids = nerve.cusp_edges[cusp]
-                block = normalize_at_vertex(packing, np.array(eids, dtype=np.intp))
-                ratios = []
-                for f in range(len(eids)):
-                    mu, lam, info = geometry.cusp_lattice(block[f])
-                    assert info["rectangles"] == len(eids)
-                    ratios.append(abs(lam / mu))
-                assert max(ratios) - min(ratios) <= 1e-12 * max(ratios)
-                frames += len(eids)
+        for block in knotting_blocks():
+            ratios = []
+            for frame in block:
+                mu, lam, info = geometry.cusp_lattice(frame)
+                assert info["rectangles"] == len(block)
+                ratios.append(abs(lam / mu))
+            assert max(ratios) - min(ratios) <= 1e-12 * max(ratios)
+            frames += len(block)
         assert frames == 214
 
 
@@ -547,3 +553,90 @@ class TestReportsPerPacking:
                 assert analyze_cusp(al, cusp, packing=moved, nerve=nerve).cusp == cusp
                 outcomes.add("analysed")
         assert outcomes == {"refused", "analysed"}
+
+
+def reference_pair_search(pts, kap, best, shifts):
+    """The horoball-pair search over every shift, with no shift left out:
+    (height, (i, j) or None, the index of the winning shift or None)."""
+    x, y, root = pts.real, pts.imag, np.sqrt(kap)
+    pair = won = None
+    for n, t in enumerate(shifts):
+        gap = np.subtract.outer(x, x + t.real)
+        gap = np.hypot(gap, np.subtract.outer(y, y + t.imag), out=gap)
+        gap[gap < 1e-14] = np.inf  # the lift itself
+        gap /= root[:, None]
+        gap /= root
+        i, j = divmod(int(np.argmin(gap)), len(pts))
+        if math.isinf(gap[i, j]):
+            continue
+        cand = math.sqrt(kap[i] * kap[j]) / abs(pts[j] + t - pts[i])
+        if cand > best + 1e-15:
+            best, pair, won = cand, (i, j), n
+    return best, pair, won
+
+
+def random_configuration(rng):
+    """Tangency points in a box of a random sheared lattice, with skewed
+    kappa in (0, 1], and the starting height as _height takes it."""
+    mu = complex(rng.uniform(0.3, 2.0), rng.uniform(-0.5, 0.5))
+    lam = complex(rng.uniform(-1.0, 1.0), rng.uniform(0.3, 2.0))
+    wide, tall = rng.uniform(0.1, 1.0) * mu.real, rng.uniform(0.1, 1.0) * lam.imag
+    n = rng.randint(2, 12)
+    pts = np.array([complex(rng.uniform(0, wide), rng.uniform(0, tall)) for _ in range(n)])
+    kap = np.array([(1.0 - rng.random()) ** 3 for _ in range(n)])
+    best = max(rng.uniform(0.0, 1.0), math.sqrt(kap.max()))
+    shifts = [a * mu + b * lam for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    return pts, kap, best, shifts
+
+
+class TestPairSearch:
+    def test_pruned_search_is_the_full_search(self):
+        rng = random.Random(1606)
+        across = pruned = 0
+        for _ in range(600):
+            pts, kap, best, shifts = random_configuration(rng)
+            height, pair, searched = geometry._pair_search(pts, kap, best, shifts)
+            want = reference_pair_search(pts, kap, best, shifts)
+            assert (height, pair) == want[:2]
+            across += want[2] not in (None, 4)  # won across a nonzero shift
+            pruned += searched < len(shifts)
+        # Both ways to differ from the reference are exercised: a pair that
+        # only a nonzero shift finds, and shifts left out.
+        assert across >= 10 and pruned >= 100
+
+    def test_every_knotting_frame_is_measured_as_by_the_full_search(self, monkeypatch):
+        frames = [frame for block in knotting_blocks() for frame in block]
+        got = [maximal_cusp(frame) for frame in frames]
+        monkeypatch.setattr(
+            geometry, "_pair_search",
+            lambda pts, kap, best, shifts: (*reference_pair_search(pts, kap, best, shifts)[:2], 9),
+        )
+        assert got == [maximal_cusp(frame) for frame in frames]
+        assert len(frames) == 214
+
+
+HEIGHT_RECORD = re.compile(
+    r"height: edge (\d+) at infinity, (\d) of 9 shifts searched \((\d+) pairs\), "
+    r"height (\S+), witness (.+)"
+)
+
+
+def test_one_debug_record_per_knotting_frame(caplog):
+    al, _ = augment(catalog.two_bridge_chain(13))
+    nerve = build_nerve(al)
+    packing = solve_packing(nerve)
+    with caplog.at_level(logging.DEBUG, logger="augcusp"):
+        reports = geometry._analyze(packing, nerve.cusps())
+    records = [r for r in caplog.records if r.getMessage().startswith("height: ")]
+    assert len(records) == len(nerve.knotting_cusps) == 2
+    searched = []
+    for cusp, record in zip(nerve.knotting_cusps, records):
+        assert record.levelno == logging.DEBUG
+        eid, shifts, pairs, height, witness = HEIGHT_RECORD.fullmatch(record.getMessage()).groups()
+        lifts = len(nerve.cusp_edges[cusp]) - 1
+        assert int(eid) == nerve.cusp_edges[cusp][0]
+        assert int(pairs) == int(shifts) * lifts**2
+        assert float(height) == reports[cusp].shape.height
+        assert witness == reports[cusp].witness
+        searched.append(int(shifts))
+    assert sorted(searched) == [1, 3]

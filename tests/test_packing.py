@@ -1,10 +1,12 @@
 import cmath
 import dataclasses
+import functools
 import logging
 import math
 
 import numpy as np
 import pytest
+from test_geometry import LADDER, ladder_packings
 
 from augcusp import catalog, geometry
 from augcusp.augment import augment
@@ -12,6 +14,7 @@ from augcusp.errors import ConvergenceError, UnsupportedLinkError
 from augcusp.mobius import Circline, tangency_residual
 from augcusp.families import fal_corpus
 from augcusp.packing import (
+    CirclePacking,
     _companion,
     _layout,
     _refine,
@@ -732,6 +735,56 @@ class TestPolishOnlyWhenNeeded:
                     continue
                 a, b = np.atleast_1d(g[key]), np.atleast_1d(w[key])
                 assert np.all(np.abs(a - b) <= 1e-10 * np.abs(b)), key
+
+
+def residual_packings():
+    """The chain and pretzel ladders, fal_corpus(4), and chain-81 from a
+    float64 strip frame, whose map leaves some frames beyond tol."""
+    packings = [p for name in [*LADDER, "fal_corpus-4"] for p in ladder_packings(name)]
+    wide = packings[list(LADDER).index("chain-81")]
+    return packings + [dataclasses.replace(
+        wide, center=wide.center.astype(complex), radius=wide.radius.astype(float)
+    )]
+
+
+class TestResidualsOnce:
+    def test_a_block_derives_its_residuals_once(self, monkeypatch):
+        calls = []
+
+        @functools.cached_property
+        def counted(self):
+            calls.append(np.shape(self.center))
+            return derive(self)
+
+        derive = CirclePacking.residuals.func
+        counted.__set_name__(CirclePacking, "residuals")
+        monkeypatch.setattr(CirclePacking, "residuals", counted)
+        eps = np.finfo(float).eps
+        frames = polished = 0
+        for packing in residual_packings():
+            nerve = packing.nerve
+            eids = np.array([nerve.cusp_edges[c][0] for c in nerve.cusps()], dtype=np.intp)
+            calls.clear()
+            block = normalize_at_vertex(packing, eids)
+            rows = geometry._rows(block)
+            redone = sum(bool(p["unknowns"]) for p in block.normalization["polish"])
+            # Once for the block, once more for each polished frame, and not
+            # again for the measures.
+            assert calls == [block.center.shape] + [block.center.shape[1:]] * redone
+            # The residuals are taken before the flank shift: a fresh
+            # derivation after it differs at roundoff, and not at all on a
+            # line.
+            fresh = derive(block)
+            size = np.where(np.isfinite(block.radius), abs(block.center), 0.0).max(axis=1)
+            assert np.all(abs(block.residuals - fresh) <= 4 * eps * np.maximum(1.0, size)[:, None])
+            (a, b), (u, v) = nerve.ends, block.lines
+            line = (a == u[:, None]) | (a == v[:, None]) | (b == u[:, None]) | (b == v[:, None])
+            assert np.array_equal(block.residuals[line], fresh[line])
+            gate = np.array(rows.gate)
+            assert (np.array(rows.worst) <= gate).tolist() == (fresh.max(axis=1) <= gate).tolist()
+            frames += len(block)
+            polished += redone
+        assert polished and frames == 401 + 170 + 57 + 83
 
 
 class TestLogging:
