@@ -466,9 +466,12 @@ def untwist_retwist_roundtrip(
     d: Diagram, regions: list[TwistRegion] | None = None
 ) -> Diagram:
     """augment followed by the inverse filling; isomorphic to the input."""
-    if regions is None:
-        regions = detect_twist_regions(d)
-    al, ledger = augment(d, regions)
+    return _refill(*augment(d, regions))
+
+
+def _refill(al: AugmentedLink, ledger: SlopeLedger) -> Diagram:
+    """The diagram that `augment` returned (al, ledger) for: every circle
+    filled with the twists of its ledger entry, or none."""
     twists = {lab: 0 for lab in al.circles}
     for cusp, slope in ledger.entries.items():
         twists[cusp] = slope.denominator * slope.numerator

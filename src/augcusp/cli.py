@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .augment import augment, untwist_retwist_roundtrip
+from .augment import _refill, augment
 from .diagram import (
     detect_twist_regions,
     parse_diagram,
@@ -123,7 +123,7 @@ def cmd_augment(args) -> int:
         ]
     al, ledger = augment(d, regions)
     if args.roundtrip:
-        rt = untwist_retwist_roundtrip(d, regions)
+        rt = _refill(al, ledger)
         if not pd_isomorphic(rt, d):
             _say("roundtrip FAILED: refilled diagram is not isomorphic")
             return EXIT_VALIDATION

@@ -11,6 +11,7 @@ them.
 from __future__ import annotations
 
 import json
+import logging
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
@@ -18,6 +19,8 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .errors import DiagramInvariantError, PDSyntaxError, ReducibleDiagramWarning
+
+log = logging.getLogger(__name__)
 
 Edge = int
 Crossing = tuple[Edge, Edge, Edge, Edge]
@@ -86,24 +89,35 @@ class Diagram:
     @cached_property
     def _walks(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
         """(label, walk) per component, ordered by the component's least
-        edge: the darts the walk arrives at, from that edge's first end on.
-        A strand arriving at dart x leaves by x ^ 2 and arrives at twin[x ^ 2]."""
+        edge and walked from that edge's first end; see `_strand_walks`."""
         occ = self.occurrences()
+        firsts = [4 * c + s for (c, s), _ in map(occ.get, sorted(occ))]
+        crs = self.crossings
+        return tuple(
+            (self.components[crs[w[0] >> 2][w[0] & 3]], w)
+            for w in _strand_walks(firsts, self._twin)
+        )
+
+    @cached_property
+    def _parts(self) -> tuple[list[int], ...]:
+        """The crossings of each connected part of the projection, from one
+        search over crossings, each joined to the four crossings at the other
+        ends of its edges."""
         twin = self._twin
-        walked = [False] * len(twin)
-        walks = []
-        for e in sorted(occ):
-            c, s = occ[e][0]
-            x = 4 * c + s
-            if walked[x]:
+        seen = [False] * len(self.crossings)
+        parts = []
+        for c in range(len(self.crossings)):
+            if seen[c]:
                 continue
-            walk = []
-            while not walked[x]:
-                walked[x] = walked[twin[x]] = True
-                walk.append(x)
-                x = twin[x ^ 2]
-            walks.append((self.components[e], tuple(walk)))
-        return tuple(walks)
+            seen[c] = True
+            part = [c]
+            for x in part:
+                for y in twin[4 * x : 4 * x + 4]:
+                    if not seen[y >> 2]:
+                        seen[y >> 2] = True
+                        part.append(y >> 2)
+            parts.append(part)
+        return tuple(parts)
 
     @cached_property
     def face_map(self) -> FaceMap:
@@ -209,18 +223,26 @@ def parse_diagram(text: str) -> Diagram:
     else:
         if not isinstance(comp_doc, dict):
             raise PDSyntaxError("'components' must be an object")
-        components = {int(k): str(v) for k, v in comp_doc.items()}
+        try:
+            components = {int(k): str(v) for k, v in comp_doc.items()}
+        except ValueError as exc:
+            raise PDSyntaxError(f"'components' keys must be edge ids: {exc}") from exc
 
     signs_doc = doc.get("signs")
     signs = None
     if signs_doc is not None:
-        if len(signs_doc) != len(crossings) or not all(
-            s in (1, -1) for s in signs_doc
+        if (
+            not isinstance(signs_doc, list)
+            or len(signs_doc) != len(crossings)
+            or not all(s in (1, -1) for s in signs_doc)
         ):
             raise PDSyntaxError("'signs' must list +1/-1 per crossing")
         signs = tuple(int(s) for s in signs_doc)
 
-    loops = tuple(str(s) for s in doc.get("loops", ()))
+    loops_doc = doc.get("loops", [])
+    if not isinstance(loops_doc, list):
+        raise PDSyntaxError("'loops' must be a list of component labels")
+    loops = tuple(str(s) for s in loops_doc)
     return Diagram(crossings, components, signs, loops)
 
 
@@ -243,18 +265,41 @@ class UnionFind:
 
 
 def _infer_components(crossings) -> dict[Edge, str]:
-    uf = UnionFind()
-    for cr in crossings:
-        uf.union(cr[0], cr[2])
-        uf.union(cr[1], cr[3])
-    reps: dict[Edge, int] = {}
-    out: dict[Edge, str] = {}
-    for e in sorted({e for cr in crossings for e in cr}):
-        r = uf.find(e)
-        if r not in reps:
-            reps[r] = len(reps)
-        out[e] = str(reps[r])
-    return out
+    """Edge id -> str(k) for the edges of the k-th strand walk, the walks
+    ordered by their least edge."""
+    edge = [e for cr in crossings for e in cr]  # dart -> its edge
+    darts = sorted(range(len(edge)), key=edge.__getitem__)
+    firsts, seconds = darts[::2], darts[1::2]
+    edges = [edge[x] for x in firsts]
+    if edges != [edge[x] for x in seconds] or 2 * len(set(edge)) != len(edge):
+        return dict.fromkeys(edge, "0")  # an edge not seen twice: validation names it
+    twin = [0] * len(edge)
+    for x, y in zip(firsts, seconds):
+        twin[x], twin[y] = y, x
+    label = {}
+    for k, walk in enumerate(_strand_walks(firsts, twin)):
+        lab = str(k)
+        for x in walk:
+            label[edge[x]] = lab
+    return {e: label[e] for e in edges}
+
+
+def _strand_walks(firsts: list[int], twin: list[int]) -> list[tuple[int, ...]]:
+    """The darts each component's strand arrives at: one walk per component,
+    from the first dart of `firsts` that no earlier walk reached.  A strand
+    arriving at dart x leaves by x ^ 2 and arrives at twin[x ^ 2]."""
+    walked = [False] * len(twin)
+    walks = []
+    for x in firsts:
+        if walked[x]:
+            continue
+        walk = []
+        while not walked[x]:
+            walked[x] = walked[twin[x]] = True
+            walk.append(x)
+            x = twin[x ^ 2]
+        walks.append(tuple(walk))
+    return walks
 
 
 def _validate(d: Diagram) -> None:
@@ -296,29 +341,10 @@ def _validate(d: Diagram) -> None:
         e = 2 * v
         f = len(d.face_map.faces)
         # Each connected part of the projection contributes its own sphere.
-        if v - e + f != 2 * _count_parts(d):
+        if v - e + f != 2 * len(d._parts):
             raise DiagramInvariantError(
                 f"face traversal does not close on a sphere: V-E+F = {v - e + f}"
             )
-
-
-def _count_parts(d: Diagram) -> int:
-    """Connected parts of the projection: a search over crossings, each
-    joined to the four crossings at the other ends of its edges."""
-    twin = d._twin
-    seen = [False] * len(d.crossings)
-    parts = 0
-    for c in range(len(d.crossings)):
-        if seen[c]:
-            continue
-        parts += 1
-        stack = [c]
-        while stack:
-            x = stack.pop()
-            if not seen[x]:
-                seen[x] = True
-                stack += [y >> 2 for y in twin[4 * x : 4 * x + 4]]
-    return parts
 
 
 # -- faces -------------------------------------------------------------------
@@ -657,67 +683,118 @@ def canonical_pd(d: Diagram) -> CanonicalPD:
     rotating a crossing by two slots.
 
     Each connected part of the projection is read as a BFS code (see
-    `_bfs_code`) from every crossing in both of its rotations, and the least
+    `_least_code`) from every crossing in both of its rotations, and the least
     code is kept; the key is (number of loops, sorted part codes).  Rotating
     by two re-bases the understrand at its other end, so it is the same
     unoriented crossing; odd rotations would exchange over and under, so a
     mirror image is a different diagram.  Component labels and signs are
-    ignored.  Costs O(n^2) for n crossings and is cached on the diagram.
+    ignored.  Costs O(n^2) time and O(n) memory for n crossings, and is
+    cached on the diagram.
     """
     return d._canonical_pd
 
 
+# Readings advanced together; it bounds the memory at O(_BATCH * n).
+_BATCH = 32
+
+
 def _part_codes(d: Diagram) -> list[tuple[int, ...]]:
-    """The least BFS code of each connected part of the projection."""
-    twin = d._twin
-    seen: set[int] = set()
+    """The least BFS code of each connected part of the projection, and one
+    DEBUG record of what reading them took."""
+    local = [0] * len(d.crossings)  # crossing -> its index within its part
     codes = []
-    for c in range(len(d.crossings)):
-        if c in seen:
-            continue
-        best, part = _bfs_code(twin, c, 0, None)
-        seen.update(part)
-        for start in part:
-            for rot in (0, 2):
-                found = _bfs_code(twin, start, rot, best)
-                if found is not None:
-                    best = found[0]
-        codes.append(tuple(best))
+    batches = alive = 0
+    for part in d._parts:
+        twin = d._twin
+        if len(part) < len(d.crossings):  # the part's own darts
+            for i, c in enumerate(part):
+                local[c] = i
+            twin = [4 * local[y >> 2] + (y & 3) for c in part for y in twin[4 * c : 4 * c + 4]]
+        code, b, a = _least_code(twin)
+        codes.append(code)
+        batches += b
+        alive += a
+    log.debug(
+        "canonical_pd: %d crossings, %d parts, %d readings in %d batches, "
+        "%d alive at the last crossing",
+        len(d.crossings), len(codes), 2 * len(d.crossings), batches, alive,
+    )
     return codes
 
 
-def _bfs_code(twin: list[int], start: int, rot: int, best: list[int] | None):
-    """Relabelled PD of one part, read from crossing `start` rotated by `rot`.
+def _least_code(twin: list[int]) -> tuple[tuple[int, ...], int, int]:
+    """The least BFS code of one connected part, with the number of batches
+    read and of readings that end on that code (the automorphisms).
 
-    Crossings are read in the order they are reached and edges numbered from
-    1 in order of first appearance.  A newly reached crossing is rotated so
-    that the slot it was reached through reads as 0 or 1; an isomorphism
-    preserves that, so the start fixes the whole code.  Returns (code,
-    crossings in reading order), or None as soon as the code exceeds `best`.
+    A reading is a start crossing and a rotation of it by 0 or 2.  It reads
+    the crossings in the order they are reached and numbers the edges from 1
+    in order of first appearance; a newly reached crossing is rotated so
+    that the slot it was reached through reads as 0 or 1.  An isomorphism
+    preserves that, so the start fixes the whole code.
+
+    The readings of a batch advance one crossing at a time, and after each
+    crossing only those whose 4-entry chunk is least survive: least within
+    the batch, and not above the least code of the earlier batches.  A
+    reading keeps its state in flat lists: edge number per dart (0 until
+    numbered), whether each crossing is reached, and the darts the crossings
+    are reached through, in reading order.  Reading q starts through dart
+    2q: crossing q >> 1, rotated by 2 * (q & 1).
     """
-    rotation = {start: rot}
-    order = [start]
-    number: dict[int, int] = {}  # dart -> edge number
-    code: list[int] = []
-    tied = best is not None  # the code so far equals best's prefix
-    for c in order:
-        r = rotation[c]
-        for k in range(4):
-            x = 4 * c + (k + r) % 4
-            e = number.get(x)
-            if e is None:
-                y = twin[x]
-                e = number[x] = number[y] = len(number) // 2 + 1
-                if y >> 2 not in rotation:
-                    rotation[y >> 2] = y & 2
-                    order.append(y >> 2)
+    n = len(twin) // 4
+    # The darts of a crossing in reading order, at y >> 1 for the dart y it
+    # is reached through.
+    quads = [(x, x + 1, x ^ 2, (x ^ 2) + 1) for x in range(0, 4 * n, 2)]
+    slots = min(_BATCH, 2 * n)
+    nums = [[0] * (4 * n) for _ in range(slots)]
+    seens = [[False] * n for _ in range(slots)]
+    best: list[tuple[int, ...]] = []  # the least code so far, in chunks
+    batches = alive = 0
+    for first in range(0, 2 * n, slots):
+        batches += 1
+        orders = []
+        for j, q in enumerate(range(first, min(first + slots, 2 * n))):
+            seens[j][q >> 1] = True
+            orders.append([2 * q])
+        nxt = [1] * len(orders)
+        live = list(range(len(orders)))
+        code = []
+        tied = bool(best)  # the batch's code so far equals best's prefix
+        for i in range(n):
+            chunks = []
+            for j in live:
+                num, seen, order = nums[j], seens[j], orders[j]
+                quad = quads[order[i] >> 1]
+                e = nxt[j]
+                for x in quad:
+                    if not num[x]:
+                        y = twin[x]
+                        num[x] = num[y] = e
+                        e += 1
+                        if not seen[y >> 2]:
+                            seen[y >> 2] = True
+                            order.append(y)
+                nxt[j] = e
+                a, b, c, d = quad
+                chunks.append((num[a], num[b], num[c], num[d]))
+            least = min(chunks)
             if tied:
-                b = best[len(code)]
-                if e > b:
-                    return None
-                tied = e == b
-            code.append(e)
-    return code, order
+                if least > best[i]:
+                    break
+                tied = least == best[i]
+            if len(live) > 1:
+                live = [j for j, chunk in zip(live, chunks) if chunk == least]
+            code.append(least)
+        else:
+            if tied:
+                alive += len(live)
+            else:
+                best, alive = code, len(live)
+        if first + slots < 2 * n:  # clear what the batch reached for the next
+            for num, seen, order in zip(nums, seens, orders):
+                for y in order:
+                    seen[y >> 2] = False
+                    num[y & -4 : (y & -4) + 4] = (0, 0, 0, 0)
+    return tuple(e for chunk in best for e in chunk), batches, alive
 
 
 def pd_isomorphic(d1: Diagram, d2: Diagram) -> bool:

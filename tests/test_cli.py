@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import os
@@ -15,6 +16,9 @@ from augcusp.diagram import full_ribbon_braid
 from augcusp.packing import normalize_at_vertex
 
 CLI = [sys.executable, "-m", "augcusp.cli"]
+TREFOIL_PD = [[2, 1, 3, 4], [4, 3, 5, 6], [6, 5, 1, 2]]
+# The package exports the function `augment` under the submodule's name.
+augment_module = importlib.import_module("augcusp.augment")
 # The CLI runs from the source tree the tests import.
 SRC = os.path.dirname(os.path.dirname(augcusp.__file__))
 
@@ -63,6 +67,27 @@ class TestTwists:
         assert r.returncode == 3
         assert "label '0' is carried by two separate components" in r.stderr
 
+    @pytest.mark.parametrize("field, value", [("components", {"a": "0"}), ("signs", 5), ("loops", 5)])
+    def test_malformed_envelope_field_exit_2(self, tmp_path, capsys, field, value):
+        path = tmp_path / "envelope.json"
+        path.write_text(json.dumps({"pd": TREFOIL_PD, field: value}))
+        assert cli.main(["twists", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and f"'{field}'" in err
+
+    @pytest.mark.parametrize(
+        "at, edge, bad", [((0, 1), 7, [1, 7]), ((2, 3), 1, [1, 2])], ids=["once", "thrice"]
+    )
+    def test_unpaired_edge_without_components_exit_3(self, tmp_path, capsys, at, edge, bad):
+        pd = [list(c) for c in TREFOIL_PD]
+        pd[at[0]][at[1]] = edge
+        path = tmp_path / "unpaired.json"
+        path.write_text(json.dumps({"pd": pd}))
+        assert cli.main(["twists", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            f"validation error: edge ids must appear exactly twice, offending: {bad}\n"
+        )
+
     def test_undecodable_input_exit_2(self, tmp_path):
         path = tmp_path / "binary.json"
         path.write_bytes(b"\x86\xff\x00")
@@ -82,6 +107,34 @@ class TestAugment:
         r = run("augment", str(diagrams / "trefoil.json"), "--roundtrip")
         assert r.returncode == 0
         assert "roundtrip ok" in r.stderr
+
+    def test_roundtrip_refills_the_augmented_link(self, diagrams, monkeypatch, capsys):
+        calls = []
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls.append(name)
+                return f(*args)
+            return wrapper
+
+        for module in (cli, augment_module):
+            monkeypatch.setattr(module, "augment", counted("augment", augment_module.augment))
+        monkeypatch.setattr(
+            augment_module, "detect_twist_regions",
+            counted("detect", augment_module.detect_twist_regions),
+        )
+        assert cli.main(["augment", str(diagrams / "trefoil.json"), "--roundtrip"]) == 0
+        assert "roundtrip ok" in capsys.readouterr().err
+        assert calls == ["augment", "detect"]
+
+    def test_key_records_leave_stdout_unchanged(self, diagrams):
+        a = run("augment", str(diagrams / "trefoil.json"), "--roundtrip")
+        b = run("augment", str(diagrams / "trefoil.json"), "--roundtrip",
+                env={"AUGCUSP_LOG": "DEBUG"})
+        assert a.returncode == b.returncode == 0
+        assert a.stdout == b.stdout
+        assert b.stderr.count("canonical_pd: ") == 2  # the refilled diagram's and the input's
+        assert "canonical_pd" not in a.stderr
 
     def test_roundtrip_keeps_loops(self, tmp_path):
         doc = json.loads(catalog.trefoil().to_json())

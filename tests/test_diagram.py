@@ -11,7 +11,6 @@ from augcusp.diagram import (
     Diagram,
     Face,
     FaceMap,
-    _count_parts,
     compute_faces,
     detect_twist_regions,
     full_ribbon_braid,
@@ -223,7 +222,7 @@ class TestFaceWalk:
         pd = [[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 6, 2], [7, 9, 8, 10], [9, 7, 10, 8]]
         d = parse_diagram(json.dumps({"pd": pd}))
         assert len(d.face_map.faces) == 9
-        assert _count_parts(d) == 2
+        assert sorted(map(sorted, d._parts)) == [[0, 1, 2], [3, 4]]
 
     def test_non_planar_pd_rejected(self):
         pd = [[1, 5, 2, 4], [3, 6, 4, 1], [5, 2, 6, 3]]
