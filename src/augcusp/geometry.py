@@ -85,12 +85,16 @@ def _rows(block: FrameBlock) -> _Rows:
     one frame at a time; the single-frame functions below run this same
     code on a block of one.
     """
-    radius, (disk_x, disk_r) = block.radius, block.disks
+    radius, disk_r = block.radius, block.disk_radius
     eids = block.normalization["infinity_edge"]
     scale = np.max(radius, axis=1, where=np.isfinite(radius), initial=-np.inf).astype(float)
     rows = np.arange(len(block))[:, None]
     lifts = block.nerve.edge_triangles[eids]
-    x = disk_x[rows, lifts].real
+    # A lift through the cusp is vertical, its triangle holding both lines,
+    # and stands at the x of the triangle's one finite white.
+    whites, rows3 = block.nerve.triangle_whites[lifts], rows[:, :, None]
+    finite = np.isfinite(radius[rows3, whites])
+    x = np.where(finite, block.center[rows3, whites].real, -np.inf).max(axis=2)
     radii = np.concatenate((radius, disk_r), axis=1)
     finite = np.isfinite(radii)
     return _Rows(
@@ -118,10 +122,7 @@ def _alone(frame: CirclePacking) -> tuple[FrameBlock, _Rows]:
         {"infinity_edge": one + norm["infinity_edge"], "frame": norm["frame"],
          "polish": [norm.get("polish")]},
     )
-    vars(block).update(
-        points=frame.points[None], disks=tuple(x[None] for x in frame.disks),
-        residuals=frame.residuals[None],
-    )
+    vars(block)["residuals"] = frame.residuals[None]
     return block, _rows(block)
 
 
@@ -190,10 +191,9 @@ def _lattice(block: FrameBlock, rows: _Rows, f: int) -> tuple[complex, complex, 
         walk.append(arc)
     # Each rectangle's width: the cusp's own is w_inf; the others are
     # kappa times the spacing of the two crossing-disk faces flanking them.
-    frame = block[f]
     rest = np.array(walk[1:], dtype=np.intp)
-    disk_r = frame.disks[1][nerve.edge_triangles[rest]]
-    widths = [w_inf] + (_kappa(frame, rest) * (0.5 / disk_r).sum(axis=1)).tolist()
+    disk_r = block.disk_radius[f, nerve.edge_triangles[rest]]
+    widths = [w_inf] + (_kappa(block[f], rest) * (0.5 / disk_r).sum(axis=1)).tolist()
     longitude = sum(widths) + 1j * shear
     info = {"rectangles": len(walk), "widths": widths}
     return meridian, longitude, info
@@ -225,7 +225,7 @@ def _height(
         return best, witness, []
     frame = block[f]
     eids = np.array(eids, dtype=np.intp)
-    pts = frame.points[eids]
+    pts = frame.tangency_points(eids)
     kap = _kappa(frame, eids)
     if math.sqrt(kap.max()) > best:
         k = int(np.argmax(kap))
@@ -271,7 +271,7 @@ def _pair_search(
         i, j = divmod(int(np.argmin(gap)), len(pts))
         if math.isinf(gap[i, j]):
             continue
-        cand = math.sqrt(kap[i] * kap[j]) / abs(pts[j] + t - pts[i])
+        cand = float(math.sqrt(kap[i] * kap[j]) / abs(pts[j] + t - pts[i]))
         if cand > best + 1e-15:
             best, pair = cand, (i, j)
     return best, pair, searched
@@ -388,14 +388,15 @@ def _analyze(packing: CirclePacking, cusps: list[str]) -> dict:
                 out[block[0]] = exc
             continue
         rows = _rows(frames)
-        worst = int(np.argmax(rows.worst))
-        circles = sum(nerve.edges[e].kind == "circle" for e in rows.eids)
-        log.debug(
-            "measure: block of %d frames, %d circle and %d knotting; largest "
-            "residual %.2e against its gate %.2e (edge %d)",
-            len(block), circles, len(block) - circles, rows.worst[worst], rows.gate[worst],
-            rows.eids[worst],
-        )
+        if log.isEnabledFor(logging.DEBUG):
+            worst = int(np.argmax(rows.worst))
+            circles = sum(nerve.edges[e].kind == "circle" for e in rows.eids)
+            log.debug(
+                "measure: block of %d frames, %d circle and %d knotting; largest "
+                "residual %.2e against its gate %.2e (edge %d)",
+                len(block), circles, len(block) - circles, rows.worst[worst],
+                rows.gate[worst], rows.eids[worst],
+            )
         for f, c in enumerate(block):
             try:
                 out[c] = _report(frames, rows, f)

@@ -4,9 +4,9 @@ Cutting the complement along the projection plane and the crossing disks
 yields two identical right-angled ideal polyhedra.  The faces coming from
 the projection plane form a circle packing whose tangency graph (the white
 nerve) is computed here combinatorially; the crossing-disk faces are the
-circles through the tangency points of each triangular interstice.  Half
-twists do not change the polyhedra, only the face gluing, so the nerve is
-built from the untwisted companion of the link.
+incircles of its triangular interstices, each through the three tangency
+points of its whites.  Half twists do not change the polyhedra, only the
+face gluing, so the nerve is built from the untwisted companion of the link.
 """
 
 from __future__ import annotations
@@ -87,6 +87,16 @@ class Nerve:
     def triangle_edges(self) -> np.ndarray:
         """The edge ids of every shaded triangle, one row per triangle."""
         return np.array([eids for eids, _lab, _side in self.triangles], dtype=np.intp)
+
+    @cached_property
+    def triangle_whites(self) -> np.ndarray:
+        """The three whites of every shaded triangle, one row per triangle:
+        the two of its first edge, then the third white of its second."""
+        a, b = self.ends
+        first, second = self.triangle_edges[:, 0], self.triangle_edges[:, 1]
+        wa, wb = a[first], b[first]
+        third = np.where((a[second] == wa) | (a[second] == wb), b[second], a[second])
+        return np.stack((wa, wb, third), axis=1)
 
     @cached_property
     def edge_triangles(self) -> np.ndarray:
@@ -294,6 +304,8 @@ class CirclePacking:
     the circle of its centre and radius.  The tangency points, the shaded
     circles and the residuals are derived on first use; they also derive
     for a block of frames, arrays with a leading frame axis (FrameBlock).
+    Measuring a cusp reads only the shaded radii (disk_radius), and the
+    tangency points of its own edges.
     """
 
     nerve: Nerve
@@ -309,10 +321,12 @@ class CirclePacking:
         u, v = self.lines
         return float(self.center[v].imag - self.center[u].imag)
 
-    @cached_property
-    def points(self) -> np.ndarray:
-        """Tangency point of every edge; nan for the two lines (infinity)."""
+    def tangency_points(self, eids: np.ndarray | None = None) -> np.ndarray:
+        """Tangency point of each given edge, of every edge by default; nan
+        where both whites are lines (the point at infinity)."""
         a, b = self.nerve.ends
+        if eids is not None:
+            a, b = a[eids], b[eids]
         za, zb, ra, rb = (x[..., i] for x in (self.center, self.radius) for i in (a, b))
         la, lb = np.isinf(ra), np.isinf(rb)
         with np.errstate(invalid="ignore"):
@@ -323,25 +337,42 @@ class CirclePacking:
         return p
 
     @cached_property
+    def points(self) -> np.ndarray:
+        """Tangency point of every edge; nan for the two lines (infinity)."""
+        return self.tangency_points()
+
+    @cached_property
+    def disk_radius(self) -> np.ndarray:
+        """Radius of every shaded circle, parallel to nerve.triangles: the
+        incircle of its whites' centres, 1 / sqrt(k_a k_b + k_b k_c + k_c k_a)
+        for whites of curvature k (0 for a line), so inf, a vertical line,
+        when two of them are lines."""
+        with np.errstate(divide="ignore"):
+            ka, kb, kc = np.moveaxis((1.0 / self.radius)[..., self.nerve.triangle_whites], -1, 0)
+            return (1.0 / np.sqrt(ka * kb + kb * kc + kc * ka)).astype(float, copy=False)
+
+    @cached_property
     def disks(self) -> tuple[np.ndarray, np.ndarray]:
         """Centres and radii of the shaded circles, parallel to nerve.triangles.
 
-        Each is the circle through its triangle's three tangency points.  The
-        two through infinity are vertical lines: radius inf, and their x as
-        centre.
+        The centre is the incentre of the three whites' centres z_i,
+        sum (k_j + k_l) k_i z_i / (2 sum k_i k_j), whose denominator is
+        2 / disk_radius^2; a line's k z is its unit normal pointing away from
+        the packing, -i for the lower line u and +i for v.  A vertical shaded
+        line has the x of its one finite white as centre, the x of its
+        tangencies with the two lines.
         """
-        pts = self.points[..., self.nerve.triangle_edges]
-        vertical = np.isnan(pts).any(axis=-1)
-        # Circumcentre of p1, p1 + s, p1 + t: p1 + (|s|^2 t - |t|^2 s) / (conj(s) t - s conj(t)),
-        # nan where a point is infinity.
-        p1, s, t = pts[..., 0], pts[..., 1] - pts[..., 0], pts[..., 2] - pts[..., 0]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rel = (abs(s) ** 2 * t - abs(t) ** 2 * s) / (2j * (s.conjugate() * t).imag)
-        # Both finite points of a vertical line are feet of one circle's centre.
-        foot = np.fmax.reduce(pts.real, axis=-1)
-        center = np.where(vertical, foot, p1 + rel).astype(complex, copy=False)
-        radius = np.where(vertical, np.inf, abs(rel)).astype(float, copy=False)
-        return center, radius
+        tri, radius = self.nerve.triangle_whites, self.disk_radius
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = 1.0 / self.radius
+            kz = self.center * k
+            for line, normal in zip(self.lines, (-1j, 1j)):
+                np.put_along_axis(kz, np.asarray(line)[..., None], normal, axis=-1)
+            k, kz = k[..., tri], kz[..., tri]
+            weight = k.sum(axis=-1, keepdims=True) - k  # k_j + k_l
+            center = (weight * kz).sum(axis=-1) * (radius * radius / 2)
+        foot = np.where(k > 0, self.center[..., tri].real, -np.inf).max(axis=-1)
+        return np.where(np.isinf(radius), foot, center).astype(complex, copy=False), radius
 
     @cached_property
     def residuals(self) -> np.ndarray:
@@ -368,8 +399,9 @@ class FrameBlock(CirclePacking):
     """Cusp frames normalized as one block: the arrays have a leading frame
     axis, `lines` holds the two lines' whites of every frame, and the
     normalization record holds an entry per frame ("frame" is shared).
-    Indexing gives a frame, a CirclePacking whose arrays, derived ones
-    too, are its block's rows."""
+    Indexing gives a frame, a CirclePacking on its block's rows: its
+    residuals are the block's row, and whatever else it derives equals
+    that row of the block's, bit for bit."""
 
     @property
     def height(self) -> np.ndarray:
@@ -394,10 +426,7 @@ class FrameBlock(CirclePacking):
             {"infinity_edge": int(norm["infinity_edge"][f]), "frame": norm["frame"],
              "polish": norm["polish"][f]},
         )
-        vars(frame).update(
-            points=self.points[f], disks=(self.disks[0][f], self.disks[1][f]),
-            residuals=self.residuals[f],
-        )
+        vars(frame)["residuals"] = self.residuals[f]
         return frame
 
 
@@ -749,7 +778,12 @@ def normalize_at_vertex(
         c = z - p[:, None]
         dist = abs(c)
         den = (dist - r) * (dist + r)
-        center = (scale[:, None] * c.conjugate() / den + shift[:, None]).astype(complex)
+        # B conj(c) / den, as numpy's complex division by a real rounds it:
+        # both parts times one reciprocal of den.
+        w, inv = scale[:, None] * c.conjugate(), 1.0 / den
+        center = np.empty_like(w)
+        center.real, center.imag = w.real * inv, w.imag * inv
+        center = (center + shift[:, None]).astype(complex)
         radius = (k[:, None] * r / den).astype(float)
     rows = np.flatnonzero(at_infinity)
     center[rows] = scale[rows, None] * z + shift[rows, None]
@@ -775,8 +809,7 @@ def normalize_at_vertex(
     # The shaded lines through infinity pass through the tangencies of the
     # lines with the two whites that flank the cusp, so they sit at the x of
     # those whites' centres.
-    flank = nerve.triangle_edges[nerve.edge_triangles[eids]].reshape(len(eids), -1)
-    flank = np.concatenate((nerve.ends[0][flank], nerve.ends[1][flank]), axis=1)
+    flank = nerve.triangle_whites[nerve.edge_triangles[eids]].reshape(len(eids), -1)
     on_line = (flank == u[:, None]) | (flank == v[:, None])
     x = np.where(on_line, np.inf, center[frame[:, None], flank].real)
     center = np.where(np.isfinite(radius), center - x.min(axis=1)[:, None], center)

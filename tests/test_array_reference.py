@@ -2,15 +2,18 @@
 
 The references are the loops the array code replaced: the triple loop of
 `maximal_cusp` over lift pairs and lattice shifts, and the three-point circle
-through the tangencies of a shaded triangle.
+through the tangencies of a shaded triangle, scalar and as array algebra;
+and an exact oracle, the integer curvatures of chain cusp frames.
 """
 
 import cmath
 import math
 
+import numpy as np
 import pytest
+from test_geometry import LADDER, ladder_packings
 
-from augcusp import catalog
+from augcusp import catalog, geometry
 from augcusp.augment import augment
 from augcusp.errors import UnsupportedLinkError
 from augcusp.families import fal_corpus
@@ -137,3 +140,55 @@ def test_shaded_circles_match_three_point_circle(name, al, cusp, norm):
         else:
             assert abs(centers[k] - c) <= 1e-12 * max(1.0, abs(c))
             assert abs(radii[k] - r) <= 1e-12 * max(1.0, r)
+
+
+def reference_disks(packing):
+    """Reference: the shaded circles as circumcircles of their triangles'
+    three tangency points, by the circumcentre of p1, p1 + s, p1 + t, which
+    is p1 + (|s|^2 t - |t|^2 s) / (conj(s) t - s conj(t)); a triangle with
+    the point at infinity is the vertical line through its finite points.
+    Works on a block of frames too."""
+    pts = packing.points[..., packing.nerve.triangle_edges]
+    vertical = np.isnan(pts).any(axis=-1)
+    p1, s, t = pts[..., 0], pts[..., 1] - pts[..., 0], pts[..., 2] - pts[..., 0]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel = (abs(s) ** 2 * t - abs(t) ** 2 * s) / (2j * (s.conjugate() * t).imag)
+    foot = np.fmax.reduce(pts.real, axis=-1)
+    center = np.where(vertical, foot, p1 + rel).astype(complex, copy=False)
+    radius = np.where(vertical, np.inf, abs(rel)).astype(float, copy=False)
+    return center, radius
+
+
+def cusp_block(packing):
+    nerve = packing.nerve
+    return normalize_at_vertex(packing, np.array([nerve.cusp_edges[c][0] for c in nerve.cusps()]))
+
+
+@pytest.mark.parametrize("k", [21, 61])
+def test_shaded_radii_are_exact_on_integer_curvatures(k):
+    # Every white of a chain's cusp frame has an integer curvature, so the
+    # shaded radius 1 / sqrt(k_a k_b + k_b k_c + k_c k_a) is known exactly.
+    block = cusp_block(solve_packing(build_nerve(augment(catalog.two_bridge_chain(k))[0])))
+    curvature = 1.0 / block.radius
+    exact = np.rint(curvature)
+    assert np.all(abs(curvature - exact) <= 1e-9)
+    ka, kb, kc = np.moveaxis(exact.astype(np.int64)[:, block.nerve.triangle_whites], 2, 0)
+    products = ka * kb + kb * kc + kc * ka
+    finite = products > 0
+    want = 1.0 / np.sqrt(products[finite].astype(float))  # the sums are exact in float64
+    assert np.all(abs(block.disk_radius[finite] - want) <= 1e-14 * want)
+    assert np.isinf(block.disk_radius[~finite]).all() and (~finite).sum() == 2 * len(block)
+
+
+@pytest.mark.parametrize("name", list(LADDER))
+def test_lift_spacing_and_verticality_match_the_circumcircles(name):
+    (packing,) = ladder_packings(name)
+    block = cusp_block(packing)
+    rows = geometry._rows(block)
+    center, radius = reference_disks(block)
+    frames = np.arange(len(block))[:, None]
+    lifts = block.nerve.edge_triangles[block.normalization["infinity_edge"]]
+    x = center[frames, lifts].real
+    assert rows.spacing == abs(x[:, 1] - x[:, 0]).tolist()
+    assert rows.vertical == np.isinf(radius[frames, lifts]).all(axis=1).tolist()
+    assert all(rows.vertical)

@@ -33,7 +33,7 @@ from augcusp.errors import (
     UnsupportedLinkError,
 )
 from augcusp.families import fal_corpus, gen_twobridge_family, twobridge_middle_circle
-from augcusp.packing import build_nerve, normalize_at_vertex, solve_packing
+from augcusp.packing import CirclePacking, build_nerve, normalize_at_vertex, solve_packing
 
 
 def borromean_link():
@@ -470,6 +470,45 @@ class TestBlockMeasuring:
         assert [sum(col) for col in zip(*counts)] == [123, 121, 2]
         for record in records:
             assert f"against its gate {10 * packing.tol:.2e}" in record.getMessage()
+
+
+class TestMeasuringWork:
+    @pytest.mark.parametrize("name", ["chain-41", "pretzel-3x20"])
+    def test_tangency_points_only_where_measured(self, name, monkeypatch):
+        # Tangency points: every edge of the strip packing, for the maps to
+        # the cusp frames, and in a knotting frame its own cusp's other
+        # edges, for the horoball search.  No shaded-circle centre at all.
+        points, centres = [], []
+        derive_points, derive_disks = CirclePacking.tangency_points, CirclePacking.disks.func
+
+        def counted_points(self, eids=None):
+            points.append((self.normalization["frame"], None if eids is None else eids.tolist()))
+            return derive_points(self, eids)
+
+        @functools.cached_property
+        def counted_disks(self):
+            centres.append(np.shape(self.center))
+            return derive_disks(self)
+
+        counted_disks.__set_name__(CirclePacking, "disks")
+        monkeypatch.setattr(CirclePacking, "tangency_points", counted_points)
+        monkeypatch.setattr(CirclePacking, "disks", counted_disks)
+        (packing,) = ladder_packings(name)
+        nerve = packing.nerve
+        reports = geometry._analyze(packing, nerve.cusps())
+        assert not any(isinstance(r, Exception) for r in reports.values())
+        assert points == [("strip", None)] + [
+            ("unit-strip", nerve.cusp_edges[c][1:]) for c in nerve.knotting_cusps
+        ]
+        assert centres == []
+
+
+@pytest.mark.parametrize("name", list(LADDER))
+def test_report_heights_are_python_floats(name):
+    (packing,) = ladder_packings(name)
+    for rep in geometry._analyze(packing, packing.nerve.cusps()).values():
+        assert type(rep.shape.height) is float
+        assert type(rep.shape.longitude_length) is float
 
 
 class TestReportsPerPacking:
