@@ -12,6 +12,7 @@ certificate).
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
@@ -172,36 +173,31 @@ class SlopeLedger:
 
 
 def _region_structure(d: Diagram, r: TwistRegion, fm):
-    twin = d._twin
+    twin, corner_faces = d._twin, fm.corner_faces
     S = set(r.crossings)
-    # The two original edges the crossing disk cuts, as (slot 0, slot 1), by
-    # their E-side darts (at the retained crossing).
+    # The E-side darts (at the retained crossing) of the two original edges
+    # the crossing disk cuts, as (slot 0, slot 1), and the local frame
+    # handedness: +1 when slot1 sits counterclockwise-next from slot0 there.
     c1 = r.crossings[0]
     if r.crossing_count == 1:
-        ea, eb = d.crossings[c1][0], d.crossings[c1][3]
         near = (4 * c1, 4 * c1 + 3)
     else:
-        ea, eb = r.bigon_edge_pairs[0]
-        near = tuple(
-            4 * c + s for e in (ea, eb) for c, s in d.occurrences()[e] if c == c1
-        )
+        near = tuple(4 * c1 + d.crossings[c1].index(e) for e in r.bigon_edge_pairs[0])
+    chirality = 1 if near[1] & 3 == (near[0] + 1) & 3 else -1
 
     # Lateral faces: beyond the slot-0 strand and beyond the slot-1 strand.
     if r.crossing_count == 1:
-        lat_n = fm.corner_faces[4 * c1]
-        lat_s = fm.corner_faces[4 * c1 + 2]
+        lat_n = corner_faces[4 * c1]
+        lat_s = corner_faces[4 * c1 + 2]
     else:
-        # The first face along each disk edge that is not a bigon of the region.
+        # The first bigon is the face of the corner between the two darts;
+        # each disk edge has it on one side, at corner x, or at the corner
+        # before x, and the lateral face on the other.
+        bigon = corner_faces[near[0] if chirality == 1 else near[1]]
         lat_n, lat_s = (
-            next(
-                (i for i in fm.edge_faces[e]
-                 if not (fm.faces[i].sides == 2 and set(fm.faces[i].boundary) == {ea, eb})),
-                None,
-            )
-            for e in (ea, eb)
+            corner_faces[x] if corner_faces[x] != bigon else corner_faces[x - 1 if x & 3 else x + 3]
+            for x in near
         )
-        if lat_n is None or lat_s is None:
-            raise DiagramInvariantError("could not locate lateral faces of region")
 
     # The darts whose edges leave the region.
     darts = [
@@ -233,12 +229,8 @@ def _region_structure(d: Diagram, r: TwistRegion, fm):
             else:
                 cyc.append(x)
         rotation = [ends[x] for x in cyc]
-        if {lat_n, lat_s} - {fm.corner_faces[x] for x in cyc}:
+        if {lat_n, lat_s} - {corner_faces[x] for x in cyc}:
             raise DiagramInvariantError("lateral faces missing from region walk")
-
-    # Local frame handedness: +1 when slot1 sits counterclockwise-next from
-    # slot0 at the E-side crossing.
-    chirality = 1 if near[1] & 3 == (near[0] + 1) & 3 else -1
 
     # Twist pattern: the braid letter sign is anchored at the crossing
     # adjacent to the disk that gets removed and reinserted.
@@ -336,17 +328,18 @@ def augment(
         cr = d.crossings[c]
         uf.union(cr[0], cr[2])
         uf.union(cr[1], cr[3])
+    root = {e: uf.find(e) for e in d.components}
 
     survivors = [
-        (ci, tuple(uf.find(e) for e in cr))
+        (ci, tuple(map(root.__getitem__, cr)))
         for ci, cr in enumerate(d.crossings)
         if ci not in removed
     ]
     used_edges = {e for _, cr in survivors for e in cr}
 
     class_members: dict[Edge, list[Edge]] = {}
-    for e in d.components:
-        class_members.setdefault(uf.find(e), []).append(e)
+    for e, rep in root.items():
+        class_members.setdefault(rep, []).append(e)
 
     base_components: dict[Edge, str] = {}
     for rep in used_edges:
@@ -371,8 +364,10 @@ def augment(
     twin = d._twin
     disk = {x: (lab, slot) for lab, _, st in infos for slot, x in enumerate(st["near"])}
     on_edge: dict[int, tuple[Edge, int, int]] = {}  # E-side dart -> (edge, frame, rank)
-    for rep, ((c, s), _) in base.occurrences().items():
-        a = 4 * survivors[c][0] + s
+    base_edge = base._edge
+    for x in base._darts[::2]:  # occurrence 0 of each base edge
+        rep = base_edge[x]
+        a = 4 * survivors[x >> 2][0] + (x & 3)
         rank = 0
         while True:
             b = twin[a]
@@ -480,8 +475,8 @@ def _refill(al: AugmentedLink, ledger: SlopeLedger) -> Diagram:
 
 def _fill(al: AugmentedLink, twists: dict[str, int], expand_rest: bool) -> Diagram:
     crossings: list[Crossing] = list(al.base.crossings)
-    occ = al.base.occurrences()
-    fresh = count(max(occ, default=0) + 1).__next__
+    edges, darts = al.base._edges, al.base._darts
+    fresh = count(edges[-1] + 1 if edges else 1).__next__
 
     comp_of_new: dict[Edge, str] = dict(al.base.components)
     slot_component: dict[tuple[str, int], str] = {}
@@ -550,12 +545,11 @@ def _fill(al: AugmentedLink, twists: dict[str, int], expand_rest: bool) -> Diagr
                 by_edge.setdefault(p.edge, []).append(p)
             for e, evs in by_edge.items():
                 evs = sorted(evs, key=lambda p: p.rank)
-                ends = occ[e]
+                far = darts[2 * bisect_left(edges, e) + 1]  # occurrence 1 of e
                 pieces = [e] + [fresh() for _ in range(len(evs))]
-                far_ci, far_s = ends[1]
-                cr = list(crossings[far_ci])
-                cr[far_s] = pieces[-1]
-                crossings[far_ci] = tuple(cr)
+                cr = list(crossings[far >> 2])
+                cr[far & 3] = pieces[-1]
+                crossings[far >> 2] = tuple(cr)
                 for piece in pieces[1:]:
                     comp_of_new[piece] = comp
                 for k, p in enumerate(evs):
@@ -567,13 +561,14 @@ def _fill(al: AugmentedLink, twists: dict[str, int], expand_rest: bool) -> Diagr
                         uf.union(pieces[k], e_stub)
                         uf.union(pieces[k + 1], w_stub)
 
-    resolved = [tuple(uf.find(e) for e in cr) for cr in crossings]
+    root = {e: uf.find(e) for e in comp_of_new}
+    resolved = [tuple(map(root.__getitem__, cr)) for cr in crossings]
     comp_map: dict[Edge, str] = {}
     for e, lab in comp_of_new.items():
-        comp_map.setdefault(uf.find(e), lab)
+        comp_map.setdefault(root[e], lab)
     ids = sorted({e for cr in resolved for e in cr})
     compact = {e: i + 1 for i, e in enumerate(ids)}
-    final = tuple(tuple(compact[e] for e in cr) for cr in resolved)
+    final = tuple(tuple(map(compact.__getitem__, cr)) for cr in resolved)
     components = {compact[e]: comp_map[e] for e in ids}
     return Diagram(final, components, None, tuple(sorted(loops_left)))
 

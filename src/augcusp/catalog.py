@@ -7,7 +7,7 @@ without external fixtures.
 
 from __future__ import annotations
 
-from .diagram import Crossing, Diagram, Edge, UnionFind, _infer_components, braid_crossing
+from .diagram import Crossing, Diagram, Edge, UnionFind, _with_inferred_components, braid_crossing
 from .errors import DiagramInvariantError
 
 
@@ -22,7 +22,7 @@ def _relabel(crossings: list[Crossing], unions: list[tuple[Edge, Edge]]) -> list
 
 
 def _labeled(crossings: list[Crossing]) -> Diagram:
-    return Diagram(tuple(crossings), _infer_components(tuple(crossings)))
+    return _with_inferred_components(tuple(crossings))
 
 
 def braid_closure(strands: int, word: list[tuple[int, int]]) -> Diagram:

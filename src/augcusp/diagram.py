@@ -13,14 +13,30 @@ from __future__ import annotations
 import json
 import logging
 import warnings
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import chain, groupby
 from types import MappingProxyType
 
 from .errors import DiagramInvariantError, PDSyntaxError, ReducibleDiagramWarning
 
 log = logging.getLogger(__name__)
+
+
+class _cached(cached_property):
+    """`functools.cached_property` without the lock that its first read on
+    an instance takes before Python 3.12 (3.12 dropped it).  A diagram fills
+    eight of these while it validates; on the small diagrams of a PD round
+    trip the lock took about a sixth of that time."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return super().__get__(instance, owner)
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
 
 Edge = int
 Crossing = tuple[Edge, Edge, Edge, Edge]
@@ -63,42 +79,66 @@ class Diagram:
         return list(seen)
 
     def occurrences(self) -> Mapping[Edge, tuple[HalfEnd, ...]]:
-        """Edge id -> its (crossing, slot) ends, in crossing order.
+        """Edge id -> its two (crossing, slot) ends, in crossing order, the
+        edges in order of first appearance.
 
-        Built once per diagram and shared by every caller, hence read-only.
+        A read-only view of the dart index, built the first time something
+        reads it and shared by every caller; validation does not build it.
         """
         return self._occurrences
 
-    @cached_property
+    @_cached
     def _occurrences(self) -> Mapping[Edge, tuple[HalfEnd, ...]]:
-        occ: dict[Edge, list[HalfEnd]] = {}
-        for ci, cr in enumerate(self.crossings):
-            for slot, e in enumerate(cr):
-                occ.setdefault(e, []).append((ci, slot))
-        return MappingProxyType({e: tuple(ends) for e, ends in occ.items()})
+        darts, edge = self._darts, self._edge
+        return MappingProxyType({
+            edge[x]: ((x >> 2, x & 3), (y >> 2, y & 3))
+            for x, y in sorted(zip(darts[::2], darts[1::2]))
+        })
 
-    @cached_property
+    @_cached
+    def _edge(self) -> list[Edge]:
+        """Dart 4*crossing + slot -> its edge id."""
+        return list(chain.from_iterable(self.crossings))
+
+    @_cached
+    def _darts(self) -> list[int]:
+        """The dart index: the darts sorted by edge id, so that the two ends
+        of each edge sit side by side, in crossing order."""
+        edge = self._edge
+        return sorted(range(len(edge)), key=edge.__getitem__)
+
+    @_cached
+    def _edges(self) -> list[Edge] | None:
+        """The edge ids in ascending order, read off the dart index; None
+        unless every edge id is at exactly two darts."""
+        ends = list(map(self._edge.__getitem__, self._darts))
+        edges = ends[::2]
+        if edges != ends[1::2] or 2 * len(set(edges)) != len(ends):
+            return None
+        return edges
+
+    @_cached
     def _twin(self) -> list[int]:
-        """Dart 4*crossing + slot -> the dart at the other end of its edge."""
-        twin = [0] * (4 * len(self.crossings))
-        for (c1, s1), (c2, s2) in self.occurrences().values():
-            twin[4 * c1 + s1] = 4 * c2 + s2
-            twin[4 * c2 + s2] = 4 * c1 + s1
+        """Dart -> the dart at the other end of its edge."""
+        twin = [0] * len(self._darts)
+        pairs = iter(self._darts)
+        for x, y in zip(pairs, pairs):
+            twin[x], twin[y] = y, x
         return twin
 
-    @cached_property
-    def _walks(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
-        """(label, walk) per component, ordered by the component's least
-        edge and walked from that edge's first end; see `_strand_walks`."""
-        occ = self.occurrences()
-        firsts = [4 * c + s for (c, s), _ in map(occ.get, sorted(occ))]
-        crs = self.crossings
-        return tuple(
-            (self.components[crs[w[0] >> 2][w[0] & 3]], w)
-            for w in _strand_walks(firsts, self._twin)
-        )
+    @_cached
+    def _strands(self) -> list[tuple[int, ...]]:
+        """One walk per component, ordered by the component's least edge and
+        walked from that edge's first end; see `_strand_walks`."""
+        return _strand_walks(self._darts[::2], self._twin)
 
-    @cached_property
+    @_cached
+    def _walks(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """(label, walk) per component, in the order of `_strands`."""
+        edge = self._edge
+        return tuple((self.components[edge[w[0]]], w) for w in self._strands)
+
+    @_cached
     def _parts(self) -> tuple[list[int], ...]:
         """The crossings of each connected part of the projection, from one
         search over crossings, each joined to the four crossings at the other
@@ -119,12 +159,43 @@ class Diagram:
             parts.append(part)
         return tuple(parts)
 
-    @cached_property
+    @_cached
+    def _corner_walk(self) -> tuple[int, list[int], list[int]]:
+        """One walk over the corners, as integers: (number of faces, the face
+        of each corner, the corners in walk order).
+
+        Corner 4c + k is the sector between slots k and k+1 of crossing c.
+        The walk keeps the region on the right of each traversed edge, which
+        on a counterclockwise slot ordering means: leave corner x through
+        its next dart (slot k+1), arrive at that dart's twin, and continue
+        with the corner there.  One scan over the corners in order starts a
+        face at each corner not yet walked, so the faces are numbered by
+        their least corner, and each walk starts there.  Validation counts
+        the faces from it; `compute_faces` reads it.
+        """
+        twin = self._twin
+        face_of = [-1] * len(twin)
+        walk = []
+        faces = 0
+        for start in range(len(twin)):
+            if face_of[start] >= 0:
+                continue
+            x = start
+            while face_of[x] < 0:
+                face_of[x] = faces
+                walk.append(x)
+                x = twin[x - 3 if x & 3 == 3 else x + 1]
+            faces += 1
+        return faces, face_of, walk
+
+    @_cached
     def face_map(self) -> FaceMap:
-        """The complementary regions, traced once by `compute_faces`."""
+        """The complementary regions as `Face` objects, built by
+        `compute_faces` from the validation's corner walk the first time
+        something reads them."""
         return compute_faces(self)
 
-    @cached_property
+    @_cached
     def _canonical_pd(self) -> CanonicalPD:
         return (len(self.loops), tuple(sorted(_part_codes(self))))
 
@@ -158,7 +229,7 @@ class FaceMap:
     # The face of corner (c, k) at index 4c + k, recorded by the walk.
     corner_faces: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
-    @property
+    @cached_property
     def bigons(self) -> tuple[Face, ...]:
         return tuple(
             f for f in self.faces if f.sides == 2 and f.corners[0][0] != f.corners[1][0]
@@ -218,9 +289,8 @@ def parse_diagram(text: str) -> Diagram:
         raise PDSyntaxError("edge ids must be positive integers")
 
     comp_doc = doc.get("components")
-    if comp_doc is None:
-        components = _infer_components(crossings)
-    else:
+    components = None
+    if comp_doc is not None:
         if not isinstance(comp_doc, dict):
             raise PDSyntaxError("'components' must be an object")
         try:
@@ -243,6 +313,8 @@ def parse_diagram(text: str) -> Diagram:
     if not isinstance(loops_doc, list):
         raise PDSyntaxError("'loops' must be a list of component labels")
     loops = tuple(str(s) for s in loops_doc)
+    if components is None:
+        return _with_inferred_components(crossings, signs, loops)
     return Diagram(crossings, components, signs, loops)
 
 
@@ -264,24 +336,29 @@ class UnionFind:
         self.parent[self.find(a)] = self.find(b)
 
 
-def _infer_components(crossings) -> dict[Edge, str]:
-    """Edge id -> str(k) for the edges of the k-th strand walk, the walks
-    ordered by their least edge."""
-    edge = [e for cr in crossings for e in cr]  # dart -> its edge
-    darts = sorted(range(len(edge)), key=edge.__getitem__)
-    firsts, seconds = darts[::2], darts[1::2]
-    edges = [edge[x] for x in firsts]
-    if edges != [edge[x] for x in seconds] or 2 * len(set(edge)) != len(edge):
-        return dict.fromkeys(edge, "0")  # an edge not seen twice: validation names it
-    twin = [0] * len(edge)
-    for x, y in zip(firsts, seconds):
-        twin[x], twin[y] = y, x
-    label = {}
-    for k, walk in enumerate(_strand_walks(firsts, twin)):
-        lab = str(k)
-        for x in walk:
-            label[edge[x]] = lab
-    return {e: label[e] for e in edges}
+def _with_inferred_components(crossings, signs=None, loops=()) -> Diagram:
+    """The diagram on `crossings` whose k-th strand walk, the walks ordered
+    by their least edge, is component str(k).
+
+    The dart index and the walks are built once, on the diagram before its
+    other fields are set; validation then reads them instead of building
+    them again.  When an edge id is not at exactly two darts every edge is
+    labelled "0", and validation names the offending edges.
+    """
+    d = object.__new__(Diagram)
+    object.__setattr__(d, "crossings", crossings)
+    edges = d._edges
+    if edges is None:
+        components = dict.fromkeys(d._edge, "0")
+    else:
+        components = dict.fromkeys(edges)
+        edge = d._edge
+        for k, walk in enumerate(d._strands):
+            lab = str(k)
+            for x in walk:
+                components[edge[x]] = lab
+    Diagram.__init__(d, crossings, components, signs, loops)
+    return d
 
 
 def _strand_walks(firsts: list[int], twin: list[int]) -> list[tuple[int, ...]]:
@@ -303,27 +380,33 @@ def _strand_walks(firsts: list[int], twin: list[int]) -> list[tuple[int, ...]]:
 
 
 def _validate(d: Diagram) -> None:
+    """Check the invariants on the dart index: each edge id at exactly two
+    darts, the component map keyed by those edges and threaded through the
+    crossings, one label per strand walk, and V - E + F = 2 per connected
+    part, the faces counted by one walk over the corners (`_corner_walk`).
+    No `Face` object is built."""
     if not d.crossings and not d.loops:
         raise DiagramInvariantError("diagram has no crossings and no loops")
-    occ = d.occurrences()
-    bad = sorted(e for e, ends in occ.items() if len(ends) != 2)
-    if bad:
+    edges = d._edges
+    if edges is None:
+        bad = sorted(e for e, n in Counter(d._edge).items() if n != 2)
         raise DiagramInvariantError(
             f"edge ids must appear exactly twice, offending: {bad}"
         )
-    if occ.keys() != d.components.keys():
-        missing = sorted(occ.keys() - d.components.keys())
-        extra = sorted(d.components.keys() - occ.keys())
+    comps = d.components
+    if comps.keys() != set(edges):
+        missing = sorted(set(edges) - comps.keys())
+        extra = sorted(comps.keys() - set(edges))
         raise DiagramInvariantError(
             f"component map mismatch (missing {missing}, extra {extra})"
         )
     # Threading consistency: edges joined through a crossing share a label.
     for cr in d.crossings:
-        if d.components[cr[0]] != d.components[cr[2]]:
+        if comps[cr[0]] != comps[cr[2]]:
             raise DiagramInvariantError(
                 f"understrand changes component at crossing {cr}"
             )
-        if d.components[cr[1]] != d.components[cr[3]]:
+        if comps[cr[1]] != comps[cr[3]]:
             raise DiagramInvariantError(
                 f"overstrand changes component at crossing {cr}"
             )
@@ -339,7 +422,7 @@ def _validate(d: Diagram) -> None:
     if d.crossings:
         v = len(d.crossings)
         e = 2 * v
-        f = len(d.face_map.faces)
+        f = d._corner_walk[0]
         # Each connected part of the projection contributes its own sphere.
         if v - e + f != 2 * len(d._parts):
             raise DiagramInvariantError(
@@ -351,34 +434,24 @@ def _validate(d: Diagram) -> None:
 
 
 def compute_faces(d: Diagram) -> FaceMap:
-    """All complementary regions by corner traversal, in linear time
+    """The complementary regions as `Face` objects, in linear time
     (uncached; the diagram's `face_map` keeps the result).
 
-    Corner (c, k) is the sector between slots k and k+1 at crossing c.  The
-    walk keeps the region on the right of each traversed edge, which on a
-    counterclockwise slot ordering means: leave through slot k+1, arrive at
-    the twin occurrence (c', s'), continue with corner (c', s').  One scan
-    over the corners in sorted order starts a face at each corner not yet
-    walked, so the faces are ordered by their least corner, and each walk
-    starts there.
+    The only builder of `Face` objects.  It reads the corner walk that
+    validation made (`Diagram._corner_walk`): each face is a run of corners
+    in walk order, corner 4c + k becomes (c, k), and its boundary edge is
+    the one at the dart it leaves by, slot k+1.  So the faces are ordered by
+    their least corner, each starts there, and `corner_faces` is the walk's
+    face of each corner.
     """
-    edge = [e for cr in d.crossings for e in cr]  # dart -> its edge
-    twin = d._twin
-    face_of = [-1] * len(twin)
+    _, face_of, walk = d._corner_walk
+    edge = d._edge
     faces = []
-    for start in range(len(twin)):
-        if face_of[start] >= 0:
-            continue
-        corners = []
-        boundary = []
-        x = start
-        while face_of[x] < 0:
-            face_of[x] = len(faces)
-            corners.append((x >> 2, x & 3))
-            out = x - 3 if x & 3 == 3 else x + 1
-            boundary.append(edge[out])
-            x = twin[out]
-        faces.append(Face(tuple(corners), tuple(boundary)))
+    for _, run in groupby(walk, face_of.__getitem__):
+        run = list(run)
+        corners = tuple((x >> 2, x & 3) for x in run)
+        boundary = tuple(edge[x - 3 if x & 3 == 3 else x + 1] for x in run)
+        faces.append(Face(corners, boundary))
     return FaceMap(tuple(faces), tuple(face_of))
 
 
@@ -388,8 +461,9 @@ def compute_faces(d: Diagram) -> FaceMap:
 def _alternating_bigon(d: Diagram, f: Face) -> bool:
     """A bigon is alternating when each of its edges changes over/under role
     between its two crossings; otherwise the two crossings cancel."""
-    occ = d.occurrences()
-    return all(occ[e][0][1] % 2 != occ[e][1][1] % 2 for e in f.boundary)
+    twin = d._twin
+    out = (4 * c + (k + 1) % 4 for c, k in f.corners)  # the darts of its edges
+    return all((x ^ twin[x]) & 1 for x in out)
 
 
 def detect_twist_regions(d: Diagram) -> list[TwistRegion]:

@@ -17,7 +17,7 @@ from augcusp import catalog
 from augcusp.augment import SlopeLedger, apply_filling
 from augcusp.diagram import (
     Diagram,
-    _infer_components,
+    _with_inferred_components,
     canonical_pd,
     compute_faces,
     pd_isomorphic,
@@ -274,7 +274,7 @@ def assert_read_as_reference(d, seed=0):
     and on a scrambled copy (fresh edge ids, shuffled and rotated crossings)."""
     for e in (d, scrambled(d, random.Random(seed))):
         assert canonical_pd(e) == reference_key(e)
-        inferred = _infer_components(e.crossings)
+        inferred = _with_inferred_components(e.crossings, None, e.loops).components
         assert list(inferred.items()) == list(reference_components(e.crossings).items())
 
 
