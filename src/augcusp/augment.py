@@ -15,7 +15,8 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count
+from operator import attrgetter
 
 from .diagram import (
     Crossing,
@@ -112,7 +113,8 @@ class SlopeLedger:
             self[k] = v
 
     def __setitem__(self, cusp: str, slope: Fraction) -> None:
-        slope = Fraction(slope)
+        if not isinstance(slope, Fraction):
+            slope = Fraction(slope)
         if slope != 0:
             self.entries[cusp] = slope
         else:
@@ -172,9 +174,10 @@ class SlopeLedger:
 # -- region analysis ----------------------------------------------------------
 
 
-def _region_structure(d: Diagram, r: TwistRegion, fm):
-    twin, corner_faces = d._twin, fm.corner_faces
-    S = set(r.crossings)
+def _region_structure(d: Diagram, r: TwistRegion, idx: int, region_of: list[int]):
+    """The disk darts, lateral faces, rotation and frame of region `idx`
+    (`region_of`: the region index of each crossing, -1 for none)."""
+    twin, face_of = d._twin, d._corner_walk[1]
     # The E-side darts (at the retained crossing) of the two original edges
     # the crossing disk cuts, as (slot 0, slot 1), and the local frame
     # handedness: +1 when slot1 sits counterclockwise-next from slot0 there.
@@ -187,21 +190,21 @@ def _region_structure(d: Diagram, r: TwistRegion, fm):
 
     # Lateral faces: beyond the slot-0 strand and beyond the slot-1 strand.
     if r.crossing_count == 1:
-        lat_n = corner_faces[4 * c1]
-        lat_s = corner_faces[4 * c1 + 2]
+        lat_n = face_of[4 * c1]
+        lat_s = face_of[4 * c1 + 2]
     else:
         # The first bigon is the face of the corner between the two darts;
         # each disk edge has it on one side, at corner x, or at the corner
         # before x, and the lateral face on the other.
-        bigon = corner_faces[near[0] if chirality == 1 else near[1]]
+        bigon = face_of[near[0] if chirality == 1 else near[1]]
         lat_n, lat_s = (
-            corner_faces[x] if corner_faces[x] != bigon else corner_faces[x - 1 if x & 3 else x + 3]
+            face_of[x] if face_of[x] != bigon else face_of[x - 1 if x & 3 else x + 3]
             for x in near
         )
 
     # The darts whose edges leave the region.
     darts = [
-        x for c in sorted(S) for x in range(4 * c, 4 * c + 4) if twin[x] >> 2 not in S
+        x for c in r.crossings for x in range(4 * c, 4 * c + 4) if region_of[twin[x] >> 2] != idx
     ]
     rotation = None
     if len(darts) == 4:
@@ -214,22 +217,22 @@ def _region_structure(d: Diagram, r: TwistRegion, fm):
             for slot, x in enumerate(near):
                 for y, side in ((x, "E"), (twin[x], "W")):
                     y ^= 2
-                    while twin[y] >> 2 in S:
+                    while region_of[twin[y] >> 2] == idx:
                         y = twin[y] ^ 2
                     ends[y] = (slot, side)
-        if set(ends) != set(darts):
+        if ends.keys() != set(darts):
             raise DiagramInvariantError("region strand threading did not close")
         # Turn counterclockwise around the region from its least dart.
-        cyc = [darts[0]]
-        x = darts[0]
+        x = min(darts)
+        cyc = [x]
         while len(cyc) < 4:
             x = x - 3 if x & 3 == 3 else x + 1
-            if twin[x] >> 2 in S:
+            if region_of[twin[x] >> 2] == idx:
                 x = twin[x]
             else:
                 cyc.append(x)
-        rotation = [ends[x] for x in cyc]
-        if {lat_n, lat_s} - {corner_faces[x] for x in cyc}:
+        rotation = list(map(ends.__getitem__, cyc))
+        if {lat_n, lat_s}.difference(map(face_of.__getitem__, cyc)):
             raise DiagramInvariantError("lateral faces missing from region walk")
 
     # Twist pattern: the braid letter sign is anchored at the crossing
@@ -252,34 +255,39 @@ def _region_structure(d: Diagram, r: TwistRegion, fm):
     }
 
 
-def _face_colorings(d: Diagram, fm) -> tuple[dict[int, int], dict[str, int]]:
+def _face_colorings(d: Diagram) -> tuple[list[int], dict[str, int]]:
     """2-colorings of faces by crossing parity with each component's curve.
 
-    One search over the faces carries a bit per component.  Returns the bits
-    of each face, and the bit position of each component whose coloring
+    One search over the faces, the runs of `Diagram._corner_walk`, carries
+    a bit per component.  Returns the bits of each face (-1 where the search
+    did not reach), and the bit position of each component whose coloring
     holds: not one whose curve touches a face on both sides or whose
     parities conflict, and none when the faces are not connected.
     """
     labels = sorted(set(d.components.values()))
     bit = {lab: 1 << j for j, lab in enumerate(labels)}
-    edge_faces = fm.edge_faces
-    color = {0: 0}
+    starts, face_of, walk = d._corner_walk
+    if len(starts) < 2:  # no crossings, so no faces
+        return [], {}
+    flips = list(map(bit.__getitem__, map(d.components.__getitem__, d._edge)))  # per dart
+    color = [0] + [-1] * (len(starts) - 2)
     bad = 0
     stack = [0]
     while stack:
         i = stack.pop()
-        for e in fm.faces[i].boundary:
-            flip = bit[d.components[e]]
-            f, g = edge_faces[e]
-            j = g if f == i else f
+        ci = color[i]
+        for x in walk[starts[i] : starts[i + 1]]:
+            x = x - 3 if x & 3 == 3 else x + 1  # its next dart: face_of[x] is across
+            flip = flips[x]
+            j = face_of[x]
             if j == i:
                 bad |= flip  # the curve touches the face on both sides
-            elif j in color:
-                bad |= color[j] ^ color[i] ^ flip
+            elif color[j] >= 0:
+                bad |= color[j] ^ ci ^ flip
             else:
-                color[j] = color[i] ^ flip
+                color[j] = ci ^ flip
                 stack.append(j)
-    if len(color) != len(fm.faces):
+    if -1 in color:
         return color, {}
     return color, {lab: j for j, lab in enumerate(labels) if not bad >> j & 1}
 
@@ -287,9 +295,11 @@ def _face_colorings(d: Diagram, fm) -> tuple[dict[int, int], dict[str, int]]:
 # -- the augmentation splice ---------------------------------------------------
 
 
-def _check_regions(d: Diagram, regions: list[TwistRegion]) -> None:
-    seen: set[int] = set()
-    for r in regions:
+def _check_regions(d: Diagram, regions: list[TwistRegion]) -> list[int]:
+    """The region index of each crossing (-1 for none), after checking that
+    the regions are two-strand ones on disjoint crossings of `d`."""
+    region_of = [-1] * len(d.crossings)
+    for idx, r in enumerate(regions):
         if r.strand_count != 2:
             raise UnsupportedLinkError(
                 f"region on crossings {r.crossings} has {r.strand_count} strands; "
@@ -298,9 +308,10 @@ def _check_regions(d: Diagram, regions: list[TwistRegion]) -> None:
         for c in r.crossings:
             if not 0 <= c < len(d.crossings):
                 raise DiagramInvariantError(f"region crossing {c} not in diagram")
-            if c in seen:
+            if region_of[c] >= 0:
                 raise DiagramInvariantError(f"regions overlap at crossing {c}")
-            seen.add(c)
+            region_of[c] = idx
+    return region_of
 
 
 def augment(
@@ -313,12 +324,12 @@ def augment(
     """
     if regions is None:
         regions = detect_twist_regions(d)
-    _check_regions(d, regions)
-    fm = d.face_map
-    color, bits = _face_colorings(d, fm)
+    region_of = _check_regions(d, regions)
+    color, bits = _face_colorings(d)
 
     infos = [
-        (f"C{idx + 1}", r, _region_structure(d, r, fm)) for idx, r in enumerate(regions)
+        (f"C{idx + 1}", r, _region_structure(d, r, idx, region_of))
+        for idx, r in enumerate(regions)
     ]
     # A half twist keeps its first crossing in the base.
     removed = {c for r in regions for c in r.crossings[1 if r.half_twist else 0 :]}
@@ -328,7 +339,7 @@ def augment(
         cr = d.crossings[c]
         uf.union(cr[0], cr[2])
         uf.union(cr[1], cr[3])
-    root = {e: uf.find(e) for e in d.components}
+    root = uf.roots(d.components)
 
     survivors = [
         (ci, tuple(map(root.__getitem__, cr)))
@@ -336,21 +347,14 @@ def augment(
         if ci not in removed
     ]
     used_edges = {e for _, cr in survivors for e in cr}
-
-    class_members: dict[Edge, list[Edge]] = {}
-    for e, rep in root.items():
-        class_members.setdefault(rep, []).append(e)
-
-    base_components: dict[Edge, str] = {}
-    for rep in used_edges:
-        base_components[rep] = d.components[class_members[rep][0]]
-    # The input's own loops, and the components whose crossings all went.
+    # The removed crossings join edges of one component only, so a class
+    # has its root's label.
+    base_components = {rep: d.components[rep] for rep in used_edges}
+    # The input's own loops, and the components whose crossings all went:
+    # a component that meets a kept crossing has every class of its edges
+    # at a kept crossing.
     loop_comps = sorted(
-        {
-            d.components[members[0]]
-            for rep, members in class_members.items()
-            if rep not in used_edges
-        }.union(d.loops)
+        set(d.components.values()).difference(base_components.values()).union(d.loops)
     )
 
     base = Diagram(
@@ -362,7 +366,9 @@ def augment(
     # Each passage's frame and rank on its base edge, read off one walk of
     # that edge from its base occurrence 0 through the removed crossings.
     twin = d._twin
-    disk = {x: (lab, slot) for lab, _, st in infos for slot, x in enumerate(st["near"])}
+    disk: list[tuple[str, int] | None] = [None] * len(twin)  # dart -> (circle, slot)
+    for lab, _, st in infos:
+        disk[st["near"][0]], disk[st["near"][1]] = (lab, 0), (lab, 1)
     on_edge: dict[int, tuple[Edge, int, int]] = {}  # E-side dart -> (edge, frame, rank)
     base_edge = base._edge
     for x in base._darts[::2]:  # occurrence 0 of each base edge
@@ -373,10 +379,12 @@ def augment(
             b = twin[a]
             # The edge from dart a to dart b: a disk whose E side is at b
             # has its W side toward occurrence 0 (frame +1).
-            for x, frame in ((a, -1), (b, 1)):
-                if x in disk:
-                    on_edge[x] = (rep, frame, rank)
-                    rank += 1
+            if disk[a]:
+                on_edge[a] = (rep, -1, rank)
+                rank += 1
+            if disk[b]:
+                on_edge[b] = (rep, 1, rank)
+                rank += 1
             if b >> 2 not in removed:
                 break
             a = b ^ 2
@@ -385,11 +393,12 @@ def augment(
     passages: dict[str, list[Passage]] = {}
     for comp, walk in d._walks:
         plist: list[Passage] = []
-        for b in walk:
-            for x, direction in ((twin[b], -1), (b, 1)):
-                if x in disk:
-                    on = on_edge.get(x, (None,))  # None: the strand became a loop
-                    plist.append(Passage(*disk[x], direction, *on))
+        for b in walk:  # the strand runs from twin[b] to b
+            x = twin[b]  # an edge missing from on_edge: the strand became a loop
+            if disk[x]:
+                plist.append(Passage(*disk[x], -1, *on_edge.get(x, (None,))))
+            if disk[b]:
+                plist.append(Passage(*disk[b], 1, *on_edge.get(b, (None,))))
         if plist:
             passages[comp] = plist
 
@@ -400,10 +409,8 @@ def augment(
     ledger = SlopeLedger()
     for label, r, st in infos:
         lat_n, lat_s = st["laterals"]
-        end_sides = {
-            comp: (color[lat_n] >> j & 1, color[lat_s] >> j & 1)
-            for comp, j in bits.items()
-        }
+        north, south = color[lat_n], color[lat_s]
+        end_sides = {comp: (north >> j & 1, south >> j & 1) for comp, j in bits.items()}
         circles[label] = CrossingCircle(
             label=label,
             strand_count=2,
@@ -492,7 +499,6 @@ def _fill(al: AugmentedLink, twists: dict[str, int], expand_rest: bool) -> Diagr
         if lab in twists:
             t = twists[lab]
             letter = circle.pattern_sign * circle.handedness * (1 if t >= 0 else -1)
-            word = [(i, letter) for i, _ in full_ribbon_braid(m, abs(t))]
             # Braid positions run across the disk; a left-handed local frame
             # mirrors the assignment so the tangle glues back planarly.
             pos_to_slot = (
@@ -500,15 +506,15 @@ def _fill(al: AugmentedLink, twists: dict[str, int], expand_rest: bool) -> Diagr
             )
             w_stubs = [fresh() for _ in range(m)]
             current = list(w_stubs)
-            comps = [slot_component[(lab, j)] for j in pos_to_slot]
-            comp_of_new.update(zip(w_stubs, comps))
-            for i, s in word:
+            for w, j in zip(w_stubs, pos_to_slot):
+                comp_of_new[w] = slot_component[(lab, j)]
+            for i, _ in full_ribbon_braid(m, abs(t)):
+                left, right = current[i - 1], current[i]
                 lo, ro = fresh(), fresh()
-                crossings.append(braid_crossing(s, current[i - 1], current[i], lo, ro))
-                current[i - 1], current[i] = lo, ro
+                crossings.append(braid_crossing(letter, left, right, lo, ro))
                 # The two strands swap positions at every letter.
-                comps[i - 1], comps[i] = comps[i], comps[i - 1]
-                comp_of_new[lo], comp_of_new[ro] = comps[i - 1], comps[i]
+                comp_of_new[lo], comp_of_new[ro] = comp_of_new[right], comp_of_new[left]
+                current[i - 1], current[i] = lo, ro
             stubs[lab] = {
                 pos_to_slot[p]: (w_stubs[p], current[p]) for p in range(m)
             }
@@ -544,7 +550,8 @@ def _fill(al: AugmentedLink, twists: dict[str, int], expand_rest: bool) -> Diagr
             for p in plist:
                 by_edge.setdefault(p.edge, []).append(p)
             for e, evs in by_edge.items():
-                evs = sorted(evs, key=lambda p: p.rank)
+                if len(evs) > 1:
+                    evs.sort(key=attrgetter("rank"))
                 far = darts[2 * bisect_left(edges, e) + 1]  # occurrence 1 of e
                 pieces = [e] + [fresh() for _ in range(len(evs))]
                 cr = list(crossings[far >> 2])
@@ -561,15 +568,16 @@ def _fill(al: AugmentedLink, twists: dict[str, int], expand_rest: bool) -> Diagr
                         uf.union(pieces[k], e_stub)
                         uf.union(pieces[k + 1], w_stub)
 
-    root = {e: uf.find(e) for e in comp_of_new}
-    resolved = [tuple(map(root.__getitem__, cr)) for cr in crossings]
-    comp_map: dict[Edge, str] = {}
-    for e, lab in comp_of_new.items():
-        comp_map.setdefault(root[e], lab)
-    ids = sorted({e for cr in resolved for e in cr})
-    compact = {e: i + 1 for i, e in enumerate(ids)}
-    final = tuple(tuple(map(compact.__getitem__, cr)) for cr in resolved)
-    components = {compact[e]: comp_map[e] for e in ids}
+    root = uf.roots(comp_of_new)
+    resolved = list(map(root.__getitem__, chain.from_iterable(crossings)))
+    ids = sorted(set(resolved))
+    numbers = range(1, len(ids) + 1)
+    compact = dict(zip(ids, numbers))
+    slots = iter(map(compact.__getitem__, resolved))
+    final = tuple(zip(slots, slots, slots, slots))  # four slots per crossing
+    # A class joins the pieces of one strand to the stubs of its own slots,
+    # so it has one label, its root's.
+    components = dict(zip(numbers, map(comp_of_new.__getitem__, ids)))
     return Diagram(final, components, None, tuple(sorted(loops_left)))
 
 

@@ -17,7 +17,7 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import chain
 from types import MappingProxyType
 
 from .errors import DiagramInvariantError, PDSyntaxError, ReducibleDiagramWarning
@@ -160,33 +160,47 @@ class Diagram:
         return tuple(parts)
 
     @_cached
-    def _corner_walk(self) -> tuple[int, list[int], list[int]]:
-        """One walk over the corners, as integers: (number of faces, the face
-        of each corner, the corners in walk order).
+    def _corner_walk(self) -> tuple[list[int], list[int], list[int]]:
+        """One walk over the corners, as integers: (starts, the face of each
+        corner, the corners in walk order); face i is the run
+        walk[starts[i] : starts[i + 1]].
 
         Corner 4c + k is the sector between slots k and k+1 of crossing c.
         The walk keeps the region on the right of each traversed edge, which
         on a counterclockwise slot ordering means: leave corner x through
         its next dart (slot k+1), arrive at that dart's twin, and continue
-        with the corner there.  One scan over the corners in order starts a
-        face at each corner not yet walked, so the faces are numbered by
-        their least corner, and each walk starts there.  Validation counts
-        the faces from it; `compute_faces` reads it.
+        with the corner there, so the face across that edge is the face of
+        the corner at the next dart.  One scan over the corners in order
+        starts a face at each corner not yet walked, so the faces are
+        numbered by their least corner, and each walk starts there.
         """
         twin = self._twin
         face_of = [-1] * len(twin)
         walk = []
-        faces = 0
+        starts = []
         for start in range(len(twin)):
             if face_of[start] >= 0:
                 continue
+            face = len(starts)
+            starts.append(len(walk))
             x = start
             while face_of[x] < 0:
-                face_of[x] = faces
+                face_of[x] = face
                 walk.append(x)
                 x = twin[x - 3 if x & 3 == 3 else x + 1]
-            faces += 1
-        return faces, face_of, walk
+        starts.append(len(walk))
+        return starts, face_of, walk
+
+    @_cached
+    def _bigons(self) -> list[tuple[int, int]]:
+        """Each bigon, a face of two corners at two different crossings, as
+        its two corners in walk order; the bigons in face order."""
+        starts, _, walk = self._corner_walk
+        return [
+            (walk[s], walk[s + 1])
+            for s, t in zip(starts, starts[1:])
+            if t - s == 2 and walk[s] >> 2 != walk[s + 1] >> 2
+        ]
 
     @_cached
     def face_map(self) -> FaceMap:
@@ -218,32 +232,12 @@ class Face:
     corners: tuple[HalfEnd, ...]  # (crossing, slot) sectors, in walk order
     boundary: tuple[Edge, ...]
 
-    @property
-    def sides(self) -> int:
-        return len(self.boundary)
-
 
 @dataclass(frozen=True)
 class FaceMap:
     faces: tuple[Face, ...]
     # The face of corner (c, k) at index 4c + k, recorded by the walk.
     corner_faces: tuple[int, ...] = field(default=(), compare=False, repr=False)
-
-    @cached_property
-    def bigons(self) -> tuple[Face, ...]:
-        return tuple(
-            f for f in self.faces if f.sides == 2 and f.corners[0][0] != f.corners[1][0]
-        )
-
-    @cached_property
-    def edge_faces(self) -> dict[Edge, tuple[int, ...]]:
-        """Edge id -> the faces along it, ascending; a face that lies on
-        both sides of an edge is listed twice.  Built once per face map."""
-        out: dict[Edge, list[int]] = {}
-        for i, f in enumerate(self.faces):
-            for e in f.boundary:
-                out.setdefault(e, []).append(i)
-        return {e: tuple(fs) for e, fs in out.items()}
 
 
 @dataclass
@@ -281,11 +275,13 @@ def parse_diagram(text: str) -> Diagram:
         isinstance(c, list) and len(c) == 4 for c in pd
     ):
         raise PDSyntaxError("'pd' must be a list of 4-element lists")
-    try:
-        crossings = tuple(tuple(int(e) for e in c) for c in pd)
-    except (TypeError, ValueError) as exc:
-        raise PDSyntaxError(f"edge ids must be integers: {exc}") from exc
-    if any(e <= 0 for c in crossings for e in c):
+    crossings = tuple(map(tuple, pd))
+    ids = list(chain.from_iterable(crossings))
+    # A JSON integer only: int() would read 1.5 and true as 1.
+    if not set(map(type, ids)) <= {int}:
+        bad = next(e for e in ids if type(e) is not int)
+        raise PDSyntaxError(f"edge ids must be integers, got {json.dumps(bad)}")
+    if ids and min(ids) <= 0:
         raise PDSyntaxError("edge ids must be positive integers")
 
     comp_doc = doc.get("components")
@@ -327,13 +323,23 @@ class UnionFind:
         self.parent: dict = {}
 
     def find(self, x):
-        while self.parent.setdefault(x, x) != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
+        parent = self.parent
+        p = parent.setdefault(x, x)
+        while p != x:  # path halving: point x at its grandparent, go on from there
+            g = parent[p]
+            parent[x] = g
+            x, p = g, parent[g]
         return x
 
     def union(self, a, b) -> None:
         self.parent[self.find(a)] = self.find(b)
+
+    def roots(self, items) -> dict:
+        """Item -> its root, for `items` and every item a union touched."""
+        find = self.find
+        root = dict(zip(items, items))
+        root.update({x: find(x) for x, up in list(self.parent.items()) if up != x})
+        return root
 
 
 def _with_inferred_components(crossings, signs=None, loops=()) -> Diagram:
@@ -422,7 +428,7 @@ def _validate(d: Diagram) -> None:
     if d.crossings:
         v = len(d.crossings)
         e = 2 * v
-        f = d._corner_walk[0]
+        f = len(d._corner_walk[0]) - 1
         # Each connected part of the projection contributes its own sphere.
         if v - e + f != 2 * len(d._parts):
             raise DiagramInvariantError(
@@ -437,18 +443,19 @@ def compute_faces(d: Diagram) -> FaceMap:
     """The complementary regions as `Face` objects, in linear time
     (uncached; the diagram's `face_map` keeps the result).
 
-    The only builder of `Face` objects.  It reads the corner walk that
-    validation made (`Diagram._corner_walk`): each face is a run of corners
-    in walk order, corner 4c + k becomes (c, k), and its boundary edge is
-    the one at the dart it leaves by, slot k+1.  So the faces are ordered by
-    their least corner, each starts there, and `corner_faces` is the walk's
-    face of each corner.
+    The only function that builds `Face` objects; nothing in the package
+    reads them.  It reads the corner walk that validation made
+    (`Diagram._corner_walk`): each face is a run of corners in walk order,
+    corner 4c + k becomes (c, k), and its boundary edge is the one at the
+    dart it leaves by, slot k+1.  So the faces are ordered by their least
+    corner, each starts there, and `corner_faces` is the walk's face of
+    each corner.
     """
-    _, face_of, walk = d._corner_walk
+    starts, face_of, walk = d._corner_walk
     edge = d._edge
     faces = []
-    for _, run in groupby(walk, face_of.__getitem__):
-        run = list(run)
+    for s, t in zip(starts, starts[1:]):
+        run = walk[s:t]
         corners = tuple((x >> 2, x & 3) for x in run)
         boundary = tuple(edge[x - 3 if x & 3 == 3 else x + 1] for x in run)
         faces.append(Face(corners, boundary))
@@ -458,27 +465,23 @@ def compute_faces(d: Diagram) -> FaceMap:
 # -- twist regions (two strands) ----------------------------------------------
 
 
-def _alternating_bigon(d: Diagram, f: Face) -> bool:
-    """A bigon is alternating when each of its edges changes over/under role
-    between its two crossings; otherwise the two crossings cancel."""
-    twin = d._twin
-    out = (4 * c + (k + 1) % 4 for c, k in f.corners)  # the darts of its edges
-    return all((x ^ twin[x]) & 1 for x in out)
-
-
 def detect_twist_regions(d: Diagram) -> list[TwistRegion]:
     """Maximal alternating bigon chains plus singleton regions.
 
     Crossings belonging to no bigon become singleton regions.  A chain that
     fails the alternation requirement is split at the junction and a
-    ReducibleDiagramWarning is emitted.
+    ReducibleDiagramWarning is emitted.  Reads the bigons off the corner
+    walk (`Diagram._bigons`); a link is (bigon, neighbour crossing).
     """
-    faces = d.face_map
-    links: dict[int, list[tuple[Face, int]]] = {
-        i: [] for i in range(len(d.crossings))
-    }
-    for f in faces.bigons:
-        if not _alternating_bigon(d, f):
+    bigons, twin = d._bigons, d._twin
+    links: list[list[tuple[tuple[int, int], int]]] = [[] for _ in d.crossings]
+    for b in bigons:
+        # Alternating: each edge, at a corner's next dart, changes over/under
+        # role between the two crossings; otherwise the two crossings cancel.
+        x, y = b
+        x = x - 3 if x & 3 == 3 else x + 1
+        y = y - 3 if y & 3 == 3 else y + 1
+        if not (x ^ twin[x]) & (y ^ twin[y]) & 1:
             warnings.warn(
                 "non-alternating bigon chain: diagram is reducible; "
                 "splitting the twist region at the junction",
@@ -486,19 +489,17 @@ def detect_twist_regions(d: Diagram) -> list[TwistRegion]:
                 stacklevel=2,
             )
             continue
-        (c1, _), (c2, _) = f.corners
-        links[c1].append((f, c2))
-        links[c2].append((f, c1))
-    if any(len(lk) > 2 for lk in links.values()):
+        c1, c2 = x >> 2, y >> 2
+        links[c1].append((b, c2))
+        links[c2].append((b, c1))
+    if any(len(lk) > 2 for lk in links):
         # The 2-crossing Hopf diagram has four bigons and two equally valid
         # twist-region readings; fix one by pairing edge-disjoint bigons.
-        bigons = faces.bigons
         if len(d.crossings) == 2 and len(bigons) == 4:
             b0 = bigons[0]
-            partner = next(
-                f for f in bigons[1:] if not set(f.boundary) & set(b0.boundary)
-            )
-            chain = [b0.corners[0][0], b0.corners[1][0]]
+            edges = set(_bigon_edges(d, b0))
+            partner = next(b for b in bigons[1:] if not set(_bigon_edges(d, b)) & edges)
+            chain = [b0[0] >> 2, b0[1] >> 2]
             return [_chain_region(d, chain, [b0, partner], True)]
         raise DiagramInvariantError(
             "a crossing borders more than two bigons; not a reduced diagram"
@@ -526,34 +527,40 @@ def detect_twist_regions(d: Diagram) -> list[TwistRegion]:
     return regions
 
 
-def _walk_chain(d: Diagram, links: dict, comp: set[int]) -> TwistRegion:
-    """The chain region of crossings joined by the bigons of `links`, walked
-    from its least end (its least crossing, for a cycle)."""
+def _walk_chain(d: Diagram, links, comp: set[int]) -> TwistRegion:
+    """The chain region of crossings joined by the bigons of `links`
+    (crossing -> its (bigon, neighbour) pairs), walked from its least end
+    (its least crossing, for a cycle)."""
     ends = sorted(c for c in comp if len(links[c]) == 1)
     start = ends[0] if ends else min(comp)
     chain = [start]
-    pairs: list[Face] = []
-    prev_face: Face | None = None
+    pairs: list[tuple[int, int]] = []
+    prev = None
     cur = start
     while True:
         step = None
-        for f, nb in links[cur]:
-            if f is not prev_face:
-                step = (f, nb)
+        for b, nb in links[cur]:
+            if b != prev:
+                step = (b, nb)
                 break
         if step is None:
             break
-        f, nb = step
-        pairs.append(f)
+        b, nb = step
+        pairs.append(b)
         if nb == start:
             break  # cycle closed; the closing bigon is recorded
         chain.append(nb)
-        prev_face, cur = f, nb
+        prev, cur = b, nb
     if set(chain) != comp:
         raise DiagramInvariantError(
             "bigon adjacency is not a simple chain; not a reduced diagram"
         )
     return _chain_region(d, chain, pairs, not ends)
+
+
+def _bigon_edges(d: Diagram, bigon: tuple[int, int]) -> tuple[Edge, ...]:
+    """The edges of a bigon, at the next darts of its two corners."""
+    return tuple(d._edge[x - 3 if x & 3 == 3 else x + 1] for x in bigon)
 
 
 def _crossing_handed(d: Diagram, ci: int) -> int:
@@ -573,11 +580,11 @@ def _singleton_region(d: Diagram, ci: int) -> TwistRegion:
 
 
 def _chain_region(
-    d: Diagram, chain: list[int], pairs: list[Face], is_cycle: bool
+    d: Diagram, chain: list[int], pairs: list[tuple[int, int]], is_cycle: bool
 ) -> TwistRegion:
     n = len(chain)
     handed = _crossing_handed(d, chain[0])
-    bigon_edges = [tuple(sorted(f.boundary)) for f in pairs]
+    bigon_edges = [tuple(sorted(_bigon_edges(d, b))) for b in pairs]
     return TwistRegion(
         crossings=chain,
         strand_count=2,
@@ -732,11 +739,11 @@ def validate_generalized_region(
                     )
         if n > 1:
             links: dict = {c: [] for c in ids}
-            for f in d.face_map.bigons:
-                (c1, _), (c2, _) = f.corners
+            for b in d._bigons:
+                c1, c2 = b[0] >> 2, b[1] >> 2
                 if c1 in links and c2 in links:
-                    links[c1].append((f, c2))
-                    links[c2].append((f, c1))
+                    links[c1].append((b, c2))
+                    links[c2].append((b, c1))
             return _walk_chain(d, links, set(ids))
     handed = _crossing_handed(d, ids[0])
     return TwistRegion(

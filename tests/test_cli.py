@@ -88,6 +88,16 @@ class TestTwists:
             f"validation error: edge ids must appear exactly twice, offending: {bad}\n"
         )
 
+    @pytest.mark.parametrize("edge", [1.5, True, "1", None, 1e400], ids=repr)
+    def test_edge_id_that_is_not_an_integer_exit_2(self, tmp_path, capsys, edge):
+        pd = [list(c) for c in TREFOIL_PD]
+        pd[1][2] = edge
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"pd": pd}))
+        assert cli.main(["twists", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"parse error: edge ids must be integers, got {json.dumps(edge)}\n"
+
     def test_undecodable_input_exit_2(self, tmp_path):
         path = tmp_path / "binary.json"
         path.write_bytes(b"\x86\xff\x00")
@@ -145,6 +155,18 @@ class TestAugment:
         assert r.returncode == 0, r.stderr
         assert "roundtrip ok" in r.stderr
         assert "L" in json.loads(r.stdout)["link"]["base"]["loops"]
+
+    @pytest.mark.parametrize("flags", [[], ["--roundtrip"]], ids=["plain", "roundtrip"])
+    def test_loops_without_crossings(self, tmp_path, capsys, flags):
+        path = tmp_path / "loops.json"
+        path.write_text(json.dumps({"pd": [], "loops": ["a"]}))
+        assert cli.main(["augment", str(path), *flags]) == 0
+        out, err = capsys.readouterr()
+        link = json.loads(out)["link"]
+        assert link["circles"] == {} and link["passages"] == {"a": []}
+        assert link["base"] == {"components": {}, "loops": ["a"], "pd": []}
+        assert ("roundtrip ok" in err) == bool(flags)
+        assert err.endswith("0 crossing circle(s); ledger: (no nontrivial fillings)\n")
 
     def test_overlapping_annotations_exit_3(self, diagrams, tmp_path):
         ann = tmp_path / "ann.json"
@@ -278,6 +300,12 @@ class TestCusp:
     def test_unsupported_input_exit_3(self, diagrams):
         r = run("cusp", str(diagrams / "trefoil.json"))
         assert r.returncode == 3
+
+    def test_loops_without_crossings_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "loops.json"
+        path.write_text(json.dumps({"pd": [], "loops": ["a"]}))
+        assert cli.main(["cusp", str(path)]) == 3
+        assert capsys.readouterr().err == "validation error: no crossing circles\n"
 
 
 class TestVerify:

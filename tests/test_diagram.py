@@ -100,6 +100,13 @@ class TestParse:
         with pytest.raises(DiagramInvariantError, match="is carried by two separate"):
             parse_diagram(json.dumps(doc))
 
+    @pytest.mark.parametrize("edge", [1.5, 2.0, True, False, "3", None, [1]], ids=repr)
+    def test_edge_id_that_is_not_an_integer_rejected(self, edge):
+        """int() would read 1.5 and true as 1; only JSON integers are ids."""
+        pd = [[2, 1, 3, 4], [4, 3, 5, 6], [6, 5, 1, edge]]
+        with pytest.raises(PDSyntaxError, match="edge ids must be integers"):
+            parse_diagram(json.dumps({"pd": pd}))
+
     def test_bad_signs_rejected(self):
         doc = json.loads(catalog.trefoil().to_json())
         doc["signs"] = [1, 2, 1]
@@ -123,20 +130,19 @@ class TestCatalog:
 
 class TestFaces:
     def test_trefoil_faces_and_bigons(self):
-        fm = compute_faces(catalog.trefoil())
-        assert len(fm.faces) == 5
-        assert len(fm.bigons) == 3
+        d = catalog.trefoil()
+        assert len(compute_faces(d).faces) == 5
+        assert len(d._bigons) == 3
 
     def test_figure_eight_faces(self):
         d = catalog.figure_eight()
         fm = compute_faces(d)
         assert len(fm.faces) == 6
-        assert len(fm.bigons) == 2
+        assert len(d._bigons) == 2
         assert brute_force_faces(d) == 6
 
     def test_zero_bigon_diagram(self):
-        fm = compute_faces(catalog.borromean_rings())
-        assert len(fm.bigons) == 0
+        assert catalog.borromean_rings()._bigons == []
 
     def test_every_edge_on_two_face_sides(self):
         for d in (catalog.trefoil(), catalog.figure_eight(), catalog.borromean_rings()):
@@ -284,9 +290,8 @@ class TestTwistRegions:
             for i, r in enumerate(regs):
                 for c in r.crossings:
                     region_of[c] = i
-            for f in compute_faces(d).bigons:
-                (c1, _), (c2, _) = f.corners
-                assert region_of[c1] == region_of[c2]
+            for x, y in d._bigons:
+                assert region_of[x >> 2] == region_of[y >> 2]
 
 
 def _embedded_ribbon(m, t, half):

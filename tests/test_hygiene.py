@@ -4,7 +4,7 @@ Every import of a module is used in it, in the package and in the tests;
 every module-level private function is referenced somewhere in the package
 besides its definition, and every parameter of every function is read in its
 body.  `UnionFind` gains no users while its last ones are replaced by dart
-walks.
+walks, and `augment` reads no `Face` objects.
 """
 
 import ast
@@ -99,3 +99,13 @@ def test_union_find_gains_no_users():
                 where = node.name if isinstance(node, ast.FunctionDef) else f"line {node.lineno}"
                 users.add(f"{name[:-3]}.{where}")
     assert users <= {"catalog._relabel", "augment.augment", "augment._fill"}
+
+
+def test_augment_reads_no_faces():
+    """`augment` reads the corner walk: nothing in augment.py reads a face
+    map or names `Face`, `FaceMap` or `compute_faces`."""
+    tree = MODULES["augment.py"]
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not names & {"face_map", "Face", "FaceMap", "compute_faces", "corner_faces"}
