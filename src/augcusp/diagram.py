@@ -289,10 +289,16 @@ def parse_diagram(text: str) -> Diagram:
     if comp_doc is not None:
         if not isinstance(comp_doc, dict):
             raise PDSyntaxError("'components' must be an object")
-        try:
-            components = {int(k): str(v) for k, v in comp_doc.items()}
-        except ValueError as exc:
-            raise PDSyntaxError(f"'components' keys must be edge ids: {exc}") from exc
+        components = {}
+        for k, v in comp_doc.items():
+            # Only the decimal integer to_json writes: int() also reads " 1" and "+2".
+            try:
+                edge = int(k)
+            except ValueError:
+                edge = None
+            if str(edge) != k:
+                raise PDSyntaxError(f"'components' keys must be edge ids, got {json.dumps(k)}")
+            components[edge] = str(v)
 
     signs_doc = doc.get("signs")
     signs = None
@@ -300,10 +306,10 @@ def parse_diagram(text: str) -> Diagram:
         if (
             not isinstance(signs_doc, list)
             or len(signs_doc) != len(crossings)
-            or not all(s in (1, -1) for s in signs_doc)
+            or not all(type(s) is int and s in (1, -1) for s in signs_doc)
         ):
-            raise PDSyntaxError("'signs' must list +1/-1 per crossing")
-        signs = tuple(int(s) for s in signs_doc)
+            raise PDSyntaxError("'signs' must list the integer 1 or -1 per crossing")
+        signs = tuple(signs_doc)
 
     loops_doc = doc.get("loops", [])
     if not isinstance(loops_doc, list):

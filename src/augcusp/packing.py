@@ -194,6 +194,10 @@ def build_nerve(al: AugmentedLink, infinity: int | None = None) -> Nerve:
 
     Supported inputs are regular fully augmented links: every crossing disk
     meets exactly two strands and there are at least two crossing circles.
+    The tangency at infinity is edge `infinity` if given, else the edge whose
+    two whites have the largest degree sum, the least such id on ties: its
+    whites become the strip's lines, so the most petals rest on a line and
+    the fewest circles are left for the radii to solve.
     """
     if not al.circles:
         raise UnsupportedLinkError("no crossing circles")
@@ -270,12 +274,16 @@ def build_nerve(al: AugmentedLink, infinity: int | None = None) -> Nerve:
         if len({w for k in eids for w in (edges[k].a, edges[k].b)}) != 3:
             raise UnsupportedLinkError("shaded face is not a triangle")
 
+    if infinity is None:
+        degree = list(map(len, flowers))
+        sums = [degree[e.a] + degree[e.b] for e in edges]
+        infinity = sums.index(max(sums))  # the first, least id, on ties
     n = Nerve(
         whites=whites,
         edges=edges,
         flowers=flowers,
         triangles=triangles,
-        infinity_edge=infinity if infinity is not None else 0,
+        infinity_edge=infinity,
         exits=[(mate[y], arc[y]) for y in across],
         arc_exit=arc_exit,
         shear_sign=[c.handedness if c.half_twist else 0 for _, c in sorted(al.circles.items())],
@@ -529,9 +537,10 @@ def solve_flower_radii(
 
 
 def solve_packing(nerve: Nerve, tol: float = 1e-12, max_iter: int = 100_000) -> CirclePacking:
-    """Solve and lay out the packing with the designated tangency at infinity.
+    """Solve and lay out the packing with the nerve's infinity_edge at infinity.
 
-    The two white faces of the infinity edge become horizontal lines y = 0
+    The two white faces of the infinity edge (by default the edge of largest
+    degree sum, see build_nerve) become horizontal lines y = 0
     and y = 2; every other face becomes a circle in the strip, the root face
     (tangent to both lines) of radius 1.  max_iter caps the Newton steps of
     the radii.  The tangencies are refined, and the packing kept, in
@@ -555,10 +564,12 @@ def solve_packing(nerve: Nerve, tol: float = 1e-12, max_iter: int = 100_000) -> 
     )
     worst = packing.max_residual()
     log.info(
-        "solve_packing: %d whites, %d Newton steps, angle error %.2e, "
+        "solve_packing: %d whites, edge %d at infinity (degree sum %d), "
+        "%d Newton steps, angle error %.2e, "
         "%d Gauss-Newton steps on %d unknowns in %s (eps %.2e), "
         "max relative residual %.2e",
-        nerve.whites, stats["newton_steps"], stats["angle_error"],
+        nerve.whites, eid, len(nerve.flowers[u]) + len(nerve.flowers[v]),
+        stats["newton_steps"], stats["angle_error"],
         polish["steps"], polish["unknowns"], r.dtype.name, np.finfo(r.dtype).eps,
         worst / packing.scale(),
     )

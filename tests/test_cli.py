@@ -36,6 +36,7 @@ def diagrams(tmp_path_factory):
     root = tmp_path_factory.mktemp("diagrams")
     (root / "trefoil.json").write_text(catalog.trefoil().to_json())
     (root / "fig8.json").write_text(catalog.figure_eight().to_json())
+    (root / "pretzel-5432.json").write_text(catalog.pretzel_link([5, 4, 3, 2]).to_json())
     (root / "bad.json").write_text("{nope")
     return root
 
@@ -74,6 +75,26 @@ class TestTwists:
         assert cli.main(["twists", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("parse error: ") and f"'{field}'" in err
+
+    @pytest.mark.parametrize("signs", [[True, 1, -1], [1, 1.0, -1], [1, -1, "1"]], ids=repr)
+    def test_signs_that_are_not_integers_exit_2(self, tmp_path, capsys, signs):
+        path = tmp_path / "signs.json"
+        path.write_text(json.dumps({"pd": TREFOIL_PD, "signs": signs}))
+        assert cli.main(["twists", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "parse error: 'signs' must list the integer 1 or -1 per crossing\n"
+        )
+
+    @pytest.mark.parametrize("key", [" 1", "+2", "01", "1_0", "-0", "١"], ids=repr)
+    def test_components_key_that_is_not_a_decimal_integer_exit_2(self, tmp_path, capsys, key):
+        # Every edge labelled, one key written in another form of its number.
+        components = {str(e): "0" for e in range(1, 7) if e != int(key)} | {key: "0"}
+        path = tmp_path / "components.json"
+        path.write_text(json.dumps({"pd": TREFOIL_PD, "components": components}))
+        assert cli.main(["twists", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"parse error: 'components' keys must be edge ids, got {json.dumps(key)}\n"
+        )
 
     @pytest.mark.parametrize(
         "at, edge, bad", [((0, 1), 7, [1, 7]), ((2, 3), 1, [1, 2])], ids=["once", "thrice"]
@@ -345,10 +366,11 @@ class TestVerify:
 
 
 class TestExitCodes:
-    def test_solver_nonconvergence_exit_4(self):
-        # One Newton step leaves this family's radii unconverged; a cap
-        # below 1 is a usage error, below.
-        r = run("--max-iter", "1", "cusp", "--family", "twobridge", "1", "1")
+    def test_solver_nonconvergence_exit_4(self, diagrams):
+        # One Newton step leaves this link's radii unconverged (its widest
+        # edge leaves four circles to solve); a cap below 1 is a usage
+        # error, below.
+        r = run("--max-iter", "1", "cusp", str(diagrams / "pretzel-5432.json"))
         assert r.returncode == 4
         assert "did not converge" in r.stderr or "residual" in r.stderr
 

@@ -571,10 +571,11 @@ class TestReportsPerPacking:
         assert peak < 4e6
 
     def test_an_error_stays_with_its_cusp(self):
-        # White 2 moved off its tangencies: the frames whose point it misses
-        # fail to normalize, alone or in a block; the others analyse.
+        # White 2, a circle with edge 0 at infinity, moved off its
+        # tangencies: the frames whose point it misses fail to normalize,
+        # alone or in a block; the others analyse.
         al, _ = augment(catalog.rational_link([2, 2, 2]))
-        nerve = build_nerve(al)
+        nerve = build_nerve(al, infinity=0)
         packing = solve_packing(nerve)
         center = packing.center.copy()
         center[2] -= 0.1j * packing.radius[2]

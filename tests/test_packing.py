@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -169,8 +170,10 @@ def lstsq_newton(flowers, tol, max_steps=50):
 
 class TestGaugeStep:
     def test_lu_step_is_the_minimum_norm_step(self):
+        # Edge 0 at infinity leaves the hubs as circles and the radii to
+        # solve; the default edge would make every circle a unit circle.
         al, _ = augment(catalog.two_bridge_chain(13))
-        nerve = build_nerve(al)
+        nerve = build_nerve(al, infinity=0)
         u, v = nerve.edge_vertices(nerve.infinity_edge)
         petals = {i: p for i, p in enumerate(nerve.petals) if i not in (u, v)}
         want, steps = lstsq_newton(petals, 1e-14)
@@ -260,17 +263,22 @@ class TestLayout:
 
     def test_petals_run_clockwise(self):
         """Each white's petals, read in flower order, turn clockwise about
-        its centre: the orientation the layout reads from the flowers."""
+        its centre: the orientation the layout reads from the flowers.  A
+        line petal lies in the direction -i (the lower line) or +i; from one
+        line to the other the turn is a half turn, through infinity."""
         al, _ = augment(catalog.two_bridge_chain(21))
-        nerve = build_nerve(al)
-        packing = solve_packing(nerve)
-        z = packing.center.astype(complex)
-        for w, pet in enumerate(nerve.petals):
-            if np.isinf(packing.radius[w]):
-                continue
-            finite = [p for p in pet if np.isfinite(packing.radius[p])]
-            turns = [(z[q] - z[w]) / (z[p] - z[w]) for p, q in zip(finite, finite[1:])]
-            assert all(t.imag < 0 for t in turns)
+        for infinity in (None, 0):
+            nerve = build_nerve(al, infinity)
+            packing = solve_packing(nerve)
+            z = packing.center.astype(complex)
+            u, v = packing.lines
+            for w, pet in enumerate(nerve.petals):
+                if np.isinf(packing.radius[w]):
+                    continue
+                way = {p: z[p] - z[w] for p in pet} | {u: -1j, v: 1j}
+                for p, q in zip(pet, pet[1:]):
+                    turn = way[q] / way[p]
+                    assert turn == -1 if {p, q} == {u, v} else turn.imag < 0
 
     def test_every_infinity_edge_packs(self):
         """Frames whose second circle touches only a line and the root, which
@@ -299,6 +307,105 @@ class TestLayout:
         radii[nerve.whites] = 1.0
         with pytest.raises(UnsupportedLinkError, match=f"white {nerve.whites} is not reached"):
             _layout(cut, u, v, radii)
+
+
+def witness_height(frame, witness):
+    """The height that the named witness reaches in a cusp frame: the floor
+    of a face tangency, sqrt(kappa) of a horoball tangency, or the highest
+    of a horoball pair over the nine lattice shifts the search tries."""
+    if witness == "face tangency":
+        return geometry._alone(frame)[1].floor[0]
+    eids = [int(k) for k in re.findall(r"\d+", witness)]
+    kap = geometry._kappa(frame, np.array(eids))
+    if witness.startswith("horoball tangency at edge "):
+        return math.sqrt(kap[0])
+    assert witness.startswith("horoball pair at edges near ")
+    p, q = frame.tangency_points(np.array(eids))
+    mu, lam, _ = geometry.cusp_lattice(frame)
+    gaps = [abs(q + a * mu + b * lam - p) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    return math.sqrt(kap[0] * kap[1]) / min(g for g in gaps if g >= 1e-14)
+
+
+class TestInfinityEdge:
+    """build_nerve puts the edge of largest degree sum at infinity."""
+
+    def test_default_edge_has_the_largest_degree_sum_and_least_id(self):
+        links = [augment(d)[0] for d in (
+            catalog.two_bridge_chain(5), catalog.two_bridge_chain(13),
+            catalog.pretzel_link([3] * 10), catalog.pretzel_link([5, 4, 3, 2]),
+            catalog.rational_link([2, 2, 2]),
+        )] + [al for _name, al in fal_corpus(4)]
+        nerves = ties = moved = 0
+        for al in links:
+            try:
+                nerve = build_nerve(al)
+            except UnsupportedLinkError:
+                continue
+            sums = [len(nerve.flowers[e.a]) + len(nerve.flowers[e.b]) for e in nerve.edges]
+            widest = [k for k, s in enumerate(sums) if s == max(sums)]
+            assert nerve.infinity_edge == widest[0]
+            nerves += 1
+            ties += len(widest) > 1
+            moved += widest[0] != 0
+        assert nerves >= 10 and ties and moved
+
+    def test_an_explicit_edge_wins(self):
+        al, _ = augment(catalog.two_bridge_chain(13))
+        widest = build_nerve(al).infinity_edge
+        for eid in {0, 5, widest - 1}:
+            nerve = build_nerve(al, infinity=eid)
+            assert nerve.infinity_edge == eid != widest
+            packing = solve_packing(nerve)
+            assert packing.lines == nerve.edge_vertices(eid)
+            assert packing.normalization["infinity_edge"] == eid
+
+    def test_pretzels_keep_edge_0(self):
+        for c in range(10, 61):
+            al, _ = augment(catalog.pretzel_link([3] * c))
+            nerve = build_nerve(al)
+            assert nerve.infinity_edge == 0
+            got = geometry._analyze(solve_packing(nerve), nerve.cusps())
+            want = geometry._analyze(solve_packing(build_nerve(al, infinity=0)), nerve.cusps())
+            assert [r.to_dict() for r in got.values()] == [r.to_dict() for r in want.values()]
+
+    @pytest.mark.parametrize("k", [5, 21, 61])
+    def test_chain_strip_solves_with_no_steps(self, k, caplog):
+        """The hubs become the lines and the strip equal unit circles: no
+        radii Newton step, no Gauss-Newton step, no residual.  The reports
+        agree with edge 0's to 1e-11 relative, and a witness differs only
+        where the other frame's witness reaches the same height."""
+        al, _ = augment(catalog.two_bridge_chain(k))
+        nerve = build_nerve(al)
+        with caplog.at_level(logging.INFO, logger="augcusp"):
+            packing = solve_packing(nerve)
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("solve_packing:")]
+        assert record.levelno == logging.INFO
+        found = re.search(
+            r"edge (\d+) at infinity \(degree sum (\d+)\), 0 Newton steps, .*, "
+            r"0 Gauss-Newton steps on ", record.getMessage(),
+        )
+        assert found, record.getMessage()
+        assert (int(found[1]), int(found[2])) == (nerve.infinity_edge, 2 * (k + 1))
+        assert packing.max_residual() == 0
+        finite = np.isfinite(packing.radius)
+        assert np.all(packing.radius[finite] == 1)
+
+        reference = solve_packing(build_nerve(al, infinity=0))
+        got = geometry._analyze(packing, nerve.cusps())
+        want = geometry._analyze(reference, nerve.cusps())
+        for cusp in nerve.cusps():
+            g, w = got[cusp].to_dict(), want[cusp].to_dict()
+            assert g.keys() == w.keys()
+            for key in g:
+                if key == "witness" or isinstance(g[key], str):
+                    continue
+                a, b = np.atleast_1d(g[key]), np.atleast_1d(w[key])
+                assert np.linalg.norm(a - b) <= 1e-11 * np.linalg.norm(b), (cusp, key)
+            assert g["cusp"] == w["cusp"] and g["kind"] == w["kind"]
+            if g["witness"] != w["witness"]:
+                frame = normalize_at_vertex(reference, nerve.cusp_edges[cusp][0])
+                height = witness_height(frame, g["witness"])
+                assert abs(height - w["height"]) <= 1e-11 * w["height"], (cusp, g["witness"])
 
 
 class TestNanTolerance:
@@ -335,8 +442,9 @@ class TestCentreRadius:
         assert tangency_residual(c1, c2) <= 1e-16
 
     def test_wall_elimination_gives_the_full_newton_solution(self):
+        # Edge 0 at infinity: with the default edge the layout is exact.
         al, _ = augment(catalog.two_bridge_chain(13))
-        nerve = build_nerve(al)
+        nerve = build_nerve(al, infinity=0)
         eid = nerve.infinity_edge
         u, v = nerve.edge_vertices(eid)
         petals = {i: p for i, p in enumerate(nerve.petals) if i not in (u, v)}
@@ -591,7 +699,7 @@ class TestNormalization:
 
     def test_whites_not_tangent_at_the_cusp_are_refused(self):
         al, _ = augment(catalog.rational_link([2, 2, 2]))
-        nerve = build_nerve(al)
+        nerve = build_nerve(al, infinity=0)
         packing = solve_packing(nerve)
         a, _ = nerve.edge_vertices(3)
         # Edge 3 joins circle a to the line y = 2: move a off that line.
@@ -601,9 +709,9 @@ class TestNormalization:
             normalize_at_vertex(dataclasses.replace(packing, center=center), 3)
 
 
-def frames(d):
+def frames(d, infinity=None):
     al, _ = augment(d)
-    nerve = build_nerve(al)
+    nerve = build_nerve(al, infinity)
     packing = solve_packing(nerve)
     return al, nerve, packing, [
         normalize_at_vertex(packing, nerve.cusp_edges[c][0]) for c in nerve.cusps()
@@ -685,8 +793,9 @@ class TestPolishOnlyWhenNeeded:
 
     def test_frames_beyond_tol_are_polished_to_tol(self):
         # A float64 strip frame, as where longdouble is float64: the map
-        # magnifies its roundoff beyond tol in some chain-81 frames.
-        _al, nerve, packing, _norms = frames(catalog.two_bridge_chain(81))
+        # magnifies its roundoff beyond tol in some chain-81 frames, with
+        # edge 0 at infinity (the default edge gives an exact strip).
+        _al, nerve, packing, _norms = frames(catalog.two_bridge_chain(81), infinity=0)
         packing = dataclasses.replace(
             packing, center=packing.center.astype(complex), radius=packing.radius.astype(float)
         )
@@ -739,9 +848,10 @@ class TestPolishOnlyWhenNeeded:
 
 def residual_packings():
     """The chain and pretzel ladders, fal_corpus(4), and chain-81 from a
-    float64 strip frame, whose map leaves some frames beyond tol."""
+    float64 strip frame with edge 0 at infinity, whose map leaves some
+    frames beyond tol."""
     packings = [p for name in [*LADDER, "fal_corpus-4"] for p in ladder_packings(name)]
-    wide = packings[list(LADDER).index("chain-81")]
+    wide = solve_packing(build_nerve(augment(LADDER["chain-81"]())[0], infinity=0))
     return packings + [dataclasses.replace(
         wide, center=wide.center.astype(complex), radius=wide.radius.astype(float)
     )]
