@@ -23,7 +23,6 @@ from .diagram import (
     Diagram,
     Edge,
     TwistRegion,
-    UnionFind,
     braid_crossing,
     detect_twist_regions,
     full_ribbon_braid,
@@ -333,61 +332,52 @@ def augment(
     ]
     # A half twist keeps its first crossing in the base.
     removed = {c for r in regions for c in r.crossings[1 if r.half_twist else 0 :]}
+    kept = [c for c in range(len(d.crossings)) if c not in removed]
 
-    uf = UnionFind()
-    for c in removed:
-        cr = d.crossings[c]
-        uf.union(cr[0], cr[2])
-        uf.union(cr[1], cr[3])
-    root = uf.roots(d.components)
-
-    survivors = [
-        (ci, tuple(map(root.__getitem__, cr)))
-        for ci, cr in enumerate(d.crossings)
-        if ci not in removed
-    ]
-    used_edges = {e for _, cr in survivors for e in cr}
-    # The removed crossings join edges of one component only, so a class
-    # has its root's label.
-    base_components = {rep: d.components[rep] for rep in used_edges}
-    # The input's own loops, and the components whose crossings all went:
-    # a component that meets a kept crossing has every class of its edges
-    # at a kept crossing.
-    loop_comps = sorted(
-        set(d.components.values()).difference(base_components.values()).union(d.loops)
-    )
-
-    base = Diagram(
-        tuple(cr for _, cr in survivors),
-        base_components,
-        None,
-        tuple(loop_comps),
-    )
-    # Each passage's frame and rank on its base edge, read off one walk of
-    # that edge from its base occurrence 0 through the removed crossings.
-    twin = d._twin
+    # One walk per base edge, from its lesser kept dart (kept crossings in
+    # order, slots 0-3) through the removed crossings to its other end.  The
+    # base edge is labelled with the edge at its start, and each passage's
+    # frame and rank on it are read off the same walk.
+    twin, edge = d._twin, d._edge
     disk: list[tuple[str, int] | None] = [None] * len(twin)  # dart -> (circle, slot)
     for lab, _, st in infos:
         disk[st["near"][0]], disk[st["near"][1]] = (lab, 0), (lab, 1)
+    label = [0] * len(twin)  # kept dart -> its base edge
+    base_components: dict[Edge, str] = {}
     on_edge: dict[int, tuple[Edge, int, int]] = {}  # E-side dart -> (edge, frame, rank)
-    base_edge = base._edge
-    for x in base._darts[::2]:  # occurrence 0 of each base edge
-        rep = base_edge[x]
-        a = 4 * survivors[x >> 2][0] + (x & 3)
-        rank = 0
+    for x in chain.from_iterable(range(4 * c, 4 * c + 4) for c in kept):
+        if label[x]:
+            continue
+        e = label[x] = edge[x]
+        base_components[e] = d.components[e]
+        a, rank = x, 0
         while True:
             b = twin[a]
             # The edge from dart a to dart b: a disk whose E side is at b
-            # has its W side toward occurrence 0 (frame +1).
+            # has its W side toward the start (frame +1).
             if disk[a]:
-                on_edge[a] = (rep, -1, rank)
+                on_edge[a] = (e, -1, rank)
                 rank += 1
             if disk[b]:
-                on_edge[b] = (rep, 1, rank)
+                on_edge[b] = (e, 1, rank)
                 rank += 1
             if b >> 2 not in removed:
                 break
             a = b ^ 2
+        label[b] = e
+
+    # The input's own loops, and the components whose crossings all went:
+    # a component that meets a kept crossing has every base edge of its
+    # strand at a kept crossing.
+    loop_comps = sorted(
+        set(d.components.values()).difference(base_components.values()).union(d.loops)
+    )
+    base = Diagram(
+        tuple(tuple(label[4 * c : 4 * c + 4]) for c in kept),
+        base_components,
+        None,
+        tuple(loop_comps),
+    )
 
     # Walk the original components, recording passages in order.
     passages: dict[str, list[Passage]] = {}
@@ -491,13 +481,14 @@ def _fill(al: AugmentedLink, twists: dict[str, int], expand_rest: bool) -> Diagr
         for p in plist:
             slot_component[(p.circle, p.slot)] = comp
 
-    uf = UnionFind()
     stubs: dict[str, dict[int, tuple[Edge, Edge]]] = {}
     for lab in sorted(al.circles):
         circle = al.circles[lab]
         m = circle.strand_count
         if lab in twists:
             t = twists[lab]
+            if t == 0:
+                continue  # no crossings: its passages leave the strand uncut
             letter = circle.pattern_sign * circle.handedness * (1 if t >= 0 else -1)
             # Braid positions run across the disk; a left-handed local frame
             # mirrors the assignment so the tangle glues back planarly.
@@ -525,14 +516,17 @@ def _fill(al: AugmentedLink, twists: dict[str, int], expand_rest: bool) -> Diagr
         else:
             raise DiagramInvariantError(f"no filling for circle {lab}")
 
+    # The passages through filled circles cut each strand into pieces, and
+    # each cut joins the pieces on its two sides to its tangle's stubs: each
+    # stub continues exactly one piece.
+    alias: dict[Edge, Edge] = {}  # stub -> its piece
     loops_left: list[str] = []
     for comp in sorted(al.passages):
-        plist = al.passages[comp]
-        if not plist:
-            if comp in al.base.loops:
-                loops_left.append(comp)
-            continue
+        plist = [p for p in al.passages[comp] if p.circle in stubs]
         if comp in al.base.loops:
+            if not plist:
+                loops_left.append(comp)
+                continue
             pieces = [fresh() for _ in range(len(plist))]
             for piece in pieces:
                 comp_of_new[piece] = comp
@@ -540,11 +534,9 @@ def _fill(al: AugmentedLink, twists: dict[str, int], expand_rest: bool) -> Diagr
                 w_stub, e_stub = stubs[p.circle][p.slot]
                 before, after = pieces[k - 1], pieces[k]
                 if p.direction == 1:
-                    uf.union(before, w_stub)
-                    uf.union(after, e_stub)
+                    alias[w_stub], alias[e_stub] = before, after
                 else:
-                    uf.union(before, e_stub)
-                    uf.union(after, w_stub)
+                    alias[e_stub], alias[w_stub] = before, after
         else:
             by_edge: dict[Edge, list[Passage]] = {}
             for p in plist:
@@ -562,21 +554,16 @@ def _fill(al: AugmentedLink, twists: dict[str, int], expand_rest: bool) -> Diagr
                 for k, p in enumerate(evs):
                     w_stub, e_stub = stubs[p.circle][p.slot]
                     if p.frame == 1:  # W side faces occurrence 0
-                        uf.union(pieces[k], w_stub)
-                        uf.union(pieces[k + 1], e_stub)
+                        alias[w_stub], alias[e_stub] = pieces[k], pieces[k + 1]
                     else:
-                        uf.union(pieces[k], e_stub)
-                        uf.union(pieces[k + 1], w_stub)
+                        alias[e_stub], alias[w_stub] = pieces[k], pieces[k + 1]
 
-    root = uf.roots(comp_of_new)
-    resolved = list(map(root.__getitem__, chain.from_iterable(crossings)))
+    resolved = [alias.get(e, e) for e in chain.from_iterable(crossings)]
     ids = sorted(set(resolved))
     numbers = range(1, len(ids) + 1)
     compact = dict(zip(ids, numbers))
     slots = iter(map(compact.__getitem__, resolved))
     final = tuple(zip(slots, slots, slots, slots))  # four slots per crossing
-    # A class joins the pieces of one strand to the stubs of its own slots,
-    # so it has one label, its root's.
     components = dict(zip(numbers, map(comp_of_new.__getitem__, ids)))
     return Diagram(final, components, None, tuple(sorted(loops_left)))
 

@@ -7,15 +7,15 @@ without external fixtures.
 
 from __future__ import annotations
 
-from .diagram import Crossing, Diagram, Edge, UnionFind, _with_inferred_components, braid_crossing
+from .diagram import Crossing, Diagram, Edge, _with_inferred_components, braid_crossing
 from .errors import DiagramInvariantError
 
 
 def _relabel(crossings: list[Crossing], unions: list[tuple[Edge, Edge]]) -> list[Crossing]:
-    uf = UnionFind()
-    for a, b in unions:
-        uf.union(a, b)
-    raw = [tuple(uf.find(e) for e in cr) for cr in crossings]
+    """Rename edge a to b for each pair (a, b) in `unions`, then number the
+    edges from 1.  No b is renamed in turn, so one lookup resolves an edge."""
+    alias = dict(unions)
+    raw = [tuple(alias.get(e, e) for e in cr) for cr in crossings]
     ids = sorted({e for cr in raw for e in cr})
     compact = {e: i + 1 for i, e in enumerate(ids)}
     return [tuple(compact[e] for e in cr) for cr in raw]

@@ -14,11 +14,9 @@ import json
 import logging
 import warnings
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain
-from types import MappingProxyType
 
 from .errors import DiagramInvariantError, PDSyntaxError, ReducibleDiagramWarning
 
@@ -65,8 +63,7 @@ class Diagram:
         _validate(self)
 
     def __getstate__(self):
-        # Pickle the fields only: the caches below are rebuilt on demand, and
-        # the read-only occurrence mapping cannot be pickled.
+        # Pickle the fields only: the caches below are rebuilt on demand.
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
@@ -77,23 +74,6 @@ class Diagram:
         for lab in self.loops:
             seen.setdefault(lab, None)
         return list(seen)
-
-    def occurrences(self) -> Mapping[Edge, tuple[HalfEnd, ...]]:
-        """Edge id -> its two (crossing, slot) ends, in crossing order, the
-        edges in order of first appearance.
-
-        A read-only view of the dart index, built the first time something
-        reads it and shared by every caller; validation does not build it.
-        """
-        return self._occurrences
-
-    @_cached
-    def _occurrences(self) -> Mapping[Edge, tuple[HalfEnd, ...]]:
-        darts, edge = self._darts, self._edge
-        return MappingProxyType({
-            edge[x]: ((x >> 2, x & 3), (y >> 2, y & 3))
-            for x, y in sorted(zip(darts[::2], darts[1::2]))
-        })
 
     @_cached
     def _edge(self) -> list[Edge]:
@@ -318,34 +298,6 @@ def parse_diagram(text: str) -> Diagram:
     if components is None:
         return _with_inferred_components(crossings, signs, loops)
     return Diagram(crossings, components, signs, loops)
-
-
-class UnionFind:
-    """Disjoint sets over hashable items, created on first use.  union(a, b)
-    puts a's root under b's, so the roots, and labels read from them, are
-    deterministic."""
-
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        parent = self.parent
-        p = parent.setdefault(x, x)
-        while p != x:  # path halving: point x at its grandparent, go on from there
-            g = parent[p]
-            parent[x] = g
-            x, p = g, parent[g]
-        return x
-
-    def union(self, a, b) -> None:
-        self.parent[self.find(a)] = self.find(b)
-
-    def roots(self, items) -> dict:
-        """Item -> its root, for `items` and every item a union touched."""
-        find = self.find
-        root = dict(zip(items, items))
-        root.update({x: find(x) for x, up in list(self.parent.items()) if up != x})
-        return root
 
 
 def _with_inferred_components(crossings, signs=None, loops=()) -> Diagram:

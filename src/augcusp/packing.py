@@ -480,8 +480,6 @@ def solve_flower_radii(
         corners += [(index[v], a, b) for a, b in zip(pet, pet[1:] + pet[:1])]
     c, pa, pb = (np.array(col, dtype=np.intp) for col in zip(*corners))
     fa, fb = pa < n, pb < n
-    # Jacobian entries in row-major order: the diagonal, then the free petals.
-    flat = np.concatenate((c * (n + 1), c[fa] * n + pa[fa], c[fb] * n + pb[fb]))
     target = 2.0 * math.pi
     gauge = 0.0 if kfixed.any() else 1.0  # the all-ones matrix fixes the scale
 
@@ -512,6 +510,9 @@ def solve_flower_radii(
         u = np.zeros(n)
         err, parts = angle_error(u)
         while (worst := float(np.max(np.abs(err)))) > tol and steps < max_iter:
+            if not steps:  # a solve that starts within tol needs no Jacobian
+                # Its entries in row-major order: the diagonal, then the free petals.
+                flat = np.concatenate((c * (n + 1), c[fa] * n + pa[fa], c[fb] * n + pb[fb]))
             du = np.linalg.solve(jacobian(*parts) + gauge, -err)
             norm = np.linalg.norm(err)
             for lam in 0.5 ** np.arange(40):
@@ -675,11 +676,6 @@ def _refine(nerve: Nerve, z, r, h: float, u: int, v: int, skip: int, tol: float)
     n = 2 * m + len(own)
     cq = circ[rest]
     q_coef, q_const = side[rest] - g[cq], off[rest] - o[cq]
-    rows = np.arange(len(ca)) * n
-    flat = np.concatenate((
-        rows + ca, rows + cb, rows + m + ca, rows + m + cb, rows + rcol[ca], rows + rcol[cb],
-        (len(ca) + np.arange(len(cq))) * n + m + cq, [n * n - n],
-    ))
     state = np.concatenate((z[free].real, z[free].imag, r[free][own]))
     x0 = state[0]
 
@@ -709,6 +705,12 @@ def _refine(nerve: Nerve, z, r, h: float, u: int, v: int, skip: int, tol: float)
     goal = 4 * eps * float(np.max(np.abs(state))) if eps < np.finfo(float).eps else 1e-3 * tol
     steps = 0
     while worst > goal and steps < 8:
+        if not steps:  # the Jacobian pattern, for a state that takes a step
+            rows = np.arange(len(ca)) * n
+            flat = np.concatenate((
+                rows + ca, rows + cb, rows + m + ca, rows + m + cb, rows + rcol[ca],
+                rows + rcol[cb], (len(ca) + np.arange(len(cq))) * n + m + cq, [n * n - n],
+            ))
         try:
             trial = state + np.linalg.solve(jacobian(state), (-res).astype(float))
         except np.linalg.LinAlgError:

@@ -170,12 +170,8 @@ def test_shuffled_large_pretzels(columns):
     assert not pd_isomorphic(d, scrambled(other, random.Random(columns)))
 
 
-def test_occurrences_and_faces_are_cached_read_only():
+def test_faces_are_cached_and_survive_pickling():
     d = catalog.figure_eight()
-    occ = d.occurrences()
-    assert occ is d.occurrences()
-    with pytest.raises(TypeError):
-        occ[1] = ()
     assert d.face_map is d.face_map
     assert d.face_map == compute_faces(d)
     copy = pickle.loads(pickle.dumps(d))
@@ -282,12 +278,22 @@ def sigma1_closure(n):
     return catalog.braid_closure(2, [(1, 1)] * n)
 
 
+def occurrences(d):
+    """Edge id -> its two (crossing, slot) ends, in crossing order, the
+    edges in order of first appearance, read off the dart index."""
+    darts, edge = d._darts, d._edge
+    return {
+        edge[x]: ((x >> 2, x & 3), (y >> 2, y & 3))
+        for x, y in sorted(zip(darts[::2], darts[1::2]))
+    }
+
+
 def kinked(d, e, loop_first):
     """d with a Reidemeister I kink on edge e, at its second end: the new
     crossing's loop edge sits at two adjacent slots."""
     top = max(d.components)
     a, b = top + 1, top + 2
-    (c, s) = d.occurrences()[e][1]
+    (c, s) = occurrences(d)[e][1]
     crossings = [list(cr) for cr in d.crossings]
     crossings[c][s] = b
     crossings.append([a, a, b, e] if loop_first else [e, a, a, b])

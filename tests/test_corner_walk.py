@@ -312,7 +312,7 @@ class TestAgainstReference:
 # sha256 over the front-end records of the pool diagrams, their round-trip
 # variants, the ladder and the corpus bases with crossings: the twist
 # regions, augment's link and ledger JSON and the refilled diagram.
-FRONT_END_SHA = "4027ffa9553fdbba8e7929617f8f6a90775df0b904829a376cfc4f10bd650a57"
+FRONT_END_SHA = "344fcb29e1669d3ffd3a1f742a4c255faa17a96d8ae98473841d2064d663f790"
 
 
 def front_end_record(d):
@@ -333,3 +333,28 @@ def test_front_end_records_are_unchanged():
     for d in diagrams:
         sha.update(front_end_record(d).encode())
     assert sha.hexdigest() == FRONT_END_SHA
+
+
+@pytest.mark.filterwarnings("ignore::augcusp.errors.ReducibleDiagramWarning")
+def test_base_edges_carry_the_edge_at_their_lesser_kept_dart():
+    """`augment` labels each base edge with the input's edge id at the
+    edge's lesser end, read at that end's kept crossing in the input."""
+    for d in [parse_diagram(entry["pd"]) for entry in POOL] + LADDER:
+        regions = detect_twist_regions(d)
+        al, _ = augment(d, regions)
+        removed = {c for r in regions for c in r.crossings[1 if r.half_twist else 0 :]}
+        kept = [c for c in range(len(d.crossings)) if c not in removed]
+        base = al.base
+        assert len(base.crossings) == len(kept)
+        for x in base._darts[::2]:  # the lesser dart of each base edge
+            assert d._edge[4 * kept[x >> 2] + (x & 3)] == base._edge[x]
+
+
+def test_catalog_builds_the_frozen_inputs(monkeypatch):
+    """`perfbench/freeze.py`'s build() gives the digest recorded in
+    inputs.json: the catalog still builds the frozen inputs byte for byte."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # freeze.py imports frozen
+    spec = importlib.util.spec_from_file_location("perfbench_freeze", PERFBENCH / "freeze.py")
+    freeze = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(freeze)
+    assert frozen.digest(freeze.build()) == frozen.load_file()["digest"]

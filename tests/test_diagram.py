@@ -21,7 +21,7 @@ from augcusp.diagram import (
 )
 from augcusp.errors import DiagramInvariantError, PDSyntaxError, ReducibleDiagramWarning
 from augcusp.families import fal_corpus
-from test_canonical_pd import scrambled
+from test_canonical_pd import occurrences, scrambled
 
 
 def brute_force_faces(d):
@@ -166,7 +166,7 @@ def reference_faces(d):
     """Reference: the quadratic walk that starts each face at the least
     corner not yet visited."""
     twin = {}
-    for a, b in d.occurrences().values():
+    for a, b in occurrences(d).values():
         twin[a], twin[b] = b, a
     unvisited = {(ci, k) for ci in range(len(d.crossings)) for k in range(4)}
     faces = []
