@@ -11,7 +11,6 @@ from .augment import (
     AugmentedLink,
     CrossingCircle,
     Passage,
-    SlopeLedger,
     apply_filling,
     augment,
     untwist_retwist_roundtrip,
@@ -89,7 +88,6 @@ __all__ = [
     "PDSyntaxError",
     "Passage",
     "ReducibleDiagramWarning",
-    "SlopeLedger",
     "TwistRegion",
     "UnsupportedLinkError",
     "apply_filling",

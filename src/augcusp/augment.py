@@ -103,71 +103,11 @@ class AugmentedLink:
         return json.dumps(doc, sort_keys=True)
 
 
-class SlopeLedger:
-    """Exact rational filling slopes per cusp, kept in lowest terms."""
-
-    def __init__(self, entries: dict[str, Fraction] | None = None):
-        self.entries: dict[str, Fraction] = {}
-        for k, v in (entries or {}).items():
-            self[k] = v
-
-    def __setitem__(self, cusp: str, slope: Fraction) -> None:
-        if not isinstance(slope, Fraction):
-            slope = Fraction(slope)
-        if slope != 0:
-            self.entries[cusp] = slope
-        else:
-            self.entries.pop(cusp, None)
-
-    def __getitem__(self, cusp: str) -> Fraction:
-        return self.entries[cusp]
-
-    def __contains__(self, cusp: str) -> bool:
-        return cusp in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SlopeLedger) and self.entries == other.entries
-
-    def compose(self, other: "SlopeLedger") -> "SlopeLedger":
-        """Combine twist-type fillings: 1/s then 1/t acts as 1/(s + t)."""
-        out = SlopeLedger(dict(self.entries))
-        for cusp, slope in other.entries.items():
-            if cusp not in out.entries:
-                out[cusp] = slope
-                continue
-            a, b = out.entries[cusp], slope
-            if abs(a.numerator) != 1 or abs(b.numerator) != 1:
-                raise ValueError(
-                    f"can only compose reciprocal-integer slopes, got {a}, {b}"
-                )
-            s = a.denominator * a.numerator
-            t = b.denominator * b.numerator
-            out[cusp] = Fraction(0) if s + t == 0 else Fraction(1, s + t)
-        return out
-
-    def negated(self) -> "SlopeLedger":
-        return SlopeLedger({k: -v for k, v in self.entries.items()})
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                k: f"{v.numerator}/{v.denominator}"
-                for k, v in sorted(self.entries.items())
-            },
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "SlopeLedger":
-        doc = json.loads(text)
-        out = SlopeLedger()
-        for k, v in doc.items():
-            num, den = v.split("/")
-            out[k] = Fraction(int(num), int(den))
-        return out
+def ledger_json(ledger: dict[str, Fraction]) -> str:
+    """The 1/t ledger (cusp -> Fraction) as JSON, each slope written "p/q"."""
+    return json.dumps(
+        {k: f"{v.numerator}/{v.denominator}" for k, v in ledger.items()}, sort_keys=True
+    )
 
 
 # -- region analysis ----------------------------------------------------------
@@ -315,7 +255,7 @@ def _check_regions(d: Diagram, regions: list[TwistRegion]) -> list[int]:
 
 def augment(
     d: Diagram, regions: list[TwistRegion] | None = None
-) -> tuple[AugmentedLink, SlopeLedger]:
+) -> tuple[AugmentedLink, dict[str, Fraction]]:
     """Insert a crossing circle at every region and strip the full twists.
 
     Returns the untwisted augmented link (half twists retained in the base)
@@ -396,7 +336,7 @@ def augment(
         passages.setdefault(comp, [])
 
     circles: dict[str, CrossingCircle] = {}
-    ledger = SlopeLedger()
+    ledger: dict[str, Fraction] = {}
     for label, r, st in infos:
         lat_n, lat_s = st["laterals"]
         north, south = color[lat_n], color[lat_s]
@@ -435,14 +375,16 @@ def _validate_augmented(al: AugmentedLink) -> None:
 # -- filling -------------------------------------------------------------------
 
 
-def apply_filling(al: AugmentedLink, ledger: SlopeLedger) -> Diagram:
+def apply_filling(al: AugmentedLink, ledger: dict[str, Fraction]) -> Diagram:
     """Reinsert t full twists per 1/t ledger entry and delete those circles.
 
-    Circles without a ledger entry stay in the result and are expanded into
-    PD crossings (the circle's loop crossing every strand of its disk twice).
+    The ledger maps circle labels to slopes; a slope that is not 1/t, 0
+    included, is refused.  Circles without a ledger entry stay in the result
+    and are expanded into PD crossings (the circle's loop crossing every
+    strand of its disk twice).
     """
     twists: dict[str, int] = {}
-    for cusp, slope in ledger.entries.items():
+    for cusp, slope in ledger.items():
         if cusp not in al.circles:
             raise DiagramInvariantError(f"ledger names unknown cusp {cusp!r}")
         if abs(slope.numerator) != 1:
@@ -461,11 +403,11 @@ def untwist_retwist_roundtrip(
     return _refill(*augment(d, regions))
 
 
-def _refill(al: AugmentedLink, ledger: SlopeLedger) -> Diagram:
+def _refill(al: AugmentedLink, ledger: dict[str, Fraction]) -> Diagram:
     """The diagram that `augment` returned (al, ledger) for: every circle
     filled with the twists of its ledger entry, or none."""
     twists = {lab: 0 for lab in al.circles}
-    for cusp, slope in ledger.entries.items():
+    for cusp, slope in ledger.items():
         twists[cusp] = slope.denominator * slope.numerator
     return _fill(al, twists, expand_rest=False)
 

@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .augment import _refill, augment
+from .augment import _refill, augment, ledger_json
 from .diagram import (
     detect_twist_regions,
     parse_diagram,
@@ -130,12 +130,12 @@ def cmd_augment(args) -> int:
         _say("roundtrip ok: refilled diagram isomorphic to input")
     doc = {
         "link": json.loads(al.to_json()),
-        "ledger": json.loads(ledger.to_json()),
+        "ledger": json.loads(ledger_json(ledger)),
     }
     _emit(doc, args)
     _say(
         f"{len(al.circles)} crossing circle(s); ledger: "
-        + (ledger.to_json() if len(ledger) else "(no nontrivial fillings)")
+        + (ledger_json(ledger) if ledger else "(no nontrivial fillings)")
     )
     return 0
 
@@ -175,7 +175,7 @@ def cmd_cusp(args) -> int:
             fam = families.gen_twobridge_family(n, r)
             mid = families.twobridge_middle_circle(fam)
             nerve = build_nerve(fam.parent)
-            packing = solve_packing(nerve, tol=tol, max_iter=args.max_iter)
+            packing = solve_packing(nerve, tol=tol)
             rep = analyze_cusp(fam.parent, mid, tol=tol, packing=packing)
             counts = families.twobridge_filled_strand_counts(n, r) if any(r) else None
             doc = {
@@ -183,7 +183,7 @@ def cmd_cusp(args) -> int:
                 "n": n,
                 "r": r,
                 "cusp_report": rep.to_dict(),
-                "filled_ledger": json.loads(fam.ledger.to_json()),
+                "filled_ledger": json.loads(ledger_json(fam.ledger)),
                 "filled_strand_counts": counts,
             }
             _emit(doc, args)
@@ -235,7 +235,7 @@ def cmd_cusp(args) -> int:
     d = _read_diagram(args.input)
     al, _ = augment(d)
     nerve = build_nerve(al)
-    packing = solve_packing(nerve, tol=tol, max_iter=args.max_iter)
+    packing = solve_packing(nerve, tol=tol)
     reports = {}
     for cusp in nerve.cusps():
         rep = analyze_cusp(al, cusp, tol=tol, packing=packing)
@@ -322,10 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     ap.add_argument("--tol", type=_tolerance, default=1e-12, help="solver tolerance (finite, > 0)")
-    ap.add_argument(
-        "--max-iter", type=_positive_int, default=100_000,
-        help="cap on the Newton steps of the packing radii (at least 1)",
-    )
     ap.add_argument("--out", help="write the JSON report to this file")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -359,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--generate",
         type=_positive_int,
         metavar="MAX_CIRCLES",
-        help="use the generated corpus up to this many crossing circles",
+        help="use the generated corpus up to this many crossing circles "
+        "(it stops at 4: larger values give the same corpus)",
     )
     p.set_defaults(func=cmd_verify)
     return ap
@@ -381,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         _say(f"solver did not converge: {exc} (worst residual {exc.worst_residual:.3e})")
         return EXIT_SOLVER
-    except (AugcuspError, KeyError) as exc:
+    except AugcuspError as exc:
         _say(f"validation error: {exc}")
         return EXIT_VALIDATION
 

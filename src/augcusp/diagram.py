@@ -667,6 +667,10 @@ def validate_generalized_region(
         for c, r in path:
             role_at.setdefault(c, {})[si] = r
     for c, by_strand in role_at.items():
+        if len(by_strand) != 2:
+            raise DiagramInvariantError(
+                f"crossing {c}: one annotation strand passes it twice"
+            )
         (s1, r1), (s2, r2) = sorted(by_strand.items())
         if r1 == r2:
             raise DiagramInvariantError(

@@ -22,7 +22,6 @@ from .augment import (
     AugmentedLink,
     CrossingCircle,
     Passage,
-    SlopeLedger,
     apply_filling,
     augment,
 )
@@ -34,7 +33,7 @@ from .errors import DiagramInvariantError
 class TwoBridgeFamily:
     n: int
     parent: AugmentedLink
-    ledger: SlopeLedger  # 1/r_i on L_i, -1/r_i on L_-i
+    ledger: dict[str, Fraction]  # 1/r_i on L_i, -1/r_i on L_-i
     labels: dict[str, str]  # internal circle label -> family name
 
 
@@ -59,7 +58,7 @@ def gen_twobridge_family(n: int, r: list[int]) -> TwoBridgeFamily:
     # pairs count outward from it.
     mid = n  # 0-based index of the middle region
     labels: dict[str, str] = {f"C{mid + 1}": "L0"}
-    ledger = SlopeLedger()
+    ledger: dict[str, Fraction] = {}
     for i in range(1, n + 1):
         inner = f"C{mid + 1 - i}"
         outer = f"C{mid + 1 + i}"

@@ -337,7 +337,6 @@ def analyze_cusp(
     al: AugmentedLink,
     cusp: str | None = None,
     tol: float = 1e-12,
-    max_iter: int = 100_000,
     packing: CirclePacking | None = None,
     nerve: Nerve | None = None,
 ) -> CuspReport:
@@ -358,7 +357,7 @@ def analyze_cusp(
     if cusp not in cusps:
         raise UnsupportedLinkError(f"unknown cusp {cusp!r}; have {cusps}")
     if packing is None:
-        reports = _analyze(solve_packing(nerve, tol=tol, max_iter=max_iter), [cusp])
+        reports = _analyze(solve_packing(nerve, tol=tol), [cusp])
     elif packing in _reports:
         reports = _reports[packing]
     else:

@@ -23,6 +23,9 @@ from .errors import ConvergenceError, UnsupportedLinkError
 
 log = logging.getLogger(__name__)
 
+# A cap on the Newton steps of the radii; the line search ends a stalled solve.
+_MAX_NEWTON_STEPS = 100_000
+
 
 @dataclass(frozen=True)
 class NerveEdge:
@@ -442,7 +445,6 @@ def solve_flower_radii(
     flowers: dict[int, list[int]],
     fixed: dict[int, float],
     tol: float = 1e-12,
-    max_iter: int = 100_000,
     *,
     stats: dict | None = None,
 ) -> dict[int, float]:
@@ -453,18 +455,14 @@ def solve_flower_radii(
     angle sums are the gradient of a convex function of the log-radii
     (Colin de Verdiere 1991; Bobenko-Springborn 2004), so Newton's method
     with a backtracking line search on |theta - 2 pi| drives every free
-    vertex's angle sum to 2 pi, quadratically once close.  max_iter caps the
-    Newton steps.  When every fixed vertex is a line the radii are defined up
-    to scale: the Jacobian J is symmetric with J 1 = 0, and the angle errors
-    sum to 0 (the angles of the 2n triangles sum to 2 pi n), so the LU solve
-    of (J + 1 1^T) du = -err gives the minimum-norm step, which leaves the
-    mean log-radius unchanged.
+    vertex's angle sum to 2 pi, quadratically once close; a step that finds
+    no descent ends the solve.  When every fixed vertex is a line the radii
+    are defined up to scale: the Jacobian J is symmetric with J 1 = 0, and
+    the angle errors sum to 0 (the angles of the 2n triangles sum to 2 pi n),
+    so the LU solve of (J + 1 1^T) du = -err gives the minimum-norm step,
+    which leaves the mean log-radius unchanged.
     If stats is given, it receives the Newton steps and the final angle error.
     """
-    if max_iter < 1:
-        raise ConvergenceError(
-            f"solve_flower_radii: max_iter={max_iter} allows no Newton step", math.inf
-        )
     free = sorted(set(flowers) - set(fixed))
     if not free:
         return dict(fixed)
@@ -509,7 +507,7 @@ def solve_flower_radii(
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         u = np.zeros(n)
         err, parts = angle_error(u)
-        while (worst := float(np.max(np.abs(err)))) > tol and steps < max_iter:
+        while (worst := float(np.max(np.abs(err)))) > tol and steps < _MAX_NEWTON_STEPS:
             if not steps:  # a solve that starts within tol needs no Jacobian
                 # Its entries in row-major order: the diagonal, then the free petals.
                 flat = np.concatenate((c * (n + 1), c[fa] * n + pa[fa], c[fb] * n + pb[fb]))
@@ -537,26 +535,23 @@ def solve_flower_radii(
     return radii
 
 
-def solve_packing(nerve: Nerve, tol: float = 1e-12, max_iter: int = 100_000) -> CirclePacking:
+def solve_packing(nerve: Nerve, tol: float = 1e-12) -> CirclePacking:
     """Solve and lay out the packing with the nerve's infinity_edge at infinity.
 
     The two white faces of the infinity edge (by default the edge of largest
     degree sum, see build_nerve) become horizontal lines y = 0
     and y = 2; every other face becomes a circle in the strip, the root face
-    (tangent to both lines) of radius 1.  max_iter caps the Newton steps of
-    the radii.  The tangencies are refined, and the packing kept, in
-    np.longdouble, so that the map to a cusp frame does not magnify float64
-    roundoff; where longdouble is float64 the cusp frames that miss tol are
-    polished instead.
+    (tangent to both lines) of radius 1.  The tangencies are refined, and the
+    packing kept, in np.longdouble, so that the map to a cusp frame does not
+    magnify float64 roundoff; where longdouble is float64 the cusp frames that
+    miss tol are polished instead.
     """
     eid = nerve.infinity_edge
     u, v = nerve.edge_vertices(eid)
     petals = {i: p for i, p in enumerate(nerve.petals) if i not in (u, v)}
     fixed = {u: math.inf, v: math.inf}
     stats: dict = {}
-    radii = solve_flower_radii(
-        petals, fixed, tol=max(tol * 1e-2, 1e-15), max_iter=max_iter, stats=stats
-    )
+    radii = solve_flower_radii(petals, fixed, tol=max(tol * 1e-2, 1e-15), stats=stats)
     z, r, h = _layout(nerve, u, v, radii)
     z, r = z.astype(np.clongdouble), r.astype(np.longdouble)
     z, r, polish = _refine(nerve, z, r, h, u, v, eid, tol)

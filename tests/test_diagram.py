@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from augcusp import catalog
-from augcusp.augment import SlopeLedger, apply_filling
+from augcusp.augment import apply_filling
 from augcusp.diagram import (
     Diagram,
     Face,
@@ -207,7 +208,7 @@ class TestFaceWalk:
     def test_fal_corpus_matches_reference(self):
         for _, al in fal_corpus(4):
             assert_faces_match_reference(al.base)
-            filled = apply_filling(al, SlopeLedger({lab: 1 for lab in al.circles}))
+            filled = apply_filling(al, {lab: 1 for lab in al.circles})
             assert_faces_match_reference(filled)
 
     @settings(max_examples=100, deadline=None)
@@ -335,6 +336,35 @@ class TestGeneralizedRegions:
         d = catalog.trefoil()
         r = validate_generalized_region(d, [0, 1])
         assert (r.strand_count, abs(r.full_twists), r.half_twist) == (2, 1, False)
+
+
+    def test_every_crossing_subset_validates_or_is_refused(self):
+        # Some subsets of rational[2, 3, 3] and rational[3, 3, 2] thread one
+        # strand through a crossing twice; like every other subset that is
+        # no ribbon twist, they are refused with a DiagramInvariantError.
+        diagrams = [
+            catalog.rational_link(list(v))
+            for n in (1, 2, 3)
+            for v in itertools.product((1, 2, 3), repeat=n)
+        ]
+        diagrams += [
+            catalog.pretzel_link(list(v)) for v in itertools.product((-3, -2, 2, 3), repeat=3)
+        ]
+        checked = 0
+        for d in diagrams:
+            n = len(d.crossings)
+            for mask in range(1, 1 << n):
+                try:
+                    validate_generalized_region(d, [c for c in range(n) if mask >> c & 1])
+                except DiagramInvariantError:
+                    pass
+                checked += 1
+        assert (len(diagrams), checked) == (103, 16675)
+
+    def test_strand_through_a_crossing_twice_is_refused(self):
+        d = catalog.rational_link([2, 3, 3])
+        with pytest.raises(DiagramInvariantError, match="crossing 3: one annotation strand"):
+            validate_generalized_region(d, [0, 2, 1, 7, 3, 6])
 
 
 class TestIsomorphism:

@@ -24,7 +24,7 @@ class TestTwoBridgeFamily:
 
     def test_ledger_slopes(self):
         fam = gen_twobridge_family(2, [3, -2])
-        pairs = {fam.labels[k]: str(v) for k, v in fam.ledger.entries.items()}
+        pairs = {fam.labels[k]: str(v) for k, v in fam.ledger.items()}
         assert pairs == {"L1": "1/3", "L-1": "-1/3", "L2": "-1/2", "L-2": "1/2"}
 
     def test_zero_twists_leave_parent_unfilled(self):
