@@ -351,17 +351,16 @@ def analyze_cusp(
         nerve = packing.nerve
     elif nerve is None:
         nerve = build_nerve(al)
-    cusps = nerve.cusps()
     if cusp is None:
-        cusp = (nerve.knotting_cusps or cusps)[0]
-    if cusp not in cusps:
-        raise UnsupportedLinkError(f"unknown cusp {cusp!r}; have {cusps}")
+        cusp = (nerve.knotting_cusps or nerve.cusps())[0]
+    if cusp not in nerve.cusp_edges:
+        raise UnsupportedLinkError(f"unknown cusp {cusp!r}; have {nerve.cusps()}")
     if packing is None:
         reports = _analyze(solve_packing(nerve, tol=tol), [cusp])
     elif packing in _reports:
         reports = _reports[packing]
     else:
-        reports = _reports[packing] = _analyze(packing, cusps)
+        reports = _reports[packing] = _analyze(packing, nerve.cusps())
     report = reports[cusp]
     if isinstance(report, Exception):
         raise report

@@ -733,18 +733,19 @@ def normalize_at_vertex(
     the two shaded circles through the point become vertical lines, the
     leftmost at x = 0, with the packing in the right half strip.  One Mobius
     map, w = A + B / (z - p) (or an affine map when p is already infinity),
-    carries the whites into this frame, the cusp's own.  The map runs in the
-    packing's precision and the frame is then rounded to float64; there the
-    tangencies are polished again, which removes the roundoff the map
-    amplifies, unless the mapped tangency error is already within tol (as
-    it is from an extended-precision strip frame).  The shaded circles
-    follow from the whites.  The polish record (steps, unknowns, tangency
-    error before and after; 0 steps on 0 unknowns when skipped) is kept in
-    normalization["polish"].  The frame's residuals are those that decide
-    the polish (derived again for a polished frame): they are taken before
-    the flank shift that puts the leftmost shaded line at x = 0, which moves
-    the circle centres by one real constant, so the rows of a line are the
-    same and the others differ at roundoff.
+    carries the whites into this frame, the cusp's own.  Only the power
+    D = |z - p|^2 - r^2 of p cancels near p: z - p and D are computed in the
+    packing's precision and rounded to float64 once, and the rest of the map
+    runs in float64.  There the tangencies are polished again, which removes
+    the roundoff the map amplifies, unless the mapped tangency error is
+    already within tol (as it is from an extended-precision strip frame).
+    The shaded circles follow from the whites.  The polish record (steps,
+    unknowns, tangency error before and after; 0 steps on 0 unknowns when
+    skipped) is kept in normalization["polish"].  The frame's residuals are
+    those that decide the polish (derived again for a polished frame): they
+    are taken before the flank shift that puts the leftmost shaded line at
+    x = 0, which moves the circle centres by one real constant, so the rows
+    of a line are the same and the others differ at roundoff.
 
     edge_id is an edge id, or an array of them for a FrameBlock of those
     frames, (frames x whites) arrays: its frames are the same, bit for bit,
@@ -763,7 +764,8 @@ def normalize_at_vertex(
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for i in (ea, eb):
             line, c = np.isinf(r[i]), z[i] - p
-            miss = np.where(line, 0.0, abs(abs(c) - r[i]) / r[i])
+            dist = abs(c)
+            miss = np.where(line, 0.0, abs(dist - r[i]) / r[i])
             if (miss > 1e-6).any():
                 f = int(np.argmax(miss > 1e-6))
                 raise ConvergenceError(
@@ -771,8 +773,8 @@ def normalize_at_vertex(
                     f"edge {eids[f]} by {float(miss[f]):.3e} of its radius",
                     float(miss[f]),
                 )
-            offset = np.where(line, np.where(at_infinity, z[i].imag, 0.0), 0.5 / abs(c))
-            ends.append((np.where(line, 1j, c.conjugate() / abs(c)), offset))
+            offset = np.where(line, np.where(at_infinity, z[i].imag, 0.0), 0.5 / dist)
+            ends.append((np.where(line, 1j, c.conjugate() / dist), offset))
         (na, oa), (nb, ob) = ends
         rot = 1j / na  # turns a's normal to +i
         yb = np.where((rot * nb).imag > 0, ob, -ob)
@@ -781,18 +783,17 @@ def normalize_at_vertex(
         ylo, yhi = np.where(low, oa, yb), np.where(low, yb, oa)
         k = 1.0 / (yhi - ylo)
         scale, shift = k * rot, -1j * ylo * k  # w = scale * s + shift
-        # The frame is float64: the mapped values are rounded as they are
-        # stored.  Rows at infinity, the lines and a and b are set after.
+        # Only D = |c|^2 - r^2 cancels near p: c = z - p and D are rounded to
+        # float64 once from the packing's precision; the rest is float64.
+        # Rows at infinity, the lines and a and b are set after.
         c = z - p[:, None]
-        dist = abs(c)
-        den = (dist - r) * (dist + r)
-        # B conj(c) / den, as numpy's complex division by a real rounds it:
-        # both parts times one reciprocal of den.
-        w, inv = scale[:, None] * c.conjugate(), 1.0 / den
-        center = np.empty_like(w)
-        center.real, center.imag = w.real * inv, w.imag * inv
-        center = (center + shift[:, None]).astype(complex)
-        radius = (k[:, None] * r / den).astype(float)
+        inv = 1.0 / (c.real * c.real + c.imag * c.imag - r * r).astype(float)
+        cx, cy = c.real.astype(float) * inv, c.imag.astype(float) * inv
+        b, a = scale.astype(complex)[:, None], shift.astype(complex)[:, None]
+        center = np.empty(c.shape, dtype=complex)
+        center.real = b.real * cx + b.imag * cy + a.real
+        center.imag = b.imag * cx - b.real * cy + a.imag
+        radius = k.astype(float)[:, None] * r.astype(float) * inv
     rows = np.flatnonzero(at_infinity)
     center[rows] = scale[rows, None] * z + shift[rows, None]
     radius[rows] = k[rows, None] * r
@@ -821,7 +822,7 @@ def normalize_at_vertex(
     on_line = (flank == u[:, None]) | (flank == v[:, None])
     x = np.where(on_line, np.inf, center[frame[:, None], flank].real)
     center = np.where(np.isfinite(radius), center - x.min(axis=1)[:, None], center)
-    for eid, record in zip(eids.tolist(), polish):
+    for eid, record in zip(eids.tolist(), polish) if log.isEnabledFor(logging.DEBUG) else ():
         if record["unknowns"]:
             log.debug(
                 "normalize_at_vertex: edge %d, %d Gauss-Newton steps on %d unknowns, "

@@ -7,12 +7,16 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import augcusp
 from augcusp import catalog, cli, geometry
-from augcusp.diagram import full_ribbon_braid
+from augcusp.diagram import full_ribbon_braid, parse_diagram
+from augcusp.errors import AugcuspError
 from augcusp.packing import normalize_at_vertex
 
 CLI = [sys.executable, "-m", "augcusp.cli"]
@@ -458,6 +462,54 @@ def test_mutated_diagrams_exit_with_a_code(tmp_path):
                 codes.append(cli.main([str(x) for x in argv]))
     assert set(codes) <= {0, 2, 3, 4}
     assert {0, 2, 3} <= set(codes)
+
+
+# Small JSON values of every kind, and envelopes built from them: a `pd` of
+# such values, of 4-entry crossings that reach validation, or of a catalog
+# diagram whose other fields are arbitrary, so that some reach `cusp`.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 14) | st.text(max_size=3)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+ENVELOPES = st.fixed_dictionaries(
+    {"pd": st.one_of(
+        JSON_VALUES,
+        st.lists(st.lists(st.integers(-1, 14), min_size=4, max_size=4) | JSON_VALUES, max_size=6),
+        st.sampled_from([json.loads(f().to_json())["pd"] for f in FUZZ_SOURCES[:5]]),
+    )},
+    optional={
+        "components": JSON_VALUES | st.dictionaries(
+            st.from_regex(r"-?\+?[0-9]{1,2}| 1|01", fullmatch=True), JSON_VALUES, max_size=5
+        ),
+        "signs": JSON_VALUES | st.lists(st.sampled_from([1, -1, 0, 2, True, 1.0, "1"]), max_size=6),
+        "loops": JSON_VALUES,
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=ENVELOPES)
+def test_any_json_envelope_parses_or_is_refused(doc):
+    try:
+        parse_diagram(json.dumps(doc))
+    except AugcuspError:
+        pass
+
+
+@pytest.mark.filterwarnings("ignore::augcusp.errors.ReducibleDiagramWarning")
+@settings(max_examples=40, deadline=None)
+@given(doc=ENVELOPES)
+def test_any_json_envelope_exits_with_a_code(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        for argv in (["augment", path, "--roundtrip"], ["cusp", path]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(argv) in (0, 2, 3, 4)
 
 
 def test_annotation_through_a_crossing_twice_exit_3(tmp_path):

@@ -537,6 +537,21 @@ class TestReportsPerPacking:
         assert len(calls) == 2
         assert [r.to_dict() for r in other] == [r.to_dict() for r in first]
 
+    def test_a_kept_report_needs_no_sorted_cusp_list(self, monkeypatch):
+        al, _ = augment(catalog.two_bridge_chain(13))
+        nerve = build_nerve(al)
+        packing = solve_packing(nerve)
+        cusps = nerve.cusps()
+        first = {c: analyze_cusp(al, c, packing=packing, nerve=nerve) for c in cusps}
+        monkeypatch.setattr(type(nerve), "cusps", lambda self: pytest.fail("sorted the cusps"))
+        for c in cusps:
+            assert analyze_cusp(al, c, packing=packing, nerve=nerve) is first[c]
+        assert analyze_cusp(al, packing=packing) is first[nerve.knotting_cusps[0]]
+        monkeypatch.undo()
+        with pytest.raises(UnsupportedLinkError) as exc:
+            analyze_cusp(al, "C99", packing=packing)
+        assert str(exc.value) == f"unknown cusp 'C99'; have {sorted(nerve.cusp_edges)}"
+
     def test_verify_normalizes_only_knotting_frames(self, monkeypatch):
         al, _ = augment(catalog.two_bridge_chain(13))
         nerve = build_nerve(al)

@@ -14,6 +14,7 @@ from augcusp.augment import augment
 from augcusp.errors import ConvergenceError, UnsupportedLinkError
 from augcusp.mobius import Circline, tangency_residual
 from augcusp.families import fal_corpus
+from augcusp import packing as packing_module
 from augcusp.packing import (
     CirclePacking,
     _companion,
@@ -768,6 +769,78 @@ class TestBlocks:
         assert_same_frame(frame, normalize_at_vertex(packing, 3))
 
 
+def reference_frames(packing, eids):
+    """Centres and radii of the frames of a block, with the whole map
+    w = A + B / (z - p) in the packing's precision (clongdouble from a strip
+    frame) and rounded to float64 at the end, then the lines and the flank
+    shift as normalize_at_vertex sets them; no polish."""
+    nerve, z, r = packing.nerve, packing.center, packing.radius
+    ea, eb = nerve.ends[0][eids], nerve.ends[1][eids]
+    p = packing.points[eids]
+    at_infinity = np.isnan(p)
+    ends = []
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for i in (ea, eb):
+            line, c = np.isinf(r[i]), z[i] - p
+            offset = np.where(line, np.where(at_infinity, z[i].imag, 0.0), 0.5 / abs(c))
+            ends.append((np.where(line, 1j, c.conjugate() / abs(c)), offset))
+        (na, oa), (nb, ob) = ends
+        rot = 1j / na
+        yb = np.where((rot * nb).imag > 0, ob, -ob)
+        low = (oa < yb) | ((oa == yb) & (ea < eb))
+        u, v = np.where(low, ea, eb), np.where(low, eb, ea)
+        ylo, yhi = np.where(low, oa, yb), np.where(low, yb, oa)
+        k = 1.0 / (yhi - ylo)
+        scale, shift = k * rot, -1j * ylo * k
+        c = z - p[:, None]
+        dist = abs(c)
+        den = (dist - r) * (dist + r)
+        w, inv = scale[:, None] * c.conjugate(), 1.0 / den
+        center = np.empty_like(w)
+        center.real, center.imag = w.real * inv, w.imag * inv
+        center = (center + shift[:, None]).astype(complex)
+        radius = (k[:, None] * r / den).astype(float)
+    rows = np.flatnonzero(at_infinity)
+    center[rows] = scale[rows, None] * z + shift[rows, None]
+    radius[rows] = k[rows, None] * r
+    for i in packing.lines:
+        off = np.flatnonzero(~at_infinity & (ea != i) & (eb != i))
+        delta = z[i].imag - p[off].imag
+        center[off, i] = scale[off] * (-0.5j / delta) + shift[off]
+        radius[off, i] = 0.5 * k[off] / abs(delta)
+    frame = np.arange(len(eids))
+    center[frame, u], center[frame, v] = 0j, 1j
+    radius[frame, u] = radius[frame, v] = np.inf
+    flank = nerve.triangle_whites[nerve.edge_triangles[eids]].reshape(len(eids), -1)
+    on_line = (flank == u[:, None]) | (flank == v[:, None])
+    x = np.where(on_line, np.inf, center[frame[:, None], flank].real)
+    center = np.where(np.isfinite(radius), center - x.min(axis=1)[:, None], center)
+    return (u, v), center, radius
+
+
+class TestReferenceMap:
+    @pytest.mark.parametrize(
+        "name", ["chain-21", "chain-121", "pretzel-3x10", "pretzel-3x60", "fal_corpus-4"]
+    )
+    def test_float64_map_is_the_extended_map_to_roundoff(self, name):
+        eps = np.finfo(float).eps
+        for packing in ladder_packings(name):
+            nerve = packing.nerve
+            eids = np.array([nerve.cusp_edges[c][0] for c in nerve.cusps()], dtype=np.intp)
+            block = normalize_at_vertex(packing, eids)
+            (u, v), center, radius = reference_frames(packing, eids)
+            assert np.array_equal(block.lines[0], u) and np.array_equal(block.lines[1], v)
+            finite = np.isfinite(radius)
+            assert np.array_equal(np.isfinite(block.radius), finite)
+            for got, want in ((block.center, center), (block.radius, radius)):
+                got, want = got[finite], want[finite]
+                assert np.all(abs(got - want) <= 4 * eps * np.maximum(1.0, abs(want)))
+            for record in block.normalization["polish"]:
+                assert record["unknowns"] == 0 and record["before"] <= 1e-15
+            for eid, row in zip(eids.tolist(), block):
+                assert_same_frame(row, normalize_at_vertex(packing, eid))
+
+
 class TestPolishOnlyWhenNeeded:
     @pytest.mark.parametrize("d", [catalog.pretzel_link([3] * 10), catalog.two_bridge_chain(13)])
     def test_mapped_frames_within_tol_are_not_polished(self, d, caplog):
@@ -906,3 +979,20 @@ class TestLogging:
         assert len(polish) == 1 and polish[0].levelno == logging.DEBUG
         assert "tangency error" in polish[0].getMessage()
         assert "unknowns" in polish[0].getMessage()
+        # A block gives one record per frame, in its order.
+        eids = np.array([nerve.cusp_edges[c][0] for c in nerve.cusps()])
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="augcusp"):
+            normalize_at_vertex(packing, eids)
+        polish = [r.getMessage() for r in caplog.records]
+        assert len(polish) == len(eids) > 1
+        for eid, message in zip(eids.tolist(), polish):
+            assert message.startswith(f"normalize_at_vertex: edge {eid}, ")
+
+    def test_no_frame_record_is_formatted_without_debug(self, caplog, monkeypatch):
+        packing = solve_packing(build_nerve(augment(catalog.rational_link([2, 2, 2]))[0]))
+        calls = []
+        monkeypatch.setattr(packing_module.log, "debug", lambda *args: calls.append(args))
+        with caplog.at_level(logging.INFO, logger="augcusp"):
+            normalize_at_vertex(packing, np.arange(len(packing.nerve.edges)))
+        assert calls == []
