@@ -155,104 +155,97 @@ def _family_ints(family: list[str]) -> list[int]:
 
 
 def cmd_cusp(args) -> int:
-    tol = args.tol
-    if args.family:
+    kind = args.family[0] if args.family else None
+    if kind == "longitude":
+        return _cusp_longitude(args)
+    if kind not in (None, "twobridge"):
+        raise DiagramInvariantError(f"unknown family {kind!r}")
+    if kind:
         from . import families
 
-        kind = args.family[0]
-        if kind == "twobridge":
-            from . import render
-            from .geometry import analyze_cusp
-            from .packing import build_nerve, normalize_at_vertex, solve_packing
-
-            if len(args.family) < 2:
-                raise DiagramInvariantError("need: --family twobridge n r1 [r2 ...]")
-            n, *r = _family_ints(args.family)
-            if n < 1:
-                raise DiagramInvariantError(f"--family twobridge needs n >= 1, got {n}")
-            if len(r) != n:
-                raise DiagramInvariantError(f"need {n} filling integers, got {len(r)}")
-            fam = families.gen_twobridge_family(n, r)
-            mid = families.twobridge_middle_circle(fam)
-            nerve = build_nerve(fam.parent)
-            packing = solve_packing(nerve, tol=tol)
-            rep = analyze_cusp(fam.parent, mid, tol=tol, packing=packing)
-            counts = families.twobridge_filled_strand_counts(n, r) if any(r) else None
-            doc = {
-                "family": "twobridge",
-                "n": n,
-                "r": r,
-                "cusp_report": rep.to_dict(),
-                "filled_ledger": json.loads(ledger_json(fam.ledger)),
-                "filled_strand_counts": counts,
-            }
-            _emit(doc, args)
-            s = rep.shape
-            _say(
-                f"two-bridge parent n={n}: cusp {mid}: meridian "
-                f"{s.meridian_length:.6f}, longitude {s.longitude_length:.6f}, "
-                f"height {s.height:.6f}"
-            )
-            if args.render:
-                norm = normalize_at_vertex(packing, nerve.cusp_edges[mid][0])
-                _render_to(args.render, render.packing_svg(norm))
-            return 0
-        if kind == "longitude":
-            if len(args.family) != 2:
-                raise DiagramInvariantError("need: --family longitude n")
-            (n,) = _family_ints(args.family)
-            if n < 0:
-                raise DiagramInvariantError(f"--family longitude needs n >= 0, got {n}")
-            al = families.gen_longitude_family(n)
-            inv = families.longitude_family_invariants(al)
-            cert = families.three_punctured_certificate(al, "K")
-            doc = {
-                "family": "longitude",
-                "n": n,
-                "invariants": inv,
-                "certificate": None
-                if cert is None
-                else {
-                    "bound": cert.bound,
-                    "side_punctures": list(cert.side_punctures),
-                    "statement": cert.statement,
-                },
-            }
-            _emit(doc, args)
-            if cert is not None:
-                _say(f"n={n}: longitude <= 4 (3-punctured sphere)")
-            else:
-                _say(f"n={n}: no certificate")
-            return 0
-        raise DiagramInvariantError(f"unknown family {kind!r}")
-
-    if not args.input:
+        if len(args.family) < 2:
+            raise DiagramInvariantError("need: --family twobridge n r1 [r2 ...]")
+        n, *r = _family_ints(args.family)
+        if n < 1:
+            raise DiagramInvariantError(f"--family twobridge needs n >= 1, got {n}")
+        if len(r) != n:
+            raise DiagramInvariantError(f"need {n} filling integers, got {len(r)}")
+        fam = families.gen_twobridge_family(n, r)
+        al, target = fam.parent, families.twobridge_middle_circle(fam)
+    elif args.input:
+        al, _ = augment(_read_diagram(args.input))
+    else:
         raise PDSyntaxError("need an input diagram or --family")
     from . import render
     from .geometry import analyze_cusp, assemble
     from .packing import build_nerve, normalize_at_vertex, solve_packing
 
-    d = _read_diagram(args.input)
-    al, _ = augment(d)
     nerve = build_nerve(al)
-    packing = solve_packing(nerve, tol=tol)
-    reports = {}
-    for cusp in nerve.cusps():
-        rep = analyze_cusp(al, cusp, tol=tol, packing=packing)
-        reports[cusp] = rep.to_dict()
-    doc = {"cusps": reports}
-    _emit(doc, args)
-    for cusp, repd in sorted(reports.items()):
+    packing = solve_packing(nerve, tol=args.tol)
+    cusps = [target] if kind else nerve.cusps()
+    reports = {c: analyze_cusp(al, c, tol=args.tol, packing=packing) for c in cusps}
+    if kind:
+        counts = families.twobridge_filled_strand_counts(n, r) if any(r) else None
+        _emit({
+            "family": "twobridge",
+            "n": n,
+            "r": r,
+            "cusp_report": reports[target].to_dict(),
+            "filled_ledger": json.loads(ledger_json(fam.ledger)),
+            "filled_strand_counts": counts,
+        }, args)
+        s = reports[target].shape
         _say(
-            f"cusp {cusp} ({repd['kind']}): meridian {repd['meridian_length']:.6f}, "
-            f"longitude {repd['longitude_length']:.6f}"
+            f"two-bridge parent n={n}: cusp {target}: meridian "
+            f"{s.meridian_length:.6f}, longitude {s.longitude_length:.6f}, "
+            f"height {s.height:.6f}"
         )
+    else:
+        target = (nerve.knotting_cusps or cusps)[0]
+        _emit({"cusps": {c: rep.to_dict() for c, rep in reports.items()}}, args)
+        for c, rep in reports.items():
+            s = rep.shape
+            _say(
+                f"cusp {c} ({rep.kind}): meridian {s.meridian_length:.6f}, "
+                f"longitude {s.longitude_length:.6f}"
+            )
     if args.render:
-        target = (nerve.knotting_cusps or nerve.cusps())[0]
         norm = normalize_at_vertex(packing, nerve.cusp_edges[target][0])
         _render_to(args.render, render.packing_svg(norm))
-        horo_path = str(Path(args.render).with_suffix(".horoballs.svg"))
-        _render_to(horo_path, render.horoball_svg(assemble(norm)))
+        if not kind:
+            horo_path = str(Path(args.render).with_suffix(".horoballs.svg"))
+            _render_to(horo_path, render.horoball_svg(assemble(norm)))
+    return 0
+
+
+def _cusp_longitude(args) -> int:
+    from . import families
+
+    if len(args.family) != 2:
+        raise DiagramInvariantError("need: --family longitude n")
+    (n,) = _family_ints(args.family)
+    if n < 0:
+        raise DiagramInvariantError(f"--family longitude needs n >= 0, got {n}")
+    al = families.gen_longitude_family(n)
+    inv = families.longitude_family_invariants(al)
+    cert = families.three_punctured_certificate(al, "K")
+    doc = {
+        "family": "longitude",
+        "n": n,
+        "invariants": inv,
+        "certificate": None
+        if cert is None
+        else {
+            "bound": cert.bound,
+            "side_punctures": list(cert.side_punctures),
+            "statement": cert.statement,
+        },
+    }
+    _emit(doc, args)
+    if cert is not None:
+        _say(f"n={n}: longitude <= 4 (3-punctured sphere)")
+    else:
+        _say(f"n={n}: no certificate")
     return 0
 
 
@@ -267,10 +260,15 @@ def cmd_verify(args) -> int:
         root = Path(args.corpus)
         if not root.is_dir():
             raise PDSyntaxError(f"{args.corpus} is not a directory")
-        for path in sorted(root.glob("*.json")):
+        paths = sorted(root.glob("*.json"))
+        if not paths:
+            raise PDSyntaxError(f"{args.corpus} holds no *.json diagram")
+        for path in paths:
             d = _read_diagram(str(path))
             al, _ = augment(d)
             corpus.append((path.stem, al))
+    else:
+        raise PDSyntaxError("need a corpus directory or --generate")
     report = verify_meridian_bound(corpus, tol=args.tol)
     _emit(report, args)
     counts = {"PASS": 0, "FAIL": 0, "SKIP": 0}

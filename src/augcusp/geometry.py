@@ -87,7 +87,7 @@ def _rows(block: FrameBlock) -> _Rows:
     """
     radius, disk_r = block.radius, block.disk_radius
     eids = block.normalization["infinity_edge"]
-    scale = np.max(radius, axis=1, where=np.isfinite(radius), initial=-np.inf).astype(float)
+    scale = np.max(radius, axis=1, where=np.isfinite(radius), initial=-np.inf)
     rows = np.arange(len(block))[:, None]
     lifts = block.nerve.edge_triangles[eids]
     # A lift through the cusp is vertical, its triangle holding both lines,
@@ -100,27 +100,28 @@ def _rows(block: FrameBlock) -> _Rows:
     return _Rows(
         eids=eids.tolist(),
         strip=block.height.tolist(),
-        worst=block.residuals.max(axis=1).astype(float).tolist(),
+        worst=block.residuals.max(axis=1).tolist(),
         gate=(block.tol * np.maximum(1.0, scale) * 10).tolist(),
         spacing=abs(x[:, 1] - x[:, 0]).tolist(),
         vertical=np.isinf(disk_r[rows, lifts]).all(axis=1).tolist(),
-        floor=np.max(radii, axis=1, where=finite, initial=0.0).astype(float).tolist(),
+        floor=np.max(radii, axis=1, where=finite, initial=0.0).tolist(),
         diameters=np.sort(np.where(finite, 2.0 * radii, np.inf), axis=1),
         finite=finite.sum(axis=1).tolist(),
     )
 
 
 def _alone(frame: CirclePacking) -> tuple[FrameBlock, _Rows]:
-    """A frame normalized at a cusp as a block of one, on the frame's arrays,
-    and its rows: what the single-frame functions below measure."""
+    """A cusp frame from normalize_at_vertex as a block of one, on the
+    frame's arrays, and its rows: what the single-frame functions below
+    measure.  Any other packing, the strip packing included, is refused."""
     norm = frame.normalization
-    if norm.get("frame") not in ("unit-strip", "strip"):
+    if norm.get("frame") != "unit-strip":
         raise MeasuringError("packing must be normalized with a cusp at infinity")
     (u, v), one = frame.lines, np.zeros(1, dtype=np.intp)
     block = FrameBlock(
         frame.nerve, frame.center[None], frame.radius[None], (one + u, one + v), frame.tol,
         {"infinity_edge": one + norm["infinity_edge"], "frame": norm["frame"],
-         "polish": [norm.get("polish")]},
+         "polish": [norm["polish"]]},
     )
     vars(block)["residuals"] = frame.residuals[None]
     return block, _rows(block)
@@ -199,22 +200,20 @@ def _lattice(block: FrameBlock, rows: _Rows, f: int) -> tuple[complex, complex, 
     return meridian, longitude, info
 
 
-def maximal_cusp(
-    frame: CirclePacking, lattice: tuple[complex, complex] | None = None
-) -> tuple[float, str, list[tuple[complex, float]]]:
+def maximal_cusp(frame: CirclePacking) -> tuple[float, str, list[tuple[complex, float]]]:
     """Height of the maximal cusp horoball about infinity, a witness, and the
     cusp's other horoballs at that height as (tangency point, diameter).
 
     The horoball expands until it meets a face of the polyhedra or a
     translate of itself; translate sizes come from the matched development
-    of the other lifts of the same cusp.  lattice is the cusp's (meridian,
-    longitude), when the caller has it from cusp_lattice.
+    of the other lifts of the same cusp.
     """
-    return _height(*_alone(frame), 0, lattice)
+    block, rows = _alone(frame)
+    return _height(block, rows, 0, _lattice(block, rows, 0)[:2])
 
 
 def _height(
-    block: FrameBlock, rows: _Rows, f: int, lattice: tuple[complex, complex] | None
+    block: FrameBlock, rows: _Rows, f: int, lattice: tuple[complex, complex]
 ) -> tuple[float, str, list[tuple[complex, float]]]:
     nerve = block.nerve
     eid = rows.eids[f]
@@ -231,7 +230,7 @@ def _height(
         k = int(np.argmax(kap))
         best = math.sqrt(kap[k])
         witness = f"horoball tangency at edge {eids[k]}"
-    mu, lam = lattice if lattice is not None else _lattice(block, rows, f)[:2]
+    mu, lam = lattice
     shifts = [a * mu + b * lam for a in (-1, 0, 1) for b in (-1, 0, 1)]
     best, pair, searched = _pair_search(pts, kap, best, shifts)
     if pair is not None:

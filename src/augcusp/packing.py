@@ -192,15 +192,15 @@ def _companion(al: AugmentedLink) -> tuple[list[int], list[int], list[int], list
     return arc, mate, turn, across, cusp
 
 
-def build_nerve(al: AugmentedLink, infinity: int | None = None) -> Nerve:
+def build_nerve(al: AugmentedLink) -> Nerve:
     """Tangency nerve of the white (projection plane) faces.
 
     Supported inputs are regular fully augmented links: every crossing disk
     meets exactly two strands and there are at least two crossing circles.
-    The tangency at infinity is edge `infinity` if given, else the edge whose
-    two whites have the largest degree sum, the least such id on ties: its
-    whites become the strip's lines, so the most petals rest on a line and
-    the fewest circles are left for the radii to solve.
+    The tangency at infinity is the edge whose two whites have the largest
+    degree sum, the least such id on ties: its whites become the strip's
+    lines, so the most petals rest on a line and the fewest circles are left
+    for the radii to solve.
     """
     if not al.circles:
         raise UnsupportedLinkError("no crossing circles")
@@ -277,16 +277,14 @@ def build_nerve(al: AugmentedLink, infinity: int | None = None) -> Nerve:
         if len({w for k in eids for w in (edges[k].a, edges[k].b)}) != 3:
             raise UnsupportedLinkError("shaded face is not a triangle")
 
-    if infinity is None:
-        degree = list(map(len, flowers))
-        sums = [degree[e.a] + degree[e.b] for e in edges]
-        infinity = sums.index(max(sums))  # the first, least id, on ties
+    degree = list(map(len, flowers))
+    sums = [degree[e.a] + degree[e.b] for e in edges]
     n = Nerve(
         whites=whites,
         edges=edges,
         flowers=flowers,
         triangles=triangles,
-        infinity_edge=infinity,
+        infinity_edge=sums.index(max(sums)),  # the first, least id, on ties
         exits=[(mate[y], arc[y]) for y in across],
         arc_exit=arc_exit,
         shear_sign=[c.handedness if c.half_twist else 0 for _, c in sorted(al.circles.items())],
@@ -410,9 +408,10 @@ class FrameBlock(CirclePacking):
     """Cusp frames normalized as one block: the arrays have a leading frame
     axis, `lines` holds the two lines' whites of every frame, and the
     normalization record holds an entry per frame ("frame" is shared).
-    Indexing gives a frame, a CirclePacking on its block's rows: its
-    residuals are the block's row, and whatever else it derives equals
-    that row of the block's, bit for bit."""
+    Indexing by an int gives a frame, a CirclePacking on its block's rows
+    (iterating and unpacking go through it): its residuals are the block's
+    row, and whatever else it derives equals that row of the block's, bit
+    for bit."""
 
     @property
     def height(self) -> np.ndarray:
@@ -424,12 +423,7 @@ class FrameBlock(CirclePacking):
     def __len__(self) -> int:
         return len(self.center)
 
-    def __iter__(self):
-        return (self[f] for f in range(len(self)))
-
-    def __getitem__(self, f):
-        if isinstance(f, slice):
-            return [self[k] for k in range(*f.indices(len(self)))]
+    def __getitem__(self, f: int) -> CirclePacking:
         u, v = self.lines
         norm = self.normalization
         frame = CirclePacking(
@@ -538,8 +532,8 @@ def solve_flower_radii(
 def solve_packing(nerve: Nerve, tol: float = 1e-12) -> CirclePacking:
     """Solve and lay out the packing with the nerve's infinity_edge at infinity.
 
-    The two white faces of the infinity edge (by default the edge of largest
-    degree sum, see build_nerve) become horizontal lines y = 0
+    The two white faces of the infinity edge (the edge of largest degree
+    sum, see build_nerve) become horizontal lines y = 0
     and y = 2; every other face becomes a circle in the strip, the root face
     (tangent to both lines) of radius 1.  The tangencies are refined, and the
     packing kept, in np.longdouble, so that the map to a cusp frame does not

@@ -340,10 +340,17 @@ class TestVerify:
         doc = json.loads(r.stdout)
         assert doc["all_pass"]
 
-    def test_empty_directory(self, tmp_path):
-        r = run("verify", str(tmp_path))
-        assert r.returncode == 0
-        assert json.loads(r.stdout) == {"entries": [], "all_pass": True}
+    def test_empty_directory(self, tmp_path, capsys):
+        # Nothing to check is a usage error, not a pass.
+        (tmp_path / "notes.txt").write_text("not a diagram")
+        assert cli.main(["verify", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"parse error: {tmp_path} holds no *.json diagram\n")
+
+    def test_no_corpus(self, capsys):
+        assert cli.main(["verify"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "parse error: need a corpus directory or --generate\n")
 
     def test_directory_with_unsupported_entry(self, tmp_path):
         (tmp_path / "trefoil.json").write_text(catalog.trefoil().to_json())

@@ -3,8 +3,11 @@ import functools
 import json
 import logging
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import THREAD_VARS
 from test_canonical_pd import scrambled
 
 from augcusp import catalog, geometry
@@ -302,9 +306,10 @@ GOLDEN_LINKS = {
 def test_reports_match_the_recorded_ladder_reports(name):
     """Every scalar field of every cusp, against the reports recorded in
     tests/data/ladder_reports.json before the flower-by-flower layout, to
-    1e-11 relative (of the field's norm for a complex one).  One and two
-    BLAS threads already differ by up to 2.2e-12.  Witness strings, which
-    may name either of tied candidates, and circle diameters are not kept."""
+    1e-11 relative (of the field's norm for a complex one).  With edge 0
+    at infinity, one and two BLAS threads differed by up to 2.2e-12.
+    Witness strings, which may name either of tied candidates, and circle
+    diameters are not kept."""
     want = json.loads(GOLDEN.read_text())[name]
     al, _ = augment(GOLDEN_LINKS[name]())
     nerve = build_nerve(al)
@@ -315,6 +320,44 @@ def test_reports_match_the_recorded_ladder_reports(name):
         for key, value in fields.items():
             a, b = np.atleast_1d(got[key]), np.atleast_1d(value)
             assert np.linalg.norm(a - b) <= 1e-11 * np.linalg.norm(b), (cusp, key)
+
+
+# Prints the report of every cusp of chain-21 and pretzel 3x10 as JSON,
+# whose floats are their reprs, so equal text is equal bits.
+BLAS_CHILD = """
+import json, sys
+from augcusp import catalog, geometry
+from augcusp.augment import augment
+from augcusp.packing import build_nerve, solve_packing
+out = {}
+for name, d in (("chain-21", catalog.two_bridge_chain(21)),
+                ("pretzel-3x10", catalog.pretzel_link([3] * 10))):
+    nerve = build_nerve(augment(d)[0])
+    reports = geometry._analyze(solve_packing(nerve), nerve.cusps())
+    out[name] = {c: r.to_dict() for c, r in reports.items()}
+json.dump(out, sys.stdout, sort_keys=True)
+"""
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count():
+    """With the widest tangency at infinity, chain-21's strip is exact and
+    pretzel 3x10's needs no thread-dependent solve: every report is the
+    same, bit for bit, with numpy's BLAS on one thread and on two."""
+    src = str(Path(geometry.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, **dict.fromkeys(THREAD_VARS, threads), "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", BLAS_CHILD], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    reports = json.loads(outputs[0])
+    assert {name: len(cusps) for name, cusps in reports.items()} == {
+        "chain-21": 23, "pretzel-3x10": 12,
+    }
+    assert outputs[0] == outputs[1]
 
 
 class TestRefusal:
@@ -344,10 +387,16 @@ class TestMeasuringErrors:
         assert issubclass(error, AugcuspError) and issubclass(error, base)
 
     def test_unnormalized_packing_refused(self, norm):
-        strip = dataclasses.replace(norm, normalization={})
-        for measure in (assemble, cusp_shape, maximal_cusp, geometry.cusp_lattice):
-            with pytest.raises(MeasuringError, match="must be normalized"):
-                measure(strip)
+        # A frame with no record, and the strip packing itself: its edge at
+        # infinity is a cusp's too, but only normalize_at_vertex makes a
+        # cusp frame.
+        bare = dataclasses.replace(norm, normalization={})
+        strip = solve_packing(build_nerve(augment(catalog.pretzel_link([3, 3, 3, 2]))[0]))
+        assert strip.nerve.edges[strip.normalization["infinity_edge"]].cusp == "0"
+        for packing in (bare, strip):
+            for measure in (assemble, cusp_shape, maximal_cusp, geometry.cusp_lattice):
+                with pytest.raises(MeasuringError, match="must be normalized"):
+                    measure(packing)
 
     def test_lift_off_infinity_refused(self, norm):
         # Another edge's lifts are shaded circles, not vertical lines.
@@ -590,7 +639,7 @@ class TestReportsPerPacking:
         # tangencies: the frames whose point it misses fail to normalize,
         # alone or in a block; the others analyse.
         al, _ = augment(catalog.rational_link([2, 2, 2]))
-        nerve = build_nerve(al, infinity=0)
+        nerve = dataclasses.replace(build_nerve(al), infinity_edge=0)
         packing = solve_packing(nerve)
         center = packing.center.copy()
         center[2] -= 0.1j * packing.radius[2]

@@ -165,7 +165,7 @@ class TestGaugeStep:
         # Edge 0 at infinity leaves the hubs as circles and the radii to
         # solve; the default edge would make every circle a unit circle.
         al, _ = augment(catalog.two_bridge_chain(13))
-        nerve = build_nerve(al, infinity=0)
+        nerve = dataclasses.replace(build_nerve(al), infinity_edge=0)
         u, v = nerve.edge_vertices(nerve.infinity_edge)
         petals = {i: p for i, p in enumerate(nerve.petals) if i not in (u, v)}
         want, steps = lstsq_newton(petals, 1e-14)
@@ -258,9 +258,8 @@ class TestLayout:
         its centre: the orientation the layout reads from the flowers.  A
         line petal lies in the direction -i (the lower line) or +i; from one
         line to the other the turn is a half turn, through infinity."""
-        al, _ = augment(catalog.two_bridge_chain(21))
-        for infinity in (None, 0):
-            nerve = build_nerve(al, infinity)
+        widest = build_nerve(augment(catalog.two_bridge_chain(21))[0])
+        for nerve in (widest, dataclasses.replace(widest, infinity_edge=0)):
             packing = solve_packing(nerve)
             z = packing.center.astype(complex)
             u, v = packing.lines
@@ -284,7 +283,7 @@ class TestLayout:
             except UnsupportedLinkError:
                 continue
             for eid in range(edges):
-                packing = solve_packing(build_nerve(al, infinity=eid))
+                packing = solve_packing(dataclasses.replace(build_nerve(al), infinity_edge=eid))
                 assert packing.max_residual() <= packing.tol * max(1.0, packing.scale())
                 frames += 1
         assert frames == 174
@@ -345,7 +344,7 @@ class TestInfinityEdge:
         al, _ = augment(catalog.two_bridge_chain(13))
         widest = build_nerve(al).infinity_edge
         for eid in {0, 5, widest - 1}:
-            nerve = build_nerve(al, infinity=eid)
+            nerve = dataclasses.replace(build_nerve(al), infinity_edge=eid)
             assert nerve.infinity_edge == eid != widest
             packing = solve_packing(nerve)
             assert packing.lines == nerve.edge_vertices(eid)
@@ -357,7 +356,9 @@ class TestInfinityEdge:
             nerve = build_nerve(al)
             assert nerve.infinity_edge == 0
             got = geometry._analyze(solve_packing(nerve), nerve.cusps())
-            want = geometry._analyze(solve_packing(build_nerve(al, infinity=0)), nerve.cusps())
+            want = geometry._analyze(
+                solve_packing(dataclasses.replace(nerve, infinity_edge=0)), nerve.cusps()
+            )
             assert [r.to_dict() for r in got.values()] == [r.to_dict() for r in want.values()]
 
     @pytest.mark.parametrize("k", [5, 21, 61])
@@ -382,7 +383,7 @@ class TestInfinityEdge:
         finite = np.isfinite(packing.radius)
         assert np.all(packing.radius[finite] == 1)
 
-        reference = solve_packing(build_nerve(al, infinity=0))
+        reference = solve_packing(dataclasses.replace(nerve, infinity_edge=0))
         got = geometry._analyze(packing, nerve.cusps())
         want = geometry._analyze(reference, nerve.cusps())
         for cusp in nerve.cusps():
@@ -436,7 +437,7 @@ class TestCentreRadius:
     def test_wall_elimination_gives_the_full_newton_solution(self):
         # Edge 0 at infinity: with the default edge the layout is exact.
         al, _ = augment(catalog.two_bridge_chain(13))
-        nerve = build_nerve(al, infinity=0)
+        nerve = dataclasses.replace(build_nerve(al), infinity_edge=0)
         eid = nerve.infinity_edge
         u, v = nerve.edge_vertices(eid)
         petals = {i: p for i, p in enumerate(nerve.petals) if i not in (u, v)}
@@ -691,7 +692,7 @@ class TestNormalization:
 
     def test_whites_not_tangent_at_the_cusp_are_refused(self):
         al, _ = augment(catalog.rational_link([2, 2, 2]))
-        nerve = build_nerve(al, infinity=0)
+        nerve = dataclasses.replace(build_nerve(al), infinity_edge=0)
         packing = solve_packing(nerve)
         a, _ = nerve.edge_vertices(3)
         # Edge 3 joins circle a to the line y = 2: move a off that line.
@@ -701,9 +702,9 @@ class TestNormalization:
             normalize_at_vertex(dataclasses.replace(packing, center=center), 3)
 
 
-def frames(d, infinity=None):
+def frames(d):
     al, _ = augment(d)
-    nerve = build_nerve(al, infinity)
+    nerve = build_nerve(al)
     packing = solve_packing(nerve)
     return al, nerve, packing, [
         normalize_at_vertex(packing, nerve.cusp_edges[c][0]) for c in nerve.cusps()
@@ -755,7 +756,7 @@ class TestBlocks:
             eids = np.array([nerve.cusp_edges[c][0] for c in nerve.cusps()])
             assert nerve.infinity_edge in eids  # the cusp already at infinity
             block = normalize_at_vertex(packing, eids)
-            backwards = normalize_at_vertex(packing, eids[::-1])[::-1]
+            backwards = list(normalize_at_vertex(packing, eids[::-1]))[::-1]
             assert len(block) == len(backwards) == len(eids)
             for eid, got, rev in zip(eids.tolist(), block, backwards):
                 one = normalize_at_vertex(packing, eid)
@@ -859,7 +860,9 @@ class TestPolishOnlyWhenNeeded:
         # A float64 strip frame, as where longdouble is float64: the map
         # magnifies its roundoff beyond tol in some chain-81 frames, with
         # edge 0 at infinity (the default edge gives an exact strip).
-        _al, nerve, packing, _norms = frames(catalog.two_bridge_chain(81), infinity=0)
+        nerve = build_nerve(augment(catalog.two_bridge_chain(81))[0])
+        nerve = dataclasses.replace(nerve, infinity_edge=0)
+        packing = solve_packing(nerve)
         packing = dataclasses.replace(
             packing, center=packing.center.astype(complex), radius=packing.radius.astype(float)
         )
@@ -915,7 +918,9 @@ def residual_packings():
     float64 strip frame with edge 0 at infinity, whose map leaves some
     frames beyond tol."""
     packings = [p for name in [*LADDER, "fal_corpus-4"] for p in ladder_packings(name)]
-    wide = solve_packing(build_nerve(augment(LADDER["chain-81"]())[0], infinity=0))
+    wide = solve_packing(
+        dataclasses.replace(build_nerve(augment(LADDER["chain-81"]())[0]), infinity_edge=0)
+    )
     return packings + [dataclasses.replace(
         wide, center=wide.center.astype(complex), radius=wide.radius.astype(float)
     )]
