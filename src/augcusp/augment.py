@@ -393,7 +393,7 @@ def apply_filling(al: AugmentedLink, ledger: dict[str, Fraction]) -> Diagram:
                 "twisting is undefined (use geometric tools)"
             )
         twists[cusp] = slope.denominator * slope.numerator
-    return _fill(al, twists, expand_rest=True)
+    return _fill(al, twists)
 
 
 def untwist_retwist_roundtrip(
@@ -409,10 +409,10 @@ def _refill(al: AugmentedLink, ledger: dict[str, Fraction]) -> Diagram:
     twists = {lab: 0 for lab in al.circles}
     for cusp, slope in ledger.items():
         twists[cusp] = slope.denominator * slope.numerator
-    return _fill(al, twists, expand_rest=False)
+    return _fill(al, twists)
 
 
-def _fill(al: AugmentedLink, twists: dict[str, int], expand_rest: bool) -> Diagram:
+def _fill(al: AugmentedLink, twists: dict[str, int]) -> Diagram:
     crossings: list[Crossing] = list(al.base.crossings)
     edges, darts = al.base._edges, al.base._darts
     fresh = count(edges[-1] + 1 if edges else 1).__next__
@@ -451,12 +451,10 @@ def _fill(al: AugmentedLink, twists: dict[str, int], expand_rest: bool) -> Diagr
             stubs[lab] = {
                 pos_to_slot[p]: (w_stubs[p], current[p]) for p in range(m)
             }
-        elif expand_rest:
+        else:
             stubs[lab] = _expand_circle(
                 crossings, fresh, al, lab, comp_of_new, slot_component
             )
-        else:
-            raise DiagramInvariantError(f"no filling for circle {lab}")
 
     # The passages through filled circles cut each strand into pieces, and
     # each cut joins the pieces on its two sides to its tangle's stubs: each

@@ -2,7 +2,7 @@
 
 Reports are deterministic JSON on stdout (or --out); a short human summary
 goes to stderr.  Exit codes: 0 success, 2 parse or usage error (an input
-that cannot be read, an output path that cannot be written), 3 validation
+that cannot be read, an output that cannot be written), 3 validation
 error, 4 solver non-convergence.
 """
 
@@ -38,7 +38,7 @@ EXIT_SOLVER = 4
 
 
 class _OutputError(Exception):
-    """An output path that cannot be written (exit 2)."""
+    """An output that cannot be written, a path or a closed stdout (exit 2)."""
 
 
 def _write(path: str, text: str) -> None:
@@ -52,8 +52,13 @@ def _emit(doc, args) -> None:
     text = json.dumps(doc, sort_keys=True)
     if getattr(args, "out", None):
         _write(args.out, text + "\n")
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except OSError as exc:  # a closed pipe, a full disk
+        # Python flushes stdout again at exit: send what is left to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _OutputError(f"cannot write stdout: {exc.strerror or exc}") from None
 
 
 def _say(msg: str) -> None:
@@ -155,6 +160,11 @@ def _family_ints(family: list[str]) -> list[int]:
 
 
 def cmd_cusp(args) -> int:
+    if args.input and args.family:
+        raise PDSyntaxError(
+            f"give a diagram file or --family, not both: {args.input} and "
+            f"--family {' '.join(args.family)}"
+        )
     kind = args.family[0] if args.family else None
     if kind == "longitude":
         return _cusp_longitude(args)

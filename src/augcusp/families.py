@@ -223,7 +223,7 @@ def longitude_family_invariants(al: AugmentedLink) -> dict:
         "seven_strand_circles": len(big),
         "four_strand_circles": len(small),
         "new_disks_meet_strand_four_times": all(
-            al.circles[lab].strand_count == 4 for lab in small
+            sum(p.circle == lab for p in al.passages["K"]) == 4 for lab in small
         ),
         "new_punctures_same_component": small_same_side,
         "certificate": None if cert is None else cert.statement,

@@ -68,9 +68,7 @@ class _Rows(NamedTuple):
     division rounds differently."""
 
     eids: list[int]  # the edge at infinity
-    strip: list[float]  # the distance between the two lines
     worst: list[float]  # the largest tangency residual
-    gate: list[float]  # the bound assemble puts on it
     spacing: list[float]  # between the two crossing-disk lifts through the cusp
     vertical: list[bool]  # whether both those lifts are vertical
     floor: list[float]  # the face-tangency height: the largest finite radius
@@ -87,7 +85,6 @@ def _rows(block: FrameBlock) -> _Rows:
     """
     radius, disk_r = block.radius, block.disk_radius
     eids = block.normalization["infinity_edge"]
-    scale = np.max(radius, axis=1, where=np.isfinite(radius), initial=-np.inf)
     rows = np.arange(len(block))[:, None]
     lifts = block.nerve.edge_triangles[eids]
     # A lift through the cusp is vertical, its triangle holding both lines,
@@ -99,9 +96,7 @@ def _rows(block: FrameBlock) -> _Rows:
     finite = np.isfinite(radii)
     return _Rows(
         eids=eids.tolist(),
-        strip=block.height.tolist(),
         worst=block.residuals.max(axis=1).tolist(),
-        gate=(block.tol * np.maximum(1.0, scale) * 10).tolist(),
         spacing=abs(x[:, 1] - x[:, 0]).tolist(),
         vertical=np.isinf(disk_r[rows, lifts]).all(axis=1).tolist(),
         floor=np.max(radii, axis=1, where=finite, initial=0.0).tolist(),
@@ -113,11 +108,14 @@ def _rows(block: FrameBlock) -> _Rows:
 def _alone(frame: CirclePacking) -> tuple[FrameBlock, _Rows]:
     """A cusp frame from normalize_at_vertex as a block of one, on the
     frame's arrays, and its rows: what the single-frame functions below
-    measure.  Any other packing, the strip packing included, is refused."""
-    norm = frame.normalization
+    measure.  Any other packing, the strip packing included, is refused,
+    and so is a frame whose lines are not y = 0 and y = 1."""
+    norm, (u, v) = frame.normalization, frame.lines
     if norm.get("frame") != "unit-strip":
         raise MeasuringError("packing must be normalized with a cusp at infinity")
-    (u, v), one = frame.lines, np.zeros(1, dtype=np.intp)
+    if frame.center[u] != 0 or frame.center[v] != 1j:
+        raise MeasuringError("cusp frame lines must be y = 0 and y = 1")
+    one = np.zeros(1, dtype=np.intp)
     block = FrameBlock(
         frame.nerve, frame.center[None], frame.radius[None], (one + u, one + v), frame.tol,
         {"infinity_edge": one + norm["infinity_edge"], "frame": norm["frame"],
@@ -130,12 +128,12 @@ def _alone(frame: CirclePacking) -> tuple[FrameBlock, _Rows]:
 def assemble(frame: CirclePacking) -> CirclePacking:
     """The residual gate of a packing normalized at a cusp: returns the
     frame, which is all that the measuring functions below take."""
-    _gate(_alone(frame)[1], 0)
+    _gate(_alone(frame)[1], 0, frame.tol)
     return frame
 
 
-def _gate(rows: _Rows, f: int) -> None:
-    worst, gate = rows.worst[f], rows.gate[f]
+def _gate(rows: _Rows, f: int, tol: float) -> None:
+    worst, gate = rows.worst[f], 10 * tol
     if not worst <= gate:
         raise ConvergenceError(
             f"assemble: tangency residual {worst:.3e} with edge {rows.eids[f]} at "
@@ -147,14 +145,14 @@ def _gate(rows: _Rows, f: int) -> None:
 def _kappa(frame: CirclePacking, eid):
     """Matched horoball size constant at finite tangencies of the cusp.
 
-    Renormalizing the tangency to infinity with the reflection-plane spacing
-    kept at H turns the cusp horoball of height h into a ball of diameter
-    kappa / h; kappa = H / (1/(2 r_a) + 1/(2 r_b)) over the two whites
+    Renormalizing the tangency to infinity with the reflection planes kept
+    1 apart turns the cusp horoball of height h into a ball of diameter
+    kappa / h; kappa = 1 / (1/(2 r_a) + 1/(2 r_b)) over the two whites
     tangent there (a line adds 0).  eid is an edge id or an array of them.
     """
     a, b = frame.nerve.ends
     r = frame.radius
-    return frame.height / (0.5 / r[a[eid]] + 0.5 / r[b[eid]])
+    return 1.0 / (0.5 / r[a[eid]] + 0.5 / r[b[eid]])
 
 
 def cusp_lattice(frame: CirclePacking) -> tuple[complex, complex, dict]:
@@ -166,13 +164,12 @@ def _lattice(block: FrameBlock, rows: _Rows, f: int) -> tuple[complex, complex, 
     if not rows.vertical[f]:
         raise MeasuringError("crossing-disk lift at the cusp is not vertical")
     nerve = block.nerve
-    h, w_inf = rows.strip[f], rows.spacing[f]
-    eid = rows.eids[f]
+    w_inf, eid = rows.spacing[f], rows.eids[f]
 
     if nerve.edges[eid].kind == "circle":
         sign = nerve.shear_sign[eid - len(nerve.arc_exit)]
-        meridian = w_inf + h * 1j * sign if sign else w_inf
-        longitude = 2j * h
+        meridian = w_inf + 1j * sign if sign else w_inf
+        longitude = 2j
         info = {"rectangles": 1, "shaded_spacing": w_inf}
         return meridian, longitude, info
 
@@ -180,12 +177,12 @@ def _lattice(block: FrameBlock, rows: _Rows, f: int) -> tuple[complex, complex, 
     # longitude walks the rectangle chain through the crossing-disk faces,
     # leaving the cusp's arc by its larger dart first.  A half-twisted disk
     # shears the chain by its sign.
-    meridian = 2j * h
+    meridian = 2j
     shear = 0.0
     start = x = nerve.arc_exit[eid]
     walk = [eid]  # arc i is nerve edge i
     while True:
-        shear += h * nerve.shear_sign[x >> 2]
+        shear += nerve.shear_sign[x >> 2]
         x, arc = nerve.exits[x]
         if x == start:
             break
@@ -301,7 +298,6 @@ class CuspReport:
     width: float
     witness: str
     diameters: list[float]
-    spacing_white: float
     spacing_disk: float
 
     def to_dict(self) -> dict:
@@ -319,7 +315,7 @@ class CuspReport:
             "reflection_width": float(self.width),
             "witness": self.witness,
             "circle_diameters": [float(x) for x in self.diameters],
-            "white_plane_spacing": float(self.spacing_white),
+            "white_plane_spacing": 1.0,
             "disk_plane_spacing": float(self.spacing_disk),
         }
 
@@ -392,7 +388,7 @@ def _analyze(packing: CirclePacking, cusps: list[str]) -> dict:
                 "measure: block of %d frames, %d circle and %d knotting; largest "
                 "residual %.2e against its gate %.2e (edge %d)",
                 len(block), circles, len(block) - circles, rows.worst[worst],
-                rows.gate[worst], rows.eids[worst],
+                10 * packing.tol, rows.eids[worst],
             )
         for f, c in enumerate(block):
             try:
@@ -403,14 +399,13 @@ def _analyze(packing: CirclePacking, cusps: list[str]) -> dict:
 
 
 def _report(block: FrameBlock, rows: _Rows, f: int) -> CuspReport:
-    _gate(rows, f)
+    _gate(rows, f, block.tol)
     shape, witness = _shape(block, rows, f)
     edge = block.nerve.edges[rows.eids[f]]
     return CuspReport(
         cusp=shape.cusp, kind="circle" if edge.kind == "circle" else "knotting", shape=shape,
-        width=rows.strip[f] / shape.height, witness=witness,
-        diameters=rows.diameters[f, :rows.finite[f]].tolist(),
-        spacing_white=rows.strip[f], spacing_disk=rows.spacing[f],
+        width=1.0 / shape.height, witness=witness,
+        diameters=rows.diameters[f, :rows.finite[f]].tolist(), spacing_disk=rows.spacing[f],
     )
 
 
@@ -421,7 +416,8 @@ def verify_meridian_bound(
     """Check every knotting-strand cusp against the strict bounds.
 
     Meridian lengths must lie in [2, 4) and reflection widths in [1, 2);
-    unsupported entries are reported as skipped, not failed.
+    unsupported entries are reported as skipped, not failed.  A corpus that
+    measures no cusp, every entry skipped, does not pass.
     """
     entries = []
     all_pass = True
@@ -452,4 +448,5 @@ def verify_meridian_bound(
                     "width_margin": 2.0 - w,
                 }
             )
-    return {"entries": entries, "all_pass": all_pass}
+    measured = any(e["status"] != "SKIP" for e in entries)
+    return {"entries": entries, "all_pass": all_pass and measured}

@@ -309,12 +309,13 @@ class CirclePacking:
     """Solved packing in a strip frame, as centre and radius arrays.
 
     The whites `lines` = (u, v) are the horizontal lines y = center[u].imag
-    and, above it, y = center[v].imag, of radius inf; every other white is
-    the circle of its centre and radius.  The tangency points, the shaded
-    circles and the residuals are derived on first use; they also derive
-    for a block of frames, arrays with a leading frame axis (FrameBlock).
-    Measuring a cusp reads only the shaded radii (disk_radius), and the
-    tangency points of its own edges.
+    and, above it, y = center[v].imag, of radius inf: y = 0 and y = 1 in
+    every packing that solve_packing and normalize_at_vertex make.  Every
+    other white is the circle of its centre and radius.  The tangency
+    points, the shaded circles and the residuals are derived on first use;
+    they also derive for a block of frames, arrays with a leading frame axis
+    (FrameBlock).  Measuring a cusp reads only the shaded radii
+    (disk_radius), and the tangency points of its own edges.
     """
 
     nerve: Nerve
@@ -323,12 +324,6 @@ class CirclePacking:
     lines: tuple[int, int]
     tol: float
     normalization: dict
-
-    @property
-    def height(self) -> float:
-        """Distance between the two lines."""
-        u, v = self.lines
-        return float(self.center[v].imag - self.center[u].imag)
 
     def tangency_points(self, eids: np.ndarray | None = None) -> np.ndarray:
         """Tangency point of each given edge, of every edge by default; nan
@@ -399,6 +394,7 @@ class CirclePacking:
         return float(self.residuals.max())
 
     def scale(self) -> float:
+        """The largest finite radius: a relative residual is taken against it."""
         finite = self.radius[np.isfinite(self.radius)]
         return float(finite.max()) if finite.size else 1.0
 
@@ -412,13 +408,6 @@ class FrameBlock(CirclePacking):
     (iterating and unpacking go through it): its residuals are the block's
     row, and whatever else it derives equals that row of the block's, bit
     for bit."""
-
-    @property
-    def height(self) -> np.ndarray:
-        """Per frame: the distance between the two lines."""
-        rows = np.arange(len(self))
-        u, v = self.lines
-        return (self.center[rows, v].imag - self.center[rows, u].imag).astype(float)
 
     def __len__(self) -> int:
         return len(self.center)
@@ -533,12 +522,12 @@ def solve_packing(nerve: Nerve, tol: float = 1e-12) -> CirclePacking:
     """Solve and lay out the packing with the nerve's infinity_edge at infinity.
 
     The two white faces of the infinity edge (the edge of largest degree
-    sum, see build_nerve) become horizontal lines y = 0
-    and y = 2; every other face becomes a circle in the strip, the root face
-    (tangent to both lines) of radius 1.  The tangencies are refined, and the
-    packing kept, in np.longdouble, so that the map to a cusp frame does not
-    magnify float64 roundoff; where longdouble is float64 the cusp frames that
-    miss tol are polished instead.
+    sum, see build_nerve) become horizontal lines y = 0 and y = 1, as in
+    every cusp frame; every other face becomes a circle in the strip, the
+    root face (tangent to both lines) of radius 1/2.  The tangencies are
+    refined, and the packing kept, in np.longdouble, so that the map to a
+    cusp frame does not magnify float64 roundoff; where longdouble is
+    float64 the cusp frames that miss tol are polished instead.
     """
     eid = nerve.infinity_edge
     u, v = nerve.edge_vertices(eid)
@@ -546,9 +535,9 @@ def solve_packing(nerve: Nerve, tol: float = 1e-12) -> CirclePacking:
     fixed = {u: math.inf, v: math.inf}
     stats: dict = {}
     radii = solve_flower_radii(petals, fixed, tol=max(tol * 1e-2, 1e-15), stats=stats)
-    z, r, h = _layout(nerve, u, v, radii)
+    z, r = _layout(nerve, u, v, radii)
     z, r = z.astype(np.clongdouble), r.astype(np.longdouble)
-    z, r, polish = _refine(nerve, z, r, h, u, v, eid, tol)
+    z, r, polish = _refine(nerve, z, r, u, v, eid, tol)
     packing = CirclePacking(
         nerve, z, r, (u, v), tol, {"infinity_edge": eid, "frame": "strip"}
     )
@@ -557,13 +546,13 @@ def solve_packing(nerve: Nerve, tol: float = 1e-12) -> CirclePacking:
         "solve_packing: %d whites, edge %d at infinity (degree sum %d), "
         "%d Newton steps, angle error %.2e, "
         "%d Gauss-Newton steps on %d unknowns in %s (eps %.2e), "
-        "max relative residual %.2e",
+        "max residual %.2e",
         nerve.whites, eid, len(nerve.flowers[u]) + len(nerve.flowers[v]),
         stats["newton_steps"], stats["angle_error"],
         polish["steps"], polish["unknowns"], r.dtype.name, np.finfo(r.dtype).eps,
-        worst / packing.scale(),
+        worst,
     )
-    if not worst <= tol * max(1.0, packing.scale()):
+    if not worst <= tol:
         raise ConvergenceError(
             f"solve_packing: tangency residual {worst:.3e} exceeds tol after "
             "refinement",
@@ -575,22 +564,21 @@ def solve_packing(nerve: Nerve, tol: float = 1e-12) -> CirclePacking:
 def _layout(nerve: Nerve, u: int, v: int, radii: dict[int, float]):
     """Place the circles flower by flower from a root tangent to both lines.
 
-    The radii are rescaled so that the root has radius 1: their scale is
+    The radii are rescaled so that the root has radius 1/2: their scale is
     otherwise arbitrary, and it would move the residual by roundoff.  The
-    root sits at 1j between the lines u, y = 0, and v, y = 2.  Each placed
+    root sits at 0.5j between the lines u, y = 0, and v, y = 1.  Each placed
     circle in turn walks its petal cycle from a placed petal and puts every
     unplaced petal where it touches the centre circle and the previous petal,
     on that petal's clockwise side: the flowers all run one way round, so
     this is the one position (Collins-Stephenson 2003).  Returns the centres
-    and radii of the whites and the strip height.
+    and radii of the whites.
     """
     petals = nerve.petals
     roots = [i for i in range(nerve.whites) if i not in (u, v) and {u, v} <= set(petals[i])]
     if not roots:
         raise UnsupportedLinkError("no face tangent to both reflection lines")
-    r = [radii[i] / radii[roots[0]] for i in range(nerve.whites)]
-    h = 2.0
-    centre = {u: 0j, v: h * 1j, roots[0]: 1j}
+    r = [radii[i] / radii[roots[0]] / 2 for i in range(nerve.whites)]
+    centre = {u: 0j, v: 1j, roots[0]: 0.5j}
     order = [roots[0]]
     for w in order:  # grows as petals are placed
         zw, pet = centre[w], petals[w]
@@ -603,7 +591,7 @@ def _layout(nerve: Nerve, u: int, v: int, radii: dict[int, float]):
             la = r[w] + r[q]
             if p in (u, v):
                 along = -1j if p == u else 1j
-                x = (zw.imag if p == u else h - zw.imag) - r[q]
+                x = (zw.imag if p == u else 1.0 - zw.imag) - r[q]
             else:
                 d = abs(centre[p] - zw)
                 along = (centre[p] - zw) / d
@@ -614,19 +602,19 @@ def _layout(nerve: Nerve, u: int, v: int, radii: dict[int, float]):
         lost = min(set(range(nerve.whites)) - set(centre))
         raise UnsupportedLinkError(f"layout: white {lost} is not reached from root {roots[0]}")
     z = np.array([centre[i] for i in range(nerve.whites)])
-    return z, np.array(r), h
+    return z, np.array(r)
 
 
-def _refine(nerve: Nerve, z, r, h: float, u: int, v: int, skip: int, tol: float):
-    """Newton polish of the tangencies, with u and v the lines y = 0, y = h.
+def _refine(nerve: Nerve, z, r, u: int, v: int, skip: int, tol: float):
+    """Newton polish of the tangencies, with u and v the lines y = 0, y = 1.
 
     z and r hold the centre and radius of every white (the entries of u and
     v are kept).  The equations are the tangencies of every nerve edge but
     `skip`, the one at infinity, and a gauge row that holds the x of the
     first circle; the nerve triangulates the sphere, so E = 3W - 6 and the
     system is square.  A tangency with a line is linear, r = y above u or
-    r = h - y below v: one such row of a circle gives its radius, which is
-    substituted, and a second one stays as the row 2y = h.  The unknowns are
+    r = 1 - y below v: one such row of a circle gives its radius, which is
+    substituted, and a second one stays as the row 2y = 1.  The unknowns are
     x and y of every circle and r of the circles that touch no line; each
     step is the Newton step of the whole system, solved in fewer unknowns.
     The state, residual and radii keep the dtype of z and r; the Jacobian
@@ -648,7 +636,7 @@ def _refine(nerve: Nerve, z, r, h: float, u: int, v: int, skip: int, tol: float)
     # Walls: a circle and a line, with the signed distance side * y + off.
     circ = np.where(sa >= 0, sa, sb)[~pair]
     side = np.where((ea == u) | (eb == u), 1.0, -1.0)[~pair]
-    off = np.where(side > 0, 0.0, h)
+    off = np.where(side > 0, 0.0, 1.0)
     # One wall per walled circle (any one) gives its radius; the rest stay
     # as rows.
     wall = np.full(m, -1)
@@ -799,14 +787,13 @@ def normalize_at_vertex(
     frame = np.arange(len(eids))
     center[frame, u], center[frame, v] = 0j, 1j
     radius[frame, u] = radius[frame, v] = np.inf
-    # Every radius in the unit strip is at most 1/2, so tol is the gate
-    # tol * max(1, scale) that solve_packing meets: polish only above it.
+    # Polish only above tol, the gate that solve_packing meets.
     residuals = CirclePacking(nerve, center, radius, None, packing.tol, {}).residuals
     before = residuals.max(axis=1)
     polish = [{"steps": 0, "unknowns": 0, "before": x, "after": x} for x in before.tolist()]
     for f in np.flatnonzero(before > packing.tol):
         center[f], radius[f], polish[f] = _refine(
-            nerve, center[f], radius[f], 1.0, u[f], v[f], eids[f], packing.tol
+            nerve, center[f], radius[f], u[f], v[f], eids[f], packing.tol
         )
         residuals[f] = CirclePacking(nerve, center[f], radius[f], None, packing.tol, {}).residuals
     # The shaded lines through infinity pass through the tangencies of the

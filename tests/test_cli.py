@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import importlib
 import io
 import json
@@ -27,10 +28,10 @@ augment_module = importlib.import_module("augcusp.augment")
 SRC = os.path.dirname(os.path.dirname(augcusp.__file__))
 
 
-def run(*args, env=None):
+def run(*args, env=None, stdout=subprocess.PIPE):
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        CLI + list(args), capture_output=True, text=True,
+        CLI + list(args), stdout=stdout, stderr=subprocess.PIPE, text=True,
         env={**os.environ, "PYTHONPATH": path, **(env or {})},
     )
 
@@ -326,6 +327,35 @@ class TestCusp:
         r = run("cusp", str(diagrams / "trefoil.json"))
         assert r.returncode == 3
 
+    def test_file_and_family_together_exit_2(self, diagrams, capsys):
+        path = str(diagrams / "fig8.json")
+        assert cli.main(["cusp", path, "--family", "twobridge", "1", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"parse error: give a diagram file or --family, not both: {path} and "
+            "--family twobridge 1 1\n"
+        )
+
+    def test_closed_stdout_exit_2(self):
+        # The pipe's read end is closed before the child writes: its print
+        # fails, and nothing is left for the flush at exit.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            r = run("cusp", "--family", "twobridge", "1", "1", stdout=write)
+        finally:
+            os.close(write)
+        assert r.returncode == 2
+        assert r.stderr == f"output error: cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_stdout_exit_2(self):
+        with open("/dev/full", "w") as full:
+            r = run("verify", "--generate", "2", stdout=full)
+        assert r.returncode == 2
+        assert r.stderr == f"output error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
     def test_loops_without_crossings_exit_3(self, tmp_path, capsys):
         path = tmp_path / "loops.json"
         path.write_text(json.dumps({"pd": [], "loops": ["a"]}))
@@ -346,6 +376,15 @@ class TestVerify:
         assert cli.main(["verify", str(tmp_path)]) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"parse error: {tmp_path} holds no *.json diagram\n")
+
+    def test_nothing_measured_exit_3(self):
+        # --generate 1 holds one entry, with a single crossing circle.
+        r = run("verify", "--generate", "1")
+        assert r.returncode == 3
+        doc = json.loads(r.stdout)
+        assert [e["status"] for e in doc["entries"]] == ["SKIP"]
+        assert doc["all_pass"] is False
+        assert r.stderr.endswith("0 pass, 0 fail, 1 skipped\n")
 
     def test_no_corpus(self, capsys):
         assert cli.main(["verify"]) == 2

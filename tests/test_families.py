@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from augcusp import catalog
@@ -73,6 +75,18 @@ class TestLongitudeFamily:
             inv = longitude_family_invariants(gen_longitude_family(n))
             assert inv["new_disks_meet_strand_four_times"]
             assert inv["new_punctures_same_component"]
+
+    def test_a_new_disk_met_three_times_is_reported(self):
+        # The count reads the strand's passages, not the circle's own
+        # strand count, which still says 4.
+        al = gen_longitude_family(2)
+        dropped = next(k for k, p in enumerate(al.passages["K"]) if p.circle == "C3")
+        passages = al.passages["K"][:dropped] + al.passages["K"][dropped + 1:]
+        short = dataclasses.replace(al, passages={"K": passages})
+        assert short.circles["C3"].strand_count == 4
+        inv = longitude_family_invariants(short)
+        assert inv["four_strand_circles"] == 4
+        assert not inv["new_disks_meet_strand_four_times"]
 
     def test_certificate_for_all_n(self):
         for n in range(0, 11):

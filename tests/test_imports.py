@@ -95,7 +95,7 @@ def assert_compiled_before_numpy(loaded: list[str]) -> None:
     [
         ["cusp", "chain-5.json"],
         ["cusp", "--family", "twobridge", "1", "1", "--render", "out.svg"],
-        ["verify", "--generate", "1"],
+        ["verify", "--generate", "2"],
     ],
     ids=["cusp", "cusp-twobridge-render", "verify"],
 )
