@@ -62,7 +62,10 @@ def _emit(doc, args) -> None:
 
 
 def _say(msg: str) -> None:
-    print(msg, file=sys.stderr)
+    try:
+        print(msg, file=sys.stderr, flush=True)
+    except OSError:  # a closed stderr: drop the line; the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
 
 
 def _read_diagram(path: str):
@@ -371,6 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    sys.stderr = sys.stderr or open(os.devnull, "w")  # None where fd 2 was closed at start
     level = os.environ.get("AUGCUSP_LOG", "WARNING").upper()
     logging.basicConfig(stream=sys.stderr, level=getattr(logging, level, 30))
     ap = build_parser()

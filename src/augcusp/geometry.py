@@ -118,8 +118,7 @@ def _alone(frame: CirclePacking) -> tuple[FrameBlock, _Rows]:
     one = np.zeros(1, dtype=np.intp)
     block = FrameBlock(
         frame.nerve, frame.center[None], frame.radius[None], (one + u, one + v), frame.tol,
-        {"infinity_edge": one + norm["infinity_edge"], "frame": norm["frame"],
-         "polish": [norm["polish"]]},
+        {"infinity_edge": one + norm["infinity_edge"], "frame": norm["frame"]},
     )
     vars(block)["residuals"] = frame.residuals[None]
     return block, _rows(block)

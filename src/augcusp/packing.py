@@ -301,6 +301,45 @@ def _check_degrees(n: Nerve) -> None:
             )
 
 
+# -- double-double arithmetic ----------------------------------------------------
+# A value is hi + lo, two float64s, from IEEE +, - and * alone: the same on every
+# platform (Dekker 1971; Shewchuk 1997).  The functions take floats or arrays.
+
+
+def _two_sum(a, b):
+    """s + e == a + b exactly, s the rounded sum (Knuth)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _split(a):
+    t = 134217729.0 * a  # 2**27 + 1: Dekker's split, a = hi + lo of 26 bits each
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _two_prod(a, b):
+    """p + e == a * b exactly, p the rounded product, for factors below 2**996
+    whose product's error does not underflow."""
+    p, (ah, al), (bh, bl) = a * b, _split(a), _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_add(ah, al, bh, bl):
+    """(ah + al) + (bh + bl), renormalized: its hi is the rounded sum."""
+    s, e = _two_sum(ah, bh)
+    e = e + (al + bl)
+    h = s + e
+    return h, e - (h - s)
+
+
+def _dd_square(h, l):
+    """(h + l)^2, not renormalized: h is split once."""
+    p, (hh, hl) = h * h, _split(h)
+    return p, ((hh * hh - p) + 2 * hh * hl) + hl * hl + 2 * h * l
+
+
 # -- the packing solver --------------------------------------------------------
 
 
@@ -319,11 +358,12 @@ class CirclePacking:
     """
 
     nerve: Nerve
-    center: np.ndarray  # complex, one per white; clongdouble in the strip frame
-    radius: np.ndarray  # one per white, inf for the two lines; longdouble likewise
+    center: np.ndarray  # complex, one per white
+    radius: np.ndarray  # one per white, inf for the two lines
     lines: tuple[int, int]
     tol: float
     normalization: dict
+    lo: tuple[np.ndarray, np.ndarray] | None = None  # a double-double strip's low parts
 
     def tangency_points(self, eids: np.ndarray | None = None) -> np.ndarray:
         """Tangency point of each given edge, of every edge by default; nan
@@ -353,7 +393,7 @@ class CirclePacking:
         when two of them are lines."""
         with np.errstate(divide="ignore"):
             ka, kb, kc = np.moveaxis((1.0 / self.radius)[..., self.nerve.triangle_whites], -1, 0)
-            return (1.0 / np.sqrt(ka * kb + kb * kc + kc * ka)).astype(float, copy=False)
+            return 1.0 / np.sqrt(ka * kb + kb * kc + kc * ka)
 
     @cached_property
     def disks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -376,7 +416,7 @@ class CirclePacking:
             weight = k.sum(axis=-1, keepdims=True) - k  # k_j + k_l
             center = (weight * kz).sum(axis=-1) * (radius * radius / 2)
         foot = np.where(k > 0, self.center[..., tri].real, -np.inf).max(axis=-1)
-        return np.where(np.isinf(radius), foot, center).astype(complex, copy=False), radius
+        return np.where(np.isinf(radius), foot, center), radius
 
     @cached_property
     def residuals(self) -> np.ndarray:
@@ -417,8 +457,7 @@ class FrameBlock(CirclePacking):
         norm = self.normalization
         frame = CirclePacking(
             self.nerve, self.center[f], self.radius[f], (int(u[f]), int(v[f])), self.tol,
-            {"infinity_edge": int(norm["infinity_edge"][f]), "frame": norm["frame"],
-             "polish": norm["polish"][f]},
+            {"infinity_edge": int(norm["infinity_edge"][f]), "frame": norm["frame"]},
         )
         vars(frame)["residuals"] = self.residuals[f]
         return frame
@@ -525,9 +564,8 @@ def solve_packing(nerve: Nerve, tol: float = 1e-12) -> CirclePacking:
     sum, see build_nerve) become horizontal lines y = 0 and y = 1, as in
     every cusp frame; every other face becomes a circle in the strip, the
     root face (tangent to both lines) of radius 1/2.  The tangencies are
-    refined, and the packing kept, in np.longdouble, so that the map to a
-    cusp frame does not magnify float64 roundoff; where longdouble is
-    float64 the cusp frames that miss tol are polished instead.
+    refined in double-double, and the packing keeps the low parts (lo), so
+    that the map to a cusp frame does not magnify float64 roundoff.
     """
     eid = nerve.infinity_edge
     u, v = nerve.edge_vertices(eid)
@@ -535,22 +573,19 @@ def solve_packing(nerve: Nerve, tol: float = 1e-12) -> CirclePacking:
     fixed = {u: math.inf, v: math.inf}
     stats: dict = {}
     radii = solve_flower_radii(petals, fixed, tol=max(tol * 1e-2, 1e-15), stats=stats)
-    z, r = _layout(nerve, u, v, radii)
-    z, r = z.astype(np.clongdouble), r.astype(np.longdouble)
-    z, r, polish = _refine(nerve, z, r, u, v, eid, tol)
+    z, r, lo, refine = _refine(nerve, *_layout(nerve, u, v, radii))
     packing = CirclePacking(
-        nerve, z, r, (u, v), tol, {"infinity_edge": eid, "frame": "strip"}
+        nerve, z, r, (u, v), tol, {"infinity_edge": eid, "frame": "strip"}, lo
     )
     worst = packing.max_residual()
     log.info(
         "solve_packing: %d whites, edge %d at infinity (degree sum %d), "
         "%d Newton steps, angle error %.2e, "
-        "%d Gauss-Newton steps on %d unknowns in %s (eps %.2e), "
-        "max residual %.2e",
+        "%d Gauss-Newton steps on %d unknowns in double-double "
+        "(tangency error %.2e -> %.2e), max residual %.2e",
         nerve.whites, eid, len(nerve.flowers[u]) + len(nerve.flowers[v]),
         stats["newton_steps"], stats["angle_error"],
-        polish["steps"], polish["unknowns"], r.dtype.name, np.finfo(r.dtype).eps,
-        worst,
+        refine["steps"], refine["unknowns"], refine["before"], refine["after"], worst,
     )
     if not worst <= tol:
         raise ConvergenceError(
@@ -605,26 +640,29 @@ def _layout(nerve: Nerve, u: int, v: int, radii: dict[int, float]):
     return z, np.array(r)
 
 
-def _refine(nerve: Nerve, z, r, u: int, v: int, skip: int, tol: float):
-    """Newton polish of the tangencies, with u and v the lines y = 0, y = 1.
+def _refine(nerve: Nerve, z, r):
+    """Newton refinement of the strip's tangencies in double-double.
 
-    z and r hold the centre and radius of every white (the entries of u and
-    v are kept).  The equations are the tangencies of every nerve edge but
-    `skip`, the one at infinity, and a gauge row that holds the x of the
-    first circle; the nerve triangulates the sphere, so E = 3W - 6 and the
-    system is square.  A tangency with a line is linear, r = y above u or
-    r = 1 - y below v: one such row of a circle gives its radius, which is
-    substituted, and a second one stays as the row 2y = 1.  The unknowns are
-    x and y of every circle and r of the circles that touch no line; each
-    step is the Newton step of the whole system, solved in fewer unknowns.
-    The state, residual and radii keep the dtype of z and r; the Jacobian
-    and the step are solved in float64 (mixed-precision iterative
-    refinement, Higham 2002 ch. 12).  A state wider than float64 is refined
-    to the roundoff floor of its residual, a float64 one to 1e-3 tol; either
-    stops early when a step does not lower the residual, and after 8 steps.
-    Returns z, r and the polish record: steps, unknowns, and the largest
-    tangency error before and after.
+    z and r hold the centre and radius of every white; the whites u and v of
+    the nerve's infinity edge are the lines y = 0 and y = 1 (kept).  The
+    equations are the tangencies of every nerve edge but the one at
+    infinity, and a gauge row that holds the x of the first circle; the
+    nerve triangulates the sphere, so E = 3W - 6 and the system is square.
+    A tangency with a line is linear, r = y above u or r = 1 - y below v:
+    one such row of a circle gives its radius, which is substituted, and a
+    second one stays as the row 2y = 1.  The unknowns are x and y of every
+    circle and r of the circles that touch no line; each step is the Newton
+    step of the whole system, solved in fewer unknowns.  The state is
+    double-double, the residual of two circles
+    (dx^2 + dy^2 - (r_a + r_b)^2) / (d + r_a + r_b) with its numerator exact
+    to ~1e-32, the Jacobian and the step float64 (mixed-precision iterative
+    refinement, Higham 2002 ch. 12).  It stops at 2^-100 (the floor is
+    ~2e-32 on the ladders: 1 or 2 steps), when a step does not lower the
+    residual, or after 8.  Returns z, r, their low parts (lo) and the
+    record: steps, unknowns, and the largest tangency error before and after.
     """
+    skip = nerve.infinity_edge
+    u, v = nerve.edge_vertices(skip)
     free = np.flatnonzero((np.arange(nerve.whites) != u) & (np.arange(nerve.whites) != v))
     m = len(free)
     slot = np.full(nerve.whites, -1)
@@ -653,35 +691,32 @@ def _refine(nerve: Nerve, z, r, u: int, v: int, skip: int, tol: float):
     n = 2 * m + len(own)
     cq = circ[rest]
     q_coef, q_const = side[rest] - g[cq], off[rest] - o[cq]
-    state = np.concatenate((z[free].real, z[free].imag, r[free][own]))
-    x0 = state[0]
+    state = np.concatenate((z[free].real, z[free].imag, r[free][own])), np.zeros(n)
+    x0 = state[0][0]
 
-    def radii(s):
-        return g * s[rcol] + o
+    def radii(s, sl):
+        return _dd_add(g * s[rcol], g * sl[rcol], o, 0.0)
 
-    def residual(s):
-        x, y, rad = s[:m], s[m:2 * m], radii(s)
-        d = np.hypot(x[cb] - x[ca], y[cb] - y[ca])
-        return np.concatenate((d - rad[ca] - rad[cb], q_coef * y[cq] + q_const, [s[0] - x0]))
+    def residual(s, sl):
+        rh, rl = radii(s, sl)
+        dx, dy = (_dd_add(s[k + cb], sl[k + cb], -s[k + ca], -sl[k + ca]) for k in (0, m))
+        ab = _dd_add(rh[ca], rl[ca], rh[cb], rl[cb])
+        h, e = _dd_square(*ab)
+        num = _dd_add(*_dd_add(*_dd_square(*dx), *_dd_square(*dy)), -h, -e)[0]
+        walls = q_coef * s[m + cq] + q_const + q_coef * sl[m + cq]
+        return np.concatenate((num / (np.hypot(dx[0], dy[0]) + ab[0]), walls, [s[0] - x0 + sl[0]]))
 
     def jacobian(s):
-        s = s.astype(float, copy=False)
         dx = s[cb] - s[ca]
         dy = s[m + cb] - s[m + ca]
         d = np.hypot(dx, dy)
         vals = np.concatenate((-dx / d, dx / d, -dy / d, dy / d, -g[ca], -g[cb], q_coef, [1.0]))
         return np.bincount(flat, vals, n * n).reshape(n, n)
 
-    res = residual(state)
-    worst = float(np.max(np.abs(res)))
-    walls = side * z[free].imag[circ] + off - r[free][circ]
-    before = max(worst, float(np.max(np.abs(walls))))
-    # The roundoff floor of a wider state is a few ulps of its largest
-    # coordinate: one more step there would only confirm that it stalls.
-    eps = np.finfo(state.dtype).eps
-    goal = 4 * eps * float(np.max(np.abs(state))) if eps < np.finfo(float).eps else 1e-3 * tol
+    res = residual(*state)
+    before = worst = float(np.max(np.abs(res)))
     steps = 0
-    while worst > goal and steps < 8:
+    while worst > 2.0**-100 and steps < 8:
         if not steps:  # the Jacobian pattern, for a state that takes a step
             rows = np.arange(len(ca)) * n
             flat = np.concatenate((
@@ -689,18 +724,18 @@ def _refine(nerve: Nerve, z, r, u: int, v: int, skip: int, tol: float):
                 rows + rcol[cb], (len(ca) + np.arange(len(cq))) * n + m + cq, [n * n - n],
             ))
         try:
-            trial = state + np.linalg.solve(jacobian(state), (-res).astype(float))
+            trial = _dd_add(*state, np.linalg.solve(jacobian(state[0]), -res), 0.0)
         except np.linalg.LinAlgError:
             break
-        res_trial = residual(trial)
+        res_trial = residual(*trial)
         if not np.max(np.abs(res_trial)) < worst:
             break
         state, res, worst = trial, res_trial, float(np.max(np.abs(res_trial)))
         steps += 1
-    z, r = z.copy(), r.copy()
-    z[free] = state[:m] + 1j * state[m:2 * m]
-    r[free] = radii(state)
-    return z, r, {"steps": steps, "unknowns": n, "before": before, "after": worst}
+    (s, sl), (z, r), lo = state, (z.copy(), r.copy()), (np.zeros_like(z), np.zeros_like(r))
+    z[free], lo[0][free] = s[:m] + 1j * s[m:2 * m], sl[:m] + 1j * sl[m:2 * m]
+    r[free], lo[1][free] = radii(s, sl)
+    return z, r, lo, {"steps": steps, "unknowns": n, "before": before, "after": worst}
 
 
 # -- normalization --------------------------------------------------------------
@@ -716,36 +751,47 @@ def normalize_at_vertex(
     leftmost at x = 0, with the packing in the right half strip.  One Mobius
     map, w = A + B / (z - p) (or an affine map when p is already infinity),
     carries the whites into this frame, the cusp's own.  Only the power
-    D = |z - p|^2 - r^2 of p cancels near p: z - p and D are computed in the
-    packing's precision and rounded to float64 once, and the rest of the map
-    runs in float64.  There the tangencies are polished again, which removes
-    the roundoff the map amplifies, unless the mapped tangency error is
-    already within tol (as it is from an extended-precision strip frame).
-    The shaded circles follow from the whites.  The polish record (steps,
-    unknowns, tangency error before and after; 0 steps on 0 unknowns when
-    skipped) is kept in normalization["polish"].  The frame's residuals are
-    those that decide the polish (derived again for a polished frame): they
-    are taken before the flank shift that puts the leftmost shaded line at
-    x = 0, which moves the circle centres by one real constant, so the rows
-    of a line are the same and the others differ at roundoff.
+    D = |z - p|^2 - r^2 of p cancels near p: p, z - p and D are computed in
+    double-double from the packing's hi + lo (hi alone when lo is None) and
+    rounded to float64 once, and the rest of the map runs in float64.  The
+    shaded circles follow from the whites.  No frame is polished: one that
+    the map leaves beyond tol is refused when it is measured.
 
     edge_id is an edge id, or an array of them for a FrameBlock of those
     frames, (frames x whites) arrays: its frames are the same, bit for bit,
-    as one edge at a time.  Each is polished alone.
+    as one edge at a time.
     """
     nerve = packing.nerve
     z, r = packing.center, packing.radius
+    zl, rl = packing.lo or (np.zeros_like(z), np.zeros_like(r))
     eids = np.atleast_1d(np.asarray(edge_id, dtype=np.intp))
     ea, eb = nerve.ends[0][eids], nerve.ends[1][eids]
-    p = packing.points[eids]
-    at_infinity = np.isnan(p)
-    # s = 1 / (z - p), or s = z, sends a and b to lines {Re(conj(n) s) = o}:
-    # a circle through p to Re((c - p) s) = 1/2, a line through p to the
-    # real axis.
-    ends = []
+    la, lb = np.isinf(r[ea]), np.isinf(r[eb])
+    at_infinity, frame = la & lb, np.arange(len(eids))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        # p = z_a + (z_b - z_a) t, t = r_a / (r_a + r_b), or a line's foot (the
+        # circle's x, the line's y), then c = z - p and D = |c|^2 - r^2 of every
+        # white.  Rows at infinity, the lines and a and b are set after.
+        sh, sl = _dd_add(r[ea], rl[ea], r[eb], rl[eb])
+        t = r[ea] / sh
+        q, e = _two_prod(t, sh)
+        t = t, ((r[ea] - q) - e + rl[ea] - t * sl) / sh
+        pc = []  # per coordinate, p and c
+        for h, l, foot in ((z.real, zl.real, np.where(la, eb, ea)),
+                           (z.imag, zl.imag, np.where(la, ea, eb))):
+            d = _dd_add(h[eb], l[eb], -h[ea], -l[ea])
+            q, e = _two_prod(d[0], t[0])
+            p = _dd_add(h[ea], l[ea], q, e + d[0] * t[1] + d[1] * t[0])
+            p = [np.where(la | lb, w[foot], x)[:, None] for w, x in zip((h, l), p)]
+            pc.append((p, _dd_add(h, l, -p[0], -p[1])))
+        (_, cx), (py, cy) = pc
+        h, e = _dd_square(r, rl)
+        inv = 1.0 / _dd_add(*_dd_add(*_dd_square(*cx), *_dd_square(*cy)), -h, -e)[0]
+        # s = 1 / (z - p), or s = z, sends a and b to lines {Re(conj(n) s) = o}:
+        # a circle through p to Re(c s) = 1/2, a line through p to the real axis.
+        ends = []
         for i in (ea, eb):
-            line, c = np.isinf(r[i]), z[i] - p
+            line, c = np.isinf(r[i]), cx[0][frame, i] + 1j * cy[0][frame, i]
             dist = abs(c)
             miss = np.where(line, 0.0, abs(dist - r[i]) / r[i])
             if (miss > 1e-6).any():
@@ -756,46 +802,31 @@ def normalize_at_vertex(
                     float(miss[f]),
                 )
             offset = np.where(line, np.where(at_infinity, z[i].imag, 0.0), 0.5 / dist)
-            ends.append((np.where(line, 1j, c.conjugate() / dist), offset))
-        (na, oa), (nb, ob) = ends
-        rot = 1j / na  # turns a's normal to +i
-        yb = np.where((rot * nb).imag > 0, ob, -ob)
+            ends.append((c, dist, offset))
+        (ca, da, oa), (cb, _, ob) = ends
+        rot = np.where(la, 1, 1j * ca / da)  # turns a's normal to +i
+        yb = np.where((rot * np.where(lb, 1j, cb.conjugate())).imag > 0, ob, -ob)
         low = (oa < yb) | ((oa == yb) & (ea < eb))  # a is the lower line
         u, v = np.where(low, ea, eb), np.where(low, eb, ea)
         ylo, yhi = np.where(low, oa, yb), np.where(low, yb, oa)
         k = 1.0 / (yhi - ylo)
         scale, shift = k * rot, -1j * ylo * k  # w = scale * s + shift
-        # Only D = |c|^2 - r^2 cancels near p: c = z - p and D are rounded to
-        # float64 once from the packing's precision; the rest is float64.
-        # Rows at infinity, the lines and a and b are set after.
-        c = z - p[:, None]
-        inv = 1.0 / (c.real * c.real + c.imag * c.imag - r * r).astype(float)
-        cx, cy = c.real.astype(float) * inv, c.imag.astype(float) * inv
-        b, a = scale.astype(complex)[:, None], shift.astype(complex)[:, None]
-        center = np.empty(c.shape, dtype=complex)
+        cx, cy = cx[0] * inv, cy[0] * inv
+        b, a = scale[:, None], shift[:, None]
+        center = np.empty(cx.shape, dtype=complex)
         center.real = b.real * cx + b.imag * cy + a.real
         center.imag = b.imag * cx - b.real * cy + a.imag
-        radius = k.astype(float)[:, None] * r.astype(float) * inv
+        radius = k[:, None] * r * inv
     rows = np.flatnonzero(at_infinity)
     center[rows] = scale[rows, None] * z + shift[rows, None]
     radius[rows] = k[rows, None] * r
     for i in packing.lines:  # a line off p: a circle through s = 0
         off = np.flatnonzero(~at_infinity & (ea != i) & (eb != i))
-        delta = z[i].imag - p[off].imag
+        delta = (z[i].imag - py[0][off, 0]) - py[1][off, 0]
         center[off, i] = scale[off] * (-0.5j / delta) + shift[off]
         radius[off, i] = 0.5 * k[off] / abs(delta)
-    frame = np.arange(len(eids))
     center[frame, u], center[frame, v] = 0j, 1j
     radius[frame, u] = radius[frame, v] = np.inf
-    # Polish only above tol, the gate that solve_packing meets.
-    residuals = CirclePacking(nerve, center, radius, None, packing.tol, {}).residuals
-    before = residuals.max(axis=1)
-    polish = [{"steps": 0, "unknowns": 0, "before": x, "after": x} for x in before.tolist()]
-    for f in np.flatnonzero(before > packing.tol):
-        center[f], radius[f], polish[f] = _refine(
-            nerve, center[f], radius[f], u[f], v[f], eids[f], packing.tol
-        )
-        residuals[f] = CirclePacking(nerve, center[f], radius[f], None, packing.tol, {}).residuals
     # The shaded lines through infinity pass through the tangencies of the
     # lines with the two whites that flank the cusp, so they sit at the x of
     # those whites' centres.
@@ -803,22 +834,8 @@ def normalize_at_vertex(
     on_line = (flank == u[:, None]) | (flank == v[:, None])
     x = np.where(on_line, np.inf, center[frame[:, None], flank].real)
     center = np.where(np.isfinite(radius), center - x.min(axis=1)[:, None], center)
-    for eid, record in zip(eids.tolist(), polish) if log.isEnabledFor(logging.DEBUG) else ():
-        if record["unknowns"]:
-            log.debug(
-                "normalize_at_vertex: edge %d, %d Gauss-Newton steps on %d unknowns, "
-                "tangency error %.2e -> %.2e",
-                eid, record["steps"], record["unknowns"], record["before"], record["after"],
-            )
-        else:
-            log.debug(
-                "normalize_at_vertex: edge %d, not polished (0 unknowns), mapped "
-                "tangency error %.2e within tol %.2e",
-                eid, record["before"], packing.tol,
-            )
     block = FrameBlock(
         nerve, center, radius, (u, v), packing.tol,
-        {"infinity_edge": eids, "frame": "unit-strip", "polish": polish},
+        {"infinity_edge": eids, "frame": "unit-strip"},
     )
-    vars(block)["residuals"] = residuals
     return block if np.ndim(edge_id) else block[0]

@@ -11,7 +11,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import augcusp
@@ -28,12 +28,23 @@ augment_module = importlib.import_module("augcusp.augment")
 SRC = os.path.dirname(os.path.dirname(augcusp.__file__))
 
 
-def run(*args, env=None, stdout=subprocess.PIPE):
+def run(*args, env=None, stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=None):
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        CLI + list(args), stdout=stdout, stderr=subprocess.PIPE, text=True,
+        CLI + list(args), stdout=stdout, stderr=stderr, text=True, preexec_fn=preexec_fn,
         env={**os.environ, "PYTHONPATH": path, **(env or {})},
     )
+
+
+def close_stderr():
+    os.close(2)
+
+
+def read_only_stderr():
+    """fd 2 closed and then reused by a file opened for reading, as when
+    something opens a file in a process started with `2>&-`."""
+    os.close(2)
+    os.open(os.devnull, os.O_RDONLY)
 
 
 @pytest.fixture(scope="module")
@@ -275,7 +286,7 @@ class TestCusp:
         b = run("cusp", "--family", "twobridge", "2", "1", "2", env={"AUGCUSP_LOG": "DEBUG"})
         assert a.stdout == b.stdout
         assert "solve_packing:" in b.stderr and "solve_packing:" not in a.stderr
-        assert "normalize_at_vertex:" in b.stderr
+        assert "measure: block of " in b.stderr and "normalize_at_vertex:" not in b.stderr
 
     def test_every_chain_cusp_reported(self, tmp_path):
         path = tmp_path / "chain-13.json"
@@ -361,6 +372,22 @@ class TestCusp:
         path.write_text(json.dumps({"pd": [], "loops": ["a"]}))
         assert cli.main(["cusp", str(path)]) == 3
         assert capsys.readouterr().err == "validation error: no crossing circles\n"
+
+
+@pytest.mark.parametrize("closing", [close_stderr, read_only_stderr])
+class TestClosedStderr:
+    """A closed stderr drops the summary lines and changes no exit code."""
+
+    def test_report_written_exit_0(self, closing):
+        want = run("verify", "--generate", "2")
+        got = run("verify", "--generate", "2", stderr=None, preexec_fn=closing)
+        assert want.returncode == got.returncode == 0
+        assert got.stdout == want.stdout
+
+    def test_parse_error_exit_2(self, closing, tmp_path):
+        (tmp_path / "EMPTY.json").write_text("")
+        r = run("twists", str(tmp_path / "EMPTY.json"), stderr=None, preexec_fn=closing)
+        assert r.returncode == 2 and r.stdout == ""
 
 
 class TestVerify:
@@ -556,6 +583,68 @@ def test_any_json_envelope_exits_with_a_code(doc):
         for argv in (["augment", path, "--roundtrip"], ["cusp", path]):
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 assert cli.main(argv) in (0, 2, 3, 4)
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    """Small catalog diagrams, and an empty directory for outputs."""
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, make in (
+        ("trefoil", catalog.trefoil), ("fig8", catalog.figure_eight),
+        ("pretzel-333", lambda: catalog.pretzel_link([3, 3, 3])),
+        ("chain-5", lambda: catalog.two_bridge_chain(5)),
+    ):
+        (root / f"{name}.json").write_text(make().to_json())
+    (root / "outputs").mkdir()
+    return root
+
+
+TOLS = st.sampled_from(["1e-12", "1e-9", "0.5", "0", "-1", "nan", "inf", "abc", "1e-300"])
+
+
+@pytest.mark.filterwarnings("ignore::augcusp.errors.ReducibleDiagramWarning")
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_arguments_exit_with_a_code(fuzz_root, data):
+    """The four subcommands in-process over diagrams, --tol strings and
+    --out or --render targets (a file, a missing directory, a directory,
+    /dev/full): every run ends in 0, 2, 3 or 4, argparse's usage exits
+    included, and raises nothing else."""
+    draw = data.draw
+    diagrams = sorted(str(path) for path in fuzz_root.glob("*.json"))
+    outputs = fuzz_root / "outputs"
+    targets = [str(outputs / "report.json"), str(fuzz_root / "missing" / "report.json"),
+               str(outputs)] + ["/dev/full"] * os.path.exists("/dev/full")
+    argv = []
+    if draw(st.booleans()):
+        argv += ["--tol", draw(TOLS | st.text(max_size=4))]
+    if draw(st.booleans()):
+        argv += ["--out", draw(st.sampled_from(targets))]
+    command = draw(st.sampled_from(["twists", "augment", "cusp", "verify"]))
+    argv.append(command)
+    inputs = diagrams + [str(fuzz_root / "missing.json"), str(outputs)]
+    if command in ("twists", "augment"):
+        argv.append(draw(st.sampled_from(inputs)))
+        argv += ["--roundtrip"] * (command == "augment" and draw(st.booleans()))
+    elif command == "cusp":
+        argv += draw(st.lists(st.sampled_from(inputs), max_size=1))
+        argv += draw(st.sampled_from([[], ["--family", "twobridge", "1", "1"],
+                                      ["--family", "twobridge", "2", "1"],
+                                      ["--family", "longitude", "2"], ["--family", "twobridge", "x"],
+                                      ["--family", "foo"], ["--family"]]))
+        if draw(st.booleans()):
+            argv += ["--render", draw(st.sampled_from(targets)).replace(".json", ".svg")]
+    else:
+        argv += draw(st.sampled_from([[], ["--generate", "2"], ["--generate", "0"],
+                                      ["--generate", "x"], [str(fuzz_root)], [str(outputs)],
+                                      [str(fuzz_root / "missing")]]))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4), argv
 
 
 def test_annotation_through_a_crossing_twice_exit_3(tmp_path):

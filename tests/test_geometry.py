@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import platform
 import random
 import re
 import subprocess
@@ -110,19 +111,22 @@ class TestSquareCusp:
 
 class TestScaling:
     def test_doubling_the_strip_gives_the_same_frame(self):
-        # Scaling the strip by 2 is exact, and normalize_at_vertex maps both
-        # strips to the same unit strip, bit for bit.  (A cusp frame scaled
-        # by hand is refused, see TestMeasuringErrors.)
-        al = borromean_link()
-        nerve = build_nerve(al)
-        packing = solve_packing(nerve)
-        eid = min(k for k, e in enumerate(nerve.edges) if e.cusp == "0")
-        norm = normalize_at_vertex(packing, eid)
-        strip = dataclasses.replace(packing, center=2 * packing.center, radius=2 * packing.radius)
-        doubled = normalize_at_vertex(strip, eid)
-        for got, want in ((doubled.center, norm.center), (doubled.radius, norm.radius)):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert cusp_shape(assemble(doubled)) == cusp_shape(assemble(norm))
+        # Scaling the strip by 2, its low parts too, is exact, and
+        # normalize_at_vertex maps both strips to the same unit strip, bit
+        # for bit.  (A cusp frame scaled by hand is refused, see
+        # TestMeasuringErrors.)
+        for link in (borromean_link(), augment(catalog.pretzel_link([3] * 10))[0]):
+            nerve = build_nerve(link)
+            packing = solve_packing(nerve)
+            strip = dataclasses.replace(
+                packing, center=2 * packing.center, radius=2 * packing.radius,
+                lo=tuple(2 * x for x in packing.lo),
+            )
+            for eid in (nerve.cusp_edges[c][0] for c in nerve.cusps()):
+                norm, doubled = normalize_at_vertex(packing, eid), normalize_at_vertex(strip, eid)
+                for got, want in ((doubled.center, norm.center), (doubled.radius, norm.radius)):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert cusp_shape(assemble(doubled)) == cusp_shape(assemble(norm))
 
 
 class TestInvariants:
@@ -186,8 +190,9 @@ class TestInvariants:
         norm = normalize_at_vertex(packing, eid)
         area = cusp_shape(assemble(norm)).torus_area
         assert area > 0
+        # Not exact in double-double: a float64 copy, lo=None.
         scaled = dataclasses.replace(
-            packing, center=3 * packing.center + (1 + 2j), radius=3 * packing.radius
+            packing, center=3 * packing.center + (1 + 2j), radius=3 * packing.radius, lo=None
         )
         area2 = cusp_shape(assemble(normalize_at_vertex(scaled, eid))).torus_area
         assert abs(area - area2) <= 1e-9
@@ -328,13 +333,15 @@ def test_reports_match_the_recorded_ladder_reports(name):
 
 # sha256 over the report JSON of every cusp of the GOLDEN_LINKS, chain-121
 # and pretzel 3x60, floats as their reprs: a change to any report bit must
-# re-pin it.  The bits hold where longdouble is the 80-bit x87 format, in
-# which the strip is solved.
-REPORT_SHA = "e1717a5100272ab72d7a69ca475a5cc418b5d270e5e7abd2bd3a10e9131eeda2"
+# re-pin it.  The strip and the map use IEEE float64 arithmetic alone, but
+# numpy's exp, arctan, hypot and LU solve may round otherwise elsewhere, so
+# the digest is checked only on the platform where it was taken.
+REPORT_SHA = "4732e4abd9f3e8690b0f8bcb23a75c44bd677073f55581c9219626ff4b8f9b87"
 
 
 @pytest.mark.skipif(
-    np.finfo(np.longdouble).nmant != 63, reason="longdouble is not the 80-bit format"
+    (sys.platform, platform.machine()) != ("linux", "x86_64"),
+    reason="the digest was taken on x86-64 Linux",
 )
 def test_report_bits_are_unchanged():
     links = {**GOLDEN_LINKS, "chain-121": lambda: catalog.two_bridge_chain(121),
@@ -560,9 +567,9 @@ class TestBlockMeasuring:
 class TestMeasuringWork:
     @pytest.mark.parametrize("name", ["chain-41", "pretzel-3x20"])
     def test_tangency_points_only_where_measured(self, name, monkeypatch):
-        # Tangency points: every edge of the strip packing, for the maps to
-        # the cusp frames, and in a knotting frame its own cusp's other
-        # edges, for the horoball search.  No shaded-circle centre at all.
+        # Tangency points (float64): in a knotting frame its own cusp's other
+        # edges, for the horoball search; the maps to the cusp frames take
+        # theirs in double-double.  No shaded-circle centre at all.
         points, centres = [], []
         derive_points, derive_disks = CirclePacking.tangency_points, CirclePacking.disks.func
 
@@ -582,7 +589,7 @@ class TestMeasuringWork:
         nerve = packing.nerve
         reports = geometry._analyze(packing, nerve.cusps())
         assert not any(isinstance(r, Exception) for r in reports.values())
-        assert points == [("strip", None)] + [
+        assert points == [
             ("unit-strip", nerve.cusp_edges[c][1:]) for c in nerve.knotting_cusps
         ]
         assert centres == []
@@ -673,7 +680,8 @@ class TestReportsPerPacking:
     def test_an_error_stays_with_its_cusp(self):
         # White 2, a circle with edge 0 at infinity, moved off its
         # tangencies: the frames whose point it misses fail to normalize,
-        # alone or in a block; the others analyse.
+        # alone or in a block; the others normalize, and their residual gate
+        # refuses them, each with its own residual.
         al, _ = augment(catalog.rational_link([2, 2, 2]))
         nerve = dataclasses.replace(build_nerve(al), infinity_edge=0)
         packing = solve_packing(nerve)
@@ -690,9 +698,12 @@ class TestReportsPerPacking:
                 assert str(info.value) == str(exc)
                 outcomes.add("refused")
             else:
-                assert analyze_cusp(al, cusp, packing=moved, nerve=nerve).cusp == cusp
-                outcomes.add("analysed")
-        assert outcomes == {"refused", "analysed"}
+                frame = normalize_at_vertex(moved, nerve.cusp_edges[cusp][0])
+                with pytest.raises(ConvergenceError) as info:
+                    analyze_cusp(al, cusp, packing=moved, nerve=nerve)
+                assert info.value.worst_residual == frame.max_residual() > 10 * frame.tol
+                outcomes.add("gated")
+        assert outcomes == {"refused", "gated"}
 
 
 def reference_pair_search(pts, kap, best, shifts):

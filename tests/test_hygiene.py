@@ -4,10 +4,13 @@ Every import of a module is used in it, in the package and in the tests;
 every module-level private function is referenced somewhere in the package
 besides its definition, and every parameter of every function is read in its
 body.  No `UnionFind` is defined or named in the package, whose edge classes
-come from dart walks, and `augment` reads no `Face` objects.
+come from dart walks, and `augment` reads no `Face` objects.  The package
+names no platform-dependent float type: its extended precision is
+double-double, the same on every platform.
 """
 
 import ast
+import re
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -107,3 +110,17 @@ def test_augment_reads_no_faces():
     names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
     assert not names & {"face_map", "Face", "FaceMap", "compute_faces", "corner_faces"}
+
+
+def test_no_platform_dependent_float_types():
+    """No `longdouble`, `clongdouble`, `float96`, `float128` or `finfo` in the
+    package's source, code, comments and docstrings alike.  The tests may
+    still use `longdouble` as a reference."""
+    word = re.compile(r"\b(c?longdouble|float96|float128|finfo)\b")
+    found = [
+        f"{path.name}:{n} {m[0]}"
+        for path in sorted(SRC.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        for m in word.finditer(line)
+    ]
+    assert not found

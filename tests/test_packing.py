@@ -4,9 +4,12 @@ import functools
 import logging
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from test_geometry import LADDER, ladder_packings
 
 from augcusp import catalog, geometry
@@ -19,7 +22,10 @@ from augcusp.packing import (
     CirclePacking,
     _companion,
     _layout,
+    _dd_square,
     _refine,
+    _two_prod,
+    _two_sum,
     build_nerve,
     normalize_at_vertex,
     solve_flower_radii,
@@ -65,6 +71,59 @@ class TestFlowerSolver:
         ks = sorted((1.0 / packing.radius).tolist())
         k1, k2, k3, k4 = ks
         assert abs(k4 - descartes_fourth(k1, k2, k3)) <= 1e-10
+
+
+FLOATS = st.floats(min_value=-2.0**500, max_value=2.0**500)
+# Factors whose product's error cannot underflow: 0, or at least 2**-460.
+FACTORS = st.just(0.0) | st.floats(2.0**-460, 2.0**500) | st.floats(-2.0**500, -2.0**-460)
+
+
+class TestDoubleDouble:
+    """The double-double kernel, checked exactly in Fractions."""
+
+    @given(a=FLOATS, b=FLOATS)
+    def test_two_sum_is_exact(self, a, b):
+        s, e = _two_sum(a, b)
+        assert s == a + b
+        assert Fraction(s) + Fraction(e) == Fraction(a) + Fraction(b)
+
+    @given(a=FACTORS, b=FACTORS)
+    def test_two_prod_is_exact(self, a, b):
+        p, e = _two_prod(a, b)
+        assert p == a * b
+        assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
+
+    @given(h=FACTORS, lo=st.floats(-1.0, 1.0))
+    def test_dd_square_is_exact_to_double_double(self, h, lo):
+        """(h + l)^2 for l below half an ulp of h: within 2^-100 of it."""
+        l = lo * math.ulp(h) / 2
+        p, e = _dd_square(h, l)
+        exact = (Fraction(h) + Fraction(l)) ** 2
+        assert abs(Fraction(p) + Fraction(e) - exact) <= Fraction(2) ** -100 * exact
+
+    @pytest.mark.parametrize("c", [10, 60])
+    def test_strip_tangencies_hold_in_fractions(self, c):
+        """Every tangency of the pretzel 3xc strip, from hi + lo exactly:
+        |dz|^2 - (r_a + r_b)^2 within 1e-28 * 2 (r_a + r_b) for two circles,
+        the distance to the line less r within 1e-28 for a circle and a
+        line."""
+        packing = solve_packing(build_nerve(augment(catalog.pretzel_link([3] * c))[0]))
+        (zl, rl), skip = packing.lo, packing.nerve.infinity_edge
+        exact = [Fraction(h) + Fraction(l) for h, l in zip(packing.center.tolist(), zl.tolist())
+                 for h, l in ((h.real, l.real), (h.imag, l.imag))]
+        x, y = exact[0::2], exact[1::2]
+        r = [None if math.isinf(h) else Fraction(h) + Fraction(l)
+             for h, l in zip(packing.radius.tolist(), rl.tolist())]
+        for k, (a, b) in enumerate(zip(*(e.tolist() for e in packing.nerve.ends))):
+            if k == skip:
+                continue
+            if r[a] is None or r[b] is None:
+                circle, line = (a, b) if r[b] is None else (b, a)
+                assert abs(abs(y[circle] - y[line]) - r[circle]) <= Fraction(1e-28)
+            else:
+                s = r[a] + r[b]
+                gap = (x[b] - x[a]) ** 2 + (y[b] - y[a]) ** 2 - s * s
+                assert abs(gap) <= Fraction(1e-28) * 2 * s
 
 
 def full_refine(nerve, z, r, u, v, skip, tol):
@@ -261,7 +320,7 @@ class TestLayout:
         widest = build_nerve(augment(catalog.two_bridge_chain(21))[0])
         for nerve in (widest, dataclasses.replace(widest, infinity_edge=0)):
             packing = solve_packing(nerve)
-            z = packing.center.astype(complex)
+            z = packing.center
             u, v = packing.lines
             for w, pet in enumerate(nerve.petals):
                 if np.isinf(packing.radius[w]):
@@ -443,10 +502,10 @@ class TestCentreRadius:
         petals = {i: p for i, p in enumerate(nerve.petals) if i not in (u, v)}
         radii = solve_flower_radii(petals, {u: math.inf, v: math.inf}, tol=1e-4)
         z, r = _layout(nerve, u, v, radii)
-        got_z, got_r, polish = _refine(nerve, z, r, u, v, eid, 1e-12)
+        got_z, got_r, _lo, refine = _refine(nerve, z, r)
         want_z, want_r = full_refine(nerve, z, r, u, v, eid, 1e-12)
-        assert polish["steps"] >= 2  # from a layout of inexact radii
-        assert polish["unknowns"] < 3 * (nerve.whites - 2)
+        assert refine["steps"] >= 2  # from a layout of inexact radii
+        assert refine["unknowns"] < 3 * (nerve.whites - 2)
         assert np.max(np.abs(got_z - want_z)) <= 1e-14
         free = np.isfinite(want_r)
         assert np.max(np.abs(got_r[free] - want_r[free])) <= 1e-14
@@ -712,14 +771,14 @@ def frames(d):
 
 
 def always_polished(packing, edge_ids):
-    """Reference frames of a block: the map, then the Newton polish whatever
-    the mapped residual."""
+    """Reference frames of a block: the map, then a float64 Newton polish of
+    every frame in its own lines (full_refine)."""
     block = normalize_at_vertex(packing, edge_ids)
     polished = []
     for norm in block:
         u, v, eid = *norm.lines, norm.normalization["infinity_edge"]
-        polished.append(_refine(norm.nerve, norm.center, norm.radius, u, v, eid, norm.tol))
-    center, radius, _ = zip(*polished)
+        polished.append(full_refine(norm.nerve, norm.center, norm.radius, u, v, eid, norm.tol))
+    center, radius = zip(*polished)
     return dataclasses.replace(block, center=np.array(center), radius=np.array(radius))
 
 
@@ -772,12 +831,14 @@ class TestBlocks:
 
 def reference_frames(packing, eids):
     """Centres and radii of the frames of a block, with the whole map
-    w = A + B / (z - p) in the packing's precision (clongdouble from a strip
-    frame) and rounded to float64 at the end, then the lines and the flank
-    shift as normalize_at_vertex sets them; no polish."""
-    nerve, z, r = packing.nerve, packing.center, packing.radius
+    w = A + B / (z - p) in np.longdouble from the strip's hi + lo, rounded
+    to float64 at the end, then the lines and the flank shift as
+    normalize_at_vertex sets them."""
+    z = packing.center.astype(np.clongdouble) + packing.lo[0]
+    r = packing.radius.astype(np.longdouble) + packing.lo[1]
+    nerve = packing.nerve
     ea, eb = nerve.ends[0][eids], nerve.ends[1][eids]
-    p = packing.points[eids]
+    p = dataclasses.replace(packing, center=z, radius=r, lo=None).points[eids]
     at_infinity = np.isnan(p)
     ends = []
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -819,6 +880,10 @@ def reference_frames(packing, eids):
     return (u, v), center, radius
 
 
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="longdouble is float64 on this platform: no wider reference",
+)
 class TestReferenceMap:
     @pytest.mark.parametrize(
         "name", ["chain-21", "chain-121", "pretzel-3x10", "pretzel-3x60", "fal_corpus-4"]
@@ -836,61 +901,56 @@ class TestReferenceMap:
             for got, want in ((block.center, center), (block.radius, radius)):
                 got, want = got[finite], want[finite]
                 assert np.all(abs(got - want) <= 4 * eps * np.maximum(1.0, abs(want)))
-            for record in block.normalization["polish"]:
-                assert record["unknowns"] == 0 and record["before"] <= 1e-15
+            assert block.residuals.max() <= 1e-15
             for eid, row in zip(eids.tolist(), block):
                 assert_same_frame(row, normalize_at_vertex(packing, eid))
 
 
 class TestPolishOnlyWhenNeeded:
+    """No cusp frame is polished: from the double-double strip every mapped
+    frame is within tol, and the measuring gate refuses one that is not."""
+
     @pytest.mark.parametrize("d", [catalog.pretzel_link([3] * 10), catalog.two_bridge_chain(13)])
     def test_mapped_frames_within_tol_are_not_polished(self, d, caplog):
         _al, _nerve, packing, norms = frames(d)
         for norm in norms:
-            assert norm.normalization["polish"]["steps"] == 0
-            assert norm.normalization["polish"]["unknowns"] == 0
+            assert norm.normalization.keys() == {"infinity_edge", "frame"}
             assert norm.max_residual() <= packing.tol
         with caplog.at_level(logging.DEBUG, logger="augcusp"):
             normalize_at_vertex(packing, 0)
-        (record,) = [r for r in caplog.records if r.getMessage().startswith("normalize_at_vertex:")]
-        assert "not polished" in record.getMessage()
-        assert "mapped tangency error" in record.getMessage()
+        assert caplog.records == []
 
-    def test_frames_beyond_tol_are_polished_to_tol(self):
-        # A float64 strip frame, as where longdouble is float64: the map
-        # magnifies its roundoff beyond tol in some chain-81 frames, with
-        # edge 0 at infinity (the default edge gives an exact strip).
+    def test_frames_beyond_tol_are_refused(self):
+        # A float64 copy of the strip (lo=None) with edge 0 at infinity: the
+        # map magnifies its roundoff to up to 7.2e-13 in some chain-81
+        # frames, so at tol = 1e-14 the 10 tol gate refuses those frames.
         nerve = build_nerve(augment(catalog.two_bridge_chain(81))[0])
         nerve = dataclasses.replace(nerve, infinity_edge=0)
-        packing = solve_packing(nerve)
-        packing = dataclasses.replace(
-            packing, center=packing.center.astype(complex), radius=packing.radius.astype(float)
-        )
-        eids = [nerve.cusp_edges[c][0] for c in nerve.cusps()]
-        norms = [normalize_at_vertex(packing, eid) for eid in eids]
-        block = normalize_at_vertex(packing, np.array(eids))
-        polished = [n for n in norms if n.normalization["polish"]["unknowns"]]
-        assert polished
-        for norm, row in zip(norms, block):
-            assert_same_frame(row, norm)  # a polished row too, as polished alone
-        for norm in polished:
-            polish = norm.normalization["polish"]
-            assert polish["before"] > packing.tol
-            assert polish["steps"] >= 1
-            assert polish["after"] <= packing.tol
-            assert norm.max_residual() <= packing.tol
+        strip = solve_packing(nerve)
+        assert strip.lo is not None
+        packing = dataclasses.replace(strip, lo=None, tol=1e-14)
+        cusps = nerve.cusps()
+        block = normalize_at_vertex(packing, np.array([nerve.cusp_edges[c][0] for c in cusps]))
+        worst = block.residuals.max(axis=1)
+        reports = geometry._analyze(packing, cusps)
+        refused = [c for c in cusps if isinstance(reports[c], Exception)]
+        assert 0 < len(refused) < len(cusps)
+        for cusp, error in zip(cusps, worst.tolist()):
+            if error > 10 * packing.tol:
+                assert isinstance(reports[cusp], ConvergenceError)
+                assert str(reports[cusp]).startswith("assemble: tangency residual")
+            else:
+                assert reports[cusp].cusp == cusp
 
-    @pytest.mark.skipif(
-        np.finfo(np.longdouble).eps >= np.finfo(float).eps,
-        reason="longdouble is float64 on this platform",
-    )
     def test_extended_strip_frame_needs_no_polish(self):
-        _al, _nerve, packing, norms = frames(catalog.two_bridge_chain(81))
-        assert np.finfo(packing.radius.dtype).eps < np.finfo(float).eps
-        for norm in norms:
-            assert norm.center.dtype == complex and norm.radius.dtype == float
-            assert norm.normalization["polish"]["unknowns"] == 0
-            assert norm.normalization["polish"]["before"] <= packing.tol / 10
+        # The same chain-81 strip in double-double: every frame within a
+        # tenth of tol as mapped, on every platform.
+        nerve = build_nerve(augment(catalog.two_bridge_chain(81))[0])
+        packing = solve_packing(dataclasses.replace(nerve, infinity_edge=0))
+        eids = np.array([nerve.cusp_edges[c][0] for c in nerve.cusps()])
+        block = normalize_at_vertex(packing, eids)
+        assert block.center.dtype == complex and block.radius.dtype == float
+        assert block.residuals.max() <= packing.tol / 10
 
     @pytest.mark.parametrize("d", [catalog.two_bridge_chain(21), catalog.pretzel_link([3] * 10)])
     def test_reports_match_an_always_polished_frame(self, d, monkeypatch):
@@ -915,15 +975,12 @@ class TestPolishOnlyWhenNeeded:
 
 def residual_packings():
     """The chain and pretzel ladders, fal_corpus(4), and chain-81 from a
-    float64 strip frame with edge 0 at infinity, whose map leaves some
-    frames beyond tol."""
+    float64 copy of the strip (lo=None) with edge 0 at infinity."""
     packings = [p for name in [*LADDER, "fal_corpus-4"] for p in ladder_packings(name)]
     wide = solve_packing(
         dataclasses.replace(build_nerve(augment(LADDER["chain-81"]())[0]), infinity_edge=0)
     )
-    return packings + [dataclasses.replace(
-        wide, center=wide.center.astype(complex), radius=wide.radius.astype(float)
-    )]
+    return packings + [dataclasses.replace(wide, lo=None)]
 
 
 class TestResidualsOnce:
@@ -938,61 +995,43 @@ class TestResidualsOnce:
         derive = CirclePacking.residuals.func
         counted.__set_name__(CirclePacking, "residuals")
         monkeypatch.setattr(CirclePacking, "residuals", counted)
-        eps = np.finfo(float).eps
-        frames = polished = 0
+        frames = 0
         for packing in residual_packings():
             nerve = packing.nerve
             eids = np.array([nerve.cusp_edges[c][0] for c in nerve.cusps()], dtype=np.intp)
             calls.clear()
             block = normalize_at_vertex(packing, eids)
             rows = geometry._rows(block)
-            redone = sum(bool(p["unknowns"]) for p in block.normalization["polish"])
-            # Once for the block, once more for each polished frame, and not
-            # again for the measures.
-            assert calls == [block.center.shape] + [block.center.shape[1:]] * redone
-            # The residuals are taken before the flank shift: a fresh
-            # derivation after it differs at roundoff, and not at all on a
-            # line.
+            # Once for the block, by the measures, and not again.
+            assert calls == [block.center.shape]
+            # Of the frames as measured, after the flank shift, bit for bit.
             fresh = derive(block)
-            size = np.where(np.isfinite(block.radius), abs(block.center), 0.0).max(axis=1)
-            assert np.all(abs(block.residuals - fresh) <= 4 * eps * np.maximum(1.0, size)[:, None])
-            (a, b), (u, v) = nerve.ends, block.lines
-            line = (a == u[:, None]) | (a == v[:, None]) | (b == u[:, None]) | (b == v[:, None])
-            assert np.array_equal(block.residuals[line], fresh[line])
-            gate = 10 * block.tol
-            assert (np.array(rows.worst) <= gate).tolist() == (fresh.max(axis=1) <= gate).tolist()
+            assert np.array_equal(block.residuals, fresh)
+            assert rows.worst == fresh.max(axis=1).tolist()
             frames += len(block)
-            polished += redone
-        assert polished and frames == 401 + 170 + 57 + 83
+        assert frames == 401 + 170 + 57 + 83
 
 
 class TestLogging:
     def test_one_record_per_solve_and_one_per_cusp(self, caplog):
+        """One INFO record per solve; at DEBUG one record per measured
+        block and one height record per knotting cusp, none per frame map."""
         al, _ = augment(catalog.rational_link([2, 2, 2]))
         nerve = build_nerve(al)
         with caplog.at_level(logging.DEBUG, logger="augcusp"):
             packing = solve_packing(nerve)
-            normalize_at_vertex(packing, 3)
+            geometry._analyze(packing, nerve.cusps())
+        messages = [r.getMessage() for r in caplog.records]
         solves = [r for r in caplog.records if r.getMessage().startswith("solve_packing:")]
         assert len(solves) == 1 and solves[0].levelno == logging.INFO
         for field in (
             "Newton steps", "angle error", "Gauss-Newton steps", "unknowns",
-            "max residual", f"in {packing.radius.dtype.name} (eps ",
+            "in double-double (tangency error ", "max residual",
         ):
             assert field in solves[0].getMessage()
-        polish = [r for r in caplog.records if r.getMessage().startswith("normalize_at_vertex:")]
-        assert len(polish) == 1 and polish[0].levelno == logging.DEBUG
-        assert "tangency error" in polish[0].getMessage()
-        assert "unknowns" in polish[0].getMessage()
-        # A block gives one record per frame, in its order.
-        eids = np.array([nerve.cusp_edges[c][0] for c in nerve.cusps()])
-        caplog.clear()
-        with caplog.at_level(logging.DEBUG, logger="augcusp"):
-            normalize_at_vertex(packing, eids)
-        polish = [r.getMessage() for r in caplog.records]
-        assert len(polish) == len(eids) > 1
-        for eid, message in zip(eids.tolist(), polish):
-            assert message.startswith(f"normalize_at_vertex: edge {eid}, ")
+        heights = [m for m in messages if m.startswith("height: ")]
+        assert len(heights) == len(nerve.knotting_cusps) > 1
+        assert not [m for m in messages if m.startswith("normalize_at_vertex:")]
 
     def test_no_frame_record_is_formatted_without_debug(self, caplog, monkeypatch):
         packing = solve_packing(build_nerve(augment(catalog.rational_link([2, 2, 2]))[0]))
