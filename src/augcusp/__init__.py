@@ -42,7 +42,7 @@ from .errors import (
 _LAZY = {
     **dict.fromkeys(
         ("fal_corpus", "gen_longitude_family", "gen_twobridge_family",
-         "three_punctured_certificate", "twobridge_filled", "twobridge_filled_strand_counts"),
+         "three_punctured_certificate", "twobridge_filled"),
         "families",
     ),
     **dict.fromkeys(

@@ -198,14 +198,12 @@ def cmd_cusp(args) -> int:
     cusps = [target] if kind else nerve.cusps()
     reports = {c: analyze_cusp(al, c, tol=args.tol, packing=packing) for c in cusps}
     if kind:
-        counts = families.twobridge_filled_strand_counts(n, r) if any(r) else None
         _emit({
             "family": "twobridge",
             "n": n,
             "r": r,
             "cusp_report": reports[target].to_dict(),
             "filled_ledger": json.loads(ledger_json(fam.ledger)),
-            "filled_strand_counts": counts,
         }, args)
         s = reports[target].shape
         _say(
@@ -232,6 +230,11 @@ def cmd_cusp(args) -> int:
 
 
 def _cusp_longitude(args) -> int:
+    if args.render:
+        raise PDSyntaxError(
+            "--render draws a packing, which --family longitude does not build: "
+            f"--family {' '.join(args.family)} and --render {args.render}"
+        )
     from . import families
 
     if len(args.family) != 2:
@@ -263,6 +266,11 @@ def _cusp_longitude(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.corpus and args.generate:
+        raise PDSyntaxError(
+            f"give a corpus directory or --generate, not both: {args.corpus} and "
+            f"--generate {args.generate}"
+        )
     from . import families
     from .geometry import verify_meridian_bound
 

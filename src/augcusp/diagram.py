@@ -557,33 +557,23 @@ def _chain_region(
 # -- generalized twist regions --------------------------------------------------
 
 
-def _subtangle_strands(d: Diagram, crossing_ids: list[int]):
-    """Thread the strands of a subdiagram spanned by the given crossings.
-
-    Returns a list of strands, each a list of (crossing, role) steps where
-    role is "o" or "u", ordered along the strand from its first boundary end
-    (in dart order) to the other.
-    """
+def _subtangle_strands(d: Diagram, crossing_ids: list[int]) -> list[list[int]]:
+    """The strands of the subdiagram on the given crossings, each as the darts
+    it arrives at, from its first boundary end in dart order: for a dart x,
+    x >> 2 is its crossing and x & 1 says whether the strand passes over."""
     S = set(crossing_ids)
     twin = d._twin
-    ends = [
-        x for c in sorted(S) for x in range(4 * c, 4 * c + 4) if twin[x] >> 2 not in S
-    ]
-    if len(ends) % 2:
-        raise DiagramInvariantError("open strand end inside annotation")
+    ends = [x for c in sorted(S) for x in range(4 * c, 4 * c + 4) if twin[x] >> 2 not in S]
     strands = []
     done: set[int] = set()
     for x in ends:
         if x in done:
             continue
-        path = []
-        while True:
-            path.append((x >> 2, "o" if x & 1 else "u"))
-            x ^= 2
-            if twin[x] >> 2 not in S:
-                break
-            x = twin[x]
-        done.add(x)  # the far end: the strand is traced from one end only
+        path = [x]
+        while twin[x ^ 2] >> 2 in S:
+            x = twin[x ^ 2]
+            path.append(x)
+        done.add(x ^ 2)  # the far end: the strand is traced from one end only
         strands.append(path)
     return strands
 
@@ -596,7 +586,8 @@ def validate_generalized_region(
     A full twist contributes m(m-1) crossings with every strand pair
     crossing twice; a half twist adds m(m-1)/2 with every pair crossing
     once and alternating over/under along each strand.  Returns the region
-    with (m, full twists, half twist) on success.
+    with (m, full twists, half twist) on success; a region that
+    `detect_twist_regions` finds validates to itself.
     """
     ids = sorted(set(crossing_ids))
     if len(ids) != len(crossing_ids):
@@ -606,100 +597,82 @@ def validate_generalized_region(
             raise DiagramInvariantError(f"annotation names crossing {c} not in diagram")
     strands = _subtangle_strands(d, ids)
     m = len(strands)
-    if m == 0:
-        # The annotation swallows a closed subdiagram (a cyclic bigon chain);
-        # defer to the two-strand chain detector.
-        for reg in detect_twist_regions(d):
-            if sorted(reg.crossings) == ids:
-                if strand_count not in (None, 2):
-                    raise DiagramInvariantError(
-                        f"closed chain has 2 strands, expected {strand_count}"
-                    )
-                return reg
-        raise DiagramInvariantError(
-            "annotation bounds no strands and is not a bigon chain"
-        )
+    if m < 2:
+        # Detection reads a cyclic chain as closed strands (m = 0), and a
+        # chain through a nugatory crossing as one strand (m = 1).
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ReducibleDiagramWarning)
+            try:
+                regions = detect_twist_regions(d)
+            except DiagramInvariantError:
+                if m == 0:
+                    raise
+                regions = []
+        reg = next((r for r in regions if sorted(r.crossings) == ids), None)
+        if reg is not None and strand_count in (None, 2):
+            return reg
+        if m == 0 and reg:
+            raise DiagramInvariantError(f"closed chain has 2 strands, expected {strand_count}")
+        if m == 0:
+            raise DiagramInvariantError("annotation bounds no strands and is not a bigon chain")
     if strand_count is not None and m != strand_count:
-        raise DiagramInvariantError(
-            f"annotation has {m} strands, expected {strand_count}"
-        )
+        raise DiagramInvariantError(f"annotation has {m} strands, expected {strand_count}")
     if m < 2:
         raise DiagramInvariantError("a twist region needs at least two strands")
-    n = len(ids)
-    # Candidate (t, half) from the crossing count.
-    per_full = m * (m - 1)
-    per_half = per_full // 2
-    t, rem = divmod(n, per_full)
-    half = rem == per_half
+    t, rem = divmod(len(ids), m * (m - 1))
+    half = rem == m * (m - 1) // 2
     if rem and not half:
-        offender = ids[0]
         raise DiagramInvariantError(
-            f"{n} crossings is not t full + half ribbon twists of {m} strands "
-            f"(first offending crossing {offender})"
+            f"{len(ids)} crossings is not t full + half ribbon twists of {m} strands "
+            f"(first offending crossing {ids[0]})"
         )
-    # Every unordered strand pair must meet exactly 2t + (1 if half) times.
-    pair_counts: dict[frozenset, int] = {}
-    strand_of: dict[int, list[int]] = {}
+    # Each crossing's passes as (strand, over), in the order the strands reach
+    # it; one arrives at slot 0 or 2, the other at 1 or 3, so one passes over.
+    passes: dict[int, list[tuple[int, int]]] = {}
     for si, path in enumerate(strands):
-        for c, _ in path:
-            strand_of.setdefault(c, []).append(si)
-    for c, ss in strand_of.items():
-        if len(ss) != 2:
+        for x in path:
+            passes.setdefault(x >> 2, []).append((si, x & 1))
+    # Strand pair -> (its least crossing, crossings, over - under passes of its
+    # first strand), the pairs in the order the strands first reach them.
+    pairs: dict[tuple[int, int], tuple[int, int, int]] = {}
+    for c, ps in passes.items():
+        if len(ps) != 2:
             raise DiagramInvariantError(
                 f"crossing {c} is not met by exactly two annotation strands"
             )
-        pair_counts[frozenset(ss)] = pair_counts.get(frozenset(ss), 0) + 1
-    want = 2 * t + (1 if half else 0)
-    for pair, cnt in sorted(pair_counts.items()):
-        if cnt != want:
-            offender = min(c for c, ss in strand_of.items() if frozenset(ss) == pair)
+        (s1, over), (s2, _) = ps
+        first, count, balance = pairs.get((s1, s2), (c, 0, 0))
+        pairs[s1, s2] = (min(first, c), count + 1, balance + (1 if over else -1))
+    want = 2 * t + half
+    for first, count, _ in pairs.values():
+        if count != want:
             raise DiagramInvariantError(
-                f"strand pair crosses {cnt} times, ribbon pattern needs {want} "
-                f"(first offending crossing {offender})"
+                f"strand pair crosses {count} times, ribbon pattern needs {want} "
+                f"(first offending crossing {first})"
             )
-    if len(pair_counts) != m * (m - 1) // 2 and want > 0:
+    if len(pairs) != m * (m - 1) // 2:
         raise DiagramInvariantError("some strand pairs never cross")
+    for c, ((s1, _), (s2, _)) in passes.items():
+        if s1 == s2:
+            raise DiagramInvariantError(f"crossing {c}: one annotation strand passes it twice")
     # In a ribbon twist every pair alternates who passes over: t times each
     # per t full twists, with a half twist adding one unbalanced crossing.
-    over_of: dict[tuple[int, int], int] = {}
-    role_at: dict[int, dict[int, str]] = {}
-    for si, path in enumerate(strands):
-        for c, r in path:
-            role_at.setdefault(c, {})[si] = r
-    for c, by_strand in role_at.items():
-        if len(by_strand) != 2:
-            raise DiagramInvariantError(
-                f"crossing {c}: one annotation strand passes it twice"
-            )
-        (s1, r1), (s2, r2) = sorted(by_strand.items())
-        if r1 == r2:
-            raise DiagramInvariantError(
-                f"crossing {c}: both strands claim the same role"
-            )
-        over = s1 if r1 == "o" else s2
-        under = s2 if over == s1 else s1
-        over_of[(over, under)] = over_of.get((over, under), 0) + 1
-    for pair in sorted(pair_counts):
-        i, j = sorted(pair)
-        diff = abs(over_of.get((i, j), 0) - over_of.get((j, i), 0))
-        if diff > (1 if half else 0):
-            offender = min(c for c, ss in strand_of.items() if frozenset(ss) == pair)
+    for first, _, balance in pairs.values():
+        if abs(balance) > half:
             raise DiagramInvariantError(
                 "over and under passes are unbalanced: not a ribbon twist "
-                f"(first offending crossing {offender})"
+                f"(first offending crossing {first})"
             )
     # For two strands also demand alternation (rules out reducible pairs),
     # and return the bigon chain in order, with its bigons, as detected.
     if m == 2:
         for path in strands:
-            roles = [r for _, r in path]
-            for a, b in zip(roles, roles[1:]):
-                if a == b:
-                    raise DiagramInvariantError(
-                        "strand does not alternate over and under: reducible "
-                        f"pair (first offending crossing {path[0][0]})"
-                    )
-        if n > 1:
+            if any(not (x ^ y) & 1 for x, y in zip(path, path[1:])):
+                raise DiagramInvariantError(
+                    "strand does not alternate over and under: reducible "
+                    f"pair (first offending crossing {path[0] >> 2})"
+                )
+        if len(ids) > 1:
             links: dict = {c: [] for c in ids}
             for b in d._bigons:
                 c1, c2 = b[0] >> 2, b[1] >> 2
@@ -709,11 +682,7 @@ def validate_generalized_region(
             return _walk_chain(d, links, set(ids))
     handed = _crossing_handed(d, ids[0])
     return TwistRegion(
-        crossings=list(ids),
-        strand_count=m,
-        full_twists=handed * t,
-        half_twist=half,
-        handedness=handed,
+        crossings=ids, strand_count=m, full_twists=handed * t, half_twist=half, handedness=handed
     )
 
 

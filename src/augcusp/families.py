@@ -82,39 +82,6 @@ def twobridge_filled(fam: TwoBridgeFamily) -> Diagram:
     return apply_filling(fam.parent, fam.ledger)
 
 
-# -- slope calculus on the four-punctured reflection sphere ---------------------
-
-
-def _twist(v: tuple[int, int], g: tuple[int, int], times: int) -> tuple[int, int]:
-    # Dehn twist along the curve of slope g acting on curve classes of the
-    # four-punctured sphere: v -> v + 2 det(g, v) g per twist.
-    for _ in range(abs(times)):
-        det = g[0] * v[1] - g[1] * v[0]
-        s = 1 if times > 0 else -1
-        v = (v[0] + 2 * s * det * g[0], v[1] + 2 * s * det * g[1])
-    return v
-
-
-def twobridge_filled_strand_counts(n: int, r: list[int]) -> dict[str, int]:
-    """Punctures of each crossing disk after the annular fillings.
-
-    On the four-punctured reflection sphere the filled knot is the middle
-    circle dragged by Dehn twists.  The filling annuli are pairwise disjoint,
-    hence their traces are parallel curves, each meeting the middle circle's
-    class twice; the net effect is sum(r_i) twists along that one class.  The
-    puncture count of each crossing disk is half the intersection number of
-    the twisted class with the disk trace's boundary class.
-    """
-    if len(r) != n or n < 1:
-        raise DiagramInvariantError("need one filling integer per pair")
-    v0 = (1, 0)  # the middle circle's curve class
-    g = (0, 1)  # the annulus trace class, meeting v0 twice
-    v = _twist(v0, g, sum(r))
-    inter = 2 * abs(v[0] * v0[1] - v[1] * v0[0])
-    m = inter // 2
-    return {"C_1": m, "C_2": m}
-
-
 # -- the longitude family --------------------------------------------------------
 
 

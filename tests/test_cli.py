@@ -348,6 +348,16 @@ class TestCusp:
             "--family twobridge 1 1\n"
         )
 
+    def test_longitude_family_with_render_exit_2(self, tmp_path, capsys):
+        svg = tmp_path / "longitude.svg"
+        assert cli.main(["cusp", "--family", "longitude", "2", "--render", str(svg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not svg.exists()
+        assert err == (
+            "parse error: --render draws a packing, which --family longitude does not "
+            f"build: --family longitude 2 and --render {svg}\n"
+        )
+
     def test_closed_stdout_exit_2(self):
         # The pipe's read end is closed before the child writes: its print
         # fails, and nothing is left for the flush at exit.
@@ -417,6 +427,17 @@ class TestVerify:
         assert cli.main(["verify"]) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", "parse error: need a corpus directory or --generate\n")
+
+    def test_directory_and_generate_together_exit_2(self, tmp_path, capsys):
+        # The directory need not exist: the two sources are refused first.
+        missing = tmp_path / "missing"
+        assert cli.main(["verify", str(missing), "--generate", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == (
+            "",
+            f"parse error: give a corpus directory or --generate, not both: {missing} and "
+            "--generate 2\n",
+        )
 
     def test_directory_with_unsupported_entry(self, tmp_path):
         (tmp_path / "trefoil.json").write_text(catalog.trefoil().to_json())

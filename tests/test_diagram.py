@@ -12,6 +12,10 @@ from augcusp.diagram import (
     Diagram,
     Face,
     FaceMap,
+    TwistRegion,
+    _crossing_handed,
+    _subtangle_strands,
+    _walk_chain,
     compute_faces,
     detect_twist_regions,
     full_ribbon_braid,
@@ -295,6 +299,203 @@ class TestTwistRegions:
                 assert region_of[x >> 2] == region_of[y >> 2]
 
 
+# -- the reference: the validator as it read the crossings through three maps --
+
+
+def reference_subtangle_strands(d, crossing_ids):
+    """Thread the strands of a subdiagram spanned by the given crossings.
+
+    Returns a list of strands, each a list of (crossing, role) steps where
+    role is "o" or "u", ordered along the strand from its first boundary end
+    (in dart order) to the other.
+    """
+    S = set(crossing_ids)
+    twin = d._twin
+    ends = [
+        x for c in sorted(S) for x in range(4 * c, 4 * c + 4) if twin[x] >> 2 not in S
+    ]
+    if len(ends) % 2:
+        raise DiagramInvariantError("open strand end inside annotation")
+    strands = []
+    done: set[int] = set()
+    for x in ends:
+        if x in done:
+            continue
+        path = []
+        while True:
+            path.append((x >> 2, "o" if x & 1 else "u"))
+            x ^= 2
+            if twin[x] >> 2 not in S:
+                break
+            x = twin[x]
+        done.add(x)  # the far end: the strand is traced from one end only
+        strands.append(path)
+    return strands
+
+
+def reference_validate_generalized_region(d, crossing_ids, strand_count=None):
+    """Check that the annotated crossings form an m-strand ribbon twist.
+
+    A full twist contributes m(m-1) crossings with every strand pair
+    crossing twice; a half twist adds m(m-1)/2 with every pair crossing
+    once and alternating over/under along each strand.  Returns the region
+    with (m, full twists, half twist) on success.
+    """
+    ids = sorted(set(crossing_ids))
+    if len(ids) != len(crossing_ids):
+        raise DiagramInvariantError("annotation repeats a crossing")
+    for c in ids:
+        if not 0 <= c < len(d.crossings):
+            raise DiagramInvariantError(f"annotation names crossing {c} not in diagram")
+    strands = reference_subtangle_strands(d, ids)
+    m = len(strands)
+    if m == 0:
+        # The annotation swallows a closed subdiagram (a cyclic bigon chain);
+        # defer to the two-strand chain detector.
+        for reg in detect_twist_regions(d):
+            if sorted(reg.crossings) == ids:
+                if strand_count not in (None, 2):
+                    raise DiagramInvariantError(
+                        f"closed chain has 2 strands, expected {strand_count}"
+                    )
+                return reg
+        raise DiagramInvariantError(
+            "annotation bounds no strands and is not a bigon chain"
+        )
+    if strand_count is not None and m != strand_count:
+        raise DiagramInvariantError(
+            f"annotation has {m} strands, expected {strand_count}"
+        )
+    if m < 2:
+        raise DiagramInvariantError("a twist region needs at least two strands")
+    n = len(ids)
+    # Candidate (t, half) from the crossing count.
+    per_full = m * (m - 1)
+    per_half = per_full // 2
+    t, rem = divmod(n, per_full)
+    half = rem == per_half
+    if rem and not half:
+        offender = ids[0]
+        raise DiagramInvariantError(
+            f"{n} crossings is not t full + half ribbon twists of {m} strands "
+            f"(first offending crossing {offender})"
+        )
+    # Every unordered strand pair must meet exactly 2t + (1 if half) times.
+    pair_counts: dict[frozenset, int] = {}
+    strand_of: dict[int, list[int]] = {}
+    for si, path in enumerate(strands):
+        for c, _ in path:
+            strand_of.setdefault(c, []).append(si)
+    for c, ss in strand_of.items():
+        if len(ss) != 2:
+            raise DiagramInvariantError(
+                f"crossing {c} is not met by exactly two annotation strands"
+            )
+        pair_counts[frozenset(ss)] = pair_counts.get(frozenset(ss), 0) + 1
+    want = 2 * t + (1 if half else 0)
+    for pair, cnt in sorted(pair_counts.items()):
+        if cnt != want:
+            offender = min(c for c, ss in strand_of.items() if frozenset(ss) == pair)
+            raise DiagramInvariantError(
+                f"strand pair crosses {cnt} times, ribbon pattern needs {want} "
+                f"(first offending crossing {offender})"
+            )
+    if len(pair_counts) != m * (m - 1) // 2 and want > 0:
+        raise DiagramInvariantError("some strand pairs never cross")
+    # In a ribbon twist every pair alternates who passes over: t times each
+    # per t full twists, with a half twist adding one unbalanced crossing.
+    over_of: dict[tuple[int, int], int] = {}
+    role_at: dict[int, dict[int, str]] = {}
+    for si, path in enumerate(strands):
+        for c, r in path:
+            role_at.setdefault(c, {})[si] = r
+    for c, by_strand in role_at.items():
+        if len(by_strand) != 2:
+            raise DiagramInvariantError(
+                f"crossing {c}: one annotation strand passes it twice"
+            )
+        (s1, r1), (s2, r2) = sorted(by_strand.items())
+        if r1 == r2:
+            raise DiagramInvariantError(
+                f"crossing {c}: both strands claim the same role"
+            )
+        over = s1 if r1 == "o" else s2
+        under = s2 if over == s1 else s1
+        over_of[(over, under)] = over_of.get((over, under), 0) + 1
+    for pair in sorted(pair_counts):
+        i, j = sorted(pair)
+        diff = abs(over_of.get((i, j), 0) - over_of.get((j, i), 0))
+        if diff > (1 if half else 0):
+            offender = min(c for c, ss in strand_of.items() if frozenset(ss) == pair)
+            raise DiagramInvariantError(
+                "over and under passes are unbalanced: not a ribbon twist "
+                f"(first offending crossing {offender})"
+            )
+    # For two strands also demand alternation (rules out reducible pairs),
+    # and return the bigon chain in order, with its bigons, as detected.
+    if m == 2:
+        for path in strands:
+            roles = [r for _, r in path]
+            for a, b in zip(roles, roles[1:]):
+                if a == b:
+                    raise DiagramInvariantError(
+                        "strand does not alternate over and under: reducible "
+                        f"pair (first offending crossing {path[0][0]})"
+                    )
+        if n > 1:
+            links: dict = {c: [] for c in ids}
+            for b in d._bigons:
+                c1, c2 = b[0] >> 2, b[1] >> 2
+                if c1 in links and c2 in links:
+                    links[c1].append((b, c2))
+                    links[c2].append((b, c1))
+            return _walk_chain(d, links, set(ids))
+    handed = _crossing_handed(d, ids[0])
+    return TwistRegion(
+        crossings=list(ids),
+        strand_count=m,
+        full_twists=handed * t,
+        half_twist=half,
+        handedness=handed,
+    )
+
+
+def passes_twice(d, ids):
+    """Whether a strand of the reference threading passes a crossing twice."""
+    strands = reference_subtangle_strands(d, ids)
+    return any(len({c for c, _ in path}) < len(path) for path in strands)
+
+
+def validation_outcome(validate, d, ids, strand_count):
+    try:
+        return validate(d, ids, strand_count)
+    except DiagramInvariantError as exc:
+        return str(exc)
+
+
+def compare_with_reference(d, ids, strand_count, tally):
+    """Validate ids on d and with the reference, and count in tally how the
+    two agree: the same region or message ("same"), a region that detection
+    finds through a nugatory crossing, which only the package accepts
+    ("nugatory"), or two "strand pair crosses" messages that may name
+    different pairs where a strand passes a crossing twice ("twice")."""
+    got = validation_outcome(validate_generalized_region, d, ids, strand_count)
+    want = validation_outcome(reference_validate_generalized_region, d, ids, strand_count)
+    if got == want:
+        kind = "same"
+    elif isinstance(got, TwistRegion):
+        assert want in ("a twist region needs at least two strands",
+                        "annotation has 1 strands, expected 2"), (ids, strand_count, want)
+        assert len(_subtangle_strands(d, ids)) == 1
+        assert got in detect_twist_regions(d) and sorted(got.crossings) == ids
+        kind = "nugatory"
+    else:
+        assert isinstance(want, str) and passes_twice(d, ids), (ids, strand_count, got, want)
+        assert got.startswith("strand pair crosses ") and want.startswith("strand pair crosses ")
+        kind = "twice"
+    tally[kind] = tally.get(kind, 0) + 1
+
+
 def _embedded_ribbon(m, t, half):
     word = full_ribbon_braid(m, t)
     if half:
@@ -303,16 +504,44 @@ def _embedded_ribbon(m, t, half):
     return catalog.braid_closure(m, word + full_ribbon_braid(m, 1)), n
 
 
+RIBBONS = [(m, t, half) for m in range(2, 6) for t in range(3) for half in (False, True)
+           if t or half]
+
+
 class TestGeneralizedRegions:
     def test_five_strand_full_twist(self):
         d, n = _embedded_ribbon(5, 1, False)
         r = validate_generalized_region(d, list(range(n)))
         assert (r.strand_count, abs(r.full_twists), r.half_twist) == (5, 1, False)
+        assert r == reference_validate_generalized_region(d, list(range(n)))
 
     def test_five_strand_half_twist(self):
         d, n = _embedded_ribbon(5, 0, True)
         r = validate_generalized_region(d, list(range(n)))
         assert (r.strand_count, r.full_twists, r.half_twist) == (5, 0, True)
+        assert r == reference_validate_generalized_region(d, list(range(n)))
+
+    @pytest.mark.parametrize("m, t, half", RIBBONS)
+    def test_ribbon_closure_subsets_validate_like_the_reference(self, m, t, half):
+        # Every crossing subset of a closure of at most 14 crossings, else
+        # the twist, 300 random subsets and the runs of every third length
+        # from every third crossing; each with no strand count, 2 and 3.
+        d, n = _embedded_ribbon(m, t, half)
+        total = len(d.crossings)
+        if total <= 14:
+            subsets = [[c for c in range(total) if mask >> c & 1] for mask in range(1, 1 << total)]
+        else:
+            rng = random.Random(m * 100 + t * 10 + half)
+            subsets = [list(range(n))]
+            subsets += [sorted(rng.sample(range(total), rng.randint(1, total))) for _ in range(300)]
+            subsets += [list(range(a, b)) for a in range(0, total, 3)
+                        for b in range(a + 1, total + 1, 3)]
+        tally = {}
+        for ids in subsets:
+            for strand_count in (None, 2, 3):
+                compare_with_reference(d, ids, strand_count, tally)
+        assert validate_generalized_region(d, list(range(n))).strand_count == m
+        assert "nugatory" not in tally
 
     def test_two_strand_agrees_with_detection(self):
         d = catalog.figure_eight()
@@ -337,11 +566,14 @@ class TestGeneralizedRegions:
         r = validate_generalized_region(d, [0, 1])
         assert (r.strand_count, abs(r.full_twists), r.half_twist) == (2, 1, False)
 
-
+    @pytest.mark.filterwarnings("ignore::augcusp.errors.ReducibleDiagramWarning")
     def test_every_crossing_subset_validates_or_is_refused(self):
-        # Some subsets of rational[2, 3, 3] and rational[3, 3, 2] thread one
-        # strand through a crossing twice; like every other subset that is
-        # no ribbon twist, they are refused with a DiagramInvariantError.
+        # Every subset, also with a repeated and with an out-of-range id,
+        # and each with no strand count, 2 and 3, validates as the reference
+        # does, but for the chains through a nugatory crossing of the
+        # even-length rational links, and for which failing pair is named
+        # where a strand passes a crossing twice (as some subsets of
+        # rational[2, 3, 3] and rational[3, 3, 2] do).
         diagrams = [
             catalog.rational_link(list(v))
             for n in (1, 2, 3)
@@ -351,15 +583,22 @@ class TestGeneralizedRegions:
             catalog.pretzel_link(list(v)) for v in itertools.product((-3, -2, 2, 3), repeat=3)
         ]
         checked = 0
+        tally = {}
         for d in diagrams:
             n = len(d.crossings)
             for mask in range(1, 1 << n):
-                try:
-                    validate_generalized_region(d, [c for c in range(n) if mask >> c & 1])
-                except DiagramInvariantError:
-                    pass
+                ids = [c for c in range(n) if mask >> c & 1]
+                for strand_count in (None, 2, 3):
+                    compare_with_reference(d, ids, strand_count, tally)
+                    for bad in (ids + ids[:1], ids + [n]):
+                        assert validation_outcome(
+                            validate_generalized_region, d, bad, strand_count
+                        ) == validation_outcome(
+                            reference_validate_generalized_region, d, bad, strand_count
+                        )
                 checked += 1
         assert (len(diagrams), checked) == (103, 16675)
+        assert tally == {"same": 48982, "nugatory": 24, "twice": 1019}
 
     def test_strand_through_a_crossing_twice_is_refused(self):
         d = catalog.rational_link([2, 3, 3])

@@ -11,7 +11,6 @@ from augcusp.families import (
     longitude_family_invariants,
     three_punctured_certificate,
     twobridge_filled,
-    twobridge_filled_strand_counts,
 )
 
 
@@ -42,15 +41,6 @@ class TestTwoBridgeFamily:
         # the two mirror circles are filled away, leaving the knot-to-be
         # circle and the two components that become its crossing circles
         assert len(filled.component_labels) == 3
-
-    def test_strand_counts_grow_with_twisting(self):
-        m1 = twobridge_filled_strand_counts(1, [1])
-        m2 = twobridge_filled_strand_counts(1, [2])
-        m3 = twobridge_filled_strand_counts(2, [2, 1])
-        assert m1 == {"C_1": 2, "C_2": 2}
-        assert m2["C_1"] == 4
-        assert m3["C_1"] == 6
-        assert m2["C_1"] > m1["C_1"]
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -118,7 +108,6 @@ def test_argument_errors_are_package_errors():
         lambda: catalog.pretzel_link([3, 0]),
         lambda: gen_twobridge_family(0, []),
         lambda: gen_twobridge_family(2, [1]),
-        lambda: twobridge_filled_strand_counts(2, [1]),
         lambda: gen_longitude_family(-1),
     ]
     for call in bad_calls:
