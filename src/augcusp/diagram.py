@@ -451,17 +451,19 @@ def detect_twist_regions(d: Diagram) -> list[TwistRegion]:
         links[c1].append((b, c2))
         links[c2].append((b, c1))
     if any(len(lk) > 2 for lk in links):
-        # The 2-crossing Hopf diagram has four bigons and two equally valid
-        # twist-region readings; fix one by pairing edge-disjoint bigons.
-        if len(d.crossings) == 2 and len(bigons) == 4:
-            b0 = bigons[0]
-            edges = set(_bigon_edges(d, b0))
-            partner = next(b for b in bigons[1:] if not set(_bigon_edges(d, b)) & edges)
-            chain = [b0[0] >> 2, b0[1] >> 2]
-            return [_chain_region(d, chain, [b0, partner], True)]
-        raise DiagramInvariantError(
-            "a crossing borders more than two bigons; not a reduced diagram"
-        )
+        for part in d._parts:
+            # A 2-crossing Hopf part has four bigons and two equally valid
+            # twist-region readings; fix one by pairing edge-disjoint bigons.
+            if len(part) == 2 and len(links[part[0]]) == 4:
+                b0 = links[part[0]][0][0]
+                edges = set(_bigon_edges(d, b0))
+                keep = {b0} | {b for b, _ in links[part[0]] if not set(_bigon_edges(d, b)) & edges}
+                for c in part:
+                    links[c] = [lk for lk in links[c] if lk[0] in keep]
+        if any(len(lk) > 2 for lk in links):
+            raise DiagramInvariantError(
+                "a crossing borders more than two bigons; not a reduced diagram"
+            )
 
     regions: list[TwistRegion] = []
     visited: set[int] = set()
@@ -679,7 +681,12 @@ def validate_generalized_region(
                 if c1 in links and c2 in links:
                     links[c1].append((b, c2))
                     links[c2].append((b, c1))
-            return _walk_chain(d, links, set(ids))
+            try:
+                return _walk_chain(d, links, set(ids))
+            except DiagramInvariantError:  # the annotation's fault, not the diagram's
+                raise DiagramInvariantError(
+                    f"annotated crossings {ids} are not one bigon chain"
+                ) from None
     handed = _crossing_handed(d, ids[0])
     return TwistRegion(
         crossings=ids, strand_count=m, full_twists=handed * t, half_twist=half, handedness=handed

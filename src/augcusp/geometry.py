@@ -63,9 +63,9 @@ class CuspShape:
 
 class _Rows(NamedTuple):
     """The measures that take O(1) work per frame, one entry per frame of a
-    block (the diameters as one array).  They are Python numbers, so that
-    the per-frame arithmetic rounds as Python's does: numpy's complex
-    division rounds differently."""
+    block (the diameters as one read-only array, whose rows the reports
+    share).  They are Python numbers, so that the per-frame arithmetic
+    rounds as Python's does: numpy's complex division rounds differently."""
 
     eids: list[int]  # the edge at infinity
     worst: list[float]  # the largest tangency residual
@@ -94,7 +94,7 @@ def _rows(block: FrameBlock) -> _Rows:
     x = np.where(finite, block.center[rows3, whites].real, -np.inf).max(axis=2)
     radii = np.concatenate((radius, disk_r), axis=1)
     finite = np.isfinite(radii)
-    return _Rows(
+    out = _Rows(
         eids=eids.tolist(),
         worst=block.residuals.max(axis=1).tolist(),
         spacing=abs(x[:, 1] - x[:, 0]).tolist(),
@@ -103,6 +103,8 @@ def _rows(block: FrameBlock) -> _Rows:
         diameters=np.sort(np.where(finite, 2.0 * radii, np.inf), axis=1),
         finite=finite.sum(axis=1).tolist(),
     )
+    out.diameters.flags.writeable = False  # the reports share its rows
+    return out
 
 
 def _alone(frame: CirclePacking) -> tuple[FrameBlock, _Rows]:
@@ -156,10 +158,14 @@ def _kappa(frame: CirclePacking, eid):
 
 def cusp_lattice(frame: CirclePacking) -> tuple[complex, complex, dict]:
     """Meridian and longitude translations of the cusp at infinity."""
-    return _lattice(*_alone(frame), 0)
+    return _lattice(*_alone(frame), 0, frame)
 
 
-def _lattice(block: FrameBlock, rows: _Rows, f: int) -> tuple[complex, complex, dict]:
+def _lattice(
+    block: FrameBlock, rows: _Rows, f: int, frame: CirclePacking | None
+) -> tuple[complex, complex, dict]:
+    """The lattice of frame f.  frame is block[f], read only for a knotting
+    cusp: a crossing circle's cusp may pass None (see _shape)."""
     if not rows.vertical[f]:
         raise MeasuringError("crossing-disk lift at the cusp is not vertical")
     nerve = block.nerve
@@ -190,7 +196,7 @@ def _lattice(block: FrameBlock, rows: _Rows, f: int) -> tuple[complex, complex, 
     # kappa times the spacing of the two crossing-disk faces flanking them.
     rest = np.array(walk[1:], dtype=np.intp)
     disk_r = block.disk_radius[f, nerve.edge_triangles[rest]]
-    widths = [w_inf] + (_kappa(block[f], rest) * (0.5 / disk_r).sum(axis=1)).tolist()
+    widths = [w_inf] + (_kappa(frame, rest) * (0.5 / disk_r).sum(axis=1)).tolist()
     longitude = sum(widths) + 1j * shear
     info = {"rectangles": len(walk), "widths": widths}
     return meridian, longitude, info
@@ -205,12 +211,14 @@ def maximal_cusp(frame: CirclePacking) -> tuple[float, str, list[tuple[complex, 
     of the other lifts of the same cusp.
     """
     block, rows = _alone(frame)
-    return _height(block, rows, 0, _lattice(block, rows, 0)[:2])
+    return _height(block, rows, 0, _lattice(block, rows, 0, frame)[:2], frame)
 
 
 def _height(
-    block: FrameBlock, rows: _Rows, f: int, lattice: tuple[complex, complex]
+    block: FrameBlock, rows: _Rows, f: int, lattice: tuple[complex, complex],
+    frame: CirclePacking | None,
 ) -> tuple[float, str, list[tuple[complex, float]]]:
+    """The height of frame f's cusp; frame is as for _lattice."""
     nerve = block.nerve
     eid = rows.eids[f]
     best = rows.floor[f]
@@ -218,7 +226,6 @@ def _height(
     eids = [k for k in nerve.cusp_edges[nerve.edges[eid].cusp] if k != eid]
     if not eids:  # a crossing circle's cusp: no other lift to meet
         return best, witness, []
-    frame = block[f]
     eids = np.array(eids, dtype=np.intp)
     pts = frame.tangency_points(eids)
     kap = _kappa(frame, eids)
@@ -273,17 +280,23 @@ def _pair_search(
 
 
 def cusp_shape(frame: CirclePacking) -> CuspShape:
-    return _shape(*_alone(frame), 0)[0]
+    return _shape(*_alone(frame), 0, frame)[0]
 
 
-def _shape(block: FrameBlock, rows: _Rows, f: int) -> tuple[CuspShape, str]:
-    """Cusp shape and the witness of its height, from one lattice."""
-    mu, lam, _ = _lattice(block, rows, f)
-    h, witness, _ = _height(block, rows, f, (mu, lam))
+def _shape(
+    block: FrameBlock, rows: _Rows, f: int, frame: CirclePacking | None = None
+) -> tuple[CuspShape, str]:
+    """Cusp shape and the witness of its height, from one lattice.  frame
+    is block[f] if the caller has it; a knotting cusp builds it once here,
+    a crossing circle's cusp needs none."""
+    edge = block.nerve.edges[rows.eids[f]]
+    if frame is None and edge.kind != "circle":
+        frame = block[f]
+    mu, lam, _ = _lattice(block, rows, f, frame)
+    h, witness, _ = _height(block, rows, f, (mu, lam), frame)
     if (lam / mu).imag < 0:
         lam = -lam  # orient the modulus into the upper half plane
-    cusp = block.nerve.edges[rows.eids[f]].cusp
-    return CuspShape(cusp=cusp, meridian=mu, longitude=lam, height=h), witness
+    return CuspShape(cusp=edge.cusp, meridian=mu, longitude=lam, height=h), witness
 
 
 # -- high level pipeline --------------------------------------------------------
@@ -296,8 +309,13 @@ class CuspReport:
     shape: CuspShape
     width: float
     witness: str
-    diameters: list[float]
+    diameters: np.ndarray  # read-only, a row of its block's array
     spacing_disk: float
+
+    def __eq__(self, other):  # by value: an array field does not compare as a tuple item
+        if not isinstance(other, CuspReport):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
 
     def to_dict(self) -> dict:
         s = self.shape
@@ -313,7 +331,7 @@ class CuspReport:
             "torus_area": float(s.torus_area),
             "reflection_width": float(self.width),
             "witness": self.witness,
-            "circle_diameters": [float(x) for x in self.diameters],
+            "circle_diameters": self.diameters.tolist(),
             "white_plane_spacing": 1.0,
             "disk_plane_spacing": float(self.spacing_disk),
         }
@@ -404,7 +422,7 @@ def _report(block: FrameBlock, rows: _Rows, f: int) -> CuspReport:
     return CuspReport(
         cusp=shape.cusp, kind="circle" if edge.kind == "circle" else "knotting", shape=shape,
         width=1.0 / shape.height, witness=witness,
-        diameters=rows.diameters[f, :rows.finite[f]].tolist(), spacing_disk=rows.spacing[f],
+        diameters=rows.diameters[f, :rows.finite[f]], spacing_disk=rows.spacing[f],
     )
 
 

@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_canonical_pd import disjoint_union, kinked, scrambled, small_diagrams
 
-from augcusp import catalog
+from augcusp import catalog, cli
 from augcusp.augment import _refill, augment, ledger_json, untwist_retwist_roundtrip
 from augcusp.diagram import (
     Diagram,
@@ -118,14 +118,19 @@ def reference_twist_regions(d):
         links[c1].append((f, c2))
         links[c2].append((f, c1))
     if any(len(lk) > 2 for lk in links.values()):
-        if len(d.crossings) == 2 and len(bigons) == 4:
-            b0 = bigons[0]
-            partner = next(f for f in bigons[1:] if not set(f.boundary) & set(b0.boundary))
-            chain = [b0.corners[0][0], b0.corners[1][0]]
-            return [reference_chain_region(d, chain, [b0, partner], True)]
-        raise DiagramInvariantError(
-            "a crossing borders more than two bigons; not a reduced diagram"
-        )
+        for c in links:
+            # Four bigons at a crossing all join it to one other crossing:
+            # a 2-crossing Hopf part.  Keep its first bigon and the bigon
+            # that shares no edge with it.
+            if len(links[c]) == 4:
+                (b0, nb), *rest = links[c]
+                partner = next(f for f, _ in rest if not set(f.boundary) & set(b0.boundary))
+                for x in (c, nb):
+                    links[x] = [lk for lk in links[x] if lk[0] in (b0, partner)]
+        if any(len(lk) > 2 for lk in links.values()):
+            raise DiagramInvariantError(
+                "a crossing borders more than two bigons; not a reduced diagram"
+            )
     regions, visited = [], set()
     for c0 in range(len(d.crossings)):
         if c0 in visited:
@@ -289,6 +294,28 @@ class TestAgainstReference:
         assert_same_as_reference(d)
         (region,) = detect_twist_regions(d)
         assert region.is_cycle and len(region.bigon_edge_pairs) == 2
+
+    def test_a_hopf_part_of_a_split_diagram_reads_one_cyclic_region(self, tmp_path, capsys):
+        # The Hopf reading applies to each 2-crossing part with four bigons,
+        # not only to a whole diagram of two crossings.
+        hopf, trefoil = catalog.rational_link([2]), catalog.trefoil()
+        d = disjoint_union(hopf, trefoil)
+        assert_same_as_reference(d)
+        assert_same_as_reference(disjoint_union(trefoil, hopf))
+        (h,) = detect_twist_regions(hopf)
+        (t,) = detect_twist_regions(trefoil)
+        assert h.crossings == [0, 1] and h.is_cycle
+        shifted = dataclasses.replace(
+            t, crossings=[c + 2 for c in t.crossings],
+            bigon_edge_pairs=[(a + 4, b + 4) for a, b in t.bigon_edge_pairs],
+        )
+        assert t.crossing_count == 3 and t.is_cycle
+        assert detect_twist_regions(d) == [h, shifted]
+        path = tmp_path / "hopf-trefoil.json"
+        path.write_text(d.to_json())
+        assert cli.main(["twists", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [r["crossings"] for r in doc["regions"]] == [[0, 1], [c + 2 for c in t.crossings]]
 
     def test_non_alternating_chain_warns_like_the_reference(self):
         d = catalog.braid_closure(2, [(1, 1), (1, -1), (1, 1), (1, 1)])

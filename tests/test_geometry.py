@@ -508,17 +508,32 @@ def ladder_packings(name):
 class TestBlockMeasuring:
     @pytest.mark.parametrize("name", [*LADDER, "fal_corpus-4"])
     def test_block_reports_are_the_single_frame_reports(self, name):
+        """A block's reports, a crossing circle's measured with no frame of
+        its own and a knotting cusp's on its frame, agree bit for bit with
+        the public functions on the cusp's frame alone, and each report's
+        diameters are a read-only row of the one array of its block."""
         for packing in ladder_packings(name):
             nerve = packing.nerve
-            reports = geometry._analyze(packing, nerve.cusps())
-            for cusp in nerve.cusps():
+            cusps = nerve.cusps()
+            reports = geometry._analyze(packing, cusps)
+            for cusp in cusps:
+                rep = reports[cusp]
                 (alone,) = geometry._analyze(packing, [cusp]).values()
-                assert reports[cusp].to_dict() == alone.to_dict()
+                assert rep.to_dict() == alone.to_dict() and rep == alone
                 # The public functions, on the frame as a block of one.
                 frame = assemble(normalize_at_vertex(packing, nerve.cusp_edges[cusp][0]))
-                assert cusp_shape(frame) == reports[cusp].shape
+                assert repr(cusp_shape(frame)) == repr(rep.shape)
                 height, witness, _ = maximal_cusp(frame)
-                assert (height, witness) == (reports[cusp].shape.height, reports[cusp].witness)
+                assert (height.hex(), witness) == (rep.shape.height.hex(), rep.witness)
+                radii = np.concatenate((frame.radius, frame.disk_radius))
+                diameters = np.sort(2.0 * radii[np.isfinite(radii)])
+                assert rep.diameters.tobytes() == diameters.tobytes()
+                assert not rep.diameters.flags.writeable
+            size = max(1, geometry._BLOCK_ELEMENTS // len(nerve.edges))
+            blocks = [cusps[k:k + size] for k in range(0, len(cusps), size)]
+            bases = [{id(reports[c].diameters.base) for c in block} for block in blocks]
+            assert all(len(ids) == 1 for ids in bases)
+            assert len(set.union(*bases)) == len(blocks)
 
     def test_a_block_that_passes_some_frames_and_refuses_others(self):
         # A tol that the polish of some frames reaches and of others does not.
@@ -659,9 +674,10 @@ class TestReportsPerPacking:
         assert calls == [1]
 
     def test_every_cusp_of_chain_121_in_bounded_memory(self, monkeypatch):
-        # 123 cusps of 363 edges, normalized in blocks of 22: the kept
-        # reports take about 1.6 MB and a block about 1.4 MB at its peak.
-        # One block of all 123 frames would peak above 7 MB.
+        # 123 cusps of 363 edges, normalized in blocks of 22: a block peaks
+        # near 0.8 MB, and the kept reports take about 0.4 MB, their
+        # diameters being rows of their block's array (as lists of floats
+        # they took 1.5 MB).  One block of all 123 frames peaks near 5 MB.
         al, _ = augment(catalog.two_bridge_chain(121))
         nerve = build_nerve(al)
         packing = solve_packing(nerve)
@@ -670,12 +686,13 @@ class TestReportsPerPacking:
         try:
             for cusp in nerve.cusps():
                 analyze_cusp(al, cusp, packing=packing, nerve=nerve)
-            _, peak = tracemalloc.get_traced_memory()
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert sum(calls) == len(nerve.cusps()) == 123
         assert len(calls) == 6
-        assert peak < 4e6
+        assert peak < 2e6
+        assert held < 1e6
 
     def test_an_error_stays_with_its_cusp(self):
         # White 2, a circle with edge 0 at infinity, moved off its
