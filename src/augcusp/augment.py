@@ -75,10 +75,6 @@ class AugmentedLink:
     passages: dict[str, list[Passage]]
     circles: dict[str, CrossingCircle]
 
-    @property
-    def knotting_components(self) -> list[str]:
-        return sorted(self.passages)
-
     def to_json(self) -> str:
         doc = {
             "base": json.loads(self.base.to_json()),

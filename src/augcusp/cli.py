@@ -181,8 +181,6 @@ def cmd_cusp(args) -> int:
         n, *r = _family_ints(args.family)
         if n < 1:
             raise DiagramInvariantError(f"--family twobridge needs n >= 1, got {n}")
-        if len(r) != n:
-            raise DiagramInvariantError(f"need {n} filling integers, got {len(r)}")
         fam = families.gen_twobridge_family(n, r)
         al, target = fam.parent, families.twobridge_middle_circle(fam)
     elif args.input:
@@ -190,7 +188,7 @@ def cmd_cusp(args) -> int:
     else:
         raise PDSyntaxError("need an input diagram or --family")
     from . import render
-    from .geometry import analyze_cusp, assemble
+    from .geometry import analyze_cusp
     from .packing import build_nerve, normalize_at_vertex, solve_packing
 
     nerve = build_nerve(al)
@@ -225,7 +223,7 @@ def cmd_cusp(args) -> int:
         _render_to(args.render, render.packing_svg(norm))
         if not kind:
             horo_path = str(Path(args.render).with_suffix(".horoballs.svg"))
-            _render_to(horo_path, render.horoball_svg(assemble(norm)))
+            _render_to(horo_path, render.horoball_svg(norm))
     return 0
 
 

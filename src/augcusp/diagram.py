@@ -66,15 +66,6 @@ class Diagram:
         # Pickle the fields only: the caches below are rebuilt on demand.
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @property
-    def component_labels(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for e in sorted(self.components):
-            seen.setdefault(self.components[e], None)
-        for lab in self.loops:
-            seen.setdefault(lab, None)
-        return list(seen)
-
     @_cached
     def _edge(self) -> list[Edge]:
         """Dart 4*crossing + slot -> its edge id."""
@@ -183,13 +174,6 @@ class Diagram:
         ]
 
     @_cached
-    def face_map(self) -> FaceMap:
-        """The complementary regions as `Face` objects, built by
-        `compute_faces` from the validation's corner walk the first time
-        something reads them."""
-        return compute_faces(self)
-
-    @_cached
     def _canonical_pd(self) -> CanonicalPD:
         return (len(self.loops), tuple(sorted(_part_codes(self))))
 
@@ -216,8 +200,6 @@ class Face:
 @dataclass(frozen=True)
 class FaceMap:
     faces: tuple[Face, ...]
-    # The face of corner (c, k) at index 4c + k, recorded by the walk.
-    corner_faces: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
 
 @dataclass
@@ -398,18 +380,16 @@ def _validate(d: Diagram) -> None:
 
 
 def compute_faces(d: Diagram) -> FaceMap:
-    """The complementary regions as `Face` objects, in linear time
-    (uncached; the diagram's `face_map` keeps the result).
+    """The complementary regions as `Face` objects, in linear time.
 
     The only function that builds `Face` objects; nothing in the package
     reads them.  It reads the corner walk that validation made
     (`Diagram._corner_walk`): each face is a run of corners in walk order,
     corner 4c + k becomes (c, k), and its boundary edge is the one at the
     dart it leaves by, slot k+1.  So the faces are ordered by their least
-    corner, each starts there, and `corner_faces` is the walk's face of
-    each corner.
+    corner, and each starts there.
     """
-    starts, face_of, walk = d._corner_walk
+    starts, _, walk = d._corner_walk
     edge = d._edge
     faces = []
     for s, t in zip(starts, starts[1:]):
@@ -417,7 +397,7 @@ def compute_faces(d: Diagram) -> FaceMap:
         corners = tuple((x >> 2, x & 3) for x in run)
         boundary = tuple(edge[x - 3 if x & 3 == 3 else x + 1] for x in run)
         faces.append(Face(corners, boundary))
-    return FaceMap(tuple(faces), tuple(face_of))
+    return FaceMap(tuple(faces))
 
 
 # -- twist regions (two strands) ----------------------------------------------

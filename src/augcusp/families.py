@@ -18,13 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog
-from .augment import (
-    AugmentedLink,
-    CrossingCircle,
-    Passage,
-    apply_filling,
-    augment,
-)
+from .augment import AugmentedLink, CrossingCircle, Passage, augment
 from .diagram import Diagram, detect_twist_regions
 from .errors import DiagramInvariantError
 
@@ -75,11 +69,6 @@ def twobridge_middle_circle(fam: TwoBridgeFamily) -> str:
         if name == "L0":
             return lab
     raise DiagramInvariantError("no middle circle")
-
-
-def twobridge_filled(fam: TwoBridgeFamily) -> Diagram:
-    """PD diagram after the 1/r_i fillings (the middle circle expands)."""
-    return apply_filling(fam.parent, fam.ledger)
 
 
 # -- the longitude family --------------------------------------------------------

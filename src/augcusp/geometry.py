@@ -158,48 +158,7 @@ def _kappa(frame: CirclePacking, eid):
 
 def cusp_lattice(frame: CirclePacking) -> tuple[complex, complex, dict]:
     """Meridian and longitude translations of the cusp at infinity."""
-    return _lattice(*_alone(frame), 0, frame)
-
-
-def _lattice(
-    block: FrameBlock, rows: _Rows, f: int, frame: CirclePacking | None
-) -> tuple[complex, complex, dict]:
-    """The lattice of frame f.  frame is block[f], read only for a knotting
-    cusp: a crossing circle's cusp may pass None (see _shape)."""
-    if not rows.vertical[f]:
-        raise MeasuringError("crossing-disk lift at the cusp is not vertical")
-    nerve = block.nerve
-    w_inf, eid = rows.spacing[f], rows.eids[f]
-
-    if nerve.edges[eid].kind == "circle":
-        sign = nerve.shear_sign[eid - len(nerve.arc_exit)]
-        meridian = w_inf + 1j * sign if sign else w_inf
-        longitude = 2j
-        info = {"rectangles": 1, "shaded_spacing": w_inf}
-        return meridian, longitude, info
-
-    # Knotting strand: the meridian crosses two reflection-plane lifts; the
-    # longitude walks the rectangle chain through the crossing-disk faces,
-    # leaving the cusp's arc by its larger dart first.  A half-twisted disk
-    # shears the chain by its sign.
-    meridian = 2j
-    shear = 0.0
-    start = x = nerve.arc_exit[eid]
-    walk = [eid]  # arc i is nerve edge i
-    while True:
-        shear += nerve.shear_sign[x >> 2]
-        x, arc = nerve.exits[x]
-        if x == start:
-            break
-        walk.append(arc)
-    # Each rectangle's width: the cusp's own is w_inf; the others are
-    # kappa times the spacing of the two crossing-disk faces flanking them.
-    rest = np.array(walk[1:], dtype=np.intp)
-    disk_r = block.disk_radius[f, nerve.edge_triangles[rest]]
-    widths = [w_inf] + (_kappa(frame, rest) * (0.5 / disk_r).sum(axis=1)).tolist()
-    longitude = sum(widths) + 1j * shear
-    info = {"rectangles": len(walk), "widths": widths}
-    return meridian, longitude, info
+    return _measure(*_alone(frame), 0)[0]
 
 
 def maximal_cusp(frame: CirclePacking) -> tuple[float, str, list[tuple[complex, float]]]:
@@ -210,31 +169,62 @@ def maximal_cusp(frame: CirclePacking) -> tuple[float, str, list[tuple[complex, 
     translate of itself; translate sizes come from the matched development
     of the other lifts of the same cusp.
     """
-    block, rows = _alone(frame)
-    return _height(block, rows, 0, _lattice(block, rows, 0, frame)[:2], frame)
+    points, diameters, height, witness = _measure(*_alone(frame), 0)[1]
+    return height, witness, list(zip(points.tolist(), diameters.tolist()))
 
 
-def _height(
-    block: FrameBlock, rows: _Rows, f: int, lattice: tuple[complex, complex],
-    frame: CirclePacking | None,
-) -> tuple[float, str, list[tuple[complex, float]]]:
-    """The height of frame f's cusp; frame is as for _lattice."""
+def _measure(block: FrameBlock, rows: _Rows, f: int) -> tuple[
+    tuple[complex, complex, dict], tuple[np.ndarray, np.ndarray, float, str]
+]:
+    """Frame f's lattice (meridian, longitude, info) and its cusp's other
+    horoballs (tangency points, diameters, height, witness), the points in
+    ascending edge order."""
+    if not rows.vertical[f]:
+        raise MeasuringError("crossing-disk lift at the cusp is not vertical")
     nerve = block.nerve
-    eid = rows.eids[f]
-    best = rows.floor[f]
+    w_inf, eid, best = rows.spacing[f], rows.eids[f], rows.floor[f]
     witness = "face tangency"
-    eids = [k for k in nerve.cusp_edges[nerve.edges[eid].cusp] if k != eid]
-    if not eids:  # a crossing circle's cusp: no other lift to meet
-        return best, witness, []
-    eids = np.array(eids, dtype=np.intp)
+
+    if nerve.edges[eid].kind == "circle":  # no other lift to meet
+        sign = nerve.shear_sign[eid - len(nerve.arc_exit)]
+        meridian = w_inf + 1j * sign if sign else w_inf
+        info = {"rectangles": 1, "shaded_spacing": w_inf}
+        return (meridian, 2j, info), (np.empty(0, complex), np.empty(0), best, witness)
+
+    # Knotting strand: the meridian crosses two reflection-plane lifts; the
+    # longitude walks the rectangle chain through the crossing-disk faces,
+    # leaving the cusp's arc by its larger dart first.  A half-twisted disk
+    # shears the chain by its sign.  The walk passes every other lift of
+    # the cusp once.
+    meridian = 2j
+    shear = 0.0
+    start = x = nerve.arc_exit[eid]
+    walk = [eid]  # arc i is nerve edge i
+    while True:
+        shear += nerve.shear_sign[x >> 2]
+        x, arc = nerve.exits[x]
+        if x == start:
+            break
+        walk.append(arc)
+    frame = block[f]
+    rest = np.array(walk[1:], dtype=np.intp)
+    kap = _kappa(frame, rest)
+    # Each rectangle's width: the cusp's own is w_inf; the others are
+    # kappa times the spacing of the two crossing-disk faces flanking them.
+    disk_r = block.disk_radius[f, nerve.edge_triangles[rest]]
+    widths = [w_inf] + (kap * (0.5 / disk_r).sum(axis=1)).tolist()
+    longitude = sum(widths) + 1j * shear
+    info = {"rectangles": len(walk), "widths": widths}
+
+    # The horoball search, on the walk's edges and kappa in ascending edge order.
+    order = np.argsort(rest)
+    eids, kap = rest[order], kap[order]
     pts = frame.tangency_points(eids)
-    kap = _kappa(frame, eids)
     if math.sqrt(kap.max()) > best:
         k = int(np.argmax(kap))
         best = math.sqrt(kap[k])
         witness = f"horoball tangency at edge {eids[k]}"
-    mu, lam = lattice
-    shifts = [a * mu + b * lam for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    shifts = [a * meridian + b * longitude for a in (-1, 0, 1) for b in (-1, 0, 1)]
     best, pair, searched = _pair_search(pts, kap, best, shifts)
     if pair is not None:
         witness = f"horoball pair at edges near {eids[pair[0]]},{eids[pair[1]]}"
@@ -243,7 +233,7 @@ def _height(
         "height %.17g, witness %s",
         eid, searched, len(shifts), searched * len(eids) ** 2, best, witness,
     )
-    return best, witness, list(zip(pts.tolist(), (kap / best).tolist()))
+    return (meridian, longitude, info), (pts, kap / best, best, witness)
 
 
 def _pair_search(
@@ -280,23 +270,16 @@ def _pair_search(
 
 
 def cusp_shape(frame: CirclePacking) -> CuspShape:
-    return _shape(*_alone(frame), 0, frame)[0]
+    return _shape(*_alone(frame), 0)[0]
 
 
-def _shape(
-    block: FrameBlock, rows: _Rows, f: int, frame: CirclePacking | None = None
-) -> tuple[CuspShape, str]:
-    """Cusp shape and the witness of its height, from one lattice.  frame
-    is block[f] if the caller has it; a knotting cusp builds it once here,
-    a crossing circle's cusp needs none."""
-    edge = block.nerve.edges[rows.eids[f]]
-    if frame is None and edge.kind != "circle":
-        frame = block[f]
-    mu, lam, _ = _lattice(block, rows, f, frame)
-    h, witness, _ = _height(block, rows, f, (mu, lam), frame)
+def _shape(block: FrameBlock, rows: _Rows, f: int) -> tuple[CuspShape, str]:
+    """Cusp shape and the witness of its height."""
+    (mu, lam, _), (_, _, h, witness) = _measure(block, rows, f)
     if (lam / mu).imag < 0:
         lam = -lam  # orient the modulus into the upper half plane
-    return CuspShape(cusp=edge.cusp, meridian=mu, longitude=lam, height=h), witness
+    cusp = block.nerve.edges[rows.eids[f]].cusp
+    return CuspShape(cusp=cusp, meridian=mu, longitude=lam, height=h), witness
 
 
 # -- high level pipeline --------------------------------------------------------
@@ -435,6 +418,14 @@ def verify_meridian_bound(
     Meridian lengths must lie in [2, 4) and reflection widths in [1, 2);
     unsupported entries are reported as skipped, not failed.  A corpus that
     measures no cusp, every entry skipped, does not pass.
+
+    The non-strict bounds always hold.  In a unit-strip frame each vertical
+    lift's triangle holds both lines and one white tangent to both, of
+    radius 1/2.  No finite radius is larger: a finite white lies in the
+    strip, and a finite shaded circle is the incircle of its whites'
+    centres, no wider than the strip.  So the height is at least 1/2, and
+    m = 2 / height <= 4 and w = 1 / height <= 2, with equality exactly when
+    a face tangency sets the height; such a cusp fails the strict check.
     """
     entries = []
     all_pass = True

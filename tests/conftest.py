@@ -2,10 +2,10 @@
 already sets a count.
 
 Report fields move by about 1e-11 with the BLAS thread count (the packing's
-banded solves), so the golden and identity tests compare at one thread, the
-count perfbench/run.py sets too.  The variables are read when numpy loads,
-so this module refuses to run after numpy is imported: the pin would not
-take.
+dense LU solves), so the golden and identity tests compare at one thread,
+the count perfbench/run.py sets too.  The variables are read when numpy
+loads, so this module refuses to run after numpy is imported: the pin
+would not take.
 """
 
 import os

@@ -19,7 +19,6 @@ from augcusp.diagram import (
     Diagram,
     _with_inferred_components,
     canonical_pd,
-    compute_faces,
     pd_isomorphic,
 )
 from augcusp.families import fal_corpus
@@ -170,10 +169,8 @@ def test_shuffled_large_pretzels(columns):
     assert not pd_isomorphic(d, scrambled(other, random.Random(columns)))
 
 
-def test_faces_are_cached_and_survive_pickling():
+def test_a_diagram_survives_pickling():
     d = catalog.figure_eight()
-    assert d.face_map is d.face_map
-    assert d.face_map == compute_faces(d)
     copy = pickle.loads(pickle.dumps(d))
     assert copy == d and canonical_pd(copy) == canonical_pd(d)
 

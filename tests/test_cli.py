@@ -487,7 +487,8 @@ class TestExitCodes:
         assert r.stdout == ""
 
     @pytest.mark.parametrize(
-        "family", [["twobridge", "0"], ["longitude", "-1"], ["twobridge", "x"]]
+        "family",
+        [["twobridge", "0"], ["twobridge", "2", "1"], ["longitude", "-1"], ["twobridge", "x"]],
     )
     def test_bad_family_arguments_exit_3(self, family):
         r = run("cusp", "--family", *family)

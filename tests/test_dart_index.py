@@ -5,8 +5,7 @@ map and the `Face` objects of every diagram and checks the invariants on
 them.  The diagrams' own validation reads the darts sorted by edge id and
 counts the faces with one walk over integers; both must raise the same
 error, or accept and agree on every structure the diagram derives.  A spy on
-`compute_faces` checks that `Face` objects are built only for a diagram
-whose face map is read, which no round-trip stage does.
+`compute_faces` checks that no round-trip stage builds `Face` objects.
 """
 
 import json
@@ -25,6 +24,7 @@ from augcusp.diagram import (
     Face,
     FaceMap,
     _with_inferred_components,
+    compute_faces,
     detect_twist_regions,
     parse_diagram,
     pd_isomorphic,
@@ -108,7 +108,7 @@ def reference_face_map(crossings, twin):
             boundary.append(edge[out])
             x = twin[out]
         faces.append(Face(tuple(corners), tuple(boundary)))
-    return FaceMap(tuple(faces), tuple(face_of))
+    return FaceMap(tuple(faces)), face_of
 
 
 def reference_components(crossings):
@@ -155,7 +155,7 @@ def reference_validate(crossings, components, signs, loops):
         carried.add(lab)
     if signs is not None and len(signs) != len(crossings):
         raise DiagramInvariantError("signs length differs from crossing count")
-    faces = reference_face_map(crossings, twin)
+    faces, face_of = reference_face_map(crossings, twin)
     parts = reference_parts(crossings, twin)
     if crossings:
         v, e, f = len(crossings), 2 * len(crossings), len(faces.faces)
@@ -163,7 +163,10 @@ def reference_validate(crossings, components, signs, loops):
             raise DiagramInvariantError(
                 f"face traversal does not close on a sphere: V-E+F = {v - e + f}"
             )
-    return {"occ": occ, "twin": twin, "walks": walks, "parts": parts, "faces": faces}
+    return {
+        "occ": occ, "twin": twin, "walks": walks, "parts": parts, "faces": faces,
+        "face_of": face_of,
+    }
 
 
 # -- mutated diagrams -------------------------------------------------------------
@@ -253,8 +256,8 @@ def assert_same_as_reference(crossings, components, signs, loops):
         assert got == ref
         return
     assert list(got.components.items()) == list(ref_components.items())
-    assert got.face_map.faces == ref["faces"].faces
-    assert got.face_map.corner_faces == ref["faces"].corner_faces
+    assert compute_faces(got).faces == ref["faces"].faces
+    assert got._corner_walk[1] == ref["face_of"]
     assert got._twin == ref["twin"]
     assert got._walks == ref["walks"]
     assert got._parts == ref["parts"]
@@ -303,7 +306,7 @@ class TestAgainstReference:
             parse_diagram(text)
 
 
-# -- Face objects only where a face map is read --------------------------------------
+# -- no Face object in a round trip ---------------------------------------------------
 
 
 @pytest.fixture
@@ -344,10 +347,8 @@ class TestFacesBuiltOnRead:
             d2 = parse_diagram(scrambled(d, rng).to_json())
             assert pd_isomorphic(d, d2)
             assert faces_built == []
-            assert "face_map" not in vars(d)
 
     def test_augment_builds_no_faces_for_its_base(self, faces_built):
         d = catalog.pretzel_link([3] * 20)
         al, _ = augment(d)
         assert faces_built == []
-        assert "face_map" not in vars(d) and "face_map" not in vars(al.base)

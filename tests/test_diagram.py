@@ -124,13 +124,14 @@ class TestCatalog:
     def test_two_bridge_chain_has_two_components(self, k):
         d = catalog.two_bridge_chain(k)
         assert len(d.crossings) == 2 * k
-        assert len(d.component_labels) == 2
+        assert len({*d.components.values(), *d.loops}) == 2
 
     def test_rational_two_two_is_not_the_figure_eight(self):
         d = catalog.rational_link([2, 2])
         assert len(d.crossings) == 4
-        assert len(d.component_labels) == 2
-        assert len(catalog.figure_eight().component_labels) == 1
+        assert len({*d.components.values(), *d.loops}) == 2
+        f = catalog.figure_eight()
+        assert len({*f.components.values(), *f.loops}) == 1
 
 
 class TestFaces:
@@ -197,7 +198,7 @@ def assert_faces_match_reference(d):
     assert firsts == sorted(firsts)
     assert all(f.corners[0] == min(f.corners) for f in fm.faces)
     for i, f in enumerate(fm.faces):
-        assert all(fm.corner_faces[4 * c + k] == i for c, k in f.corners)
+        assert all(d._corner_walk[1][4 * c + k] == i for c, k in f.corners)
 
 
 class TestFaceWalk:
@@ -232,7 +233,7 @@ class TestFaceWalk:
         # A trefoil and a Hopf link side by side: V - E + F = 4 = 2 * parts.
         pd = [[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 6, 2], [7, 9, 8, 10], [9, 7, 10, 8]]
         d = parse_diagram(json.dumps({"pd": pd}))
-        assert len(d.face_map.faces) == 9
+        assert len(compute_faces(d).faces) == 9
         assert sorted(map(sorted, d._parts)) == [[0, 1, 2], [3, 4]]
 
     def test_non_planar_pd_rejected(self):

