@@ -303,20 +303,29 @@ def _check_degrees(n: Nerve) -> None:
 
 # -- double-double arithmetic ----------------------------------------------------
 # A value is hi + lo, two float64s, from IEEE +, - and * alone: the same on every
-# platform (Dekker 1971; Shewchuk 1997).  The functions take floats or arrays.
+# platform (Dekker 1971; Shewchuk 1997).  The functions take arrays (low parts
+# and the second term of a sum may be floats) and work in place on arrays of
+# their own; given `out`, two arrays of the result's shape, _dd_add and
+# _dd_square write the result there.  So the frame map holds few
+# (frames x whites) arrays at once.
 
 
 def _two_sum(a, b):
     """s + e == a + b exactly, s the rounded sum (Knuth)."""
     s = a + b
     t = s - a
-    return s, (a - (s - t)) + (b - t)
+    e = s - t
+    np.subtract(a, e, out=e)
+    np.subtract(b, t, out=t)
+    e += t
+    return s, e
 
 
 def _split(a):
     t = 134217729.0 * a  # 2**27 + 1: Dekker's split, a = hi + lo of 26 bits each
-    hi = t - (t - a)
-    return hi, a - hi
+    hi = t - a
+    np.subtract(t, hi, out=hi)
+    return hi, np.subtract(a, hi, out=t)
 
 
 def _two_prod(a, b):
@@ -326,18 +335,31 @@ def _two_prod(a, b):
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-def _dd_add(ah, al, bh, bl):
-    """(ah + al) + (bh + bl), renormalized: its hi is the rounded sum."""
+def _dd_add(ah, al, bh, bl, out=(None, None)):
+    """(ah + al) + (bh + bl), renormalized: its hi is the rounded sum.  The
+    arrays of out may be inputs."""
     s, e = _two_sum(ah, bh)
-    e = e + (al + bl)
-    h = s + e
-    return h, e - (h - s)
+    e += al + bl
+    h = np.add(s, e, out=out[0])
+    np.subtract(h, s, out=s)
+    return h, np.subtract(e, s, out=out[1])
 
 
-def _dd_square(h, l):
-    """(h + l)^2, not renormalized: h is split once."""
-    p, (hh, hl) = h * h, _split(h)
-    return p, ((hh * hh - p) + 2 * hh * hl) + hl * hl + 2 * h * l
+def _dd_square(h, l, out=(None, None)):
+    """(h + l)^2, not renormalized: h is split once.  Of the inputs, out may
+    hold only l, as its second array."""
+    hh, hl = _split(h)
+    p = np.multiply(h, h, out=out[0])
+    e = hh * hh
+    e -= p
+    hh *= 2
+    hh *= hl
+    e += hh
+    hl *= hl
+    e += hl
+    np.multiply(2, h, out=hh)
+    hh *= l
+    return p, np.add(e, hh, out=out[1])
 
 
 # -- the packing solver --------------------------------------------------------
@@ -391,9 +413,17 @@ class CirclePacking:
         incircle of its whites' centres, 1 / sqrt(k_a k_b + k_b k_c + k_c k_a)
         for whites of curvature k (0 for a line), so inf, a vertical line,
         when two of them are lines."""
+        a, b, c = self.nerve.triangle_whites.T
         with np.errstate(divide="ignore"):
-            ka, kb, kc = np.moveaxis((1.0 / self.radius)[..., self.nerve.triangle_whites], -1, 0)
-            return 1.0 / np.sqrt(ka * kb + kb * kc + kc * ka)
+            k = 1.0 / self.radius
+            out, kb = k[..., a], k[..., b]
+            out *= kb
+            kc = k[..., c]
+            kb *= kc
+            out += kb
+            kc *= np.take(k, a, axis=-1, out=kb, mode="clip")  # mode: see residuals
+            out += kc
+            return np.divide(1.0, np.sqrt(out, out=out), out=out)
 
     @cached_property
     def disks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -421,13 +451,34 @@ class CirclePacking:
     @cached_property
     def residuals(self) -> np.ndarray:
         """Per edge: |distance - sum of radii| of two circles, or of a circle's
-        centre to a line and its radius; 0 for the two lines."""
+        centre to a line and its radius; 0 for the two lines.
+
+        Built in place, in three arrays of the result's size at most: |zb - za|
+        (numpy's complex abs) from one complex array, then |dy| and each
+        radius in turn.  np.take writes into out= in place only with a mode
+        other than "raise" (which copies it first); the ends are in range,
+        so "clip" changes nothing else.
+        """
         a, b = self.nerve.ends
-        za, zb, ra, rb = (x[..., i] for x in (self.center, self.radius) for i in (a, b))
-        dy = abs(zb.imag - za.imag)
-        out = np.where(np.isinf(ra), abs(dy - rb), abs(abs(zb - za) - ra - rb))
-        out = np.where(np.isinf(rb), abs(dy - ra), out)
-        out[np.isinf(ra) & np.isinf(rb)] = 0.0
+        z, r = self.center, self.radius
+        dz = np.take(z, b, axis=-1)
+        out = np.take(z.real, a, axis=-1)
+        np.subtract(dz.real, out, out=dz.real)
+        np.subtract(dz.imag, np.take(z.imag, a, axis=-1, out=out, mode="clip"), out=dz.imag)
+        np.abs(dz, out=out)
+        del dz
+        dy, tmp = np.take(z.imag, b, axis=-1), np.take(z.imag, a, axis=-1)
+        dy -= tmp
+        np.abs(dy, out=dy)
+        out -= np.take(r, a, axis=-1, out=tmp, mode="clip")
+        la = np.isinf(tmp)
+        out -= np.take(r, b, axis=-1, out=tmp, mode="clip")
+        lb = np.isinf(tmp)
+        np.abs(out, out=out)
+        np.subtract(dy, tmp, out=out, where=la)  # a line: |dy - rb|
+        np.subtract(dy, np.take(r, a, axis=-1, out=tmp, mode="clip"), out=out, where=lb)
+        np.abs(out, out=out, where=la | lb)
+        out[la & lb] = 0.0
         return out
 
     def max_residual(self) -> float:
@@ -446,8 +497,8 @@ class FrameBlock(CirclePacking):
     normalization record holds an entry per frame ("frame" is shared).
     Indexing by an int gives a frame, a CirclePacking on its block's rows
     (iterating and unpacking go through it): its residuals are the block's
-    row, and whatever else it derives equals that row of the block's, bit
-    for bit."""
+    row while the block holds them, and whatever it derives equals that row
+    of the block's, bit for bit."""
 
     def __len__(self) -> int:
         return len(self.center)
@@ -459,7 +510,8 @@ class FrameBlock(CirclePacking):
             self.nerve, self.center[f], self.radius[f], (int(u[f]), int(v[f])), self.tol,
             {"infinity_edge": int(norm["infinity_edge"][f]), "frame": norm["frame"]},
         )
-        vars(frame)["residuals"] = self.residuals[f]
+        if "residuals" in vars(self):
+            vars(frame)["residuals"] = self.residuals[f]
         return frame
 
 
@@ -785,8 +837,11 @@ def normalize_at_vertex(
             p = [np.where(la | lb, w[foot], x)[:, None] for w, x in zip((h, l), p)]
             pc.append((p, _dd_add(h, l, -p[0], -p[1])))
         (_, cx), (py, cy) = pc
+        # D in place: the squares take the low parts of c, the sums the squares.
         h, e = _dd_square(r, rl)
-        inv = 1.0 / _dd_add(*_dd_add(*_dd_square(*cx), *_dd_square(*cy)), -h, -e)[0]
+        power = _dd_square(*cx, out=(np.empty_like(cx[1]), cx[1]))
+        power = _dd_add(*power, *_dd_square(*cy, out=(np.empty_like(cy[1]), cy[1])), out=power)
+        inv = np.divide(1.0, _dd_add(*power, -h, -e, out=power)[0], out=power[0])
         # s = 1 / (z - p), or s = z, sends a and b to lines {Re(conj(n) s) = o}:
         # a circle through p to Re(c s) = 1/2, a line through p to the real axis.
         ends = []
@@ -811,12 +866,20 @@ def normalize_at_vertex(
         ylo, yhi = np.where(low, oa, yb), np.where(low, yb, oa)
         k = 1.0 / (yhi - ylo)
         scale, shift = k * rot, -1j * ylo * k  # w = scale * s + shift
-        cx, cy = cx[0] * inv, cy[0] * inv
+        cx, cy = cx[0], cy[0]
+        cx *= inv
+        cy *= inv
+        radius = k[:, None] * r
+        radius *= inv
         b, a = scale[:, None], shift[:, None]
         center = np.empty(cx.shape, dtype=complex)
-        center.real = b.real * cx + b.imag * cy + a.real
-        center.imag = b.imag * cx - b.real * cy + a.imag
-        radius = k[:, None] * r * inv
+        re, im = center.real, center.imag
+        np.multiply(b.real, cx, out=re)  # inv's array, spent, takes the second products
+        re += np.multiply(b.imag, cy, out=inv)
+        re += a.real
+        np.multiply(b.imag, cx, out=im)
+        im -= np.multiply(b.real, cy, out=inv)
+        im += a.imag
     rows = np.flatnonzero(at_infinity)
     center[rows] = scale[rows, None] * z + shift[rows, None]
     radius[rows] = k[rows, None] * r
@@ -833,7 +896,7 @@ def normalize_at_vertex(
     flank = nerve.triangle_whites[nerve.edge_triangles[eids]].reshape(len(eids), -1)
     on_line = (flank == u[:, None]) | (flank == v[:, None])
     x = np.where(on_line, np.inf, center[frame[:, None], flank].real)
-    center = np.where(np.isfinite(radius), center - x.min(axis=1)[:, None], center)
+    np.subtract(center.real, x.min(axis=1)[:, None], out=center.real, where=np.isfinite(radius))
     block = FrameBlock(
         nerve, center, radius, (u, v), packing.tol,
         {"infinity_edge": eids, "frame": "unit-strip"},

@@ -3,7 +3,9 @@
 The references are the loops the array code replaced: the triple loop of
 `maximal_cusp` over lift pairs and lattice shifts, and the three-point circle
 through the tangencies of a shaded triangle, scalar and as array algebra;
-and an exact oracle, the integer curvatures of chain cusp frames.
+the tangency residuals as np.where over whole arrays, the formula that the
+in-place derivation replaced; and an exact oracle, the integer curvatures of
+chain cusp frames.
 """
 
 import cmath
@@ -18,7 +20,7 @@ from augcusp.augment import augment
 from augcusp.errors import UnsupportedLinkError
 from augcusp.families import fal_corpus
 from augcusp.geometry import _kappa, assemble, cusp_lattice, maximal_cusp
-from augcusp.packing import build_nerve, normalize_at_vertex, solve_packing
+from augcusp.packing import CirclePacking, build_nerve, normalize_at_vertex, solve_packing
 
 
 def finite_radius_max(frame):
@@ -192,3 +194,35 @@ def test_lift_spacing_and_verticality_match_the_circumcircles(name):
     assert rows.spacing == abs(x[:, 1] - x[:, 0]).tolist()
     assert rows.vertical == np.isinf(radius[frames, lifts]).all(axis=1).tolist()
     assert all(rows.vertical)
+
+
+def reference_residuals(packing):
+    """Reference: the residuals by np.where over every edge, for a packing or
+    a block of frames."""
+    a, b = packing.nerve.ends
+    za, zb, ra, rb = (x[..., i] for x in (packing.center, packing.radius) for i in (a, b))
+    dy = abs(zb.imag - za.imag)
+    out = np.where(np.isinf(ra), abs(dy - rb), abs(abs(zb - za) - ra - rb))
+    out = np.where(np.isinf(rb), abs(dy - ra), out)
+    out[np.isinf(ra) & np.isinf(rb)] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("name", ["chain-121", "pretzel-3x60"])
+def test_residuals_are_the_where_formula(name):
+    """Bit for bit, on the strip and on a block of every cusp's frame and
+    the frame of the strip's own edge at infinity (a row at infinity, mapped
+    by a translation and scale)."""
+    (packing,) = ladder_packings(name)
+    nerve = packing.nerve
+    eids = np.array([nerve.cusp_edges[c][0] for c in nerve.cusps()] + [nerve.infinity_edge])
+    block = normalize_at_vertex(packing, eids)
+    for p in (packing, block):
+        assert np.array_equal(CirclePacking.residuals.func(p), reference_residuals(p))
+    # Each frame's one line-line edge is its edge at infinity, residual 0.
+    a, b = nerve.ends
+    lines = np.isinf(block.radius)
+    both = lines[:, a] & lines[:, b]
+    assert (np.flatnonzero(both) % len(a) == eids).all()
+    assert not block.residuals[both].any()
+    assert (lines[:, a] ^ lines[:, b]).sum() > len(block)  # circles at a line

@@ -600,7 +600,7 @@ class TestBlockMeasuring:
         with caplog.at_level(logging.DEBUG, logger="augcusp"):
             geometry._analyze(packing, nerve.cusps())
         records = [r for r in caplog.records if r.getMessage().startswith("measure: ")]
-        assert len(records) == 6 and {r.levelno for r in records} == {logging.DEBUG}
+        assert len(records) == 2 and {r.levelno for r in records} == {logging.DEBUG}
         counts = [
             list(map(int, re.findall(r"(\d+) (?:frames|circle|knotting)", r.getMessage())))
             for r in records
@@ -608,6 +608,33 @@ class TestBlockMeasuring:
         assert [sum(col) for col in zip(*counts)] == [123, 121, 2]
         for record in records:
             assert f"against its gate {10 * packing.tol:.2e}" in record.getMessage()
+
+    def test_report_bits_do_not_depend_on_the_block_size(self, monkeypatch):
+        packings = [p for name in ("chain-21", "pretzel-3x10", "fal_corpus-4")
+                    for p in ladder_packings(name)]
+        sizes = []
+
+        def counted(packing, edge_id):
+            sizes[-1].append(np.size(edge_id))
+            return normalize_at_vertex(packing, edge_id)
+
+        monkeypatch.setattr(geometry, "normalize_at_vertex", counted)
+
+        def dumps(elements):
+            monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", elements)
+            sizes.append([])
+            out = []
+            for packing in packings:
+                cusps = packing.nerve.cusps()
+                reports = geometry._analyze(packing, cusps)
+                out += [json.dumps(reports[c].to_dict()) for c in cusps]
+            return out
+
+        default = dumps(geometry._BLOCK_ELEMENTS)
+        assert dumps(1) == default == dumps(10**9)
+        cusps = [len(p.nerve.cusps()) for p in packings]
+        assert sizes[1] == [1] * sum(cusps) and sizes[2] == cusps
+        assert len(packings) == 2 + 11 and len(default) == sum(cusps) == 92
 
 
 class TestMeasuringWork:
@@ -705,10 +732,11 @@ class TestReportsPerPacking:
         assert calls == [1]
 
     def test_every_cusp_of_chain_121_in_bounded_memory(self, monkeypatch):
-        # 123 cusps of 363 edges, normalized in blocks of 22: a block peaks
-        # near 0.8 MB, and the kept reports take about 0.4 MB, their
+        # 123 cusps of 363 edges, normalized in blocks of 67 and 56: the
+        # pass peaks near 1.22 MB, in the first block's horoball-pair search
+        # (180 edges), and the kept reports take about 0.46 MB, their
         # diameters being rows of their block's array (as lists of floats
-        # they took 1.5 MB).  One block of all 123 frames peaks near 5 MB.
+        # they took 1.5 MB).  One block of all 123 frames peaks near 1.85 MB.
         al, _ = augment(catalog.two_bridge_chain(121))
         nerve = build_nerve(al)
         packing = solve_packing(nerve)
@@ -721,8 +749,8 @@ class TestReportsPerPacking:
         finally:
             tracemalloc.stop()
         assert sum(calls) == len(nerve.cusps()) == 123
-        assert len(calls) == 6
-        assert peak < 2e6
+        assert len(calls) == 2
+        assert peak < 1.4e6
         assert held < 1e6
 
     def test_an_error_stays_with_its_cusp(self):

@@ -78,18 +78,24 @@ FLOATS = st.floats(min_value=-2.0**500, max_value=2.0**500)
 FACTORS = st.just(0.0) | st.floats(2.0**-460, 2.0**500) | st.floats(-2.0**500, -2.0**-460)
 
 
+def on_arrays(kernel, *xs):
+    """The kernel, which works in place on arrays, on one-element arrays of
+    the given floats; its results as floats."""
+    return [r.item() for r in kernel(*(np.array([x]) for x in xs))]
+
+
 class TestDoubleDouble:
     """The double-double kernel, checked exactly in Fractions."""
 
     @given(a=FLOATS, b=FLOATS)
     def test_two_sum_is_exact(self, a, b):
-        s, e = _two_sum(a, b)
+        s, e = on_arrays(_two_sum, a, b)
         assert s == a + b
         assert Fraction(s) + Fraction(e) == Fraction(a) + Fraction(b)
 
     @given(a=FACTORS, b=FACTORS)
     def test_two_prod_is_exact(self, a, b):
-        p, e = _two_prod(a, b)
+        p, e = on_arrays(_two_prod, a, b)
         assert p == a * b
         assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
 
@@ -97,7 +103,7 @@ class TestDoubleDouble:
     def test_dd_square_is_exact_to_double_double(self, h, lo):
         """(h + l)^2 for l below half an ulp of h: within 2^-100 of it."""
         l = lo * math.ulp(h) / 2
-        p, e = _dd_square(h, l)
+        p, e = on_arrays(_dd_square, h, l)
         exact = (Fraction(h) + Fraction(l)) ** 2
         assert abs(Fraction(p) + Fraction(e) - exact) <= Fraction(2) ** -100 * exact
 
