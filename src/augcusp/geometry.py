@@ -248,21 +248,50 @@ def _pair_search(
 ) -> tuple[float, tuple[int, int] | None, int]:
     """The highest horoball pair (p_i, p_j + t) over the shifts t, if above
     best: (its height or best, (i, j) or None, the shifts searched).  The
-    two balls touch at height sqrt(kappa_i kappa_j) / |p_j + t - p_i|."""
+    two balls touch at height sqrt(kappa_i kappa_j) / |p_j + t - p_i|.
+
+    A shift is skipped when a bound shows that no pair across it rises above
+    best, nor so above any later best; the kept shifts run in order, so the
+    result is the full search's.  Every pair across t is at least apart =
+    max(|Re t| - wx, |Im t| - wy) apart, wx and wy the extent of the points,
+    so its height is at most max(kappa) / apart: an O(1) test.  A nonzero
+    shift that passes it gets a per-point bound.  From i's side the pair is
+    at least g_i = max(|Re t| - ex_i, |Im t| - ey_i) apart, ex_i and ey_i
+    point i's distance to the points' extremes behind t (x_i - min x for
+    Re t > 0), so its height is at most sqrt(max kappa) sqrt(kappa_i) / g_i;
+    from j's side the same holds with the extremes ahead of t.  The highest
+    pair is below the smaller of the two sides' largest bounds.  The margin
+    1e-9 covers the roundoff of the bounds, and slack that of the gaps,
+    which the search computes from coordinates as large as |t| plus the
+    points' own: without it, points 1e3 from the origin and 1e-12 apart
+    across t would be skipped where the full search finds them higher.
+    """
     x, y, root = pts.real, pts.imag, np.sqrt(kap)
-    # Every pair across t is at least apart = max(|Re t| - wx, |Im t| - wy)
-    # apart, wx and wy the extent of the points, so its height is at most
-    # max(kappa) / apart.  A shift with apart * best > max(kappa) thus has
-    # no pair above best, nor above any later best: skipping it changes
-    # nothing.  The margin 1e-9 covers the roundoff of the bound.
-    wx, wy = x.max() - x.min(), y.max() - y.min()
-    top = kap.max() * (1 + 1e-9)
+    # Python floats: the per-shift tests below are scalar arithmetic.
+    x0, x1, y0, y1 = map(float, (x.min(), x.max(), y.min(), y.max()))
+    wx, wy = x1 - x0, y1 - y0
+    top = float(kap.max()) * (1 + 1e-9)
+    size = max(-x0, x1) + max(-y0, y1)  # the largest |x| + |y|
+    sides = None
     pair, searched = None, 0
     n = len(pts)
     gap, dy, lift = np.empty((n, n)), np.empty((n, n)), np.empty((n, n), dtype=bool)
     for t in shifts:
-        if max(abs(t.real) - wx, abs(t.imag) - wy) * best > top:
+        ax, ay = abs(t.real), abs(t.imag)
+        slack = 1e-12 * (ax + ay + size)
+        if (max(ax - wx, ay - wy) - slack) * best > top:
             continue
+        if ax or ay:  # shift 0 pairs the points among themselves: no bound
+            if sides is None:
+                # Each point's distance to min x, max x, min x, then the same
+                # in y: i's and j's rows are adjacent for either sign of t.
+                lo, hi, low, high = x - x0, x1 - x, y - y0, y1 - y
+                sides = np.array((lo, hi, lo, low, high, low))
+                cap = root * math.sqrt(top)  # k's pairs are below best beyond cap_k / best
+            sx, sy = int(t.real < 0), 3 + int(t.imag < 0)
+            g = np.maximum(ax - sides[sx:sx + 2], ay - sides[sy:sy + 2])
+            if (g > cap / best + slack).all(axis=1).any():
+                continue
         searched += 1
         # x_i - (x_j + Re t): a broadcast copy, then one broadcast operand,
         # where np.subtract.outer would buffer two.

@@ -585,15 +585,16 @@ def solve_flower_radii(
             if not steps:  # a solve that starts within tol needs no Jacobian
                 # Its entries in row-major order: the diagonal, then the free petals.
                 flat = np.concatenate((c * (n + 1), c[fa] * n + pa[fa], c[fb] * n + pb[fb]))
+                norm = np.linalg.norm(err)  # later, the accepted trial's
             du = np.linalg.solve(jacobian(*parts) + gauge, -err)
-            norm = np.linalg.norm(err)
             for lam in 0.5 ** np.arange(40):
-                trial, trial_parts = angle_error(u + lam * du)
-                if np.linalg.norm(trial) < norm:
+                trial_u = u + lam * du
+                trial, trial_parts = angle_error(trial_u)
+                if (trial_norm := np.linalg.norm(trial)) < norm:
                     break
             else:
                 break  # no descent left: roundoff floor
-            u, err, parts = u + lam * du, trial, trial_parts
+            u, err, parts, norm = trial_u, trial, trial_parts, trial_norm
             steps += 1
     if not worst <= tol:  # a NaN error or tol fails too
         raise ConvergenceError(

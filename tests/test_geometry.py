@@ -816,6 +816,61 @@ def random_configuration(rng):
     return pts, kap, best, shifts
 
 
+def equality_configuration(rng, kscale=1.0, scale=1.0, offset=0j, height=1.0):
+    """The extent test's equality case, as on the chain ladder: the largest
+    kappa at one y extreme of the points, and every nonzero shift exactly
+    kappa_max / best beyond the points' extent, so that apart * best equals
+    kappa_max and the extent test keeps it.  Half the time a ball of the
+    largest kappa stands at each y extreme, one above the other, and the
+    pair across the vertical shift is at best / f, f within 1e-6 of 1 on
+    either side.  kappa and the starting height are kscale and height times
+    their usual range, and the points lie in a box of the given scale about
+    offset."""
+    n = rng.randint(2, 12)
+    box = complex(rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0))
+    pts = [complex(rng.uniform(0, box.real), rng.uniform(0, box.imag)) for _ in range(n)]
+    kap = [(1.0 - rng.random()) ** 3 for _ in range(n)]
+    top = max(range(n), key=kap.__getitem__)
+    pts[top] = complex(pts[top].real, rng.choice((0.0, box.imag)))
+    if rng.random() < 0.5:  # its twin at the other extreme
+        pts.append(complex(pts[top].real, box.imag - pts[top].imag))
+        kap.append(kap[top])
+    pts, kap = offset + scale * np.array(pts), kscale * np.array(kap)
+    best = max(rng.uniform(0.0, 1.0) * height, math.sqrt(kap.max()))
+    wx, wy = np.ptp(pts.real), np.ptp(pts.imag)
+    f = 1.0 + rng.choice((-1, 1)) * 10 ** rng.uniform(-15, -6)
+    reach = kap.max() / best * f
+    mu, lam = complex(wx + reach, rng.uniform(-1, 1) * scale), complex(0.0, wy + reach)
+    shifts = [a * mu + b * lam for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    return pts, kap, best, shifts
+
+
+def float_stress_configuration(rng):
+    """The equality case with kappa near 1e-12, in turn: points of extent
+    about 1 up to 1e3 from the origin, starting at height about 1, so the
+    gaps across a shift (near 1e-12) are computed from coordinates 1e15
+    times as large; and points of extent 1e-9 to 1e-7, starting at height
+    about 1e-6, so the shifts are 10 to 1000 times longer than the points'
+    extent."""
+    if rng.random() < 0.5:
+        offset = complex(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3))
+        return equality_configuration(rng, 1e-12, 1.0, offset, 1.0)
+    return equality_configuration(rng, 1e-12, 10 ** rng.uniform(-9, -7), 0.5 + 0.5j, 1e-6)
+
+
+def bound_drops(pts, kap, best, shifts):
+    """How many nonzero shifts the O(1) extent test keeps and the per-point
+    bound drops, each at the height the full search reaches before it."""
+    wx, wy = np.ptp(pts.real), np.ptp(pts.imag)
+    top = kap.max() * (1 + 1e-9)
+    drops = 0
+    for k, t in enumerate(shifts):
+        before = reference_pair_search(pts, kap, best, shifts[:k])[0]
+        if t and max(abs(t.real) - wx, abs(t.imag) - wy) * before <= top:
+            drops += geometry._pair_search(pts, kap, before, [t])[2] == 0
+    return drops
+
+
 class TestPairSearch:
     def test_pruned_search_is_the_full_search(self):
         rng = random.Random(1606)
@@ -831,15 +886,65 @@ class TestPairSearch:
         # only a nonzero shift finds, and shifts left out.
         assert across >= 10 and pruned >= 100
 
+    @pytest.mark.parametrize(
+        "make, least", [(equality_configuration, 1000), (float_stress_configuration, 500)]
+    )
+    def test_the_per_point_bound_drops_what_the_extent_test_keeps(self, make, least):
+        rng = random.Random(3303)
+        dropped = across = 0
+        for _ in range(600):
+            pts, kap, best, shifts = make(rng)
+            height, pair, searched = geometry._pair_search(pts, kap, best, shifts)
+            want = reference_pair_search(pts, kap, best, shifts)
+            assert (height, pair) == want[:2]
+            across += want[2] not in (None, 4)
+            dropped += bound_drops(pts, kap, best, shifts)
+        # Of the 1829 and 1456 nonzero shifts that the extent test keeps in
+        # the 600 configurations, the bound drops 1554 and 911, and pairs
+        # just above best still win across a shift in 27 and 98 of them.
+        assert dropped >= least and across >= 20
+
+    @pytest.mark.parametrize(
+        "make", [random_configuration, equality_configuration, float_stress_configuration]
+    )
+    def test_a_shift_with_a_pair_above_best_is_searched(self, make):
+        # Each nonzero shift alone, with best just below its highest pair as
+        # the full search computes it: neither test may drop it.
+        rng = random.Random(3304)
+        probed = 0
+        for _ in range(300):
+            pts, kap, _best, shifts = make(rng)
+            for t in shifts:
+                high = reference_pair_search(pts, kap, 0.0, [t])[0]
+                if t and high > 0:
+                    assert geometry._pair_search(pts, kap, high * (1 - 1e-6), [t])[2] == 1
+                    probed += 1
+        assert probed >= 1000
+
     def test_every_knotting_frame_is_measured_as_by_the_full_search(self, monkeypatch):
         frames = [frame for block in knotting_blocks() for frame in block]
+        for k in (61, 121):  # the report frames of the chain's knotting cusps
+            nerve = build_nerve(augment(catalog.two_bridge_chain(k))[0])
+            packing = solve_packing(nerve)
+            frames += [normalize_at_vertex(packing, nerve.cusp_edges[c][0])
+                       for c in nerve.knotting_cusps]
+        searched = {}
+
+        def pruned(pts, kap, best, shifts):
+            out = search(pts, kap, best, shifts)
+            searched[len(pts)] = out[2]
+            return out
+
+        search = geometry._pair_search
+        monkeypatch.setattr(geometry, "_pair_search", pruned)
         got = [maximal_cusp(frame) for frame in frames]
         monkeypatch.setattr(
             geometry, "_pair_search",
             lambda pts, kap, best, shifts: (*reference_pair_search(pts, kap, best, shifts)[:2], 9),
         )
         assert got == [maximal_cusp(frame) for frame in frames]
-        assert len(frames) == 214
+        assert len(frames) == 214 + 4
+        assert searched[180] == 1  # chain-121's long cusp: 180 other lifts
 
 
 HEIGHT_RECORD = re.compile(
@@ -866,4 +971,4 @@ def test_one_debug_record_per_knotting_frame(caplog):
         assert float(height) == reports[cusp].shape.height
         assert witness == reports[cusp].witness
         searched.append(int(shifts))
-    assert sorted(searched) == [1, 3]
+    assert sorted(searched) == [1, 1]
