@@ -192,7 +192,7 @@ def _measure(block: FrameBlock, rows: _Rows, f: int) -> tuple[
     w_inf, eid, best = rows.spacing[f], rows.eids[f], rows.floor[f]
     witness = "face tangency"
 
-    if nerve.edges[eid].kind == "circle":  # no other lift to meet
+    if eid >= len(nerve.arc_exit):  # a circle's edge: no other lift to meet
         sign = nerve.shear_sign[eid - len(nerve.arc_exit)]
         meridian = w_inf + 1j * sign if sign else w_inf
         info = {"rectangles": 1, "shaded_spacing": w_inf}
@@ -321,7 +321,7 @@ def _shape(block: FrameBlock, rows: _Rows, f: int) -> tuple[CuspShape, str]:
     (mu, lam, _), (_, _, h, witness) = _measure(block, rows, f)
     if (lam / mu).imag < 0:
         lam = -lam  # orient the modulus into the upper half plane
-    cusp = block.nerve.edges[rows.eids[f]].cusp
+    cusp = block.nerve.edge_cusp[rows.eids[f]]
     return CuspShape(cusp=cusp, meridian=mu, longitude=lam, height=h), witness
 
 
@@ -414,7 +414,7 @@ def _analyze(packing: CirclePacking, cusps: list[str]) -> dict:
     whose normalization fails is redone one frame at a time, so that the
     error stays with its cusp."""
     nerve = packing.nerve
-    size = max(1, _BLOCK_ELEMENTS // len(nerve.edges))
+    size = max(1, _BLOCK_ELEMENTS // len(nerve.edge_cusp))
     blocks = [cusps[k:k + size] for k in range(0, len(cusps), size)]
     out: dict = {}
     for block in blocks:  # grows by the frames of a failed block
@@ -431,7 +431,7 @@ def _analyze(packing: CirclePacking, cusps: list[str]) -> dict:
         del frames.residuals  # the gate's, in rows: measuring reads none
         if log.isEnabledFor(logging.DEBUG):
             worst = int(np.argmax(rows.worst))
-            circles = sum(nerve.edges[e].kind == "circle" for e in rows.eids)
+            circles = sum(e >= len(nerve.arc_exit) for e in rows.eids)
             log.debug(
                 "measure: block of %d frames, %d circle and %d knotting; largest "
                 "residual %.2e against its gate %.2e (edge %d)",
@@ -450,9 +450,9 @@ def _analyze(packing: CirclePacking, cusps: list[str]) -> dict:
 def _report(block: FrameBlock, rows: _Rows, f: int) -> CuspReport:
     _gate(rows, f, block.tol)
     shape, witness = _shape(block, rows, f)
-    edge = block.nerve.edges[rows.eids[f]]
+    circle = rows.eids[f] >= len(block.nerve.arc_exit)
     return CuspReport(
-        cusp=shape.cusp, kind="circle" if edge.kind == "circle" else "knotting", shape=shape,
+        cusp=shape.cusp, kind="circle" if circle else "knotting", shape=shape,
         width=1.0 / shape.height, witness=witness,
         diameters=rows.diameters[f, :rows.finite[f]], spacing_disk=rows.spacing[f],
     )

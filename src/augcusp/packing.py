@@ -27,22 +27,20 @@ log = logging.getLogger(__name__)
 _MAX_NEWTON_STEPS = 100_000
 
 
-@dataclass(frozen=True)
-class NerveEdge:
-    """A tangency between two white faces: an ideal vertex of the polyhedron."""
-
-    a: int
-    b: int
-    kind: str  # "arc" (knotting strand) or "circle" (crossing circle)
-    cusp: str  # component or circle label
-
-
-@dataclass
+@dataclass(eq=False)
 class Nerve:
-    whites: int
-    edges: list[NerveEdge]
+    """The white nerve, on its numbering.
+
+    Arc i is edge i, and the k-th crossing circle in label order is edge
+    arcs + k, arcs = len(arc_exit): an edge is a circle's exactly when its
+    id is at least arcs.  Rows 2k and 2k + 1 of triangle_edges are circle
+    k's W and E shaded triangles, each starting with its edge arcs + k.
+    """
+
+    ends: tuple[np.ndarray, np.ndarray]  # the two whites a < b of every edge
+    edge_cusp: list[str]  # per edge: its cusp, a component or circle label
     flowers: list[list[int]]  # per white vertex: incident edge ids, cyclic
-    triangles: list[tuple[tuple[int, int, int], str, str]]  # (edge ids), circle, side
+    triangle_edges: np.ndarray  # (T, 3): the edge ids of every shaded triangle
     infinity_edge: int
     # The cusp walks, on the companion's darts (see _companion): per dart a
     # walk leaves an arc by, the dart it leaves the next arc by, across the
@@ -51,9 +49,13 @@ class Nerve:
     arc_exit: list[int] = field(default_factory=list)  # per arc: its larger dart
     shear_sign: list[int] = field(default_factory=list)  # per circle; 0 unless half-twisted
 
+    @property
+    def whites(self) -> int:
+        return len(self.flowers)
+
     def edge_vertices(self, eid: int) -> tuple[int, int]:
-        e = self.edges[eid]
-        return (e.a, e.b)
+        a, b = self.ends
+        return int(a[eid]), int(b[eid])
 
     def cusps(self) -> list[str]:
         return sorted(self.cusp_edges)
@@ -62,34 +64,21 @@ class Nerve:
     def cusp_edges(self) -> dict[str, list[int]]:
         """Per cusp: the ids of its edges, ascending."""
         out: dict[str, list[int]] = {}
-        for k, e in enumerate(self.edges):
-            out.setdefault(e.cusp, []).append(k)
+        for k, c in enumerate(self.edge_cusp):
+            out.setdefault(c, []).append(k)
         return out
 
     @cached_property
     def knotting_cusps(self) -> list[str]:
         """The cusps of the knotting strands, sorted; the others are the
         crossing circles'."""
-        return sorted({e.cusp for e in self.edges if e.kind == "arc"})
+        return sorted(set(self.edge_cusp[:len(self.arc_exit)]))
 
     @cached_property
     def petals(self) -> list[list[int]]:
         """Per white: the whites across its flower's edges, in flower order."""
-        return [
-            [self.edges[k].b if self.edges[k].a == i else self.edges[k].a for k in fl]
-            for i, fl in enumerate(self.flowers)
-        ]
-
-    @cached_property
-    def ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """The two whites of every edge, as index arrays."""
-        a, b = np.array([(e.a, e.b) for e in self.edges], dtype=np.intp).T
-        return a, b
-
-    @cached_property
-    def triangle_edges(self) -> np.ndarray:
-        """The edge ids of every shaded triangle, one row per triangle."""
-        return np.array([eids for eids, _lab, _side in self.triangles], dtype=np.intp)
+        a, b = (x.tolist() for x in self.ends)
+        return [[b[k] if a[k] == i else a[k] for k in fl] for i, fl in enumerate(self.flowers)]
 
     @cached_property
     def triangle_whites(self) -> np.ndarray:
@@ -217,8 +206,7 @@ def build_nerve(al: AugmentedLink) -> Nerve:
         )
 
     arc, mate, turn, across, cusp = _companion(al)
-    # Nerve edges: arc i is edge i (faces on its two sides), and the k-th
-    # circle's edge (its two lateral gaps) is edge arcs + k.
+    # Arc i is edge i, and circle k's edge (its two lateral gaps) is arcs + k.
     arcs = len(cusp)
 
     # Faces of the collapsed embedded graph (vertices circles, edges arcs):
@@ -242,9 +230,8 @@ def build_nerve(al: AugmentedLink) -> Nerve:
                 flower.append(arcs + (t >> 2))
                 lateral[t >> 2].append(len(flowers))
         flowers.append(flower)
-    whites = len(flowers)
 
-    if whites != 2 - len(al.circles) + arcs:
+    if len(flowers) != 2 - len(al.circles) + arcs:
         raise UnsupportedLinkError(
             "collapsed diagram is not planar; no polyhedral decomposition"
         )
@@ -252,53 +239,44 @@ def build_nerve(al: AugmentedLink) -> Nerve:
     arc_exit = [0] * arcs
     for x in range(len(arc)):
         arc_exit[arc[x]] = x  # the larger of the two
-    edges = [
-        NerveEdge(*sorted((face[x], face[mate[x]])), "arc", cusp[i])
-        for i, x in enumerate(arc_exit)
-    ]
+    pairs = [sorted((face[x], face[mate[x]])) for x in arc_exit]
     # Triangles: the circle's lateral tangency plus the arcs at its two
-    # same-side darts.
+    # same-side darts, W (odd darts) then E.
+    labels = sorted(al.circles)
     triangles = []
-    for k, lab in enumerate(sorted(al.circles)):
+    for k, lab in enumerate(labels):
         if len(lateral[k]) != 2:
             raise UnsupportedLinkError(f"circle {lab}: degenerate disk gaps")
-        edges.append(NerveEdge(*sorted(lateral[k]), "circle", lab))
-        for side, w in (("W", 4 * k + 1), ("E", 4 * k)):
-            triangles.append(((arcs + k, arc[w], arc[w + 2]), lab, side))
+        pairs.append(sorted(lateral[k]))
+        for w in (4 * k + 1, 4 * k):
+            triangles.append((arcs + k, arc[w], arc[w + 2]))
 
     # Simplicity: tangent circles meet once, so edge pairs must be unique.
-    pairs = [(e.a, e.b) for e in edges]
-    if len(set(pairs)) != len(pairs) or any(a == b for a, b in pairs):
+    if len(set(map(tuple, pairs))) != len(pairs) or any(a == b for a, b in pairs):
         raise UnsupportedLinkError(
             "white faces would be tangent more than once; the diagram is not "
             "prime and twist-reduced (augmented link not hyperbolic)"
         )
-    for eids, _lab, _side in triangles:
-        if len({w for k in eids for w in (edges[k].a, edges[k].b)}) != 3:
+    for eids in triangles:
+        if len({w for k in eids for w in pairs[k]}) != 3:
             raise UnsupportedLinkError("shaded face is not a triangle")
+    for fi, fl in enumerate(flowers):
+        if len(fl) < 3:
+            raise UnsupportedLinkError(
+                f"white face {fi} has degree {len(fl)} < 3; degenerate nerve"
+            )
 
-    degree = list(map(len, flowers))
-    sums = [degree[e.a] + degree[e.b] for e in edges]
-    n = Nerve(
-        whites=whites,
-        edges=edges,
+    sums = [len(flowers[a]) + len(flowers[b]) for a, b in pairs]
+    return Nerve(
+        ends=tuple(np.array(pairs, dtype=np.intp).T),
+        edge_cusp=cusp + labels,
         flowers=flowers,
-        triangles=triangles,
+        triangle_edges=np.array(triangles, dtype=np.intp),
         infinity_edge=sums.index(max(sums)),  # the first, least id, on ties
         exits=[(mate[y], arc[y]) for y in across],
         arc_exit=arc_exit,
         shear_sign=[c.handedness if c.half_twist else 0 for _, c in sorted(al.circles.items())],
     )
-    _check_degrees(n)
-    return n
-
-
-def _check_degrees(n: Nerve) -> None:
-    for fi, fl in enumerate(n.flowers):
-        if len(fl) < 3:
-            raise UnsupportedLinkError(
-                f"white face {fi} has degree {len(fl)} < 3; degenerate nerve"
-            )
 
 
 # -- double-double arithmetic ----------------------------------------------------
@@ -409,10 +387,10 @@ class CirclePacking:
 
     @cached_property
     def disk_radius(self) -> np.ndarray:
-        """Radius of every shaded circle, parallel to nerve.triangles: the
-        incircle of its whites' centres, 1 / sqrt(k_a k_b + k_b k_c + k_c k_a)
-        for whites of curvature k (0 for a line), so inf, a vertical line,
-        when two of them are lines."""
+        """Radius of every shaded circle, parallel to `nerve.triangle_edges`:
+        the incircle of its whites' centres, 1 / sqrt(k_a k_b + k_b k_c +
+        k_c k_a) for whites of curvature k (0 for a line), so inf, a vertical
+        line, when two of them are lines."""
         a, b, c = self.nerve.triangle_whites.T
         with np.errstate(divide="ignore"):
             k = 1.0 / self.radius
@@ -427,7 +405,8 @@ class CirclePacking:
 
     @cached_property
     def disks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Centres and radii of the shaded circles, parallel to nerve.triangles.
+        """Centres and radii of the shaded circles, parallel to
+        `nerve.triangle_edges`.
 
         The centre is the incentre of the three whites' centres z_i,
         sum (k_j + k_l) k_i z_i / (2 sum k_i k_j), whose denominator is

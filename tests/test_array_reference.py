@@ -35,12 +35,12 @@ def scalar_maximal_cusp(frame):
     i and j edge ids."""
     nerve = frame.nerve
     inf_edge = frame.normalization["infinity_edge"]
-    cusp = nerve.edges[inf_edge].cusp
+    cusp = nerve.edge_cusp[inf_edge]
     best = finite_radius_max(frame)
     witness = "face tangency"
     lifts = []
-    for k, e in enumerate(nerve.edges):
-        if e.cusp != cusp or k == inf_edge:
+    for k in nerve.cusp_edges[cusp]:
+        if k == inf_edge:
             continue
         p = complex(frame.points[k])
         kap = float(_kappa(frame, k))
@@ -104,7 +104,7 @@ def cusp_frames():
     for name, al, nerve in corpus():
         packing = solve_packing(nerve)
         for cusp in nerve.cusps():
-            eid = min(k for k, e in enumerate(nerve.edges) if e.cusp == cusp)
+            eid = nerve.cusp_edges[cusp][0]
             yield name, al, cusp, normalize_at_vertex(packing, eid)
 
 
@@ -134,8 +134,8 @@ def test_maximal_cusp_matches_scalar_loop(name, al, cusp, norm):
 @pytest.mark.parametrize("name, al, cusp, norm", FRAMES, ids=IDS)
 def test_shaded_circles_match_three_point_circle(name, al, cusp, norm):
     centers, radii = norm.disks
-    for k, (eids, _lab, _side) in enumerate(norm.nerve.triangles):
-        c, r = circle_through(norm.points[list(eids)].tolist())
+    for k, eids in enumerate(norm.nerve.triangle_edges):
+        c, r = circle_through(norm.points[eids].tolist())
         if math.isinf(r):
             assert math.isinf(radii[k])
             assert abs(centers[k].real - c.real) <= 1e-12

@@ -317,7 +317,7 @@ class TestCusp:
         # lifts are shaded circles, not vertical lines.
         def off_infinity(packing, eids):
             frames = normalize_at_vertex(packing, eids)
-            moved = (eids + 1) % len(packing.nerve.edges)
+            moved = (eids + 1) % len(packing.nerve.edge_cusp)
             return dataclasses.replace(
                 frames, normalization={**frames.normalization, "infinity_edge": moved}
             )

@@ -134,7 +134,7 @@ class TestInvariants:
         for d in (catalog.figure_eight(), catalog.rational_link([2, 2, 2])):
             al, _ = augment(d)
             nerve = build_nerve(al)
-            for cusp in sorted({e.cusp for e in nerve.edges if e.kind == "arc"}):
+            for cusp in nerve.knotting_cusps:
                 rep = analyze_cusp(al, cusp, nerve=nerve)
                 assert abs(rep.shape.meridian_length - 2 * rep.width) <= 1e-9
 
@@ -142,7 +142,7 @@ class TestInvariants:
         al = borromean_link()
         nerve = build_nerve(al)
         packing = solve_packing(nerve)
-        eid = min(k for k, e in enumerate(nerve.edges) if e.cusp == "0")
+        eid = nerve.cusp_edges["0"][0]
         norm = normalize_at_vertex(packing, eid)
         h, _, balls = maximal_cusp(assemble(norm))
         # Every face: the whites (lines y = const) and the shaded circles
@@ -172,7 +172,7 @@ class TestInvariants:
         al, _ = augment(catalog.rational_link([2, 2, 2]))
         nerve = build_nerve(al)
         for cusp in ("0", "1"):
-            eid = min(k for k, e in enumerate(nerve.edges) if e.cusp == cusp)
+            eid = nerve.cusp_edges[cusp][0]
             packing = solve_packing(nerve)
             norm = normalize_at_vertex(packing, eid)
             h, _, balls = maximal_cusp(assemble(norm))
@@ -186,7 +186,7 @@ class TestInvariants:
         al = borromean_link()
         nerve = build_nerve(al)
         packing = solve_packing(nerve)
-        eid = min(k for k, e in enumerate(nerve.edges) if e.cusp == "0")
+        eid = nerve.cusp_edges["0"][0]
         norm = normalize_at_vertex(packing, eid)
         area = cusp_shape(assemble(norm)).torus_area
         assert area > 0
@@ -421,7 +421,7 @@ class TestRefusal:
         al, _ = augment(catalog.two_bridge_chain(9))
         nerve = build_nerve(al)
         packing = dataclasses.replace(solve_packing(nerve), tol=1e-30)
-        eid = min(k for k, e in enumerate(nerve.edges) if e.cusp == "0")
+        eid = nerve.cusp_edges["0"][0]
         norm = normalize_at_vertex(packing, eid)
         with pytest.raises(ConvergenceError, match="^assemble: ") as info:
             assemble(norm)
@@ -458,7 +458,7 @@ class TestMeasuringErrors:
         # cusp frame.
         bare = dataclasses.replace(norm, normalization={})
         strip = solve_packing(build_nerve(augment(catalog.pretzel_link([3, 3, 3, 2]))[0]))
-        assert strip.nerve.edges[strip.normalization["infinity_edge"]].cusp == "0"
+        assert strip.nerve.edge_cusp[strip.normalization["infinity_edge"]] == "0"
         for packing in (bare, strip):
             for measure in (assemble, cusp_shape, maximal_cusp, geometry.cusp_lattice):
                 with pytest.raises(MeasuringError, match="must be normalized"):
@@ -514,7 +514,7 @@ class TestLongitudeWalk:
                 assert info["rectangles"] == len(block)
                 ratios.append(abs(lam / mu))
                 nerve, eid = frame.nerve, frame.normalization["infinity_edge"]
-                others = np.array([k for k in nerve.cusp_edges[nerve.edges[eid].cusp] if k != eid])
+                others = np.array([k for k in nerve.cusp_edges[nerve.edge_cusp[eid]] if k != eid])
                 height, _, horoballs = maximal_cusp(frame)
                 assert [p for p, _ in horoballs] == frame.tangency_points(others).tolist()
                 diameters = geometry._kappa(frame, others) / height
@@ -560,7 +560,7 @@ class TestBlockMeasuring:
                 diameters = np.sort(2.0 * radii[np.isfinite(radii)])
                 assert rep.diameters.tobytes() == diameters.tobytes()
                 assert not rep.diameters.flags.writeable
-            size = max(1, geometry._BLOCK_ELEMENTS // len(nerve.edges))
+            size = max(1, geometry._BLOCK_ELEMENTS // len(nerve.edge_cusp))
             blocks = [cusps[k:k + size] for k in range(0, len(cusps), size)]
             bases = [{id(reports[c].diameters.base) for c in block} for block in blocks]
             assert all(len(ids) == 1 for ids in bases)
@@ -570,7 +570,7 @@ class TestBlockMeasuring:
         # A tol that the polish of some frames reaches and of others does not.
         packing = solve_packing(build_nerve(augment(catalog.two_bridge_chain(13))[0]))
         nerve, cusps = packing.nerve, packing.nerve.cusps()
-        assert len(cusps) * len(nerve.edges) <= geometry._BLOCK_ELEMENTS  # one block
+        assert len(cusps) * len(nerve.edge_cusp) <= geometry._BLOCK_ELEMENTS  # one block
         for tol in np.geomspace(1e-19, 1e-15, 41).tolist():
             mixed = dataclasses.replace(packing, tol=tol)
             reports = geometry._analyze(mixed, cusps)

@@ -1,8 +1,9 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
 Every import of a module is used in it, in the package and in the tests;
-every module-level private function is referenced somewhere in the package
-besides its definition, and every parameter of every function is read in its
+every private name of the package (a module's functions, classes and
+constants, a class's methods and cached properties) is referenced somewhere
+in the package besides its definition, and every parameter of every function is read in its
 body.  No `UnionFind` is defined or named in the package, whose edge classes
 come from dart walks, and `augment` reads no `Face` objects.  The package
 names no platform-dependent float type: its extended precision is
@@ -51,22 +52,45 @@ def test_every_import_is_used():
     assert not unused
 
 
+def private_definitions(tree: ast.Module):
+    """(line, name) of every private name a module defines: its functions,
+    classes and assigned names, and the methods and cached properties of
+    its classes.  Dunder names are left out."""
+    nodes = list(tree.body)
+    nodes += [n for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body
+              if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((node.lineno, name) for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
 def test_every_private_function_is_referenced():
+    """A private function, class, constant, method or cached property of the
+    package is read somewhere in the package besides its definition."""
     referenced: set[str] = set()
     for tree in MODULES.values():
-        referenced |= used_names(tree)
-        referenced |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        referenced |= {
+            n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        referenced |= {
+            n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store)
+        }
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 referenced |= {a.name for a in node.names}
     dead = [
-        f"{name}:{node.lineno} {node.name}"
+        f"{name}:{line} {private}"
         for name, tree in MODULES.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and node.name not in referenced
+        for line, private in private_definitions(tree)
+        if private not in referenced
     ]
     assert not dead
 

@@ -139,11 +139,11 @@ def full_refine(nerve, z, r, u, v, skip, tol):
     m = len(free)
     pos = {i: k for k, i in enumerate(free)}
     pairs, walls = [], []
-    for k, e in enumerate(nerve.edges):
-        if k != skip and e.a in pos and e.b in pos:
-            pairs.append((pos[e.a], pos[e.b]))
+    for k, (a, b) in enumerate(zip(*nerve.ends)):
+        if k != skip and a in pos and b in pos:
+            pairs.append((pos[a], pos[b]))
         elif k != skip:
-            line, other = (e.a, e.b) if e.b in pos else (e.b, e.a)
+            line, other = (a, b) if b in pos else (b, a)
             walls.append((pos[other], 1 if line == u else -1))
     (ca, cb), (cw, side) = (np.array(x, dtype=np.intp).T for x in (pairs, walls))
     off = np.where(side < 0, 1.0, 0.0)
@@ -302,7 +302,7 @@ class TestLayout:
         al, _ = augment(d)
         nerve = build_nerve(al)
         compared = 0
-        for eid in range(0, len(nerve.edges), 7):
+        for eid in range(0, len(nerve.edge_cusp), 7):
             u, v = nerve.edge_vertices(eid)
             petals = {i: p for i, p in enumerate(nerve.petals) if i not in (u, v)}
             radii = solve_flower_radii(petals, {u: math.inf, v: math.inf})
@@ -344,7 +344,7 @@ class TestLayout:
         frames = 0
         for al in links:
             try:
-                edges = len(build_nerve(al).edges)
+                edges = len(build_nerve(al).edge_cusp)
             except UnsupportedLinkError:
                 continue
             for eid in range(edges):
@@ -359,7 +359,7 @@ class TestLayout:
         u, v = nerve.edge_vertices(nerve.infinity_edge)
         petals = {i: p for i, p in enumerate(nerve.petals) if i not in (u, v)}
         radii = solve_flower_radii(petals, {u: math.inf, v: math.inf})
-        cut = dataclasses.replace(nerve, whites=nerve.whites + 1, flowers=nerve.flowers + [[]])
+        cut = dataclasses.replace(nerve, flowers=nerve.flowers + [[]])
         radii[nerve.whites] = 1.0
         with pytest.raises(UnsupportedLinkError, match=f"white {nerve.whites} is not reached"):
             _layout(cut, u, v, radii)
@@ -397,7 +397,7 @@ class TestInfinityEdge:
                 nerve = build_nerve(al)
             except UnsupportedLinkError:
                 continue
-            sums = [len(nerve.flowers[e.a]) + len(nerve.flowers[e.b]) for e in nerve.edges]
+            sums = [len(nerve.flowers[a]) + len(nerve.flowers[b]) for a, b in zip(*nerve.ends)]
             widest = [k for k, s in enumerate(sums) if s == max(sums)]
             assert nerve.infinity_edge == widest[0]
             nerves += 1
@@ -526,7 +526,7 @@ def reference_flowers(al, nerve):
     cusp."""
     arc, mate, turn, _across, _cusp = _companion(al)
     labels = sorted(al.circles)
-    circle_edge = {e.cusp: k for k, e in enumerate(nerve.edges) if e.kind == "circle"}
+    circle_edge = {c: k for k, c in enumerate(nerve.edge_cusp) if k >= len(nerve.arc_exit)}
     unused = set(range(len(arc)))
     flowers = []
     while unused:
@@ -560,11 +560,26 @@ class TestNerve:
             except UnsupportedLinkError:
                 continue
             assert nerve.flowers == reference_flowers(al, nerve)
-            # Arc i is edge i; the circles' edges follow in label order.
-            arcs = [k for k, e in enumerate(nerve.edges) if e.kind == "arc"]
-            circles = [e.cusp for e in nerve.edges if e.kind == "circle"]
-            assert arcs == list(range(len(arcs))) and circles == sorted(al.circles)
-            assert [e.kind for e in nerve.edges] == ["arc"] * len(arcs) + ["circle"] * len(circles)
+            # Arc i is edge i; the circles' edges follow in label order.  Rows
+            # 2k and 2k + 1 of the triangles are circle k's W and E triangles:
+            # its edge, then the arcs at its two darts of that side.
+            arc, _mate, _turn, _across, cusp = _companion(al)
+            arcs = len(nerve.arc_exit)
+            assert arcs == len(cusp) and nerve.edge_cusp[:arcs] == cusp
+            assert nerve.edge_cusp[arcs:] == sorted(al.circles)
+            rows = [
+                row
+                for k in range(len(al.circles))
+                for row in (
+                    [arcs + k, arc[4 * k + 1], arc[4 * k + 3]],
+                    [arcs + k, arc[4 * k], arc[4 * k + 2]],
+                )
+            ]
+            assert nerve.triangle_edges.tolist() == rows
+            circles = nerve.edge_triangles[arcs:].tolist()
+            assert circles == [[2 * k, 2 * k + 1] for k in range(len(al.circles))]
+            a, b = nerve.ends
+            assert len(a) == len(nerve.edge_cusp) and (a < b).all()
             compared += 1
         assert compared >= len(LADDERS) + 5
 
@@ -578,8 +593,8 @@ class TestNerve:
         al, _ = augment(catalog.figure_eight())
         n = build_nerve(al)
         assert n.whites == 4
-        assert len(n.edges) == 6
-        assert len(n.triangles) == 4
+        assert len(n.edge_cusp) == 6
+        assert len(n.triangle_edges) == 4
         degrees = [len(fl) for fl in n.flowers]
         assert degrees == [3, 3, 3, 3]
 
@@ -587,8 +602,8 @@ class TestNerve:
         al, _ = augment(catalog.rational_link([2, 2, 2]))
         n = build_nerve(al)
         assert n.whites == 5
-        assert len(n.edges) == 9
-        assert len(n.triangles) == 6
+        assert len(n.edge_cusp) == 9
+        assert len(n.triangle_edges) == 6
 
     def test_interior_degree_at_least_three(self):
         for d in (catalog.rational_link([2] * 5), catalog.pretzel_link([3, 3, 3])):
@@ -649,7 +664,7 @@ class TestPackingInvariants:
         al, _ = augment(catalog.rational_link([2] * 5))
         nerve = build_nerve(al)
         packing = solve_packing(nerve)
-        adj = {frozenset(nerve.edge_vertices(k)) for k in range(len(nerve.edges))}
+        adj = {frozenset(nerve.edge_vertices(k)) for k in range(len(nerve.edge_cusp))}
         z, r = packing.center.tolist(), packing.radius.tolist()
         for i in range(nerve.whites):
             for j in range(i + 1, nerve.whites):
@@ -666,9 +681,9 @@ class TestPackingInvariants:
         nerve = build_nerve(al)
         packing = solve_packing(nerve)
         centers, radii = packing.disks
-        for k, (eids, lab, side) in enumerate(nerve.triangles):
+        for k, eids in enumerate(nerve.triangle_edges):
             c, r = complex(centers[k]), float(radii[k])
-            for z in packing.points[list(eids)].tolist():
+            for z in packing.points[eids].tolist():
                 if cmath.isnan(z):
                     continue
                 if math.isinf(r):  # the vertical line x = c.real
@@ -685,7 +700,7 @@ class TestPackingInvariants:
         nerve = build_nerve(fam.parent)
         packing = solve_packing(nerve)
         mid = twobridge_middle_circle(fam)
-        eid = min(k for k, e in enumerate(nerve.edges) if e.cusp == mid)
+        eid = nerve.cusp_edges[mid][0]
         norm = normalize_at_vertex(packing, eid)
         finite = np.isfinite(norm.radius)
         finite = list(zip(norm.center[finite].tolist(), norm.radius[finite].tolist()))
@@ -731,7 +746,7 @@ class TestNormalization:
         al, _ = augment(catalog.two_bridge_chain(13))
         nerve = build_nerve(al)
         packing = solve_packing(nerve)
-        for eid in (0, 7, len(nerve.edges) - 1):
+        for eid in (0, 7, len(nerve.edge_cusp) - 1):
             norm = normalize_at_vertex(packing, eid)
             u, v = norm.lines
             assert {u, v} == set(nerve.edge_vertices(eid))
@@ -1044,5 +1059,5 @@ class TestLogging:
         calls = []
         monkeypatch.setattr(packing_module.log, "debug", lambda *args: calls.append(args))
         with caplog.at_level(logging.INFO, logger="augcusp"):
-            normalize_at_vertex(packing, np.arange(len(packing.nerve.edges)))
+            normalize_at_vertex(packing, np.arange(len(packing.nerve.edge_cusp)))
         assert calls == []
