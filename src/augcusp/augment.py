@@ -15,7 +15,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain, count, islice
 from operator import attrgetter
 
 from .diagram import (
@@ -106,88 +106,7 @@ def ledger_json(ledger: dict[str, Fraction]) -> str:
     )
 
 
-# -- region analysis ----------------------------------------------------------
-
-
-def _region_structure(d: Diagram, r: TwistRegion, idx: int, region_of: list[int]):
-    """The disk darts, lateral faces, rotation and frame of region `idx`
-    (`region_of`: the region index of each crossing, -1 for none)."""
-    twin, face_of = d._twin, d._corner_walk[1]
-    # The E-side darts (at the retained crossing) of the two original edges
-    # the crossing disk cuts, as (slot 0, slot 1), and the local frame
-    # handedness: +1 when slot1 sits counterclockwise-next from slot0 there.
-    c1 = r.crossings[0]
-    if r.crossing_count == 1:
-        near = (4 * c1, 4 * c1 + 3)
-    else:
-        near = tuple(4 * c1 + d.crossings[c1].index(e) for e in r.bigon_edge_pairs[0])
-    chirality = 1 if near[1] & 3 == (near[0] + 1) & 3 else -1
-
-    # Lateral faces: beyond the slot-0 strand and beyond the slot-1 strand.
-    if r.crossing_count == 1:
-        lat_n = face_of[4 * c1]
-        lat_s = face_of[4 * c1 + 2]
-    else:
-        # The first bigon is the face of the corner between the two darts;
-        # each disk edge has it on one side, at corner x, or at the corner
-        # before x, and the lateral face on the other.
-        bigon = face_of[near[0] if chirality == 1 else near[1]]
-        lat_n, lat_s = (
-            face_of[x] if face_of[x] != bigon else face_of[x - 1 if x & 3 else x + 3]
-            for x in near
-        )
-
-    # The darts whose edges leave the region.
-    darts = [
-        x for c in r.crossings for x in range(4 * c, 4 * c + 4) if region_of[twin[x] >> 2] != idx
-    ]
-    rotation = None
-    if len(darts) == 4:
-        if r.crossing_count == 1:
-            x = 4 * c1
-            ends = {x: (0, "W"), x + 2: (0, "E"), x + 3: (1, "W"), x + 1: (1, "E")}
-        else:
-            # Thread each disk edge's strand out of the region, both ways.
-            ends = {}
-            for slot, x in enumerate(near):
-                for y, side in ((x, "E"), (twin[x], "W")):
-                    y ^= 2
-                    while region_of[twin[y] >> 2] == idx:
-                        y = twin[y] ^ 2
-                    ends[y] = (slot, side)
-        if ends.keys() != set(darts):
-            raise DiagramInvariantError("region strand threading did not close")
-        # Turn counterclockwise around the region from its least dart.
-        x = min(darts)
-        cyc = [x]
-        while len(cyc) < 4:
-            x = x - 3 if x & 3 == 3 else x + 1
-            if region_of[twin[x] >> 2] == idx:
-                x = twin[x]
-            else:
-                cyc.append(x)
-        rotation = list(map(ends.__getitem__, cyc))
-        if {lat_n, lat_s}.difference(map(face_of.__getitem__, cyc)):
-            raise DiagramInvariantError("lateral faces missing from region walk")
-
-    # Twist pattern: the braid letter sign is anchored at the crossing
-    # adjacent to the disk that gets removed and reinserted.
-    pattern_anchor = r.crossings[1] if r.half_twist and r.crossing_count > 1 else c1
-    anchor = near[0] if near[0] >> 2 == pattern_anchor else twin[near[0]]
-    slot0_under = anchor & 1 == 0
-    pattern_sign = chirality * (1 if slot0_under else -1)
-    if r.half_twist:
-        # The retained half-twist crossing sits between the disk and the
-        # frame anchor; one extra crossing mirrors the local frame.
-        chirality, pattern_sign = -chirality, -pattern_sign
-
-    return {
-        "rotation": rotation,
-        "laterals": (lat_n, lat_s),
-        "near": near,
-        "chirality": chirality,
-        "pattern_sign": pattern_sign,
-    }
+# -- face colorings ------------------------------------------------------------
 
 
 def _face_colorings(d: Diagram) -> tuple[list[int], dict[str, int]]:
@@ -232,7 +151,9 @@ def _face_colorings(d: Diagram) -> tuple[list[int], dict[str, int]]:
 
 def _check_regions(d: Diagram, regions: list[TwistRegion]) -> list[int]:
     """The region index of each crossing (-1 for none), after checking that
-    the regions are two-strand ones on disjoint crossings of `d`."""
+    the regions are two-strand ones on disjoint crossings of `d`, and that a
+    region of two or more crossings has a first bigon edge pair at its first
+    crossing."""
     region_of = [-1] * len(d.crossings)
     for idx, r in enumerate(regions):
         if r.strand_count != 2:
@@ -240,13 +161,30 @@ def _check_regions(d: Diagram, regions: list[TwistRegion]) -> list[int]:
                 f"region on crossings {r.crossings} has {r.strand_count} strands; "
                 "augment inserts crossing circles around two-strand regions only"
             )
+        if not r.crossings:
+            raise DiagramInvariantError(f"region C{idx + 1} has no crossings")
         for c in r.crossings:
             if not 0 <= c < len(d.crossings):
                 raise DiagramInvariantError(f"region crossing {c} not in diagram")
             if region_of[c] >= 0:
                 raise DiagramInvariantError(f"regions overlap at crossing {c}")
             region_of[c] = idx
+        if len(r.crossings) > 1:
+            if not r.bigon_edge_pairs:
+                raise DiagramInvariantError(
+                    f"region C{idx + 1} on crossings {r.crossings} has no bigon edge pair"
+                )
+            pair, cr = r.bigon_edge_pairs[0], d.crossings[r.crossings[0]]
+            if len(pair) != 2 or pair[0] not in cr or pair[1] not in cr:
+                raise DiagramInvariantError(
+                    f"region C{idx + 1}: first bigon edge pair {pair} does not meet "
+                    f"its first crossing {r.crossings[0]}"
+                )
     return region_of
+
+
+# A region's strand ends, (slot, side); see CrossingCircle.rotation.
+_E0, _W0, _E1, _W1 = (0, "E"), (0, "W"), (1, "E"), (1, "W")
 
 
 def augment(
@@ -255,117 +193,183 @@ def augment(
     """Insert a crossing circle at every region and strip the full twists.
 
     Returns the untwisted augmented link (half twists retained in the base)
-    and the ledger of 1/t_i filling slopes that restore the input.
+    and the ledger of 1/t_i filling slopes that restore the input.  One pass
+    over the regions reads each one's disk, lateral faces, rotation and
+    frame and makes its circle; one pass over each component's walk makes
+    its base edges and its passages.
     """
     if regions is None:
         regions = detect_twist_regions(d)
     region_of = _check_regions(d, regions)
     color, bits = _face_colorings(d)
+    crossings, twin, edge = d.crossings, d._twin, d._edge
+    face_of = d._corner_walk[1]
 
-    infos = [
-        (f"C{idx + 1}", r, _region_structure(d, r, idx, region_of))
-        for idx, r in enumerate(regions)
-    ]
-    # A half twist keeps its first crossing in the base.
-    removed = {c for r in regions for c in r.crossings[1 if r.half_twist else 0 :]}
-    kept = [c for c in range(len(d.crossings)) if c not in removed]
-
-    # One walk per base edge, from its lesser kept dart (kept crossings in
-    # order, slots 0-3) through the removed crossings to its other end.  The
-    # base edge is labelled with the edge at its start, and each passage's
-    # frame and rank on it are read off the same walk.
-    twin, edge = d._twin, d._edge
-    disk: list[tuple[str, int] | None] = [None] * len(twin)  # dart -> (circle, slot)
-    for lab, _, st in infos:
-        disk[st["near"][0]], disk[st["near"][1]] = (lab, 0), (lab, 1)
-    label = [0] * len(twin)  # kept dart -> its base edge
-    base_components: dict[Edge, str] = {}
-    on_edge: dict[int, tuple[Edge, int, int]] = {}  # E-side dart -> (edge, frame, rank)
-    for x in chain.from_iterable(range(4 * c, 4 * c + 4) for c in kept):
-        if label[x]:
-            continue
-        e = label[x] = edge[x]
-        base_components[e] = d.components[e]
-        a, rank = x, 0
-        while True:
-            b = twin[a]
-            # The edge from dart a to dart b: a disk whose E side is at b
-            # has its W side toward the start (frame +1).
-            if disk[a]:
-                on_edge[a] = (e, -1, rank)
-                rank += 1
-            if disk[b]:
-                on_edge[b] = (e, 1, rank)
-                rank += 1
-            if b >> 2 not in removed:
-                break
-            a = b ^ 2
-        label[b] = e
-
-    # The input's own loops, and the components whose crossings all went:
-    # a component that meets a kept crossing has every base edge of its
-    # strand at a kept crossing.
-    loop_comps = sorted(
-        set(d.components.values()).difference(base_components.values()).union(d.loops)
-    )
-    base = Diagram(
-        tuple(tuple(label[4 * c : 4 * c + 4]) for c in kept),
-        base_components,
-        None,
-        tuple(loop_comps),
-    )
-
-    # Walk the original components, recording passages in order.
-    passages: dict[str, list[Passage]] = {}
-    for comp, walk in d._walks:
-        plist: list[Passage] = []
-        for b in walk:  # the strand runs from twin[b] to b
-            x = twin[b]  # an edge missing from on_edge: the strand became a loop
-            if disk[x]:
-                plist.append(Passage(*disk[x], -1, *on_edge.get(x, (None,))))
-            if disk[b]:
-                plist.append(Passage(*disk[b], 1, *on_edge.get(b, (None,))))
-        if plist:
-            passages[comp] = plist
-
-    for comp in base.loops:
-        passages.setdefault(comp, [])
-
+    disk = [-1] * len(twin)  # the disk dart of slot s of region i -> 2i + s
+    labels: list[str] = []
     circles: dict[str, CrossingCircle] = {}
     ledger: dict[str, Fraction] = {}
-    for label, r, st in infos:
-        lat_n, lat_s = st["laterals"]
+    for idx, r in enumerate(regions):
+        cs = r.crossings
+        x = 4 * cs[0]
+        if len(cs) == 1:
+            # The disk cuts the edges at slots 0 and 3: its slot 1 is not
+            # counterclockwise-next from slot 0, and slot 0 runs under, so
+            # the pattern sign is the chirality.  The lateral faces are those
+            # of corners 0 and 2.  With no edge from the crossing to itself
+            # its four darts leave it, and the turn from slot 0 meets them in
+            # slot order.
+            n0, n1 = x, x + 3
+            lat_n, lat_s = face_of[x], face_of[x + 2]
+            chirality = pattern_sign = -1
+            rotation = [_W0, _E1, _E0, _W1] if len(set(crossings[cs[0]])) == 4 else None
+        else:
+            # The E-side darts (at the retained crossing) of the two edges
+            # the disk cuts, as slot 0 and slot 1, and the local frame
+            # handedness: +1 when slot 1 sits counterclockwise-next there.
+            cr = crossings[cs[0]]
+            e0, e1 = r.bigon_edge_pairs[0]
+            n0, n1 = x + cr.index(e0), x + cr.index(e1)
+            chirality = 1 if n1 & 3 == (n0 + 1) & 3 else -1
+            # The first bigon is the face of the corner between the two
+            # darts; each disk edge has it on one side, at corner n, or at
+            # the corner before n, and the lateral face on the other.
+            bigon = face_of[n0 if chirality == 1 else n1]
+            lat_n, lat_s = face_of[n0], face_of[n1]
+            if lat_n == bigon:
+                lat_n = face_of[n0 - 1 if n0 & 3 else n0 + 3]
+            if lat_s == bigon:
+                lat_s = face_of[n1 - 1 if n1 & 3 else n1 + 3]
+            # The braid letter sign is anchored at the crossing next to the
+            # disk that is removed and reinserted.
+            anchor = twin[n0] if r.half_twist else n0
+            pattern_sign = chirality if anchor & 1 == 0 else -chirality
+            # The darts whose edges leave the region.
+            darts = [
+                y for c in cs for y in range(4 * c, 4 * c + 4) if region_of[twin[y] >> 2] != idx
+            ]
+            rotation = None
+            if len(darts) == 4:
+                # Thread each disk edge's strand out of the region, both ways.
+                ends = {}
+                for y, end in ((n0, _E0), (twin[n0], _W0), (n1, _E1), (twin[n1], _W1)):
+                    y ^= 2
+                    while region_of[twin[y] >> 2] == idx:
+                        y = twin[y] ^ 2
+                    ends[y] = end
+                if ends.keys() != set(darts):
+                    raise DiagramInvariantError("region strand threading did not close")
+                # Turn counterclockwise around the region from its least dart.
+                y = min(darts)
+                rotation = [ends[y]]
+                met = {face_of[y]}
+                while len(rotation) < 4:
+                    y = y - 3 if y & 3 == 3 else y + 1
+                    if region_of[twin[y] >> 2] == idx:
+                        y = twin[y]
+                    else:
+                        rotation.append(ends[y])
+                        met.add(face_of[y])
+                if lat_n not in met or lat_s not in met:
+                    raise DiagramInvariantError("lateral faces missing from region walk")
+        if r.half_twist:
+            # The retained half-twist crossing sits between the disk and the
+            # frame anchor; one extra crossing mirrors the local frame.  It
+            # stays in the base: -1 marks a kept crossing from here on.
+            chirality, pattern_sign = -chirality, -pattern_sign
+            region_of[cs[0]] = -1
+        label = f"C{idx + 1}"
+        labels.append(label)
+        disk[n0], disk[n1] = 2 * idx, 2 * idx + 1
         north, south = color[lat_n], color[lat_s]
-        end_sides = {comp: (north >> j & 1, south >> j & 1) for comp, j in bits.items()}
+        sides = {comp: (north >> j & 1, south >> j & 1) for comp, j in bits.items()}
         circles[label] = CrossingCircle(
-            label=label,
-            strand_count=2,
-            half_twist=r.half_twist,
-            handedness=r.handedness,
-            rotation=st["rotation"],
-            end_sides=end_sides,
-            chirality=st["chirality"],
-            pattern_sign=st["pattern_sign"],
+            label, 2, r.half_twist, r.handedness, rotation, sides, chirality, pattern_sign
         )
         if r.full_twists != 0:
             ledger[label] = Fraction(1, r.full_twists)
 
-    al = AugmentedLink(base=base, passages=passages, circles=circles)
-    _validate_augmented(al)
-    return al, ledger
+    # Each component's walk, as the darts it arrives at: the strand reaches
+    # dart b from twin[b], and a disk there is passed W to E at b, E to W
+    # at twin[b].  A base edge runs from a dart it leaves a kept crossing by
+    # to the next kept dart it arrives at, so the walk is read from where it
+    # last leaves a kept crossing, and the base edge it starts on is whole.
+    # The base edge takes the input's edge id at its lesser end, and the
+    # frame and rank of its passages count from there; a disk whose W side
+    # faces that end has frame +1.
+    label = [0] * len(twin)  # kept dart -> its base edge
+    base_components: dict[Edge, str] = {}
+    loops = list(d.loops)  # and the components whose crossings all went
+    passages: dict[str, list[Passage]] = {}
+    punctures = [0] * len(regions)
+    for comp, walk in d._walks:
+        i = len(walk) - 1
+        while i >= 0 and region_of[walk[i] >> 2] >= 0:
+            i -= 1
+        run = []  # disk k passed W to E, or ~k passed E to W, on the base edge so far
+        for b in walk[i + 1 :]:
+            k = disk[twin[b]]
+            if k >= 0:
+                run.append(~k)
+            k = disk[b]
+            if k >= 0:
+                run.append(k)
+        plist: list[Passage] = []
+        if i < 0:  # the strand became a loop
+            loops.append(comp)
+            for k in run:
+                direction = 1 if k >= 0 else -1
+                k = k if k >= 0 else ~k
+                punctures[k >> 1] += 1
+                plist.append(Passage(labels[k >> 1], k & 1, direction, None))
+        else:
+            tail = len(run)  # passages on the walk's last steps
+            s = walk[i] ^ 2
+            for b in walk[: i + 1]:
+                k = disk[twin[b]]
+                if k >= 0:
+                    run.append(~k)
+                k = disk[b]
+                if k >= 0:
+                    run.append(k)
+                if region_of[b >> 2] >= 0:
+                    continue
+                # The base edge from s to b ends here.
+                if s < b:
+                    e = edge[s]
+                    orient, rank = 1, 0
+                else:
+                    e = edge[b]
+                    orient, rank = -1, len(run) - 1
+                label[s] = label[b] = e
+                base_components[e] = comp
+                for k in run:
+                    direction = 1 if k >= 0 else -1
+                    k = k if k >= 0 else ~k
+                    punctures[k >> 1] += 1
+                    plist.append(
+                        Passage(labels[k >> 1], k & 1, direction, e, direction * orient, rank)
+                    )
+                    rank += orient
+                if run:
+                    run = []
+                s = b ^ 2
+            if tail:  # they come last in walk order
+                plist = plist[tail:] + plist[:tail]
+        if plist:
+            passages[comp] = plist
 
-
-def _validate_augmented(al: AugmentedLink) -> None:
-    counts: dict[str, int] = {lab: 0 for lab in al.circles}
-    for plist in al.passages.values():
-        for p in plist:
-            counts[p.circle] += 1
-    for lab, c in al.circles.items():
-        if counts[lab] != c.strand_count:
+    loops.sort()
+    kept = [tuple(label[4 * c : 4 * c + 4]) for c in range(len(crossings)) if region_of[c] < 0]
+    base = Diagram(tuple(kept), base_components, None, tuple(loops))
+    for comp in loops:
+        passages.setdefault(comp, [])
+    for idx, n in enumerate(punctures):
+        if n != 2:
             raise DiagramInvariantError(
-                f"circle {lab}: disk punctured {counts[lab]} times, "
-                f"expected {c.strand_count}"
+                f"circle {labels[idx]}: disk punctured {n} times, expected 2"
             )
+    return AugmentedLink(base=base, passages=passages, circles=circles), ledger
 
 
 # -- filling -------------------------------------------------------------------
@@ -411,46 +415,42 @@ def _refill(al: AugmentedLink, ledger: dict[str, Fraction]) -> Diagram:
 def _fill(al: AugmentedLink, twists: dict[str, int]) -> Diagram:
     crossings: list[Crossing] = list(al.base.crossings)
     edges, darts = al.base._edges, al.base._darts
-    fresh = count(edges[-1] + 1 if edges else 1).__next__
+    new_ids = count(edges[-1] + 1 if edges else 1)
+    fresh = new_ids.__next__
 
     comp_of_new: dict[Edge, str] = dict(al.base.components)
-    slot_component: dict[tuple[str, int], str] = {}
+    slot_component: dict[str, dict[int, str]] = {lab: {} for lab in al.circles}
     for comp, plist in al.passages.items():
         for p in plist:
-            slot_component[(p.circle, p.slot)] = comp
+            if p.circle in slot_component:
+                slot_component[p.circle][p.slot] = comp
 
+    # Each circle's tangle, with its W stub and its E stub per slot.  Every
+    # stub is aliased to a piece below, so it needs no component.
     stubs: dict[str, dict[int, tuple[Edge, Edge]]] = {}
-    for lab in sorted(al.circles):
-        circle = al.circles[lab]
+    for lab, circle in sorted(al.circles.items()):
+        t = twists.get(lab)
+        if t == 0:
+            continue  # no crossings: its passages leave the strand uncut
         m = circle.strand_count
-        if lab in twists:
-            t = twists[lab]
-            if t == 0:
-                continue  # no crossings: its passages leave the strand uncut
-            letter = circle.pattern_sign * circle.handedness * (1 if t >= 0 else -1)
-            # Braid positions run across the disk; a left-handed local frame
-            # mirrors the assignment so the tangle glues back planarly.
-            pos_to_slot = (
-                list(range(m)) if circle.chirality == 1 else list(range(m - 1, -1, -1))
-            )
-            w_stubs = [fresh() for _ in range(m)]
-            current = list(w_stubs)
-            for w, j in zip(w_stubs, pos_to_slot):
-                comp_of_new[w] = slot_component[(lab, j)]
-            for i, _ in full_ribbon_braid(m, abs(t)):
-                left, right = current[i - 1], current[i]
-                lo, ro = fresh(), fresh()
-                crossings.append(braid_crossing(letter, left, right, lo, ro))
-                # The two strands swap positions at every letter.
-                comp_of_new[lo], comp_of_new[ro] = comp_of_new[right], comp_of_new[left]
-                current[i - 1], current[i] = lo, ro
-            stubs[lab] = {
-                pos_to_slot[p]: (w_stubs[p], current[p]) for p in range(m)
-            }
+        # Braid positions run across the disk; a left-handed local frame
+        # mirrors the assignment so the tangle glues back planarly.
+        pos_to_slot = range(m) if circle.chirality == 1 else range(m - 1, -1, -1)
+        strand = list(map(slot_component[lab].__getitem__, pos_to_slot))  # per position
+        if t is None:
+            w, e = _expand_circle(crossings, new_ids, comp_of_new, lab, strand)
         else:
-            stubs[lab] = _expand_circle(
-                crossings, fresh, al, lab, comp_of_new, slot_component
-            )
+            letter = circle.pattern_sign * circle.handedness * (1 if t >= 0 else -1)
+            w = list(islice(new_ids, m))
+            e = list(w)
+            for i, _ in full_ribbon_braid(m, abs(t)):
+                lo, ro = fresh(), fresh()
+                crossings.append(braid_crossing(letter, e[i - 1], e[i], lo, ro))
+                # The two strands swap positions at every letter.
+                strand[i - 1], strand[i] = strand[i], strand[i - 1]
+                comp_of_new[lo], comp_of_new[ro] = strand[i - 1], strand[i]
+                e[i - 1], e[i] = lo, ro
+        stubs[lab] = dict(zip(pos_to_slot, zip(w, e)))
 
     # The passages through filled circles cut each strand into pieces, and
     # each cut joins the pieces on its two sides to its tangle's stubs: each
@@ -463,7 +463,7 @@ def _fill(al: AugmentedLink, twists: dict[str, int]) -> Diagram:
             if not plist:
                 loops_left.append(comp)
                 continue
-            pieces = [fresh() for _ in range(len(plist))]
+            pieces = list(islice(new_ids, len(plist)))
             for piece in pieces:
                 comp_of_new[piece] = comp
             for k, p in enumerate(plist):
@@ -481,7 +481,7 @@ def _fill(al: AugmentedLink, twists: dict[str, int]) -> Diagram:
                 if len(evs) > 1:
                     evs.sort(key=attrgetter("rank"))
                 far = darts[2 * bisect_left(edges, e) + 1]  # occurrence 1 of e
-                pieces = [e] + [fresh() for _ in range(len(evs))]
+                pieces = [e, *islice(new_ids, len(evs))]
                 cr = list(crossings[far >> 2])
                 cr[far & 3] = pieces[-1]
                 crossings[far >> 2] = tuple(cr)
@@ -504,49 +504,37 @@ def _fill(al: AugmentedLink, twists: dict[str, int]) -> Diagram:
     return Diagram(final, components, None, tuple(sorted(loops_left)))
 
 
-def _expand_circle(
-    crossings, fresh, al: AugmentedLink, lab: str, comp_of_new, slot_component
-):
+def _expand_circle(crossings, new_ids, comp_of_new, lab: str, strand: list[str]):
     """Replace an unfilled circle by its PD loop crossing each strand twice.
 
     The circle's W arc descends across the strands passing over them; the E
     arc ascends passing under, which matches a round circle perpendicular to
-    the projection plane.  A left-handed disk frame mirrors the picture.
-    Returns the (W stub, E stub) pair per slot.
+    the projection plane.  `strand` is the component at each braid position.
+    Returns the W stubs and the E stubs by position.
     """
-    circle = al.circles[lab]
-    m = circle.strand_count
-    mirror = circle.chirality == -1
-    pos_to_slot = list(range(m)) if not mirror else list(range(m - 1, -1, -1))
-    loop = [fresh() for _ in range(2 * m)]
-    for seg in loop:
-        comp_of_new[seg] = lab
+    m = len(strand)
+    fresh = new_ids.__next__
+    loop = list(islice(new_ids, 2 * m))
+    comp_of_new.update(dict.fromkeys(loop, lab))
     # Frame matched to the braid insertion: strands run downward in columns
     # (W end up), the circle's upper arc crosses over them left to right and
     # the lower arc returns under them.
-    mids = {}
-    out = {}
+    w, mids = [], []
     for p in range(m):
-        j = pos_to_slot[p]
         w_stub, mid = fresh(), fresh()
-        comp_of_new[w_stub] = slot_component[(lab, j)]
-        comp_of_new[mid] = slot_component[(lab, j)]
+        comp_of_new[mid] = strand[p]
         # Upper crossing at column p: strand (under) runs w_stub -> mid,
         # circle (over) runs loop[p] -> loop[p+1].  CCW from the incoming
         # under edge at the north: (N, W, S, E).
         crossings.append((w_stub, loop[p], mid, loop[p + 1]))
-        mids[j] = mid
-        out[j] = [w_stub, None]
+        w.append(w_stub)
+        mids.append(mid)
+    e = [0] * m
     for i in range(m):
         p = m - 1 - i  # the lower arc returns right to left
-        j = pos_to_slot[p]
-        e_stub = fresh()
-        comp_of_new[e_stub] = slot_component[(lab, j)]
-        c_in = loop[m + i]
-        c_out = loop[(m + i + 1) % (2 * m)]
+        e[p] = fresh()
         # Lower crossing at column p: circle (under) runs c_in -> c_out
         # leftward, strand (over) runs mid -> e_stub.  CCW from the incoming
         # under edge at the east: (E, N, W, S).
-        crossings.append((c_in, mids[j], c_out, e_stub))
-        out[j][1] = e_stub
-    return {j: tuple(v) for j, v in out.items()}
+        crossings.append((loop[m + i], mids[p], loop[(m + i + 1) % (2 * m)], e[p]))
+    return w, e

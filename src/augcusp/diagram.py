@@ -146,6 +146,10 @@ class Diagram:
         numbered by their least corner, and each walk starts there.
         """
         twin = self._twin
+        # The corner after x in its face: the corner at the twin of x's
+        # next dart, read for all corners at once.
+        succ = twin[1:] + twin[:1]
+        succ[3::4] = twin[0::4]
         face_of = [-1] * len(twin)
         walk = []
         starts = []
@@ -158,7 +162,7 @@ class Diagram:
             while face_of[x] < 0:
                 face_of[x] = face
                 walk.append(x)
-                x = twin[x - 3 if x & 3 == 3 else x + 1]
+                x = succ[x]
         starts.append(len(walk))
         return starts, face_of, walk
 
@@ -409,14 +413,15 @@ def detect_twist_regions(d: Diagram) -> list[TwistRegion]:
     Crossings belonging to no bigon become singleton regions.  A chain that
     fails the alternation requirement is split at the junction and a
     ReducibleDiagramWarning is emitted.  Reads the bigons off the corner
-    walk (`Diagram._bigons`); a link is (bigon, neighbour crossing).
+    walk (`Diagram._bigons`); a link is (bigon number, neighbour crossing),
+    and each bigon's two edges are read once, with its alternation test.
     """
-    bigons, twin = d._bigons, d._twin
-    links: list[list[tuple[tuple[int, int], int]]] = [[] for _ in d.crossings]
-    for b in bigons:
+    twin, edge, signs = d._twin, d._edge, d.signs
+    links: list[list[tuple[int, int]]] = [[] for _ in d.crossings]
+    pair_of: list[tuple[Edge, Edge]] = []  # bigon number -> its edges, sorted
+    for x, y in d._bigons:
         # Alternating: each edge, at a corner's next dart, changes over/under
         # role between the two crossings; otherwise the two crossings cancel.
-        x, y = b
         x = x - 3 if x & 3 == 3 else x + 1
         y = y - 3 if y & 3 == 3 else y + 1
         if not (x ^ twin[x]) & (y ^ twin[y]) & 1:
@@ -427,17 +432,18 @@ def detect_twist_regions(d: Diagram) -> list[TwistRegion]:
                 stacklevel=2,
             )
             continue
-        c1, c2 = x >> 2, y >> 2
-        links[c1].append((b, c2))
-        links[c2].append((b, c1))
+        b = len(pair_of)
+        pair_of.append((edge[x], edge[y]) if edge[x] <= edge[y] else (edge[y], edge[x]))
+        links[x >> 2].append((b, y >> 2))
+        links[y >> 2].append((b, x >> 2))
     if any(len(lk) > 2 for lk in links):
         for part in d._parts:
             # A 2-crossing Hopf part has four bigons and two equally valid
             # twist-region readings; fix one by pairing edge-disjoint bigons.
             if len(part) == 2 and len(links[part[0]]) == 4:
                 b0 = links[part[0]][0][0]
-                edges = set(_bigon_edges(d, b0))
-                keep = {b0} | {b for b, _ in links[part[0]] if not set(_bigon_edges(d, b)) & edges}
+                edges = set(pair_of[b0])
+                keep = {b0} | {b for b, _ in links[part[0]] if not edges.intersection(pair_of[b])}
                 for c in part:
                     links[c] = [lk for lk in links[c] if lk[0] in keep]
         if any(len(lk) > 2 for lk in links):
@@ -445,25 +451,41 @@ def detect_twist_regions(d: Diagram) -> list[TwistRegion]:
                 "a crossing borders more than two bigons; not a reduced diagram"
             )
 
+    # The crossings in order: the first of each region is its least.  Its
+    # chain is walked from there along each of its links, to an end or round
+    # a cycle back, and read from the lesser end (a cycle: from there, along
+    # its first link).
     regions: list[TwistRegion] = []
-    visited: set[int] = set()
-    for c0 in range(len(d.crossings)):
-        if c0 in visited:
+    seen = [False] * len(d.crossings)
+    for c0, lk in enumerate(links):
+        if seen[c0]:
             continue
-        if not links[c0]:
-            visited.add(c0)
-            regions.append(_singleton_region(d, c0))
-            continue
-        # Collect the path/cycle component through bigon adjacency.
-        comp = {c0}
-        stack = [c0]
-        while stack:
-            for _, nb in links[stack.pop()]:
-                if nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
-        visited.update(comp)
-        regions.append(_walk_chain(d, links, comp))
+        seen[c0] = True
+        back: list[int] = []  # the other arm: crossings and bigons
+        back_pairs: list[int] = []
+        arm, pairs, is_cycle = back, back_pairs, False
+        for b, nb in lk:
+            back, back_pairs, arm, pairs = arm, pairs, [], [b]
+            while nb != c0:
+                seen[nb] = True
+                arm.append(nb)
+                if len(links[nb]) == 1:
+                    break
+                first, second = links[nb]
+                b, nb = second if first[0] == b else first
+                pairs.append(b)
+            else:  # round a cycle
+                is_cycle = True
+                break
+        if back and arm[-1] < back[-1]:
+            back, back_pairs, arm, pairs = arm, pairs, back, back_pairs
+        chain = back[::-1] + [c0] + arm
+        n = len(chain)
+        handed = signs[chain[0]] if signs is not None else 1
+        regions.append(
+            TwistRegion(chain, 2, handed * (n // 2), bool(n % 2), handed, is_cycle,
+                        [pair_of[b] for b in back_pairs[::-1] + pairs])
+        )
     return regions
 
 
@@ -495,45 +517,26 @@ def _walk_chain(d: Diagram, links, comp: set[int]) -> TwistRegion:
         raise DiagramInvariantError(
             "bigon adjacency is not a simple chain; not a reduced diagram"
         )
-    return _chain_region(d, chain, pairs, not ends)
-
-
-def _bigon_edges(d: Diagram, bigon: tuple[int, int]) -> tuple[Edge, ...]:
-    """The edges of a bigon, at the next darts of its two corners."""
-    return tuple(d._edge[x - 3 if x & 3 == 3 else x + 1] for x in bigon)
-
-
-def _crossing_handed(d: Diagram, ci: int) -> int:
-    if d.signs is not None:
-        return d.signs[ci]
-    return 1
-
-
-def _singleton_region(d: Diagram, ci: int) -> TwistRegion:
-    return TwistRegion(
-        crossings=[ci],
-        strand_count=2,
-        full_twists=0,
-        half_twist=True,
-        handedness=_crossing_handed(d, ci),
-    )
-
-
-def _chain_region(
-    d: Diagram, chain: list[int], pairs: list[tuple[int, int]], is_cycle: bool
-) -> TwistRegion:
     n = len(chain)
     handed = _crossing_handed(d, chain[0])
-    bigon_edges = [tuple(sorted(_bigon_edges(d, b))) for b in pairs]
+    edge = d._edge
     return TwistRegion(
         crossings=chain,
         strand_count=2,
         full_twists=handed * (n // 2),
         half_twist=bool(n % 2),
         handedness=handed,
-        is_cycle=is_cycle,
-        bigon_edge_pairs=bigon_edges,
+        is_cycle=not ends,
+        bigon_edge_pairs=[
+            tuple(sorted(edge[x - 3 if x & 3 == 3 else x + 1] for x in b)) for b in pairs
+        ],
     )
+
+
+def _crossing_handed(d: Diagram, ci: int) -> int:
+    if d.signs is not None:
+        return d.signs[ci]
+    return 1
 
 
 # -- generalized twist regions --------------------------------------------------

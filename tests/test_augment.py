@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -57,6 +58,36 @@ class TestAugment:
         bad = [regs[0], regs[0]]
         with pytest.raises(DiagramInvariantError):
             augment(d, bad)
+
+    @staticmethod
+    def pretzel_with_first_region(**changes):
+        d = catalog.pretzel_link([3, 3, 3])
+        regions = detect_twist_regions(d)
+        return d, [dataclasses.replace(regions[0], **changes)] + regions[1:]
+
+    def test_region_without_crossings_is_refused(self):
+        d, regions = self.pretzel_with_first_region(crossings=[])
+        with pytest.raises(DiagramInvariantError, match=r"^region C1 has no crossings$"):
+            augment(d, regions)
+
+    def test_chain_without_bigon_edge_pairs_is_refused(self):
+        d, regions = self.pretzel_with_first_region(bigon_edge_pairs=[])
+        with pytest.raises(
+            DiagramInvariantError,
+            match=r"^region C1 on crossings \[0, 1, 2\] has no bigon edge pair$",
+        ):
+            augment(d, regions)
+
+    def test_first_bigon_pair_off_the_first_crossing_is_refused(self):
+        d, regions = self.pretzel_with_first_region()
+        far = regions[0].bigon_edge_pairs[1]  # between the second and third crossings
+        assert not set(far) & set(d.crossings[regions[0].crossings[0]])
+        regions[0] = dataclasses.replace(regions[0], bigon_edge_pairs=[far, far])
+        with pytest.raises(
+            DiagramInvariantError,
+            match=r"^region C1: first bigon edge pair \(9, 10\) does not meet its first crossing 0$",
+        ):
+            augment(d, regions)
 
     def test_disk_punctured_twice(self):
         for d in (catalog.trefoil(), catalog.rational_link([2, 3, 2])):

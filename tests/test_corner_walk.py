@@ -27,7 +27,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_canonical_pd import disjoint_union, kinked, scrambled, small_diagrams
+from test_canonical_pd import disjoint_union, kinked, scrambled, small_diagrams, twists
 
 from augcusp import catalog, cli
 from augcusp.augment import _refill, augment, ledger_json, untwist_retwist_roundtrip
@@ -335,6 +335,162 @@ class TestAgainstReference:
             Diagram((), {}, None, ("L",)),
         ):
             assert_same_as_reference(d)
+
+
+# -- the region analysis, as one helper call per region -------------------------------
+
+def reference_region_structure(d, r, idx, region_of):
+    """The disk darts, lateral faces, rotation and frame of region `idx`
+    (`region_of`: the region index of each crossing, -1 for none), as
+    `augment` read them one region at a time through this helper."""
+    twin, face_of = d._twin, d._corner_walk[1]
+    # The E-side darts (at the retained crossing) of the two original edges
+    # the crossing disk cuts, as (slot 0, slot 1), and the local frame
+    # handedness: +1 when slot1 sits counterclockwise-next from slot0 there.
+    c1 = r.crossings[0]
+    if r.crossing_count == 1:
+        near = (4 * c1, 4 * c1 + 3)
+    else:
+        near = tuple(4 * c1 + d.crossings[c1].index(e) for e in r.bigon_edge_pairs[0])
+    chirality = 1 if near[1] & 3 == (near[0] + 1) & 3 else -1
+
+    # Lateral faces: beyond the slot-0 strand and beyond the slot-1 strand.
+    if r.crossing_count == 1:
+        lat_n = face_of[4 * c1]
+        lat_s = face_of[4 * c1 + 2]
+    else:
+        # The first bigon is the face of the corner between the two darts;
+        # each disk edge has it on one side, at corner x, or at the corner
+        # before x, and the lateral face on the other.
+        bigon = face_of[near[0] if chirality == 1 else near[1]]
+        lat_n, lat_s = (
+            face_of[x] if face_of[x] != bigon else face_of[x - 1 if x & 3 else x + 3]
+            for x in near
+        )
+
+    # The darts whose edges leave the region.
+    darts = [
+        x for c in r.crossings for x in range(4 * c, 4 * c + 4) if region_of[twin[x] >> 2] != idx
+    ]
+    rotation = None
+    if len(darts) == 4:
+        if r.crossing_count == 1:
+            x = 4 * c1
+            ends = {x: (0, "W"), x + 2: (0, "E"), x + 3: (1, "W"), x + 1: (1, "E")}
+        else:
+            # Thread each disk edge's strand out of the region, both ways.
+            ends = {}
+            for slot, x in enumerate(near):
+                for y, side in ((x, "E"), (twin[x], "W")):
+                    y ^= 2
+                    while region_of[twin[y] >> 2] == idx:
+                        y = twin[y] ^ 2
+                    ends[y] = (slot, side)
+        if ends.keys() != set(darts):
+            raise DiagramInvariantError("region strand threading did not close")
+        # Turn counterclockwise around the region from its least dart.
+        x = min(darts)
+        cyc = [x]
+        while len(cyc) < 4:
+            x = x - 3 if x & 3 == 3 else x + 1
+            if region_of[twin[x] >> 2] == idx:
+                x = twin[x]
+            else:
+                cyc.append(x)
+        rotation = list(map(ends.__getitem__, cyc))
+        if {lat_n, lat_s}.difference(map(face_of.__getitem__, cyc)):
+            raise DiagramInvariantError("lateral faces missing from region walk")
+
+    # Twist pattern: the braid letter sign is anchored at the crossing
+    # adjacent to the disk that gets removed and reinserted.
+    pattern_anchor = r.crossings[1] if r.half_twist and r.crossing_count > 1 else c1
+    anchor = near[0] if near[0] >> 2 == pattern_anchor else twin[near[0]]
+    slot0_under = anchor & 1 == 0
+    pattern_sign = chirality * (1 if slot0_under else -1)
+    if r.half_twist:
+        # The retained half-twist crossing sits between the disk and the
+        # frame anchor; one extra crossing mirrors the local frame.
+        chirality, pattern_sign = -chirality, -pattern_sign
+
+    return {
+        "rotation": rotation,
+        "laterals": (lat_n, lat_s),
+        "near": near,
+        "chirality": chirality,
+        "pattern_sign": pattern_sign,
+    }
+
+
+def assert_regions_as_reference(d):
+    """`augment`'s circles against `reference_region_structure`, region by
+    region: the rotation, chirality and pattern sign; the lateral faces,
+    through the end sides their colours give; and the disk darts, as the
+    passages each component's walk meets them at, in order, with the
+    direction of the walk there.  Returns the number of one-crossing
+    regions."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ReducibleDiagramWarning)
+        regions, _ = outcome(lambda: detect_twist_regions(d))
+    if isinstance(regions, Failed) or not d.crossings:
+        return 0
+    region_of = [-1] * len(d.crossings)
+    for idx, r in enumerate(regions):
+        for c in r.crossings:
+            region_of[c] = idx
+    got = outcome(lambda: augment(d, regions))[0]
+    refs = outcome(
+        lambda: [reference_region_structure(d, r, idx, region_of) for idx, r in enumerate(regions)]
+    )[0]
+    if isinstance(got, Failed) or isinstance(refs, Failed):
+        assert got == refs
+        return 0
+    al, _ = got
+    color, bits = augment_module._face_colorings(d)
+    disk = {}
+    for idx, st in enumerate(refs):
+        circle = al.circles[f"C{idx + 1}"]
+        assert circle.rotation == st["rotation"]
+        assert (circle.chirality, circle.pattern_sign) == (st["chirality"], st["pattern_sign"])
+        north, south = (color[f] for f in st["laterals"])
+        assert circle.end_sides == {c: (north >> j & 1, south >> j & 1) for c, j in bits.items()}
+        disk[st["near"][0]], disk[st["near"][1]] = (circle.label, 0), (circle.label, 1)
+    twin = d._twin
+    for comp, walk in d._walks:
+        met = []
+        for b in walk:  # the strand runs from twin[b] to b
+            if twin[b] in disk:
+                met.append((*disk[twin[b]], -1))
+            if b in disk:
+                met.append((*disk[b], 1))
+        assert [(p.circle, p.slot, p.direction) for p in al.passages.get(comp, [])] == met
+    return sum(r.crossing_count == 1 for r in regions)
+
+
+one_crossing_entries = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=2)
+diagrams_with_one_crossing_regions = st.one_of(
+    st.tuples(one_crossing_entries, st.lists(twists, min_size=1, max_size=2)).map(
+        lambda t: catalog.pretzel_link(t[0] + t[1])
+    ),
+    st.tuples(st.lists(twists, min_size=1, max_size=2), one_crossing_entries).map(
+        lambda t: catalog.rational_link(t[0] + t[1])
+    ),
+)
+
+
+class TestRegionAnalysisAgainstReference:
+    def test_pool_diagrams_and_their_variants(self):
+        singles = sum(assert_regions_as_reference(parse_diagram(e["pd"])) for e in POOL)
+        singles += sum(assert_regions_as_reference(d) for d in roundtrip_variants())
+        assert singles > 0
+
+    def test_ladder_and_corpus(self):
+        for d in LADDER + [al.base for _, al in fal_corpus(4)]:
+            assert_regions_as_reference(d)
+
+    @settings(max_examples=80, deadline=None)
+    @given(diagrams_with_one_crossing_regions, st.integers(0, 2**32 - 1))
+    def test_scrambled_diagrams_with_one_crossing_regions(self, d, seed):
+        assert_regions_as_reference(scrambled(d, random.Random(seed)))
 
 
 def test_every_detected_pool_region_validates_to_itself():

@@ -7,7 +7,9 @@ in the package besides its definition, and every parameter of every function is 
 body.  No `UnionFind` is defined or named in the package, whose edge classes
 come from dart walks, and `augment` reads no `Face` objects.  The package
 names no platform-dependent float type: its extended precision is
-double-double, the same on every platform.
+double-double, the same on every platform.  Every module of the package,
+the tests and the benchmark parses at the oldest Python that pyproject.toml
+declares.
 """
 
 import ast
@@ -15,7 +17,8 @@ import re
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
-SRC = TESTS.parent / "src" / "augcusp"
+ROOT = TESTS.parent
+SRC = ROOT / "src" / "augcusp"
 MODULES = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 TEST_MODULES = {
     f"tests/{path.name}": ast.parse(path.read_text()) for path in sorted(TESTS.glob("*.py"))
@@ -148,3 +151,25 @@ def test_no_platform_dependent_float_types():
         for m in word.finditer(line)
     ]
     assert not found
+
+
+def test_every_module_parses_at_the_oldest_declared_python():
+    """`ast.parse` with `feature_version` at the floor of pyproject.toml's
+    `requires-python` accepts every module in src/, tests/ and perfbench/.
+    This covers syntax only (a `match` before 3.10, an `except*` before
+    3.11, a `type` statement before 3.12), not library calls that an older
+    Python lacks."""
+    floor = re.search(
+        r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text(), re.M
+    )
+    assert floor, "pyproject.toml declares no requires-python floor"
+    version = (int(floor[1]), int(floor[2]))
+    paths = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert len(paths) > 20
+    refused = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(), str(path), feature_version=version)
+        except SyntaxError as exc:
+            refused.append(f"{path.relative_to(ROOT)}:{exc.lineno} {exc.msg}")
+    assert not refused
