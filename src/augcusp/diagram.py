@@ -255,6 +255,7 @@ def parse_diagram(text: str) -> Diagram:
     if comp_doc is not None:
         if not isinstance(comp_doc, dict):
             raise PDSyntaxError("'components' must be an object")
+        _check_labels(list(comp_doc.values()), "components")
         components = {}
         for k, v in comp_doc.items():
             # Only the decimal integer to_json writes: int() also reads " 1" and "+2".
@@ -280,10 +281,19 @@ def parse_diagram(text: str) -> Diagram:
     loops_doc = doc.get("loops", [])
     if not isinstance(loops_doc, list):
         raise PDSyntaxError("'loops' must be a list of component labels")
-    loops = tuple(str(s) for s in loops_doc)
+    _check_labels(loops_doc, "loops")
+    loops = tuple(map(str, loops_doc))
     if components is None:
         return _with_inferred_components(crossings, signs, loops)
     return Diagram(crossings, components, signs, loops)
+
+
+def _check_labels(labels: list, field: str) -> None:
+    """Refuse a component label that is not a JSON string or integer: str()
+    would also read null as "None" and a list as its repr."""
+    if not set(map(type, labels)) <= {str, int}:
+        bad = next(v for v in labels if type(v) not in (str, int))
+        raise PDSyntaxError(f"'{field}' labels must be strings or integers, got {json.dumps(bad)}")
 
 
 def _with_inferred_components(crossings, signs=None, loops=()) -> Diagram:
@@ -680,9 +690,9 @@ def validate_generalized_region(
 
 
 def canonical_pd(d: Diagram) -> CanonicalPD:
-    """Hashable key that is equal for two diagrams exactly when `pd_isomorphic`
-    holds: the PD codes agree up to edge relabelling, crossing order and
-    rotating a crossing by two slots.
+    """Hashable key, for deduplication, that is equal for two diagrams exactly
+    when `pd_isomorphic` holds: the PD codes agree up to edge relabelling,
+    crossing order and rotating a crossing by two slots.
 
     Each connected part of the projection is read as a BFS code (see
     `_least_code`) from every crossing in both of its rotations, and the least
@@ -743,9 +753,7 @@ def _least_code(twin: list[int]) -> tuple[tuple[int, ...], int, int]:
     2q: crossing q >> 1, rotated by 2 * (q & 1).
     """
     n = len(twin) // 4
-    # The darts of a crossing in reading order, at y >> 1 for the dart y it
-    # is reached through.
-    quads = [(x, x + 1, x ^ 2, (x ^ 2) + 1) for x in range(0, 4 * n, 2)]
+    quads = _quads(n)
     slots = min(_BATCH, 2 * n)
     nums = [[0] * (4 * n) for _ in range(slots)]
     seens = [[False] * n for _ in range(slots)]
@@ -793,16 +801,107 @@ def _least_code(twin: list[int]) -> tuple[tuple[int, ...], int, int]:
                 best, alive = code, len(live)
         if first + slots < 2 * n:  # clear what the batch reached for the next
             for num, seen, order in zip(nums, seens, orders):
-                for y in order:
-                    seen[y >> 2] = False
-                    num[y & -4 : (y & -4) + 4] = (0, 0, 0, 0)
+                _clear(order, num, seen)
     return tuple(e for chunk in best for e in chunk), batches, alive
 
 
 def pd_isomorphic(d1: Diagram, d2: Diagram) -> bool:
     """Combinatorial isomorphism of PD codes up to edge relabelling, crossing
-    order and rotation of crossings by two; see `canonical_pd`."""
-    return canonical_pd(d1) == canonical_pd(d2)
+    order and rotation of crossings by two, as `canonical_pd` equality, but
+    without reading either least code (Weinberg's test).
+
+    Each connected part of `d1` is read once, from its least crossing through
+    slot 0 (the reading of `_least_code`), and is matched by the first unused
+    part of `d2` of the same size that some reading reproduces; a reading is
+    abandoned at its first entry that differs from the code.  Taking any
+    matching part is safe, since isomorphism is an equivalence.  Costs O(n^2)
+    time at worst and O(n) memory for n crossings, and writes one DEBUG
+    record."""
+    n = len(d1.crossings)
+    tried = 0
+    same = (
+        n == len(d2.crossings)
+        and len(d1.loops) == len(d2.loops)
+        and sorted(map(len, d1._parts)) == sorted(map(len, d2._parts))
+    )
+    if same:
+        quads = _quads(n)
+        num = [0] * (4 * n)
+        seen = [False] * n
+        twin1, twin2 = d1._twin, d2._twin
+        unused = list(d2._parts)
+        for part in d1._parts:
+            order = [4 * part[0]]
+            _read(twin1, quads, num, seen, order, None)
+            code = [num[x] for y in order for x in quads[y >> 1]]
+            _clear(order, num, seen)
+            k, t = _match(twin2, quads, num, seen, code, unused, len(part))
+            tried += t
+            if k is None:
+                same = False
+                break
+            del unused[k]
+    log.debug(
+        "pd_isomorphic: %d crossings, %d parts, %d readings tried: %s",
+        n, len(d1._parts), tried, "isomorphic" if same else "not isomorphic",
+    )
+    return same
+
+
+def _quads(n: int) -> list[tuple[int, int, int, int]]:
+    """The darts of a crossing in reading order, at y >> 1 for the dart y it
+    is reached through: from slot y & 2 on."""
+    return [(x, x + 1, x ^ 2, (x ^ 2) + 1) for x in range(0, 4 * n, 2)]
+
+
+def _match(twin, quads, num, seen, code, parts, size) -> tuple[int | None, int]:
+    """The index of the first of `parts` of `size` crossings that some
+    reading reproduces `code` on (None if none does), and the number of
+    readings tried."""
+    tried = 0
+    for k, part in enumerate(parts):
+        if len(part) == size:
+            for c in part:
+                for x in (4 * c, 4 * c + 2):
+                    tried += 1
+                    order = [x]
+                    same = _read(twin, quads, num, seen, order, code)
+                    _clear(order, num, seen)
+                    if same:
+                        return k, tried
+    return None, tried
+
+
+def _read(twin, quads, num, seen, order, code) -> bool:
+    """Read the part through dart order[0] as `_least_code` reads it: number
+    the edges in `num` and append the darts the crossings are reached
+    through to `order`.  Given a `code`, stop at the first entry that differs
+    from it and say whether none did."""
+    seen[order[0] >> 2] = True
+    e = 1
+    k = 0
+    for y in order:
+        for x in quads[y >> 1]:
+            v = num[x]
+            if not v:
+                v = num[x] = num[twin[x]] = e
+                e += 1
+                z = twin[x] >> 2
+                if not seen[z]:
+                    seen[z] = True
+                    order.append(twin[x])
+            if code is not None:
+                if v != code[k]:
+                    return False
+                k += 1
+    return True
+
+
+def _clear(order, num, seen) -> None:
+    """Undo a reading: unmark the crossings it reached and their darts."""
+    for y in order:
+        seen[y >> 2] = False
+        num[y & -4 : (y & -4) + 4] = (0, 0, 0, 0)
 
 
 # -- braid insertion and ribbon twist patterns --------------------------------

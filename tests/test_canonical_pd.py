@@ -10,7 +10,7 @@ import re
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from augcusp import catalog
@@ -167,6 +167,133 @@ def test_shuffled_large_pretzels(columns):
     other = catalog.pretzel_link([3, 5] + [4] * (columns - 2))
     assert len(other.crossings) == len(d.crossings)
     assert not pd_isomorphic(d, scrambled(other, random.Random(columns)))
+
+
+# -- the match against key equality and the backtracker --------------------------
+
+
+@st.composite
+def pieces(draw, size):
+    """A connected rational diagram of `size` crossings, maybe mirrored or
+    reflected."""
+    vector, left = [], size
+    while left:
+        k = draw(st.integers(1, min(left, 3)))
+        vector.append(draw(st.sampled_from([k, -k])))
+        left -= k
+    flip = draw(st.sampled_from([None, mirror, reflection]))
+    d = catalog.rational_link(vector)
+    return flip(d) if flip else d
+
+
+def assembled(parts, loops):
+    """The split diagram of `parts` and `loops` crossingless loops."""
+    labels = tuple(f"L{i}" for i in range(loops))
+    if not parts:
+        return Diagram((), {}, None, labels)
+    d = disjoint_union(*parts)
+    return Diagram(d.crossings, dict(d.components), None, labels)
+
+
+@st.composite
+def split_diagrams(draw, sizes):
+    loops = draw(st.integers(0 if sizes else 1, 2))
+    return [draw(pieces(size)) for size in sizes], loops
+
+
+part_sizes = st.lists(st.integers(1, 4), max_size=2)
+
+
+@st.composite
+def diagram_pairs(draw):
+    """Two diagrams of up to two parts of at most four crossings and up to
+    two loops, either way round, the second scrambled: two independent
+    draws, or the same parts, some redrawn at their crossing count, maybe
+    listed the other way and maybe with another number of loops."""
+    parts, loops = draw(split_diagrams(draw(part_sizes)))
+    if draw(st.booleans()):
+        other, other_loops = draw(split_diagrams(draw(part_sizes)))
+    else:
+        other = [draw(pieces(len(p.crossings))) if draw(st.booleans()) else p for p in parts]
+        if draw(st.booleans()):
+            other.reverse()
+        other_loops = draw(st.sampled_from([loops, 0 if other else 1, 2]))
+    a = assembled(parts, loops)
+    b = scrambled(assembled(other, other_loops), random.Random(draw(seeds)))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@settings(max_examples=400, deadline=None)
+@given(diagram_pairs())
+def test_match_agrees_with_key_equality_and_the_backtracker(pair):
+    a, b = pair
+    expected = backtrack_isomorphic(a, b)
+    event(f"isomorphic: {expected}")
+    assert (canonical_pd(a) == canonical_pd(b)) == expected
+    assert pd_isomorphic(a, b) == expected
+
+
+def test_parts_of_equal_size_are_matched_as_a_multiset():
+    t, f = catalog.trefoil(), catalog.figure_eight()
+    m, h = mirror(t), catalog.rational_link([2, 1])  # 3 crossings each
+    for first, second, same in (
+        ((t, m), (m, t), True),
+        ((t, m), (t, t), False),
+        ((t, t), (m, t), False),
+        ((h, t, f), (f, t, h), True),
+        ((h, t, f), (f, h, m), False),
+    ):
+        a = disjoint_union(*first)
+        b = scrambled(disjoint_union(*second), random.Random(len(first)))
+        assert backtrack_isomorphic(a, b) == same
+        assert pd_isomorphic(a, b) == pd_isomorphic(b, a) == same
+
+
+def test_crossingless_diagrams_compare_by_their_loops():
+    one, two = assembled([], 1), assembled([], 2)
+    assert pd_isomorphic(one, Diagram((), {}, None, ("M",)))
+    assert not pd_isomorphic(one, two) and not pd_isomorphic(two, one)
+    assert not pd_isomorphic(one, catalog.trefoil())
+    assert not pd_isomorphic(assembled([catalog.unknot_kink()], 1), assembled([], 2))
+
+
+def test_match_memory_is_linear():
+    # The lockstep keys of these two diagrams peak at about 1.35 MB.
+    d = catalog.two_bridge_chain(401)  # 802 crossings
+    other = scrambled(d, random.Random(401))
+    tracemalloc.start()
+    try:
+        assert pd_isomorphic(d, other)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+
+
+def test_one_debug_record_per_match(caplog):
+    t, f = catalog.trefoil(), catalog.figure_eight()
+    cases = [
+        (t, scrambled(t, random.Random(1)), True),
+        (t, mirror(t), False),
+        (t, f, False),  # crossing counts differ: no reading tried
+        (disjoint_union(t, f), disjoint_union(f, t), True),
+        (assembled([], 2), assembled([], 2), True),
+    ]
+    with caplog.at_level(logging.DEBUG, logger="augcusp"):
+        for a, b, _ in cases:
+            pd_isomorphic(a, b)
+    records = [r for r in caplog.records if r.getMessage().startswith("pd_isomorphic: ")]
+    assert len(records) == len(cases)
+    assert {r.levelno for r in records} == {logging.DEBUG}
+    pattern = r"pd_isomorphic: (\d+) crossings, (\d+) parts, (\d+) readings tried: (.*)"
+    for (a, b, same), record in zip(cases, records):
+        n, parts, tried, verdict = re.fullmatch(pattern, record.getMessage()).groups()
+        assert (int(n), int(parts)) == (len(a.crossings), len(a._parts))
+        assert verdict == ("isomorphic" if same else "not isomorphic")
+        if len(a.crossings) != len(b.crossings) or not a.crossings:
+            assert tried == "0"
+        else:  # at least one reading per part, at most every reading of d2
+            assert len(a._parts) <= int(tried) <= 2 * len(b.crossings)
 
 
 def test_a_diagram_survives_pickling():

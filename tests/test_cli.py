@@ -92,6 +92,33 @@ class TestTwists:
         err = capsys.readouterr().err
         assert err.startswith("parse error: ") and f"'{field}'" in err
 
+    @pytest.mark.parametrize("field", ["components", "loops"])
+    @pytest.mark.parametrize("label", [["x"], None, 1.5, True, {"a": 1}], ids=repr)
+    def test_label_that_is_not_a_string_or_integer_exit_2(self, tmp_path, capsys, field, label):
+        doc = json.loads(catalog.trefoil().to_json())
+        if field == "components":
+            doc["components"]["1"] = label
+        else:
+            doc["loops"] = ["L", label]
+        path = tmp_path / "label.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["twists", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"parse error: '{field}' labels must be strings or integers, "
+            f"got {json.dumps(label)}\n"
+        )
+
+    def test_integer_labels_read_as_their_decimal_strings(self, tmp_path, capsys):
+        doc = json.loads(catalog.trefoil().to_json())
+        doc["components"] = {e: 7 for e in doc["components"]}
+        doc["loops"] = [8, "9"]
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(doc))
+        d = parse_diagram(path.read_text())
+        assert set(d.components.values()) == {"7"} and d.loops == ("8", "9")
+        assert cli.main(["twists", str(path)]) == 0
+
     @pytest.mark.parametrize("signs", [[True, 1, -1], [1, 1.0, -1], [1, -1, "1"]], ids=repr)
     def test_signs_that_are_not_integers_exit_2(self, tmp_path, capsys, signs):
         path = tmp_path / "signs.json"
@@ -180,8 +207,10 @@ class TestAugment:
                 env={"AUGCUSP_LOG": "DEBUG"})
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
-        assert b.stderr.count("canonical_pd: ") == 2  # the refilled diagram's and the input's
-        assert "canonical_pd" not in a.stderr
+        # One record for the refill checked against the input; no key is read.
+        assert b.stderr.count("pd_isomorphic: ") == 1
+        assert "canonical_pd" not in b.stderr
+        assert "pd_isomorphic" not in a.stderr
 
     def test_roundtrip_keeps_loops(self, tmp_path):
         doc = json.loads(catalog.trefoil().to_json())
