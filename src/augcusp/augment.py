@@ -6,13 +6,14 @@ knotting strands pass through its disk (passages, in order along each
 component), the counterclockwise rotation of the four strand ends around the
 collapsed twist region (used to build the polyhedral nerve), and the parity
 classes of its two plane punctures (used by the 3-punctured-sphere
-certificate).
+certificate), read from the diagram's face colorings on first use.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, count, islice
@@ -60,8 +61,9 @@ class CrossingCircle:
     # region, or None when the region swallows the whole diagram.
     rotation: list[Dart] | None
     # Parity class (0/1, global flip per component) of the two plane
-    # punctures relative to each base component's curve.
-    end_sides: dict[str, tuple[int, int]] = field(default_factory=dict)
+    # punctures relative to each base component's curve; `augment` gives
+    # each circle an `_EndSides`, which reads them on first use.
+    end_sides: Mapping[str, tuple[int, int]] = field(default_factory=dict)
     # Local frame handedness at the disk (+1 when the hole boundary reads
     # slot0-E, slot0-W, slot1-W, slot1-E counterclockwise) and the braid
     # letter sign that reproduces the removed twist pattern.
@@ -106,44 +108,42 @@ def ledger_json(ledger: dict[str, Fraction]) -> str:
     )
 
 
-# -- face colorings ------------------------------------------------------------
+# -- end sides -----------------------------------------------------------------
 
 
-def _face_colorings(d: Diagram) -> tuple[list[int], dict[str, int]]:
-    """2-colorings of faces by crossing parity with each component's curve.
+class _EndSides(Mapping):
+    """A circle's end sides, read on first use: component -> the colors of
+    the circle's two lateral faces in the diagram's face colorings
+    (`Diagram._face_colorings`), for each component whose coloring holds.
+    A pickled copy is the plain dict."""
 
-    One search over the faces, the runs of `Diagram._corner_walk`, carries
-    a bit per component.  Returns the bits of each face (-1 where the search
-    did not reach), and the bit position of each component whose coloring
-    holds: not one whose curve touches a face on both sides or whose
-    parities conflict, and none when the faces are not connected.
-    """
-    labels = sorted(set(d.components.values()))
-    bit = {lab: 1 << j for j, lab in enumerate(labels)}
-    starts, face_of, walk = d._corner_walk
-    if len(starts) < 2:  # no crossings, so no faces
-        return [], {}
-    flips = list(map(bit.__getitem__, map(d.components.__getitem__, d._edge)))  # per dart
-    color = [0] + [-1] * (len(starts) - 2)
-    bad = 0
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        ci = color[i]
-        for x in walk[starts[i] : starts[i + 1]]:
-            x = x - 3 if x & 3 == 3 else x + 1  # its next dart: face_of[x] is across
-            flip = flips[x]
-            j = face_of[x]
-            if j == i:
-                bad |= flip  # the curve touches the face on both sides
-            elif color[j] >= 0:
-                bad |= color[j] ^ ci ^ flip
-            else:
-                color[j] = ci ^ flip
-                stack.append(j)
-    if -1 in color:
-        return color, {}
-    return color, {lab: j for j, lab in enumerate(labels) if not bad >> j & 1}
+    __slots__ = ("_d", "_faces", "_sides")
+
+    def __init__(self, d: Diagram, lat_n: int, lat_s: int):
+        self._d, self._faces, self._sides = d, (lat_n, lat_s), None
+
+    def _read(self) -> dict[str, tuple[int, int]]:
+        if self._sides is None:
+            color, bits = self._d._face_colorings
+            north, south = (color[f] for f in self._faces)
+            self._sides = {comp: (north >> j & 1, south >> j & 1) for comp, j in bits.items()}
+            self._d = None
+        return self._sides
+
+    def __getitem__(self, comp):
+        return self._read()[comp]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def __len__(self):
+        return len(self._read())
+
+    def __repr__(self):
+        return repr(self._read())
+
+    def __reduce__(self):
+        return dict, (self._read(),)
 
 
 # -- the augmentation splice ---------------------------------------------------
@@ -195,13 +195,12 @@ def augment(
     Returns the untwisted augmented link (half twists retained in the base)
     and the ledger of 1/t_i filling slopes that restore the input.  One pass
     over the regions reads each one's disk, lateral faces, rotation and
-    frame and makes its circle; one pass over each component's walk makes
-    its base edges and its passages.
+    frame and makes its circle, whose end sides are read on first use; one
+    pass over each component's walk makes its base edges and its passages.
     """
     if regions is None:
         regions = detect_twist_regions(d)
     region_of = _check_regions(d, regions)
-    color, bits = _face_colorings(d)
     crossings, twin, edge = d.crossings, d._twin, d._edge
     face_of = d._corner_walk[1]
 
@@ -281,10 +280,9 @@ def augment(
         label = f"C{idx + 1}"
         labels.append(label)
         disk[n0], disk[n1] = 2 * idx, 2 * idx + 1
-        north, south = color[lat_n], color[lat_s]
-        sides = {comp: (north >> j & 1, south >> j & 1) for comp, j in bits.items()}
         circles[label] = CrossingCircle(
-            label, 2, r.half_twist, r.handedness, rotation, sides, chirality, pattern_sign
+            label, 2, r.half_twist, r.handedness, rotation, _EndSides(d, lat_n, lat_s),
+            chirality, pattern_sign,
         )
         if r.full_twists != 0:
             ledger[label] = Fraction(1, r.full_twists)

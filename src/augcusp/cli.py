@@ -82,7 +82,7 @@ def _read_annotations(path: str) -> list[dict]:
     exit 3 for any other shape."""
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise PDSyntaxError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, list) or not all(
         isinstance(a, dict)

@@ -178,6 +178,44 @@ class Diagram:
         ]
 
     @_cached
+    def _face_colorings(self) -> tuple[list[int], dict[str, int]]:
+        """2-colorings of faces by crossing parity with each component's curve.
+
+        One search over the faces, the runs of `_corner_walk`, carries a bit
+        per component.  Returns the bits of each face (-1 where the search
+        did not reach), and the bit position of each component whose coloring
+        holds: not one whose curve touches a face on both sides or whose
+        parities conflict, and none when the faces are not connected.
+        """
+        labels = sorted(set(self.components.values()))
+        bit = {lab: 1 << j for j, lab in enumerate(labels)}
+        starts, face_of, walk = self._corner_walk
+        flips = list(map(bit.__getitem__, map(self.components.__getitem__, self._edge)))
+        color = [0] + [-1] * (len(starts) - 2) if len(starts) > 1 else []  # no faces
+        bad = 0
+        stack = [0] if color else []
+        while stack:
+            i = stack.pop()
+            ci = color[i]
+            for x in walk[starts[i] : starts[i + 1]]:
+                x = x - 3 if x & 3 == 3 else x + 1  # its next dart: face_of[x] is across
+                flip = flips[x]
+                j = face_of[x]
+                if j == i:
+                    bad |= flip  # the curve touches the face on both sides
+                elif color[j] >= 0:
+                    bad |= color[j] ^ ci ^ flip
+                else:
+                    color[j] = ci ^ flip
+                    stack.append(j)
+        holds = {} if -1 in color else {lab: j for j, lab in enumerate(labels) if not bad >> j & 1}
+        log.debug(
+            "face colorings: %d crossings, %d faces, holding for %s",
+            len(self.crossings), len(color), ", ".join(holds) or "no component",
+        )
+        return color, holds
+
+    @_cached
     def _canonical_pd(self) -> CanonicalPD:
         return (len(self.loops), tuple(sorted(_part_codes(self))))
 
@@ -232,7 +270,7 @@ def parse_diagram(text: str) -> Diagram:
         raise PDSyntaxError("empty input")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise PDSyntaxError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "pd" not in doc:
         raise PDSyntaxError("expected an object with a 'pd' field")

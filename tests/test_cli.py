@@ -21,6 +21,8 @@ from augcusp.errors import AugcuspError
 from augcusp.packing import normalize_at_vertex
 
 CLI = [sys.executable, "-m", "augcusp.cli"]
+# JSON nested deeper than the interpreter's recursion limit lets json.loads read.
+DEEP = "[" * 5000 + "]" * 5000
 TREFOIL_PD = [[2, 1, 3, 4], [4, 3, 5, 6], [6, 5, 1, 2]]
 # The package exports the function `augment` under the submodule's name.
 augment_module = importlib.import_module("augcusp.augment")
@@ -162,6 +164,15 @@ class TestTwists:
         err = capsys.readouterr().err
         assert err == f"parse error: edge ids must be integers, got {json.dumps(edge)}\n"
 
+    @pytest.mark.parametrize("command", ["twists", "augment", "cusp"])
+    def test_pd_nested_too_deep_exit_2(self, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text(f'{{"pd": {DEEP}}}')
+        r = run(command, str(path))
+        assert r.returncode == 2
+        assert r.stderr.startswith("parse error: not valid JSON: ")
+        assert "Traceback" not in r.stderr and r.stdout == ""
+
     def test_undecodable_input_exit_2(self, tmp_path):
         path = tmp_path / "binary.json"
         path.write_bytes(b"\x86\xff\x00")
@@ -211,6 +222,11 @@ class TestAugment:
         assert b.stderr.count("pd_isomorphic: ") == 1
         assert "canonical_pd" not in b.stderr
         assert "pd_isomorphic" not in a.stderr
+        # One record for the input's face colorings, which the link's JSON
+        # reads through the end sides of its circle.
+        assert b.stderr.count("face colorings: ") == 1
+        assert "face colorings: 3 crossings, 5 faces, holding for 0\n" in b.stderr
+        assert "face colorings" not in a.stderr
 
     def test_roundtrip_keeps_loops(self, tmp_path):
         doc = json.loads(catalog.trefoil().to_json())
@@ -263,6 +279,13 @@ class TestAugment:
         assert r.stderr.startswith("validation error: ") and "3 strands" in r.stderr
         assert "Traceback" not in r.stderr
 
+    def test_annotations_nested_too_deep_exit_2(self, diagrams, tmp_path):
+        ann = tmp_path / "ann.json"
+        ann.write_text(DEEP)
+        r = run("augment", str(diagrams / "trefoil.json"), "--annotations", str(ann))
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"parse error: cannot read {ann}: ")
+        assert "Traceback" not in r.stderr and r.stdout == ""
 
     @pytest.mark.parametrize(
         "text, code",

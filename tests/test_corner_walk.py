@@ -15,14 +15,13 @@ ladder and the fully augmented corpus.
 
 import dataclasses
 import hashlib
-import importlib
 import importlib.util
 import json
+import pickle
 import random
 import warnings
 from collections import namedtuple
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +29,7 @@ from hypothesis import strategies as st
 from test_canonical_pd import disjoint_union, kinked, scrambled, small_diagrams, twists
 
 from augcusp import catalog, cli
+from augcusp import diagram as diagram_module
 from augcusp.augment import _refill, augment, ledger_json, untwist_retwist_roundtrip
 from augcusp.diagram import (
     Diagram,
@@ -37,12 +37,14 @@ from augcusp.diagram import (
     compute_faces,
     detect_twist_regions,
     parse_diagram,
+    pd_isomorphic,
     validate_generalized_region,
 )
 from augcusp.errors import DiagramInvariantError, ReducibleDiagramWarning
-from augcusp.families import fal_corpus
+from augcusp.families import fal_corpus, three_punctured_certificate
+from augcusp.geometry import analyze_cusp
+from augcusp.packing import build_nerve, solve_packing
 
-augment_module = importlib.import_module("augcusp.augment")
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 _spec = importlib.util.spec_from_file_location("perfbench_frozen", PERFBENCH / "frozen.py")
 frozen = importlib.util.module_from_spec(_spec)
@@ -208,14 +210,16 @@ def outcome(build):
 
 
 def reference_augment(d, regions):
-    """`augment` with the reference colouring in place of the corner walk's."""
-
-    def colorings(d):
-        color, bits = reference_face_colorings(d)
-        return [color.get(i, -1) for i in range(len(compute_faces(d).faces))], bits
-
-    with mock.patch.object(augment_module, "_face_colorings", colorings):
-        return augment(d, regions)
+    """`augment` with the reference colouring in place of the corner walk's:
+    it runs on a copy of d whose cached colouring is seeded with the
+    reference's, so its circles read that when their end sides are first
+    read, which is after this returns."""
+    color, bits = reference_face_colorings(d)
+    seeded = Diagram(d.crossings, d.components, d.signs, d.loops)
+    seeded.__dict__["_face_colorings"] = (
+        [color.get(i, -1) for i in range(len(compute_faces(d).faces))], bits
+    )
+    return augment(seeded, regions)
 
 
 def assert_same_as_reference(d):
@@ -225,10 +229,10 @@ def assert_same_as_reference(d):
     regions, caught = outcome(lambda: detect_twist_regions(d))
     assert (regions, caught) == outcome(lambda: reference_twist_regions(d))
     if not d.crossings:
-        assert augment_module._face_colorings(d) == ([], {})
+        assert d._face_colorings == ([], {})
         assert _refill(*augment(d)) == d
         return chains
-    color, bits = augment_module._face_colorings(d)
+    color, bits = d._face_colorings
     ref_color, ref_bits = reference_face_colorings(d)
     assert {i: c for i, c in enumerate(color) if c >= 0} == ref_color
     assert bits == ref_bits
@@ -445,7 +449,7 @@ def assert_regions_as_reference(d):
         assert got == refs
         return 0
     al, _ = got
-    color, bits = augment_module._face_colorings(d)
+    color, bits = d._face_colorings
     disk = {}
     for idx, st in enumerate(refs):
         circle = al.circles[f"C{idx + 1}"]
@@ -491,6 +495,105 @@ class TestRegionAnalysisAgainstReference:
     @given(diagrams_with_one_crossing_regions, st.integers(0, 2**32 - 1))
     def test_scrambled_diagrams_with_one_crossing_regions(self, d, seed):
         assert_regions_as_reference(scrambled(d, random.Random(seed)))
+
+
+# -- end sides read on first use ---------------------------------------------------
+
+
+@pytest.fixture
+def colorings_computed(monkeypatch):
+    """The diagrams whose face colorings are computed, in order."""
+    calls = []
+    compute = Diagram._face_colorings.func
+
+    def counted(d):
+        calls.append(d)
+        return compute(d)
+
+    spy = diagram_module._cached(counted)
+    spy.__set_name__(Diagram, "_face_colorings")
+    monkeypatch.setattr(Diagram, "_face_colorings", spy)
+    return calls
+
+
+class TestColoringsComputedOnRead:
+    @pytest.mark.filterwarnings("ignore::augcusp.errors.ReducibleDiagramWarning")
+    def test_a_roundtrip_item_computes_none(self, colorings_computed):
+        for _, text, reshuffled in frozen.roundtrip_items(POOL, 0, 2):
+            d = parse_diagram(text)
+            regions = detect_twist_regions(d)
+            augment(d, regions)
+            assert pd_isomorphic(untwist_retwist_roundtrip(d, regions), d)
+            assert pd_isomorphic(d, parse_diagram(reshuffled))
+        assert colorings_computed == []
+
+    def test_a_ladder_item_computes_none(self, colorings_computed):
+        """Parse through measuring every cusp, as the benchmark's ladders."""
+        for d in (catalog.two_bridge_chain(9), catalog.pretzel_link([3] * 10)):
+            d = parse_diagram(d.to_json())
+            al, _ = augment(d, detect_twist_regions(d))
+            nerve = build_nerve(al)
+            packing = solve_packing(nerve)
+            for cusp in nerve.cusps():
+                analyze_cusp(al, cusp, packing=packing, nerve=nerve)
+        assert colorings_computed == []
+
+    def test_json_and_certificate_compute_one_per_diagram(self, colorings_computed):
+        d, e = catalog.pretzel_link([5, 4, 3, 2]), catalog.pretzel_link([3, 3, 3])
+        (al, _), (again, _), (al_e, _) = augment(d), augment(d), augment(e)
+        assert colorings_computed == []
+        al.to_json()
+        assert colorings_computed == [d]
+        for comp in again.passages:
+            three_punctured_certificate(again, comp)
+        al.to_json()
+        assert colorings_computed == [d]
+        for comp in al_e.passages:
+            three_punctured_certificate(al_e, comp)
+        al_e.to_json()
+        assert colorings_computed == [d, e]
+
+
+def eager_end_sides(d, regions):
+    """Each circle's end sides as `augment` filled them before they were read
+    on first use: the reference colouring at the reference lateral faces."""
+    region_of = [-1] * len(d.crossings)
+    for idx, r in enumerate(regions):
+        for c in r.crossings:
+            region_of[c] = idx
+    color, bits = reference_face_colorings(d)
+    sides = {}
+    for idx, r in enumerate(regions):
+        laterals = reference_region_structure(d, r, idx, region_of)["laterals"]
+        north, south = (color.get(f, -1) for f in laterals)
+        sides[f"C{idx + 1}"] = {c: (north >> j & 1, south >> j & 1) for c, j in bits.items()}
+    return sides
+
+
+@pytest.mark.filterwarnings("ignore::augcusp.errors.ReducibleDiagramWarning")
+def test_end_sides_read_on_first_use_equal_the_eager_ones():
+    """On the pool, its round-trip variants, the ladder and the corpus bases,
+    each circle's end sides equal, compare and print as the eagerly built
+    dicts, and a link pickled before they are read loads equal, with plain
+    dicts."""
+    diagrams = [parse_diagram(entry["pd"]) for entry in POOL] + roundtrip_variants() + LADDER
+    diagrams += [al.base for _, al in fal_corpus(4) if al.base.crossings]
+    circles = 0
+    for d in diagrams:
+        regions = detect_twist_regions(d)
+        got = outcome(lambda: augment(d, regions))[0]
+        if isinstance(got, Failed):
+            continue
+        al, _ = got
+        loaded = pickle.loads(pickle.dumps(al))
+        eager = eager_end_sides(d, regions)
+        assert {lab: c.end_sides for lab, c in al.circles.items()} == eager
+        assert loaded == al
+        for lab, c in al.circles.items():
+            assert eager[lab] == c.end_sides and repr(c.end_sides) == repr(eager[lab])
+            assert type(loaded.circles[lab].end_sides) is dict
+        circles += len(eager)
+    assert circles > 6000
 
 
 def test_every_detected_pool_region_validates_to_itself():
