@@ -461,13 +461,28 @@ def detect_twist_regions(d: Diagram) -> list[TwistRegion]:
     Crossings belonging to no bigon become singleton regions.  A chain that
     fails the alternation requirement is split at the junction and a
     ReducibleDiagramWarning is emitted.  Reads the bigons off the corner
-    walk (`Diagram._bigons`); a link is (bigon number, neighbour crossing),
-    and each bigon's two edges are read once, with its alternation test.
+    walk (`Diagram._bigons`, see `_bigon_links`) and walks their chains
+    (`_walk_chains`).
     """
-    twin, edge, signs = d._twin, d._edge, d.signs
-    links: list[list[tuple[int, int]]] = [[] for _ in d.crossings]
+    crossings = range(len(d.crossings))
+    return _walk_chains(d, *_bigon_links(d, crossings), crossings)
+
+
+def _bigon_links(
+    d: Diagram, crossings
+) -> tuple[list[list[tuple[int, int]] | None], list[tuple[Edge, Edge]]]:
+    """Crossing -> its links along the alternating bigons between two of
+    `crossings` (None for a crossing not among them), and each such bigon's
+    two edges, sorted.  A link is (bigon number, neighbour crossing), and
+    each bigon's two edges are read once, with its alternation test."""
+    twin, edge = d._twin, d._edge
+    links: list[list[tuple[int, int]] | None] = [None] * len(d.crossings)
+    for c in crossings:
+        links[c] = []
     pair_of: list[tuple[Edge, Edge]] = []  # bigon number -> its edges, sorted
     for x, y in d._bigons:
+        if links[x >> 2] is None or links[y >> 2] is None:
+            continue
         # Alternating: each edge, at a corner's next dart, changes over/under
         # role between the two crossings; otherwise the two crossings cancel.
         x = x - 3 if x & 3 == 3 else x + 1
@@ -477,42 +492,51 @@ def detect_twist_regions(d: Diagram) -> list[TwistRegion]:
                 "non-alternating bigon chain: diagram is reducible; "
                 "splitting the twist region at the junction",
                 ReducibleDiagramWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
             continue
         b = len(pair_of)
         pair_of.append((edge[x], edge[y]) if edge[x] <= edge[y] else (edge[y], edge[x]))
         links[x >> 2].append((b, y >> 2))
         links[y >> 2].append((b, x >> 2))
-    if any(len(lk) > 2 for lk in links):
-        for part in d._parts:
-            # A 2-crossing Hopf part has four bigons and two equally valid
-            # twist-region readings; fix one by pairing edge-disjoint bigons.
-            if len(part) == 2 and len(links[part[0]]) == 4:
-                b0 = links[part[0]][0][0]
+    if any(len(links[c]) > 2 for c in crossings):
+        for c in crossings:
+            # Four bigons at a crossing all join it to one other crossing: a
+            # 2-crossing Hopf part, with two equally valid twist-region
+            # readings; fix one by pairing edge-disjoint bigons.
+            lk = links[c]
+            if len(lk) == 4:
+                b0 = lk[0][0]
                 edges = set(pair_of[b0])
-                keep = {b0} | {b for b, _ in links[part[0]] if not edges.intersection(pair_of[b])}
-                for c in part:
-                    links[c] = [lk for lk in links[c] if lk[0] in keep]
-        if any(len(lk) > 2 for lk in links):
+                keep = {b0} | {b for b, _ in lk if not edges.intersection(pair_of[b])}
+                for x in (c, lk[0][1]):
+                    links[x] = [k for k in links[x] if k[0] in keep]
+        if any(len(links[c]) > 2 for c in crossings):
             raise DiagramInvariantError(
                 "a crossing borders more than two bigons; not a reduced diagram"
             )
+    return links, pair_of
 
-    # The crossings in order: the first of each region is its least.  Its
-    # chain is walked from there along each of its links, to an end or round
-    # a cycle back, and read from the lesser end (a cycle: from there, along
-    # its first link).
+
+def _walk_chains(d: Diagram, links, pair_of, crossings) -> list[TwistRegion]:
+    """The chain region of each of `crossings`, ascending, that no earlier
+    region holds, along the links of `_bigon_links`.
+
+    The first crossing of each region is its least.  Its chain is walked
+    from there along each of its links, to an end or round a cycle back,
+    and read from the lesser end (a cycle: from there, along its first
+    link)."""
+    signs = d.signs
     regions: list[TwistRegion] = []
     seen = [False] * len(d.crossings)
-    for c0, lk in enumerate(links):
+    for c0 in crossings:
         if seen[c0]:
             continue
         seen[c0] = True
         back: list[int] = []  # the other arm: crossings and bigons
         back_pairs: list[int] = []
         arm, pairs, is_cycle = back, back_pairs, False
-        for b, nb in lk:
+        for b, nb in links[c0]:
             back, back_pairs, arm, pairs = arm, pairs, [], [b]
             while nb != c0:
                 seen[nb] = True
@@ -535,56 +559,6 @@ def detect_twist_regions(d: Diagram) -> list[TwistRegion]:
                         [pair_of[b] for b in back_pairs[::-1] + pairs])
         )
     return regions
-
-
-def _walk_chain(d: Diagram, links, comp: set[int]) -> TwistRegion:
-    """The chain region of crossings joined by the bigons of `links`
-    (crossing -> its (bigon, neighbour) pairs), walked from its least end
-    (its least crossing, for a cycle)."""
-    ends = sorted(c for c in comp if len(links[c]) == 1)
-    start = ends[0] if ends else min(comp)
-    chain = [start]
-    pairs: list[tuple[int, int]] = []
-    prev = None
-    cur = start
-    while True:
-        step = None
-        for b, nb in links[cur]:
-            if b != prev:
-                step = (b, nb)
-                break
-        if step is None:
-            break
-        b, nb = step
-        pairs.append(b)
-        if nb == start:
-            break  # cycle closed; the closing bigon is recorded
-        chain.append(nb)
-        prev, cur = b, nb
-    if set(chain) != comp:
-        raise DiagramInvariantError(
-            "bigon adjacency is not a simple chain; not a reduced diagram"
-        )
-    n = len(chain)
-    handed = _crossing_handed(d, chain[0])
-    edge = d._edge
-    return TwistRegion(
-        crossings=chain,
-        strand_count=2,
-        full_twists=handed * (n // 2),
-        half_twist=bool(n % 2),
-        handedness=handed,
-        is_cycle=not ends,
-        bigon_edge_pairs=[
-            tuple(sorted(edge[x - 3 if x & 3 == 3 else x + 1] for x in b)) for b in pairs
-        ],
-    )
-
-
-def _crossing_handed(d: Diagram, ci: int) -> int:
-    if d.signs is not None:
-        return d.signs[ci]
-    return 1
 
 
 # -- generalized twist regions --------------------------------------------------
@@ -705,20 +679,11 @@ def validate_generalized_region(
                     "strand does not alternate over and under: reducible "
                     f"pair (first offending crossing {path[0] >> 2})"
                 )
-        if len(ids) > 1:
-            links: dict = {c: [] for c in ids}
-            for b in d._bigons:
-                c1, c2 = b[0] >> 2, b[1] >> 2
-                if c1 in links and c2 in links:
-                    links[c1].append((b, c2))
-                    links[c2].append((b, c1))
-            try:
-                return _walk_chain(d, links, set(ids))
-            except DiagramInvariantError:  # the annotation's fault, not the diagram's
-                raise DiagramInvariantError(
-                    f"annotated crossings {ids} are not one bigon chain"
-                ) from None
-    handed = _crossing_handed(d, ids[0])
+        regions = _walk_chains(d, *_bigon_links(d, ids), ids)
+        if len(regions) != 1:
+            raise DiagramInvariantError(f"annotated crossings {ids} are not one bigon chain")
+        return regions[0]
+    handed = d.signs[ids[0]] if d.signs is not None else 1
     return TwistRegion(
         crossings=ids, strand_count=m, full_twists=handed * t, half_twist=half, handedness=handed
     )
@@ -733,114 +698,54 @@ def canonical_pd(d: Diagram) -> CanonicalPD:
     crossing order and rotating a crossing by two slots.
 
     Each connected part of the projection is read as a BFS code (see
-    `_least_code`) from every crossing in both of its rotations, and the least
-    code is kept; the key is (number of loops, sorted part codes).  Rotating
-    by two re-bases the understrand at its other end, so it is the same
-    unoriented crossing; odd rotations would exchange over and under, so a
-    mirror image is a different diagram.  Component labels and signs are
-    ignored.  Costs O(n^2) time and O(n) memory for n crossings, and is
-    cached on the diagram.
+    `_read`) from every crossing in both of its rotations, and the least
+    code is kept (see `_part_codes`); the key is (number of loops, sorted
+    part codes).  Rotating by two re-bases the understrand at its other
+    end, so it is the same unoriented crossing; odd rotations would exchange
+    over and under, so a mirror image is a different diagram.  Component
+    labels and signs are ignored.  Costs O(n^2) time and O(n) memory for n
+    crossings, and is cached on the diagram.
     """
     return d._canonical_pd
 
 
-# Readings advanced together; it bounds the memory at O(_BATCH * n).
-_BATCH = 32
-
-
 def _part_codes(d: Diagram) -> list[tuple[int, ...]]:
-    """The least BFS code of each connected part of the projection, and one
-    DEBUG record of what reading them took."""
-    local = [0] * len(d.crossings)  # crossing -> its index within its part
+    """The least code of each connected part of the projection, and one DEBUG
+    record of what reading them took.
+
+    A part is read through `_read` from each of its crossings in both
+    rotations.  Each reading is compared with the least code so far and
+    dropped at its first entry above it; one that goes below it is read
+    again whole and becomes the least."""
+    n = len(d.crossings)
+    quads = _quads(n)
+    num = [0] * (4 * n)
+    seen = [False] * n
+    twin = d._twin
     codes = []
-    batches = alive = 0
+    least = 0  # readings that reproduce their part's least code
     for part in d._parts:
-        twin = d._twin
-        if len(part) < len(d.crossings):  # the part's own darts
-            for i, c in enumerate(part):
-                local[c] = i
-            twin = [4 * local[y >> 2] + (y & 3) for c in part for y in twin[4 * c : 4 * c + 4]]
-        code, b, a = _least_code(twin)
-        codes.append(code)
-        batches += b
-        alive += a
+        code = None
+        for c in part:
+            for x in (4 * c, 4 * c + 2):
+                order = [x]
+                sign = -1 if code is None else _read(twin, quads, num, seen, order, code)
+                if sign < 0:
+                    _clear(order, num, seen)
+                    order = [x]
+                    _read(twin, quads, num, seen, order, None)
+                    code = [num[z] for y in order for z in quads[y >> 1]]
+                    ties = 1
+                elif sign == 0:
+                    ties += 1
+                _clear(order, num, seen)
+        codes.append(tuple(code))
+        least += ties
     log.debug(
-        "canonical_pd: %d crossings, %d parts, %d readings in %d batches, "
-        "%d alive at the last crossing",
-        len(d.crossings), len(codes), 2 * len(d.crossings), batches, alive,
+        "canonical_pd: %d crossings, %d parts, %d readings, %d on the least code",
+        n, len(codes), 2 * n, least,
     )
     return codes
-
-
-def _least_code(twin: list[int]) -> tuple[tuple[int, ...], int, int]:
-    """The least BFS code of one connected part, with the number of batches
-    read and of readings that end on that code (the automorphisms).
-
-    A reading is a start crossing and a rotation of it by 0 or 2.  It reads
-    the crossings in the order they are reached and numbers the edges from 1
-    in order of first appearance; a newly reached crossing is rotated so
-    that the slot it was reached through reads as 0 or 1.  An isomorphism
-    preserves that, so the start fixes the whole code.
-
-    The readings of a batch advance one crossing at a time, and after each
-    crossing only those whose 4-entry chunk is least survive: least within
-    the batch, and not above the least code of the earlier batches.  A
-    reading keeps its state in flat lists: edge number per dart (0 until
-    numbered), whether each crossing is reached, and the darts the crossings
-    are reached through, in reading order.  Reading q starts through dart
-    2q: crossing q >> 1, rotated by 2 * (q & 1).
-    """
-    n = len(twin) // 4
-    quads = _quads(n)
-    slots = min(_BATCH, 2 * n)
-    nums = [[0] * (4 * n) for _ in range(slots)]
-    seens = [[False] * n for _ in range(slots)]
-    best: list[tuple[int, ...]] = []  # the least code so far, in chunks
-    batches = alive = 0
-    for first in range(0, 2 * n, slots):
-        batches += 1
-        orders = []
-        for j, q in enumerate(range(first, min(first + slots, 2 * n))):
-            seens[j][q >> 1] = True
-            orders.append([2 * q])
-        nxt = [1] * len(orders)
-        live = list(range(len(orders)))
-        code = []
-        tied = bool(best)  # the batch's code so far equals best's prefix
-        for i in range(n):
-            chunks = []
-            for j in live:
-                num, seen, order = nums[j], seens[j], orders[j]
-                quad = quads[order[i] >> 1]
-                e = nxt[j]
-                for x in quad:
-                    if not num[x]:
-                        y = twin[x]
-                        num[x] = num[y] = e
-                        e += 1
-                        if not seen[y >> 2]:
-                            seen[y >> 2] = True
-                            order.append(y)
-                nxt[j] = e
-                a, b, c, d = quad
-                chunks.append((num[a], num[b], num[c], num[d]))
-            least = min(chunks)
-            if tied:
-                if least > best[i]:
-                    break
-                tied = least == best[i]
-            if len(live) > 1:
-                live = [j for j, chunk in zip(live, chunks) if chunk == least]
-            code.append(least)
-        else:
-            if tied:
-                alive += len(live)
-            else:
-                best, alive = code, len(live)
-        if first + slots < 2 * n:  # clear what the batch reached for the next
-            for num, seen, order in zip(nums, seens, orders):
-                _clear(order, num, seen)
-    return tuple(e for chunk in best for e in chunk), batches, alive
 
 
 def pd_isomorphic(d1: Diagram, d2: Diagram) -> bool:
@@ -848,13 +753,12 @@ def pd_isomorphic(d1: Diagram, d2: Diagram) -> bool:
     order and rotation of crossings by two, as `canonical_pd` equality, but
     without reading either least code (Weinberg's test).
 
-    Each connected part of `d1` is read once, from its least crossing through
-    slot 0 (the reading of `_least_code`), and is matched by the first unused
-    part of `d2` of the same size that some reading reproduces; a reading is
-    abandoned at its first entry that differs from the code.  Taking any
-    matching part is safe, since isomorphism is an equivalence.  Costs O(n^2)
-    time at worst and O(n) memory for n crossings, and writes one DEBUG
-    record."""
+    Each connected part of `d1` is read once (see `_read`), from its least
+    crossing through slot 0, and is matched by the first unused part of `d2`
+    of the same size that some reading reproduces; a reading is abandoned at
+    its first entry that differs from the code.  Taking any matching part is
+    safe, since isomorphism is an equivalence.  Costs O(n^2) time at worst
+    and O(n) memory for n crossings, and writes one DEBUG record."""
     n = len(d1.crossings)
     tried = 0
     same = (
@@ -903,18 +807,24 @@ def _match(twin, quads, num, seen, code, parts, size) -> tuple[int | None, int]:
                 for x in (4 * c, 4 * c + 2):
                     tried += 1
                     order = [x]
-                    same = _read(twin, quads, num, seen, order, code)
+                    sign = _read(twin, quads, num, seen, order, code)
                     _clear(order, num, seen)
-                    if same:
+                    if sign == 0:
                         return k, tried
     return None, tried
 
 
-def _read(twin, quads, num, seen, order, code) -> bool:
-    """Read the part through dart order[0] as `_least_code` reads it: number
-    the edges in `num` and append the darts the crossings are reached
-    through to `order`.  Given a `code`, stop at the first entry that differs
-    from it and say whether none did."""
+def _read(twin, quads, num, seen, order, code) -> int:
+    """Read the part through dart order[0]: number the edges in `num` from 1
+    in order of first appearance and append the darts the crossings are
+    reached through to `order`.  Given a `code`, stop at the first entry that
+    differs from it and return its sign against the code's entry: -1 below,
+    1 above, and 0 when none differs.
+
+    The crossings are read in the order they are reached, each from the
+    slot it was reached through, rounded down to an even slot (the reading
+    of `_quads`); an isomorphism preserves that, so the first dart fixes the
+    whole code."""
     seen[order[0] >> 2] = True
     e = 1
     k = 0
@@ -930,9 +840,9 @@ def _read(twin, quads, num, seen, order, code) -> bool:
                     order.append(twin[x])
             if code is not None:
                 if v != code[k]:
-                    return False
+                    return -1 if v < code[k] else 1
                 k += 1
-    return True
+    return 0
 
 
 def _clear(order, num, seen) -> None:

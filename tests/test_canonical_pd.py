@@ -1,9 +1,8 @@
 """canonical_pd / pd_isomorphic against the exhaustive backtracking search,
-and the lockstep reader and the component inference against the readings
-and the union-find they replaced."""
+and the key reader and the component inference against the readings and
+the union-find they replaced."""
 
 import logging
-import math
 import pickle
 import random
 import re
@@ -143,6 +142,14 @@ def test_mirror_and_different_knots_are_not_isomorphic():
         assert not pd_isomorphic(trefoil, other)
 
 
+def test_a_pd_code_pins_chirality():
+    # The trefoil's diagram is not its mirror's; the figure-eight's is.
+    t, f = catalog.trefoil(), catalog.figure_eight()
+    assert canonical_pd(t) != canonical_pd(mirror(t))
+    assert canonical_pd(f) == canonical_pd(mirror(f))
+    assert pd_isomorphic(f, mirror(f)) and backtrack_isomorphic(f, mirror(f))
+
+
 def test_split_diagram_is_a_multiset_of_parts():
     t, f = catalog.trefoil(), catalog.figure_eight()
     tf, ft = disjoint_union(t, f), disjoint_union(f, t)
@@ -258,7 +265,7 @@ def test_crossingless_diagrams_compare_by_their_loops():
 
 
 def test_match_memory_is_linear():
-    # The lockstep keys of these two diagrams peak at about 1.35 MB.
+    # The keys of these two diagrams peak at about 0.38 MB.
     d = catalog.two_bridge_chain(401)  # 802 crossings
     other = scrambled(d, random.Random(401))
     tracemalloc.start()
@@ -302,7 +309,7 @@ def test_a_diagram_survives_pickling():
     assert copy == d and canonical_pd(copy) == canonical_pd(d)
 
 
-# -- the lockstep reader against one reading at a time ---------------------------
+# -- the key reader against a reading of its own ----------------------------------
 
 
 def reference_part_codes(d):
@@ -436,14 +443,14 @@ def ladder_diagram(kind, size):
     return catalog.pretzel_link([3] * size)
 
 
-# Up to 30 crossings: more readings than one batch of the lockstep reader.
+# Up to 30 crossings, 60 readings of a part.
 larger_diagrams = st.one_of(
     st.lists(twists, min_size=1, max_size=6).map(catalog.rational_link),
     st.lists(twists, min_size=2, max_size=7).map(catalog.pretzel_link),
 )
 
 
-class TestLockstepReader:
+class TestKeyReader:
     @settings(max_examples=120, deadline=None)
     @given(larger_diagrams, seeds)
     def test_scrambled_diagrams(self, d, seed):
@@ -481,19 +488,19 @@ class TestLockstepReader:
                     assert_read_as_reference(kinked(k, min(k.components), not loop_first))
 
     def test_every_reading_an_automorphism(self):
-        # 400 readings in 13 batches, and all of them read the same code.
+        # 400 readings, and all of them read the same code.
         d = sigma1_closure(200)
         assert_read_as_reference(d)
         assert automorphisms(d) == 400
 
-    def test_more_parts_than_one_batch(self):
+    def test_many_parts(self):
         parts = [catalog.trefoil(), catalog.figure_eight(), catalog.unknot_kink()] * 12
         d = disjoint_union(*parts)
         assert len(d._parts) == 36
         assert_read_as_reference(d)
         assert_read_as_reference(disjoint_union(sigma1_closure(20), *parts[:5]))
 
-    def test_memory_is_bounded_by_the_batch(self):
+    def test_memory_is_linear(self):
         d = catalog.two_bridge_chain(401)  # 802 crossings, 1604 readings
         tracemalloc.start()
         try:
@@ -501,7 +508,7 @@ class TestLockstepReader:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2_000_000
+        assert peak < 1_000_000  # measured 0.38 MB
 
     def test_one_debug_record_per_key(self, caplog):
         cases = [
@@ -518,13 +525,12 @@ class TestLockstepReader:
         assert len(records) == len(cases)
         assert {r.levelno for r in records} == {logging.DEBUG}
         pattern = (
-            r"canonical_pd: (\d+) crossings, (\d+) parts, (\d+) readings in "
-            r"(\d+) batches, (\d+) alive at the last crossing"
+            r"canonical_pd: (\d+) crossings, (\d+) parts, (\d+) readings, "
+            r"(\d+) on the least code"
         )
         for d, record in zip(cases, records):
-            n, parts, readings, batches, alive = map(
+            n, parts, readings, least = map(
                 int, re.fullmatch(pattern, record.getMessage()).groups()
             )
             assert (n, parts, readings) == (len(d.crossings), len(d._parts), 2 * n)
-            assert batches == sum(math.ceil(2 * len(p) / 32) for p in d._parts)
-            assert alive == automorphisms(d)
+            assert least == automorphisms(d)

@@ -223,8 +223,9 @@ def reference_augment(d, regions):
 
 
 def assert_same_as_reference(d):
-    """Compare the readers on d; returns how many of its open chains
-    `validate_generalized_region` accepts."""
+    """Compare the readers on d, and `validate_generalized_region` on every
+    run of a chain against the reference walk; returns how many of its whole
+    open chains it accepts."""
     chains = 0
     regions, caught = outcome(lambda: detect_twist_regions(d))
     assert (regions, caught) == outcome(lambda: reference_twist_regions(d))
@@ -239,14 +240,18 @@ def assert_same_as_reference(d):
     if isinstance(regions, Failed):
         return chains
     for r in regions:
-        if len(r.crossings) > 1 and not r.is_cycle:
-            ids = sorted(r.crossings)
+        n = len(r.crossings)
+        # Every run of at least two crossings along the chain, the whole of
+        # an open chain included; a whole cycle bounds no strands.
+        for a, b in [(a, b) for a in range(n - 1) for b in range(a + 2, n + 1)
+                     if b - a < n or not r.is_cycle]:
+            ids = sorted(r.crossings[a:b])
             # A chain through a nugatory crossing (its two strands are one)
             # is the detected region, not the m = 2 branch's walk: the same.
             got = outcome(lambda: validate_generalized_region(d, ids))
             if not isinstance(got[0], Failed):
                 assert got == outcome(lambda: reference_chain_over(d, ids))
-                chains += 1
+                chains += b - a == n
     got = outcome(lambda: augment(d, regions))
     ref = outcome(lambda: reference_augment(d, regions))
     if isinstance(got[0], Failed):

@@ -13,9 +13,7 @@ from augcusp.diagram import (
     Face,
     FaceMap,
     TwistRegion,
-    _crossing_handed,
     _subtangle_strands,
-    _walk_chain,
     compute_faces,
     detect_twist_regions,
     full_ribbon_braid,
@@ -303,6 +301,54 @@ class TestTwistRegions:
 # -- the reference: the validator as it read the crossings through three maps --
 
 
+def reference_walk_chain(d, links, comp):
+    """The chain region of crossings joined by the bigons of `links`
+    (crossing -> its (bigon, neighbour) pairs), walked from its least end
+    (its least crossing, for a cycle)."""
+    ends = sorted(c for c in comp if len(links[c]) == 1)
+    start = ends[0] if ends else min(comp)
+    chain = [start]
+    pairs: list[tuple[int, int]] = []
+    prev = None
+    cur = start
+    while True:
+        step = None
+        for b, nb in links[cur]:
+            if b != prev:
+                step = (b, nb)
+                break
+        if step is None:
+            break
+        b, nb = step
+        pairs.append(b)
+        if nb == start:
+            break  # cycle closed; the closing bigon is recorded
+        chain.append(nb)
+        prev, cur = b, nb
+    if set(chain) != comp:
+        raise DiagramInvariantError(
+            "bigon adjacency is not a simple chain; not a reduced diagram"
+        )
+    n = len(chain)
+    handed = reference_handed(d, chain[0])
+    edge = d._edge
+    return TwistRegion(
+        crossings=chain,
+        strand_count=2,
+        full_twists=handed * (n // 2),
+        half_twist=bool(n % 2),
+        handedness=handed,
+        is_cycle=not ends,
+        bigon_edge_pairs=[
+            tuple(sorted(edge[x - 3 if x & 3 == 3 else x + 1] for x in b)) for b in pairs
+        ],
+    )
+
+
+def reference_handed(d, ci):
+    return d.signs[ci] if d.signs is not None else 1
+
+
 def reference_subtangle_strands(d, crossing_ids):
     """Thread the strands of a subdiagram spanned by the given crossings.
 
@@ -450,8 +496,8 @@ def reference_validate_generalized_region(d, crossing_ids, strand_count=None):
                 if c1 in links and c2 in links:
                     links[c1].append((b, c2))
                     links[c2].append((b, c1))
-            return _walk_chain(d, links, set(ids))
-    handed = _crossing_handed(d, ids[0])
+            return reference_walk_chain(d, links, set(ids))
+    handed = reference_handed(d, ids[0])
     return TwistRegion(
         crossings=list(ids),
         strand_count=m,
